@@ -818,6 +818,11 @@ fn serve_connection(stream: TcpStream, tx: mpsc::Sender<Msg>, unparsable: Arc<Co
             return;
         }
     });
+    // Replies are one small segment each; without this every round trip
+    // waits out Nagle and the client's delayed ACK.
+    if let Err(e) = stream.set_nodelay(true) {
+        eprintln!("sos-serve: cannot set TCP_NODELAY for {peer}: {e}");
+    }
     let mut writer = stream;
     for line in reader.lines() {
         let line = match line {
@@ -843,13 +848,13 @@ fn serve_connection(stream: TcpStream, tx: mpsc::Sender<Msg>, unparsable: Arc<Co
                 }
             }
         };
-        let json = match serde_json::to_string(&response) {
+        let mut json = match serde_json::to_string(&response) {
             Ok(j) => j,
             Err(e) => format!("{{\"ok\":false,\"error\":\"reply serialization: {e}\"}}"),
         };
+        json.push('\n');
         if writer
             .write_all(json.as_bytes())
-            .and_then(|_| writer.write_all(b"\n"))
             .and_then(|_| writer.flush())
             .is_err()
         {

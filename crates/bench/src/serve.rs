@@ -577,6 +577,9 @@ impl Client {
     /// Connects to a daemon address like `127.0.0.1:7077`.
     pub fn connect(addr: &str) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        // One small request per round trip: Nagle plus the peer's delayed ACK
+        // would stall each of them.
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
             writer: stream,
@@ -594,8 +597,8 @@ impl Client {
     /// Sends one raw line (useful for malformed-input tests) and blocks for
     /// the reply.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<Response> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One segment per request: the line and its terminator in one write.
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         self.writer.flush()?;
         let mut reply = String::new();
         let n = self.reader.read_line(&mut reply)?;

@@ -8,14 +8,42 @@
 use crate::config::CacheConfig;
 use serde::{Deserialize, Serialize};
 
+/// Key of an invalid way in an LRU set. Cache tags are `addr >> (line + set
+/// bits)` and TLB keys are page numbers; the constructors reject the
+/// geometries (a single one-byte line, one-byte pages) that could reach it.
+pub(crate) const INVALID: u64 = u64::MAX;
+
+/// Looks `key` up in one LRU set — keys ordered most- to least-recently used,
+/// [`INVALID`] ways last — and makes it the most recent. On a miss the last
+/// way (the LRU key, or an invalid way) is dropped. Returns whether it hit.
+#[inline]
+pub(crate) fn lru_access(set: &mut [u64], key: u64) -> bool {
+    if set[0] == key {
+        return true;
+    }
+    match set.iter().position(|&k| k == key) {
+        Some(pos) => {
+            set[..=pos].rotate_right(1);
+            true
+        }
+        None => {
+            set.rotate_right(1);
+            set[0] = key;
+            false
+        }
+    }
+}
+
 /// One set-associative cache level with true-LRU replacement.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `sets[s]` holds up to `assoc` tags ordered most- to least-recently used.
-    sets: Vec<Vec<u64>>,
+    /// `sets x assoc` tags in one allocation. The ways of set `s` are
+    /// `tags[s * assoc..][..assoc]`, ordered most- to least-recently used,
+    /// with the [`INVALID`] ways last.
+    tags: Vec<u64>,
     line_shift: u32,
-    set_mask: u64,
+    set_bits: u32,
 }
 
 impl Cache {
@@ -25,17 +53,17 @@ impl Cache {
     /// Panics if the geometry is inconsistent (see [`CacheConfig::num_sets`]).
     pub fn new(cfg: CacheConfig) -> Self {
         let num_sets = cfg.num_sets();
+        let (line_shift, set_bits) = (cfg.line_bytes.trailing_zeros(), num_sets.trailing_zeros());
+        assert!(
+            line_shift + set_bits > 0,
+            "cache must index at least one address bit"
+        );
         Cache {
             cfg,
-            sets: vec![Vec::with_capacity(cfg.assoc); num_sets],
-            line_shift: cfg.line_bytes.trailing_zeros(),
-            set_mask: num_sets as u64 - 1,
+            tags: vec![INVALID; num_sets * cfg.assoc],
+            line_shift,
+            set_bits,
         }
-    }
-
-    /// The geometry this cache was built with.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
     }
 
     /// Hit latency of this level.
@@ -44,55 +72,42 @@ impl Cache {
         self.cfg.hit_latency
     }
 
+    /// The range of `tags` holding the set `addr` maps to, and its tag.
     #[inline]
-    fn index(&self, addr: u64) -> (usize, u64) {
+    fn index(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
         let line = addr >> self.line_shift;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
-        )
+        let set = (line & ((1 << self.set_bits) - 1)) as usize;
+        let base = set * self.cfg.assoc;
+        (base..base + self.cfg.assoc, line >> self.set_bits)
     }
 
     /// Accesses `addr`; returns `true` on hit. On miss the line is filled
     /// (allocate-on-miss for both reads and writes), evicting the LRU line.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        let (set_idx, tag) = self.index(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            // Move to MRU position.
-            let t = set.remove(pos);
-            set.insert(0, t);
-            true
-        } else {
-            if set.len() == self.cfg.assoc {
-                set.pop();
-            }
-            set.insert(0, tag);
-            false
-        }
+        let (ways, tag) = self.index(addr);
+        lru_access(&mut self.tags[ways], tag)
     }
 
     /// Looks up `addr` without updating replacement state or filling.
     pub fn probe(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.index(addr);
-        self.sets[set_idx].contains(&tag)
+        let (ways, tag) = self.index(addr);
+        self.tags[ways].contains(&tag)
     }
 
     /// Invalidates all lines (used for cold-start experiments).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.tags.fill(INVALID);
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 
     /// Total line capacity.
     pub fn capacity_lines(&self) -> usize {
-        self.sets.len() * self.cfg.assoc
+        self.tags.len()
     }
 
     /// Resident lines belonging to the address-space tag `stream` (the upper
@@ -101,12 +116,10 @@ impl Cache {
     pub fn resident_lines_of(&self, stream: u32) -> usize {
         // Tags store `addr >> (line_shift + set_bits)`; the stream id sits at
         // bit 40 of the address.
-        let shift =
-            crate::trace::StreamId::ADDR_BITS - self.line_shift - self.set_mask.count_ones();
-        self.sets
+        let shift = crate::trace::StreamId::ADDR_BITS - self.line_shift - self.set_bits;
+        self.tags
             .iter()
-            .flat_map(|set| set.iter())
-            .filter(|&&tag| (tag >> shift) as u32 == stream)
+            .filter(|&&tag| tag != INVALID && (tag >> shift) as u32 == stream)
             .count()
     }
 }
@@ -225,16 +238,89 @@ impl CacheHierarchy {
     pub fn l2(&self) -> &Cache {
         &self.l2
     }
-
-    /// Line size of the instruction cache in bytes.
-    pub fn il1_line_bytes(&self) -> u64 {
-        self.il1.config().line_bytes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The pre-flat-array implementation, kept as the reference model: one
+    /// `Vec` per set, most-recently used first, `remove`/`insert(0)` on hit.
+    struct VecLruCache {
+        sets: Vec<Vec<u64>>,
+        assoc: usize,
+        line_shift: u32,
+    }
+
+    impl VecLruCache {
+        fn new(cfg: CacheConfig) -> Self {
+            VecLruCache {
+                sets: vec![Vec::new(); cfg.num_sets()],
+                assoc: cfg.assoc,
+                line_shift: cfg.line_bytes.trailing_zeros(),
+            }
+        }
+
+        fn locate(&self, addr: u64) -> (usize, u64) {
+            let line = addr >> self.line_shift;
+            let sets = self.sets.len() as u64;
+            ((line % sets) as usize, line / sets)
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            let (set, tag) = self.locate(addr);
+            let set = &mut self.sets[set];
+            if let Some(pos) = set.iter().position(|&t| t == tag) {
+                let t = set.remove(pos);
+                set.insert(0, t);
+                true
+            } else {
+                if set.len() == self.assoc {
+                    set.pop();
+                }
+                set.insert(0, tag);
+                false
+            }
+        }
+
+        fn probe(&self, addr: u64) -> bool {
+            let (set, tag) = self.locate(addr);
+            self.sets[set].contains(&tag)
+        }
+    }
+
+    proptest! {
+        /// Same hits, same evictions (every generated address is probed after
+        /// every access, so a wrong victim shows at once) and same occupancy
+        /// as the reference, for direct-mapped, 2-way and 4-way geometries.
+        #[test]
+        fn flat_cache_matches_vec_lru_reference(
+            assoc in proptest::sample::select(vec![1usize, 2, 4]),
+            lines in proptest::collection::vec((0u64..48, 0u64..3), 1..400),
+            flush_at in 0usize..400,
+        ) {
+            let cfg = CacheConfig { size_bytes: 1024, line_bytes: 64, assoc, hit_latency: 1 };
+            let (mut flat, mut reference) = (Cache::new(cfg), VecLruCache::new(cfg));
+            // A few lines per set, spread over three address-space tags.
+            let addrs: Vec<u64> = lines
+                .iter()
+                .map(|&(line, stream)| crate::trace::StreamId(stream).tag_addr(line * 64 + 8))
+                .collect();
+            for (i, &addr) in addrs.iter().enumerate() {
+                if i == flush_at {
+                    flat.flush();
+                    reference.sets.iter_mut().for_each(Vec::clear);
+                }
+                prop_assert_eq!(flat.access(addr), reference.access(addr), "access {}", i);
+                for &a in &addrs {
+                    prop_assert_eq!(flat.probe(a), reference.probe(a), "after access {}", i);
+                }
+                let resident: usize = reference.sets.iter().map(Vec::len).sum();
+                prop_assert_eq!(flat.resident_lines(), resident);
+            }
+        }
+    }
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 64B lines = 512B.

@@ -17,8 +17,8 @@ pub const NOT_DONE: u64 = u64::MAX;
 /// A ring of completion times indexed by dynamic sequence number.
 #[derive(Clone, Debug)]
 pub struct DepRing {
-    done: Box<[u64; RING]>,
-    tag: Box<[u64; RING]>,
+    /// `(seq, completion cycle)` of the latest occupant of each slot.
+    slots: Box<[(u64, u64); RING]>,
 }
 
 impl Default for DepRing {
@@ -31,25 +31,20 @@ impl DepRing {
     /// An empty ring: every lookup reports "long complete".
     pub fn new() -> Self {
         DepRing {
-            done: Box::new([NOT_DONE; RING]),
-            tag: Box::new([u64::MAX; RING]),
+            slots: Box::new([(u64::MAX, NOT_DONE); RING]),
         }
     }
 
     /// Records that `seq` will complete at `cycle`.
     #[inline]
     pub fn set_done(&mut self, seq: u64, cycle: u64) {
-        let slot = (seq as usize) & (RING - 1);
-        self.tag[slot] = seq;
-        self.done[slot] = cycle;
+        self.slots[(seq as usize) & (RING - 1)] = (seq, cycle);
     }
 
     /// Marks `seq` dispatched-but-not-issued (completion unknown).
     #[inline]
     pub fn set_pending(&mut self, seq: u64) {
-        let slot = (seq as usize) & (RING - 1);
-        self.tag[slot] = seq;
-        self.done[slot] = NOT_DONE;
+        self.set_done(seq, NOT_DONE);
     }
 
     /// The cycle at which producer `seq` completes: [`NOT_DONE`] if it has
@@ -57,19 +52,19 @@ impl DepRing {
     /// window (and therefore must have completed long ago).
     #[inline]
     pub fn done_at(&self, seq: u64) -> u64 {
-        let slot = (seq as usize) & (RING - 1);
-        if self.tag[slot] == seq {
-            self.done[slot]
+        let (tag, done) = self.slots[(seq as usize) & (RING - 1)];
+        if tag == seq {
+            done
         } else {
             0
         }
     }
 
-    /// Whether the instruction `seq` produced its result by cycle `now`.
+    /// Whether the instruction `seq` produced its result by cycle `now`
+    /// ([`NOT_DONE`] is later than any cycle).
     #[inline]
     pub fn ready_by(&self, seq: u64, now: u64) -> bool {
-        let done = self.done_at(seq);
-        done != NOT_DONE && done <= now
+        self.done_at(seq) <= now
     }
 }
 

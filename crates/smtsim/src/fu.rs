@@ -10,7 +10,8 @@
 
 use crate::trace::InstrClass;
 
-/// Which functional-unit pool an instruction class issues to.
+/// Which functional-unit pool an instruction class issues to. The
+/// discriminant indexes per-pool arrays.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum FuKind {
     /// Integer ALUs / multiplier.
@@ -39,32 +40,24 @@ impl FuKind {
 /// operations occupy a unit for one cycle, long operations for several.
 #[derive(Clone, Debug)]
 pub struct FuPools {
-    int_busy: Vec<u64>,
-    fp_busy: Vec<u64>,
-    ls_busy: Vec<u64>,
+    /// Busy-until cycle of every unit, one pool per [`FuKind`].
+    busy: [Vec<u64>; 3],
 }
 
 impl FuPools {
     /// Builds the pools with the given widths, all units idle.
     pub fn new(int_units: usize, fp_units: usize, ls_ports: usize) -> Self {
         FuPools {
-            int_busy: vec![0; int_units],
-            fp_busy: vec![0; fp_units],
-            ls_busy: vec![0; ls_ports],
+            busy: [vec![0; int_units], vec![0; fp_units], vec![0; ls_ports]],
         }
     }
 
-    /// Attempts to claim a unit of the pool `class` needs at cycle `now`,
-    /// occupying it through `now + occupancy`. Returns `false` (a conflict)
-    /// if every unit of the pool is busy.
+    /// Attempts to claim a unit of pool `kind` at cycle `now`, occupying it
+    /// through `now + occupancy`. Returns `false` (a conflict) if every unit
+    /// of the pool is busy.
     #[inline]
-    pub fn try_issue(&mut self, class: InstrClass, now: u64, occupancy: u64) -> bool {
-        let pool = match FuKind::for_class(class) {
-            FuKind::Int => &mut self.int_busy,
-            FuKind::Fp => &mut self.fp_busy,
-            FuKind::Ls => &mut self.ls_busy,
-        };
-        for busy_until in pool.iter_mut() {
+    pub fn try_issue(&mut self, kind: FuKind, now: u64, occupancy: u64) -> bool {
+        for busy_until in &mut self.busy[kind as usize] {
             if *busy_until <= now {
                 *busy_until = now + occupancy.max(1);
                 return true;
@@ -75,18 +68,16 @@ impl FuPools {
 
     /// Units of `kind` free at cycle `now`.
     pub fn free(&self, kind: FuKind, now: u64) -> usize {
-        let pool = match kind {
-            FuKind::Int => &self.int_busy,
-            FuKind::Fp => &self.fp_busy,
-            FuKind::Ls => &self.ls_busy,
-        };
-        pool.iter().filter(|&&b| b <= now).count()
+        self.busy[kind as usize]
+            .iter()
+            .filter(|&&b| b <= now)
+            .count()
     }
 
     /// Marks every unit idle (timeslice-boundary reset).
     pub fn reset(&mut self) {
-        for p in [&mut self.int_busy, &mut self.fp_busy, &mut self.ls_busy] {
-            p.fill(0);
+        for pool in &mut self.busy {
+            pool.fill(0);
         }
     }
 }
@@ -108,14 +99,14 @@ mod tests {
     #[test]
     fn pipelined_units_free_next_cycle() {
         let mut fu = FuPools::new(2, 1, 1);
-        assert!(fu.try_issue(InstrClass::IntAlu, 10, 1));
-        assert!(fu.try_issue(InstrClass::Branch, 10, 1));
+        assert!(fu.try_issue(FuKind::Int, 10, 1));
+        assert!(fu.try_issue(FuKind::Int, 10, 1));
         assert!(
-            !fu.try_issue(InstrClass::IntMul, 10, 1),
+            !fu.try_issue(FuKind::Int, 10, 1),
             "third int op must conflict"
         );
         assert!(
-            fu.try_issue(InstrClass::IntAlu, 11, 1),
+            fu.try_issue(FuKind::Int, 11, 1),
             "pipelined unit accepts next cycle"
         );
     }
@@ -123,22 +114,19 @@ mod tests {
     #[test]
     fn long_occupancy_blocks_for_its_duration() {
         let mut fu = FuPools::new(1, 1, 1);
-        assert!(fu.try_issue(InstrClass::FpDiv, 0, 12));
+        assert!(fu.try_issue(FuKind::Fp, 0, 12));
         for c in 1..12 {
-            assert!(
-                !fu.try_issue(InstrClass::FpAdd, c, 1),
-                "fp unit busy at cycle {c}"
-            );
+            assert!(!fu.try_issue(FuKind::Fp, c, 1), "fp unit busy at cycle {c}");
         }
-        assert!(fu.try_issue(InstrClass::FpAdd, 12, 1));
+        assert!(fu.try_issue(FuKind::Fp, 12, 1));
     }
 
     #[test]
     fn free_counts_and_reset() {
         let mut fu = FuPools::new(4, 2, 2);
-        fu.try_issue(InstrClass::Load, 0, 1);
+        fu.try_issue(FuKind::Ls, 0, 1);
         assert_eq!(fu.free(FuKind::Ls, 0), 1);
-        fu.try_issue(InstrClass::FpDiv, 0, 20);
+        fu.try_issue(FuKind::Fp, 0, 20);
         fu.reset();
         assert_eq!(fu.free(FuKind::Fp, 0), 2);
         assert_eq!(fu.free(FuKind::Int, 0), 4);

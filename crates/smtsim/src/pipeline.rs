@@ -21,13 +21,10 @@
 
 use crate::branch::BranchPredictor;
 use crate::cache::CacheHierarchy;
-use crate::config::FetchPolicy;
 use crate::config::MachineConfig;
-use crate::context::{DepRing, NOT_DONE, RING};
+use crate::context::{DepRing, RING};
 use crate::counters::{ConflictCounters, Resource};
-use crate::fetch::{
-    brcount_priority, icount_priority, misscount_priority, round_robin_priority, FetchCandidate,
-};
+use crate::fetch::{prioritize, FetchCandidate};
 use crate::fu::{FuKind, FuPools};
 use crate::observe::{Observer, StageOccupancy};
 use crate::queue::{IssueQueue, QEntry, NO_DEP};
@@ -96,25 +93,6 @@ impl ContextState {
             stats: ThreadStats::default(),
         }
     }
-
-    /// Records that `seq` will complete at `cycle`.
-    #[inline]
-    fn set_done(&mut self, seq: u64, cycle: u64) {
-        self.ring.set_done(seq, cycle);
-    }
-
-    /// Marks `seq` dispatched-but-not-issued.
-    #[inline]
-    fn set_pending(&mut self, seq: u64) {
-        self.ring.set_pending(seq);
-    }
-
-    /// The cycle at which producer `seq` completes ([`NOT_DONE`] if it has not
-    /// issued). Sequence numbers older than the ring window are long complete.
-    #[inline]
-    fn done_at(&self, seq: u64) -> u64 {
-        self.ring.done_at(seq)
-    }
 }
 
 #[derive(Copy, Clone, Debug)]
@@ -126,11 +104,71 @@ struct CompleteEvent {
     dcache_miss: bool,
 }
 
-/// A ready-instruction issue decision collected during the queue scan.
-struct IssuePick {
-    pos: usize,
-    entry: QEntry,
+/// End-of-list marker in [`Wheel`].
+const NIL: u32 = u32::MAX;
+
+/// Pending completion events, bucketed by completion cycle: slot
+/// `cycle & (slots - 1)` heads a linked list threaded through one pool. The
+/// slot count is a power of two longer than any latency, so events of
+/// different cycles never share a list; the pool has room for one node per
+/// instruction the machine can have in flight, so pushing never allocates.
+struct Wheel {
+    heads: Vec<u32>,
+    /// `(event, next node)`; nodes not on a slot's list are on the free list.
+    pool: Vec<(CompleteEvent, u32)>,
+    free: u32,
 }
+
+impl Wheel {
+    fn new(cfg: &MachineConfig) -> Self {
+        let slots = (cfg.max_latency() + cfg.lat.fp_div_occupancy + 2) as usize;
+        Wheel {
+            heads: vec![NIL; slots.next_power_of_two()],
+            pool: Vec::with_capacity(cfg.contexts * cfg.max_inflight_per_thread),
+            free: NIL,
+        }
+    }
+
+    /// Drops every pending event (timeslice-boundary pipeline flush).
+    fn clear(&mut self) {
+        self.heads.fill(NIL);
+        self.pool.clear();
+        self.free = NIL;
+    }
+
+    /// Schedules `ev` for `cycle`, in a recycled node or the next unused one.
+    #[inline]
+    fn push(&mut self, cycle: u64, ev: CompleteEvent) {
+        let slot = cycle as usize & (self.heads.len() - 1);
+        let node = (ev, self.heads[slot]);
+        if self.free == NIL {
+            self.heads[slot] = self.pool.len() as u32;
+            self.pool.push(node);
+        } else {
+            self.heads[slot] = self.free;
+            self.free = std::mem::replace(&mut self.pool[self.free as usize], node).1;
+        }
+    }
+
+    /// Takes one event due at `cycle`, if any is left.
+    #[inline]
+    fn pop(&mut self, cycle: u64) -> Option<CompleteEvent> {
+        let slot = cycle as usize & (self.heads.len() - 1);
+        let node = self.heads[slot];
+        if node == NIL {
+            return None;
+        }
+        let (ev, next) = self.pool[node as usize];
+        self.heads[slot] = next;
+        self.pool[node as usize].1 = self.free;
+        self.free = node;
+        Some(ev)
+    }
+}
+
+/// Indices into [`Engine::queues`].
+const INT_Q: usize = 0;
+const FP_Q: usize = 1;
 
 /// The cycle-level engine. Owns all microarchitectural state; the persistent
 /// structures (caches, TLBs, branch-predictor tables) survive across
@@ -141,18 +179,25 @@ pub struct Engine {
     itlb: Tlb,
     dtlb: Tlb,
     bp: BranchPredictor,
-    int_q: IssueQueue,
-    fp_q: IssueQueue,
+    /// The shared integer and floating-point queues, `[INT_Q, FP_Q]`.
+    queues: [IssueQueue; 2],
     int_regs: RegPool,
     fp_regs: RegPool,
     fu: FuPools,
-    wheel: Vec<Vec<CompleteEvent>>,
+    wheel: Wheel,
     contexts: Vec<ContextState>,
+    /// Fetch-candidate scratch, refilled every cycle.
+    cands: Vec<FetchCandidate>,
+    /// Issue-scan scratch: one readiness bitmask per 64 queue positions.
+    ready: Vec<u64>,
+    /// Dispatch priority; always below `contexts.len()` inside the cycle loop.
     rr_cursor: usize,
     now: u64,
-    conflicts: ConflictCounters,
-    /// Per-cycle conflict flags, indexed like [`Resource::ALL`].
+    /// Cycles-with-conflict this timeslice, indexed by `Resource as usize`.
+    conflict_cycles: [u64; 7],
+    /// Per-cycle conflict flags, indexed by `Resource as usize`.
     cycle_flags: [bool; 7],
+    il1_line_shift: u32,
     /// Optional telemetry probe; `None` costs one branch per cycle.
     observer: Option<Box<dyn Observer>>,
     /// Cycles between stage-occupancy samples delivered to the observer.
@@ -173,23 +218,27 @@ impl Engine {
             cfg.max_inflight_per_thread <= RING,
             "per-thread window larger than dependence ring"
         );
-        let wheel_len = (cfg.max_latency() + cfg.lat.fp_div_occupancy + 2) as usize;
         Engine {
             caches: CacheHierarchy::new(cfg.icache, cfg.dcache, cfg.l2, cfg.mem_latency),
             itlb: Tlb::new(cfg.itlb_entries, cfg.page_bytes, cfg.tlb_miss_penalty),
             dtlb: Tlb::new(cfg.dtlb_entries, cfg.page_bytes, cfg.tlb_miss_penalty),
             bp: BranchPredictor::new(cfg.branch, cfg.contexts),
-            int_q: IssueQueue::new(cfg.int_queue),
-            fp_q: IssueQueue::new(cfg.fp_queue),
+            queues: [
+                IssueQueue::new(cfg.int_queue),
+                IssueQueue::new(cfg.fp_queue),
+            ],
             int_regs: RegPool::new(cfg.int_regs),
             fp_regs: RegPool::new(cfg.fp_regs),
             fu: FuPools::new(cfg.int_units, cfg.fp_units, cfg.ls_ports),
-            wheel: vec![Vec::new(); wheel_len],
+            wheel: Wheel::new(&cfg),
             contexts: Vec::new(),
+            cands: Vec::with_capacity(cfg.contexts),
+            ready: Vec::with_capacity(cfg.int_queue.max(cfg.fp_queue).div_ceil(64)),
             rr_cursor: 0,
             now: 0,
-            conflicts: ConflictCounters::default(),
+            conflict_cycles: [0; 7],
             cycle_flags: [false; 7],
+            il1_line_shift: cfg.icache.line_bytes.trailing_zeros(),
             observer: None,
             occupancy_interval: DEFAULT_OCCUPANCY_INTERVAL,
             cfg,
@@ -265,16 +314,17 @@ impl Engine {
             self.contexts.push(ctx);
             self.bp.reset_history(i);
         }
-        self.int_q.drain_all();
-        self.fp_q.drain_all();
+        self.queues[INT_Q].clear();
+        self.queues[FP_Q].clear();
         self.int_regs.reset();
         self.fp_regs.reset();
         self.fu.reset();
-        for slot in &mut self.wheel {
-            slot.clear();
-        }
+        self.wheel.clear();
         self.now = 0;
-        self.conflicts = ConflictCounters::default();
+        self.conflict_cycles = [0; 7];
+        // The cursor persists across timeslices of different widths.
+        let n = self.contexts.len();
+        self.rr_cursor %= n;
 
         if let Some(obs) = self.observer.as_mut() {
             obs.timeslice_start(sources.len(), cycles);
@@ -286,10 +336,8 @@ impl Engine {
             self.issue_stage();
             self.dispatch_stage();
             self.fetch_stage(sources);
-            for (i, &flag) in self.cycle_flags.iter().enumerate() {
-                if flag {
-                    *self.conflicts.get_mut(Resource::ALL[i]) += 1;
-                }
+            for (count, &flag) in self.conflict_cycles.iter_mut().zip(&self.cycle_flags) {
+                *count += u64::from(flag);
             }
             if self.observer.is_some() {
                 self.observe_cycle();
@@ -297,13 +345,20 @@ impl Engine {
             #[cfg(feature = "check-invariants")]
             self.check_cycle_invariants();
             self.now += 1;
-            self.rr_cursor = (self.rr_cursor + 1) % self.contexts.len();
+            self.rr_cursor += 1;
+            if self.rr_cursor == n {
+                self.rr_cursor = 0;
+            }
         }
 
+        let mut conflicts = ConflictCounters::default();
+        for r in Resource::ALL {
+            *conflicts.get_mut(r) = self.conflict_cycles[r as usize];
+        }
         let stats = TimesliceStats {
             cycles,
             threads: self.contexts.iter().map(|c| c.stats.clone()).collect(),
-            conflicts: self.conflicts,
+            conflicts,
             cache: self.caches.take_stats(),
             dtlb: self.dtlb.take_stats(),
             itlb: self.itlb.take_stats(),
@@ -335,8 +390,8 @@ impl Engine {
             )
         };
         for (name, occ, cap) in [
-            ("int_queue", self.int_q.len(), self.cfg.int_queue),
-            ("fp_queue", self.fp_q.len(), self.cfg.fp_queue),
+            ("int_queue", self.queues[INT_Q].len(), self.cfg.int_queue),
+            ("fp_queue", self.queues[FP_Q].len(), self.cfg.fp_queue),
             ("int_regs", self.int_regs.in_use(), self.cfg.int_regs),
             ("fp_regs", self.fp_regs.in_use(), self.cfg.fp_regs),
         ] {
@@ -410,8 +465,8 @@ impl Engine {
             .then(|| StageOccupancy {
                 cycle: self.now,
                 decode: self.contexts.iter().map(|c| c.decode.len()).sum(),
-                int_queue: self.int_q.len(),
-                fp_queue: self.fp_q.len(),
+                int_queue: self.queues[INT_Q].len(),
+                fp_queue: self.queues[FP_Q].len(),
                 int_regs_in_use: self.int_regs.in_use(),
                 fp_regs_in_use: self.fp_regs.in_use(),
                 inflight: self.contexts.iter().map(|c| c.inflight).sum(),
@@ -431,26 +486,18 @@ impl Engine {
 
     #[inline]
     fn flag(&mut self, r: Resource) {
-        let idx = Resource::ALL
-            .iter()
-            .position(|&x| x == r)
-            .expect("resource in ALL");
-        self.cycle_flags[idx] = true;
+        self.cycle_flags[r as usize] = true;
     }
 
     fn complete_stage(&mut self) {
-        let slot = (self.now % self.wheel.len() as u64) as usize;
-        let events = std::mem::take(&mut self.wheel[slot]);
-        for ev in events {
-            let penalty_restart = self.now + 1 + self.bp.mispredict_penalty();
+        let penalty_restart = self.now + 1 + self.bp.mispredict_penalty();
+        // Events of one cycle commute (counters, and a `max` with the one
+        // `penalty_restart`), so the list's order does not matter.
+        while let Some(ev) = self.wheel.pop(self.now) {
             let ctx = &mut self.contexts[ev.ctx as usize];
             ctx.inflight -= 1;
             ctx.stats.committed += 1;
-            let class_idx = InstrClass::ALL
-                .iter()
-                .position(|&c| c == ev.class)
-                .expect("class in ALL");
-            ctx.stats.class_counts[class_idx] += 1;
+            ctx.stats.class_counts[ev.class as usize] += 1;
             if ev.class == InstrClass::Branch {
                 ctx.unresolved_branches = ctx.unresolved_branches.saturating_sub(1);
                 if ev.mispredicted {
@@ -470,93 +517,66 @@ impl Engine {
         }
     }
 
-    /// Scans one queue age-first, claiming functional units for ready
-    /// entries. Returns the picks; sets conflict flags for units that turned
-    /// ready instructions away.
-    fn scan_queue(
-        q: &IssueQueue,
-        contexts: &[ContextState],
-        fu: &mut FuPools,
-        now: u64,
-        fp_div_occupancy: u64,
-        budget: &mut usize,
-        unit_conflicts: &mut [bool; 3],
-    ) -> Vec<IssuePick> {
-        let mut picks = Vec::new();
-        for (pos, e) in q.entries().iter().enumerate() {
-            if *budget == 0 {
-                break;
+    /// Issues from one queue age-first, up to `budget` instructions. A branch-
+    /// free pass first collects the entries whose producer has completed into
+    /// bitmasks, one per 64 queue positions; only those entries are then
+    /// visited, claiming a functional unit and starting execution. Readiness
+    /// is sampled for the whole queue before anything issues, as an
+    /// entry-by-entry scan ahead of execution would: starting an instruction
+    /// rewrites its dependence-ring slot, which an instruction `RING` younger
+    /// may own by then (see [`DepRing`]). Sets `unit_conflicts[kind]` for pools
+    /// that turned a ready instruction away.
+    fn issue_from(&mut self, q: usize, budget: &mut usize, unit_conflicts: &mut [bool; 3]) {
+        let now = self.now;
+        self.ready.clear();
+        for window in self.queues[q].entries().chunks(64) {
+            let mut mask = 0u64;
+            for (i, e) in window.iter().enumerate() {
+                let done = self.contexts[e.ctx as usize].ring.ready_by(e.dep_seq, now);
+                mask |= u64::from((e.dep_seq == NO_DEP) | done) << i;
             }
-            let ready = e.dep_seq == NO_DEP || {
-                let done = contexts[e.ctx as usize].done_at(e.dep_seq);
-                done != NOT_DONE && done <= now
-            };
-            if !ready {
-                continue;
-            }
-            let occupancy = if e.class == InstrClass::FpDiv {
-                fp_div_occupancy
-            } else {
-                1
-            };
-            if !fu.try_issue(e.class, now, occupancy) {
-                let k = match FuKind::for_class(e.class) {
-                    FuKind::Int => 0,
-                    FuKind::Fp => 1,
-                    FuKind::Ls => 2,
-                };
-                unit_conflicts[k] = true;
-                continue;
-            }
-            *budget -= 1;
-            picks.push(IssuePick { pos, entry: *e });
+            self.ready.push(mask);
         }
-        picks
+        // Position of the window's first entry, less those already removed.
+        let mut base = 0;
+        for w in 0..self.ready.len() {
+            let (mut mask, mut issued) = (self.ready[w], 0u64);
+            while mask != 0 && *budget > 0 {
+                let i = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let e = self.queues[q].entries()[base + i];
+                let kind = FuKind::for_class(e.class);
+                let occupancy = if e.class == InstrClass::FpDiv {
+                    self.cfg.lat.fp_div_occupancy
+                } else {
+                    1
+                };
+                // A pool only gets busier within a cycle: once it has turned
+                // an instruction away it turns away the rest.
+                if unit_conflicts[kind as usize] || !self.fu.try_issue(kind, now, occupancy) {
+                    unit_conflicts[kind as usize] = true;
+                    continue;
+                }
+                *budget -= 1;
+                issued |= 1 << i;
+                self.start_execution(e);
+            }
+            self.queues[q].remove_issued(base, issued);
+            base += 64 - issued.count_ones() as usize;
+        }
     }
 
     fn issue_stage(&mut self) {
         let mut budget = self.cfg.issue_width;
         let mut unit_conflicts = [false; 3];
-        let occ = self.cfg.lat.fp_div_occupancy;
-
-        let int_picks = Self::scan_queue(
-            &self.int_q,
-            &self.contexts,
-            &mut self.fu,
-            self.now,
-            occ,
-            &mut budget,
-            &mut unit_conflicts,
-        );
-        let positions: Vec<usize> = int_picks.iter().map(|p| p.pos).collect();
-        self.int_q.remove_issued(&positions);
-        for p in int_picks {
-            self.start_execution(p.entry);
-        }
-
-        let fp_picks = Self::scan_queue(
-            &self.fp_q,
-            &self.contexts,
-            &mut self.fu,
-            self.now,
-            occ,
-            &mut budget,
-            &mut unit_conflicts,
-        );
-        let positions: Vec<usize> = fp_picks.iter().map(|p| p.pos).collect();
-        self.fp_q.remove_issued(&positions);
-        for p in fp_picks {
-            self.start_execution(p.entry);
-        }
-
-        if unit_conflicts[0] {
-            self.flag(Resource::IntUnits);
-        }
-        if unit_conflicts[1] {
-            self.flag(Resource::FpUnits);
-        }
-        if unit_conflicts[2] {
-            self.flag(Resource::LsPorts);
+        self.issue_from(INT_Q, &mut budget, &mut unit_conflicts);
+        self.issue_from(FP_Q, &mut budget, &mut unit_conflicts);
+        for (kind, resource) in [
+            (FuKind::Int, Resource::IntUnits),
+            (FuKind::Fp, Resource::FpUnits),
+            (FuKind::Ls, Resource::LsPorts),
+        ] {
+            self.cycle_flags[resource as usize] |= unit_conflicts[kind as usize];
         }
     }
 
@@ -601,21 +621,23 @@ impl Engine {
         if dcache_miss {
             ctx.outstanding_misses += 1;
         }
-        ctx.set_done(e.seq, done);
-        let slot = (done % self.wheel.len() as u64) as usize;
-        self.wheel[slot].push(CompleteEvent {
-            ctx: e.ctx,
-            class: e.class,
-            mispredicted: e.mispredicted,
-            dcache_miss,
-        });
+        ctx.ring.set_done(e.seq, done);
+        self.wheel.push(
+            done,
+            CompleteEvent {
+                ctx: e.ctx,
+                class: e.class,
+                mispredicted: e.mispredicted,
+                dcache_miss,
+            },
+        );
     }
 
     fn dispatch_stage(&mut self) {
         let n = self.contexts.len();
         let mut budget = self.cfg.dispatch_width;
-        'ctx_loop: for k in 0..n {
-            let ci = (self.rr_cursor + k) % n;
+        let mut ci = self.rr_cursor;
+        'ctx_loop: for _ in 0..n {
             // Head-of-line dispatch per context.
             loop {
                 if budget == 0 {
@@ -628,12 +650,7 @@ impl Engine {
                     break;
                 }
                 let is_fp = instr.class.is_fp();
-                let q_full = if is_fp {
-                    self.fp_q.is_full()
-                } else {
-                    self.int_q.is_full()
-                };
-                if q_full {
+                if self.queues[usize::from(is_fp)].is_full() {
                     self.flag(if is_fp {
                         Resource::FpQueue
                     } else {
@@ -667,7 +684,7 @@ impl Engine {
                 } else {
                     seq - u64::from(instr.dep_dist)
                 };
-                ctx.set_pending(seq);
+                ctx.ring.set_pending(seq);
                 let entry = QEntry {
                     ctx: ci as u8,
                     class: instr.class,
@@ -678,18 +695,18 @@ impl Engine {
                     // the misprediction flag.
                     mispredicted: instr.class == InstrClass::Branch && instr.taken,
                 };
-                if is_fp {
-                    self.fp_q.push(entry);
-                } else {
-                    self.int_q.push(entry);
-                }
+                self.queues[usize::from(is_fp)].push(entry);
                 budget -= 1;
+            }
+            ci += 1;
+            if ci == n {
+                ci = 0;
             }
         }
     }
 
     fn fetch_stage(&mut self, sources: &mut [&mut dyn InstructionSource]) {
-        let mut cands: Vec<FetchCandidate> = Vec::with_capacity(self.contexts.len());
+        self.cands.clear();
         for (i, c) in self.contexts.iter().enumerate() {
             let eligible = !c.finished
                 && !c.branch_stall
@@ -697,7 +714,7 @@ impl Engine {
                 && c.inflight < self.cfg.max_inflight_per_thread
                 && c.decode.len() < DECODE_CAP;
             if eligible {
-                cands.push(FetchCandidate {
+                self.cands.push(FetchCandidate {
                     ctx: i,
                     icount: c.preissue,
                     brcount: c.unresolved_branches,
@@ -705,18 +722,14 @@ impl Engine {
                 });
             }
         }
-        let order = match self.cfg.fetch_policy {
-            FetchPolicy::Icount => icount_priority(&cands),
-            FetchPolicy::RoundRobin => round_robin_priority(&cands, self.now),
-            FetchPolicy::Brcount => brcount_priority(&cands),
-            FetchPolicy::Misscount => misscount_priority(&cands),
-        };
+        prioritize(self.cfg.fetch_policy, &mut self.cands, self.now);
         let mut budget = self.cfg.fetch_width;
         let mut threads_used = 0;
-        for ci in order {
+        for k in 0..self.cands.len() {
             if budget == 0 || threads_used >= self.cfg.fetch_threads {
                 break;
             }
+            let ci = self.cands[k].ctx;
             if self.fetch_from(ci, &mut *sources[ci], &mut budget) > 0 {
                 threads_used += 1;
             }
@@ -732,7 +745,6 @@ impl Engine {
         budget: &mut usize,
     ) -> usize {
         let mut fetched = 0;
-        let line_bytes = self.caches.il1_line_bytes();
         while *budget > 0 {
             {
                 let ctx = &self.contexts[ci];
@@ -757,7 +769,7 @@ impl Engine {
                 },
             };
             // I-cache / I-TLB access on line crossing.
-            let line = instr.pc / line_bytes;
+            let line = instr.pc >> self.il1_line_shift;
             if line != self.contexts[ci].last_line {
                 // Book the per-thread miss off the hierarchy counter delta:
                 // the access latency is not a miss indicator (a nonzero L1I
@@ -812,7 +824,9 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FetchPolicy;
     use crate::trace::StreamId;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     /// Independent int ALU ops, sequential PCs.
     struct AluStream {
@@ -861,6 +875,286 @@ mod tests {
 
     fn engine(contexts: usize) -> Engine {
         Engine::new(MachineConfig::alpha21264_like(contexts))
+    }
+
+    /// The entry-by-entry issue scan `issue_from` replaced, as a reference
+    /// model: returns the positions issued, in age order.
+    fn sequential_issue(
+        e: &Engine,
+        q: usize,
+        fu: &mut FuPools,
+        budget: &mut usize,
+        unit_conflicts: &mut [bool; 3],
+    ) -> Vec<usize> {
+        let mut issued = Vec::new();
+        for (pos, entry) in e.queues[q].entries().iter().enumerate() {
+            if *budget == 0 {
+                break;
+            }
+            let ready = entry.dep_seq == NO_DEP || {
+                let done = e.contexts[entry.ctx as usize].ring.done_at(entry.dep_seq);
+                done != crate::context::NOT_DONE && done <= e.now
+            };
+            if !ready {
+                continue;
+            }
+            let kind = FuKind::for_class(entry.class);
+            let occupancy = if entry.class == InstrClass::FpDiv {
+                e.cfg.lat.fp_div_occupancy
+            } else {
+                1
+            };
+            if !fu.try_issue(kind, e.now, occupancy) {
+                unit_conflicts[kind as usize] = true;
+                continue;
+            }
+            *budget -= 1;
+            issued.push(pos);
+        }
+        issued
+    }
+
+    /// Runs `issue_from` on queue `q` for one cycle and asserts that it issued
+    /// what [`sequential_issue`] picks from the same state. Returns the
+    /// positions issued and the pools that conflicted.
+    fn issue_and_compare(e: &mut Engine, q: usize, what: &str) -> (Vec<usize>, [bool; 3]) {
+        let before: Vec<QEntry> = e.queues[q].entries().to_vec();
+        let issued_before: u64 = e.contexts.iter().map(|c| c.issued).sum();
+        let (mut ref_budget, mut ref_conflicts) = (e.cfg.issue_width, [false; 3]);
+        let mut ref_fu = e.fu.clone();
+        let picked = sequential_issue(e, q, &mut ref_fu, &mut ref_budget, &mut ref_conflicts);
+        let expected: Vec<QEntry> = before
+            .iter()
+            .enumerate()
+            .filter(|(pos, _)| !picked.contains(pos))
+            .map(|(_, entry)| *entry)
+            .collect();
+
+        let (mut budget, mut conflicts) = (e.cfg.issue_width, [false; 3]);
+        e.issue_from(q, &mut budget, &mut conflicts);
+        assert_eq!(e.queues[q].entries(), &expected[..], "{what}");
+        assert_eq!((budget, conflicts), (ref_budget, ref_conflicts), "{what}");
+        let issued: u64 = e.contexts.iter().map(|c| c.issued).sum();
+        assert_eq!((issued - issued_before) as usize, picked.len(), "{what}");
+        (picked, conflicts)
+    }
+
+    /// The bitmask issue scan must pick exactly what the sequential scan
+    /// picked, on random queues of random readiness — including queues longer
+    /// than one 64-entry window, and entries whose producer sits in the same
+    /// queue and issues this very cycle.
+    #[test]
+    fn bitmask_issue_matches_sequential_scan() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut next = move |bound: u64| rng.gen_range(0..bound);
+        let (mut deepest, mut any_conflict) = (0, false);
+        for case in 0..1_440 {
+            let len = [1, 20, 63, 64, 65, 130, 200][case % 7];
+            let q = case / 7 % 2;
+            // Sparse readiness and wide pools push the picks deep into the
+            // queue; dense readiness and narrow pools exercise the conflicts.
+            let ready_pct = [5, 40, 95][case / 14 % 3];
+            let mut cfg = MachineConfig::alpha21264_like(2);
+            cfg.int_queue = len;
+            cfg.fp_queue = len;
+            cfg.issue_width = 1 + next(12) as usize;
+            cfg.int_units = [1, 4, 32][next(3) as usize];
+            cfg.fp_units = cfg.int_units;
+            let mut e = Engine::new(cfg);
+            e.now = 1_000 + next(50);
+            e.contexts = vec![ContextState::new(), ContextState::new()];
+            let classes: &[InstrClass] = if q == FP_Q {
+                &[InstrClass::FpAdd, InstrClass::FpMul, InstrClass::FpDiv]
+            } else {
+                &[InstrClass::IntAlu, InstrClass::IntMul, InstrClass::Branch]
+            };
+            // Every context has 200 older instructions, none issued yet.
+            let mut seqs = [200u64, 200];
+            for ctx in &mut e.contexts {
+                (0..200).for_each(|seq| ctx.ring.set_pending(seq));
+            }
+            for _ in 0..len {
+                // One context now and then, so that sequence numbers a whole
+                // ring apart meet in one queue: issuing the older one rewrites
+                // the slot the younger one owns.
+                let ctx = if case % 5 == 0 { 0 } else { next(2) as usize };
+                let seq = seqs[ctx];
+                seqs[ctx] += 1;
+                // A producer still in this queue (`>= 200`) is pending, as in
+                // the engine. An older one completed, completes later, has
+                // not issued, or — `set_pending` below reuses slots — was
+                // recycled out of the dependence ring.
+                let dep_seq = match next(300) {
+                    r if r < ready_pct => NO_DEP,
+                    r if r < 2 * ready_pct => seq - 129 - next(20),
+                    _ => seq - 1 - next(60),
+                };
+                if dep_seq < 200 {
+                    match (next(100) < ready_pct, next(3)) {
+                        (true, _) => e.contexts[ctx].ring.set_done(dep_seq, e.now - next(20)),
+                        (false, 0) => e.contexts[ctx].ring.set_done(dep_seq, e.now + 1 + next(20)),
+                        (false, _) => {}
+                    }
+                }
+                e.contexts[ctx].ring.set_pending(seq);
+                e.contexts[ctx].preissue += 1;
+                e.queues[q].push(QEntry {
+                    ctx: ctx as u8,
+                    class: classes[next(3) as usize],
+                    dep_seq,
+                    addr: 0,
+                    seq,
+                    mispredicted: false,
+                });
+            }
+
+            let (picked, conflicts) = issue_and_compare(&mut e, q, &format!("case {case}"));
+            deepest = deepest.max(picked.last().copied().unwrap_or(0));
+            any_conflict |= conflicts.contains(&true);
+        }
+        // At most 12 issue per case, so this pick came from a later window.
+        assert!(deepest >= 64 + 12, "deepest pick at position {deepest}");
+        assert!(any_conflict, "some case turns a ready instruction away");
+    }
+
+    /// Issuing an instruction rewrites its dependence-ring slot, which an
+    /// instruction `RING` younger may own by then; dependents of the younger
+    /// one then read it as "long complete". They must see that next cycle, as
+    /// with the entry-by-entry scan — also when they sit in a later 64-entry
+    /// window than the instruction that issued.
+    #[test]
+    fn readiness_is_sampled_before_anything_issues() {
+        let mut cfg = MachineConfig::alpha21264_like(1);
+        cfg.int_queue = 200;
+        let mut e = Engine::new(cfg);
+        e.now = 1_000;
+        e.contexts = vec![ContextState::new()];
+        // 200..=330 wait in the queue. 200 is ready; the rest depend on their
+        // predecessor, except the last, which depends on 328 — the instruction
+        // that shares a ring slot with 200.
+        let young = 200 + RING as u64;
+        for seq in 200..=young + 2 {
+            let dep_seq = match seq {
+                200 => NO_DEP,
+                s if s == young + 2 => young,
+                s => s - 1,
+            };
+            e.contexts[0].ring.set_pending(seq);
+            e.contexts[0].preissue += 1;
+            e.queues[INT_Q].push(QEntry {
+                ctx: 0,
+                class: InstrClass::IntAlu,
+                dep_seq,
+                addr: 0,
+                seq,
+                mispredicted: false,
+            });
+        }
+        let waits = |e: &Engine| e.queues[INT_Q].entries().iter().any(|q| q.seq == young + 2);
+        let (picked, _) = issue_and_compare(&mut e, INT_Q, "first cycle");
+        assert!(picked.contains(&0), "200 issues");
+        assert!(
+            waits(&e),
+            "its slot still said `328 pending` when 330 was tested"
+        );
+        e.now += 1;
+        issue_and_compare(&mut e, INT_Q, "second cycle");
+        assert!(!waits(&e), "330 wakes a cycle after 200 overwrote the slot");
+    }
+
+    /// Two live completion events of different cycles can never share a wheel
+    /// slot — the wheel is a power of two longer than the longest possible
+    /// latency — and the pool has a node for every in-flight instruction.
+    #[test]
+    fn wheel_outlasts_any_latency_and_holds_every_inflight_instruction() {
+        let mut slow = MachineConfig::alpha21264_like(8);
+        slow.mem_latency = 1_000;
+        slow.tlb_miss_penalty = 777;
+        slow.lat.fp_div = 63;
+        slow.lat.fp_div_occupancy = 64;
+        for cfg in [
+            MachineConfig::default(),
+            MachineConfig::alpha21264_like(8),
+            slow,
+        ] {
+            let mut wheel = Wheel::new(&cfg);
+            let slots = wheel.heads.len();
+            assert!(slots.is_power_of_two());
+            assert!(slots as u64 > cfg.max_latency() + cfg.lat.fp_div_occupancy);
+            // Fill the pool with events due at the two extreme latencies from
+            // cycle 5; each cycle then yields exactly its own events.
+            let ev = |ctx| CompleteEvent {
+                ctx,
+                class: InstrClass::Load,
+                mispredicted: false,
+                dcache_miss: false,
+            };
+            let inflight = cfg.contexts * cfg.max_inflight_per_thread;
+            let far = 5 + cfg.max_latency() + cfg.lat.fp_div_occupancy;
+            for i in 0..inflight {
+                wheel.push(if i % 2 == 0 { 6 } else { far }, ev((i % 2) as u8));
+            }
+            for (cycle, ctx) in [(6, 0), (far, 1)] {
+                let due: Vec<u8> = std::iter::from_fn(|| wheel.pop(cycle))
+                    .map(|e| e.ctx)
+                    .collect();
+                assert_eq!(due, vec![ctx; inflight / 2], "cycle {cycle}");
+            }
+            assert!((0..slots as u64).all(|c| wheel.pop(c).is_none()));
+        }
+    }
+
+    /// Pins a property of the model (DESIGN.md, "DepRing recycle"): the
+    /// dependence ring remembers the last `RING` sequence numbers per context,
+    /// and a producer whose slot is recycled reads as long complete. Younger
+    /// instructions complete out of order and free the in-flight window, so
+    /// `RING` of them can dispatch while a load miss is outstanding — and its
+    /// dependent then issues before the load returns.
+    #[test]
+    fn recycled_ring_slot_wakes_dependents_of_an_outstanding_load() {
+        /// A cold load, an integer multiply that depends on it, then
+        /// independent ALU operations; all within one I-cache line.
+        struct LoadThenAlus {
+            n: u64,
+        }
+        impl InstructionSource for LoadThenAlus {
+            fn next_instr(&mut self) -> Fetch {
+                self.n += 1;
+                let pc = (self.n % 16) * 4;
+                Fetch::Instr(match self.n {
+                    1 => Instr::load(pc, 0x10_0000, 0),
+                    2 => Instr::int_mul(pc, 1),
+                    _ => Instr::int_alu(pc, 0),
+                })
+            }
+            fn id(&self) -> StreamId {
+                StreamId(0)
+            }
+        }
+        let cfg = MachineConfig::alpha21264_like(1);
+        let miss_latency = cfg.max_latency();
+        let counts = |cycles: u64| {
+            let mut e = Engine::new(cfg.clone());
+            let stats = e.run_timeslice(&mut [&mut LoadThenAlus { n: 0 }], cycles);
+            let t = &stats.threads[0];
+            (
+                t.class_count(InstrClass::Load),
+                t.class_count(InstrClass::IntMul),
+                t.class_count(InstrClass::IntAlu),
+            )
+        };
+        // Find the cycle the load returns in; one cycle earlier it is still
+        // outstanding, yet its dependent has already committed.
+        let returns = (1..4 * miss_latency)
+            .find(|&c| counts(c).0 == 1)
+            .expect("the load completes");
+        let (loads, muls, alus) = counts(returns - 1);
+        assert_eq!(loads, 0);
+        assert!(alus >= RING as u64, "{alus} younger instructions committed");
+        assert_eq!(
+            muls, 1,
+            "the dependent woke when its producer's slot was recycled"
+        );
     }
 
     #[test]

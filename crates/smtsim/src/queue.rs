@@ -90,25 +90,34 @@ impl IssueQueue {
         &self.entries
     }
 
-    /// Removes the entries at the given *ascending* age-order positions
-    /// (as produced by scanning [`entries`](IssueQueue::entries)).
-    pub fn remove_issued(&mut self, ascending_positions: &[usize]) {
-        debug_assert!(ascending_positions.windows(2).all(|w| w[0] < w[1]));
-        for &pos in ascending_positions.iter().rev() {
-            self.entries.remove(pos);
+    /// Removes the entries at age-order positions `base + i` for every set
+    /// bit `i` of `issued`, in one stable compaction pass.
+    pub fn remove_issued(&mut self, base: usize, issued: u64) {
+        if issued == 0 {
+            return;
         }
+        let mut kept = base + issued.trailing_zeros() as usize;
+        for pos in kept + 1..self.entries.len() {
+            let bit = pos - base;
+            if bit < 64 && issued >> bit & 1 == 1 {
+                continue;
+            }
+            self.entries[kept] = self.entries[pos];
+            kept += 1;
+        }
+        self.entries.truncate(kept);
     }
 
-    /// Empties the queue (timeslice-boundary pipeline flush). Returns how many
-    /// entries were dropped, so the caller can release their resources.
-    pub fn drain_all(&mut self) -> Vec<QEntry> {
-        std::mem::take(&mut self.entries)
+    /// Empties the queue (timeslice-boundary pipeline flush).
+    pub fn clear(&mut self) {
+        self.entries.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::SmallRng, RngCore, SeedableRng};
 
     fn entry(seq: u64, dep_seq: u64) -> QEntry {
         QEntry {
@@ -155,18 +164,57 @@ mod tests {
         for s in 0..4 {
             q.push(entry(s, 0));
         }
-        q.remove_issued(&[0, 2]);
+        q.remove_issued(0, 0b101);
         let seqs: Vec<u64> = q.entries().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![1, 3]);
     }
 
     #[test]
-    fn drain_returns_everything() {
+    fn clear_empties_and_keeps_capacity() {
         let mut q = IssueQueue::new(4);
         q.push(entry(0, 0));
         q.push(entry(1, 0));
-        let drained = q.drain_all();
-        assert_eq!(drained.len(), 2);
+        q.clear();
         assert!(q.is_empty());
+        assert_eq!(q.capacity(), 4);
+    }
+
+    /// The compaction pass must equal `Vec::remove` applied to the set bits
+    /// in reverse order, for any mask and any 64-entry window of the queue.
+    #[test]
+    fn remove_issued_matches_vec_remove_in_reverse() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut next = move || rng.next_u64();
+        for case in 0..2_000 {
+            let len = (next() % 100) as usize;
+            let base = if case % 4 == 0 {
+                (next() % 40) as usize
+            } else {
+                0
+            };
+            // Bits beyond the end of the queue never occur; mask them off.
+            let window = len.saturating_sub(base).min(64);
+            let issued = match window {
+                0 => 0,
+                64 => next() & next(),
+                w => next() & next() & ((1 << w) - 1),
+            };
+            let mut q = IssueQueue::new(len.max(1));
+            for s in 0..len as u64 {
+                q.push(entry(s, NO_DEP));
+            }
+            let mut reference: Vec<QEntry> = q.entries().to_vec();
+            for bit in (0..64).rev() {
+                if issued >> bit & 1 == 1 {
+                    reference.remove(base + bit);
+                }
+            }
+            q.remove_issued(base, issued);
+            assert_eq!(
+                q.entries(),
+                &reference[..],
+                "len {len} base {base} mask {issued:#x}"
+            );
+        }
     }
 }

@@ -4,13 +4,14 @@
 //! shared structures in the SMT model, so jobs with large page working sets
 //! sweep each other's translations.
 
+use crate::cache::{lru_access, INVALID};
 use serde::{Deserialize, Serialize};
 
 /// A fully-associative, LRU-replaced TLB.
 #[derive(Clone, Debug)]
 pub struct Tlb {
+    /// `capacity` page numbers: one LRU set (see [`lru_access`]).
     entries: Vec<u64>,
-    capacity: usize,
     page_shift: u32,
     miss_penalty: u64,
     stats: TlbStats,
@@ -40,16 +41,15 @@ impl Tlb {
     /// Builds an empty TLB.
     ///
     /// # Panics
-    /// Panics if `capacity == 0` or `page_bytes` is not a power of two.
+    /// Panics if `capacity == 0` or `page_bytes` is not a power of two >= 2.
     pub fn new(capacity: usize, page_bytes: u64, miss_penalty: u64) -> Self {
         assert!(capacity > 0, "TLB capacity must be positive");
         assert!(
-            page_bytes.is_power_of_two(),
-            "page size must be a power of two"
+            page_bytes >= 2 && page_bytes.is_power_of_two(),
+            "page size must be a power of two, at least 2"
         );
         Tlb {
-            entries: Vec::with_capacity(capacity),
-            capacity,
+            entries: vec![INVALID; capacity],
             page_shift: page_bytes.trailing_zeros(),
             miss_penalty,
             stats: TlbStats::default(),
@@ -58,19 +58,14 @@ impl Tlb {
 
     /// Translates `addr`: returns the extra latency (0 on hit, the refill
     /// penalty on miss) and updates the LRU state.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> u64 {
         let page = addr >> self.page_shift;
         self.stats.refs += 1;
-        if let Some(pos) = self.entries.iter().position(|&p| p == page) {
-            let p = self.entries.remove(pos);
-            self.entries.insert(0, p);
+        if lru_access(&mut self.entries, page) {
             0
         } else {
             self.stats.misses += 1;
-            if self.entries.len() == self.capacity {
-                self.entries.pop();
-            }
-            self.entries.insert(0, page);
             self.miss_penalty
         }
     }
@@ -82,18 +77,53 @@ impl Tlb {
 
     /// Invalidates all translations.
     pub fn flush(&mut self) {
-        self.entries.clear();
+        self.entries.fill(INVALID);
     }
 
     /// Number of valid translations resident.
     pub fn resident(&self) -> usize {
-        self.entries.len()
+        self.entries.iter().filter(|&&p| p != INVALID).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Same hit/miss sequence and occupancy as the pre-flat-array
+        /// implementation (a `Vec` in recency order, `remove`/`insert(0)` on
+        /// hit, `pop` on a full miss), so the same translations get evicted.
+        #[test]
+        fn flat_tlb_matches_vec_lru_reference(
+            capacity in 1usize..6,
+            pages in proptest::collection::vec(0u64..9, 1..300),
+            flush_at in 0usize..300,
+        ) {
+            let mut tlb = Tlb::new(capacity, 8192, 50);
+            let mut reference: Vec<u64> = Vec::new();
+            for (i, &page) in pages.iter().enumerate() {
+                if i == flush_at {
+                    tlb.flush();
+                    reference.clear();
+                }
+                let expected = match reference.iter().position(|&p| p == page) {
+                    Some(pos) => {
+                        reference.remove(pos);
+                        0
+                    }
+                    None => {
+                        reference.truncate(capacity - 1);
+                        50
+                    }
+                };
+                reference.insert(0, page);
+                prop_assert_eq!(tlb.access(page * 8192 + 16), expected, "access {}", i);
+                prop_assert_eq!(tlb.resident(), reference.len());
+            }
+        }
+    }
 
     #[test]
     fn hit_after_fill() {

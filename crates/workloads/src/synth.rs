@@ -65,6 +65,8 @@ pub struct SyntheticStream {
     code_base: u64,
     // Class sampling (cumulative weights over non-branch classes).
     cum: [f64; 7],
+    /// `ln(1 - 1/dep_mean)`, the per-stream constant of [`Self::sample_dep`].
+    dep_ln_q: f64,
     phase_offset: f64,
     next_refresh: u64,
 }
@@ -87,6 +89,18 @@ fn hash64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
     x ^ (x >> 31)
+}
+
+/// `x.ceil()` clamped to `[1, MAX_DEP]` (1 if `x` is not finite), without the
+/// libm `ceil` call: truncate — saturating, so negatives give 0 — and bump if
+/// that rounded down.
+#[inline]
+fn dep_distance(x: f64) -> u8 {
+    if !x.is_finite() {
+        return 1;
+    }
+    let t = x.min(f64::from(MAX_DEP)) as u64;
+    (t + u64::from((t as f64) < x)).clamp(1, u64::from(MAX_DEP)) as u8
 }
 
 impl SyntheticStream {
@@ -119,6 +133,7 @@ impl SyntheticStream {
             (hash64(seed ^ (id.0 << 8) ^ 0xc0de) << 13) & ((1 << (StreamId::ADDR_BITS - 1)) - 1);
         let block = rng.gen_range(0..n_blocks);
         let phase_offset = rng.gen_range(0.0..std::f64::consts::TAU);
+        let dep_ln_q = (1.0 - 1.0 / profile.dep_mean).max(1e-9).ln();
         let mut s = SyntheticStream {
             id,
             profile,
@@ -137,6 +152,7 @@ impl SyntheticStream {
             data_base,
             code_base,
             cum: [0.0; 7],
+            dep_ln_q,
             phase_offset,
             next_refresh: 0,
         };
@@ -260,14 +276,8 @@ impl SyntheticStream {
 
     /// Samples a geometric dependency distance with the profile's mean.
     fn sample_dep(&mut self) -> u8 {
-        let p = 1.0 / self.profile.dep_mean;
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let d = (u.ln() / (1.0 - p).max(1e-9).ln()).ceil();
-        if d.is_finite() {
-            (d as u64).clamp(1, u64::from(MAX_DEP)) as u8
-        } else {
-            1
-        }
+        dep_distance(u.ln() / self.dep_ln_q)
     }
 
     /// Samples a data address (local, 8-byte aligned).
@@ -502,6 +512,46 @@ mod tests {
             .collect();
         let mean = deps.iter().sum::<f64>() / deps.len() as f64;
         assert!((3.0..8.0).contains(&mean), "dep mean {mean} vs profile 5.0");
+    }
+
+    /// `dep_distance` must equal the `ceil`-then-clamp it replaced, on exact
+    /// integers, just either side of them, and the non-finite and negative
+    /// inputs a degenerate `dep_mean` can produce.
+    #[test]
+    fn dep_distance_matches_ceil_then_clamp() {
+        fn reference(x: f64) -> u8 {
+            let d = x.ceil();
+            if d.is_finite() {
+                (d as u64).clamp(1, u64::from(MAX_DEP)) as u8
+            } else {
+                1
+            }
+        }
+        let mut xs = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -3.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1e300,
+            u64::MAX as f64,
+        ];
+        for k in 0..=60 {
+            let k = f64::from(k);
+            xs.extend([
+                k,
+                k + 0.5,
+                k * (1.0 + f64::EPSILON),
+                k * (1.0 - f64::EPSILON / 2.0),
+            ]);
+        }
+        let mut rng = SmallRng::seed_from_u64(5);
+        xs.extend((0..20_000).map(|_| rng.gen_range(0.0..60.0)));
+        for x in xs {
+            assert_eq!(dep_distance(x), reference(x), "x = {x:?}");
+        }
     }
 
     #[test]

@@ -6,17 +6,23 @@
 //!
 //! This lives in its own integration-test binary because the telemetry
 //! recorder is process-global: sharing a process with other telemetry tests
-//! would interleave their events into the trace under test.
+//! would interleave their events into the trace under test. The two tests
+//! here share that recorder too, so each run holds `LOCK` from `reset()` to
+//! `drain()`.
 
 use sos_core::online::{OnlineConfig, OnlineEngine, SchedulerKind};
 use sos_core::opensys::JobArrival;
 use sos_core::telemetry;
 use sos_core::PredictorKind;
+use std::sync::Mutex;
 use workloads::spec::Benchmark;
+
+static LOCK: Mutex<()> = Mutex::new(());
 
 /// Runs the seeded 3-job scenario with job spans on and returns the Chrome
 /// trace JSON.
 fn traced_run() -> String {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     telemetry::reset();
     telemetry::enable();
     let cfg = OnlineConfig {
