@@ -13,7 +13,7 @@
 //!    end-to-end number. Error assertions gate on the p95 percentiles:
 //!    p99 over a few hundred jobs is the 1–2 most extreme jobs, which flips
 //!    on any completion-order change and measures tail noise, not
-//!    extrapolation bias (p99 stays in the table and the bench record).
+//!    extrapolation bias (p99 stays in the table).
 //! 2. **Raw throughput** — a steady fixed-schedule `Runner` workload
 //!    (no resampling) measures the ceiling: detailed vs fast
 //!    sim-cycles/sec on the hot `run_timeslice` path.
@@ -23,19 +23,14 @@
 //! exit 1 when a threshold's run lands outside the envelope; the
 //! `fastsim-accuracy` workflow job runs this with ±2% error bounds.
 //!
-//! `--bench-out FILE` appends one `kind:"fastsim"` JSON line per threshold
-//! (see `sos_bench::serve::FastSimBenchRecord`), conventionally to
-//! `BENCH_serve.json`.
-//!
 //! Usage: `fastsim-compare [--smt N] [--jobs N] [--mean-interarrival C]
 //! [--mean-length C] [--phased-fraction F] [--timeslice C] [--seed S]
-//! [--seeds N] [--thresholds F,F,...] [--raw-rotations N] [--bench-out FILE]
+//! [--seeds N] [--thresholds F,F,...] [--raw-rotations N]
 //! [--assert-ws-error PCT] [--assert-response-error PCT]
 //! [--assert-slowdown-error PCT] [--assert-speedup X]
 //! [--assert-raw-speedup X]`
 
 use smtsim::{FastSimPolicy, MachineConfig};
-use sos_bench::serve::{FastSimBenchRecord, FASTSIM_BENCH_RECORD_VERSION};
 use sos_core::job::JobPool;
 use sos_core::online::{OnlineEngine, SchedulerKind};
 use sos_core::opensys::{arrival_trace, calibrate_benchmarks, JobArrival, OpenSystemConfig};
@@ -43,8 +38,7 @@ use sos_core::report::{percentiles, Percentiles};
 use sos_core::runner::Runner;
 use sos_core::schedule::Schedule;
 use std::collections::HashMap;
-use std::path::PathBuf;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 use workloads::spec::Benchmark;
 use workloads::JobSpec;
 
@@ -59,7 +53,6 @@ struct Args {
     seeds: usize,
     thresholds: Vec<f64>,
     raw_rotations: usize,
-    bench_out: Option<PathBuf>,
     assert_ws_error: Option<f64>,
     assert_response_error: Option<f64>,
     assert_slowdown_error: Option<f64>,
@@ -80,7 +73,6 @@ impl Default for Args {
             seeds: 1,
             thresholds: vec![0.05, 0.10, 0.20],
             raw_rotations: 400,
-            bench_out: None,
             assert_ws_error: None,
             assert_response_error: None,
             assert_slowdown_error: None,
@@ -90,9 +82,8 @@ impl Default for Args {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
@@ -118,7 +109,6 @@ fn parse_args() -> Result<Args, String> {
             "--raw-rotations" => {
                 args.raw_rotations = num(&value("--raw-rotations")?, "--raw-rotations")?
             }
-            "--bench-out" => args.bench_out = Some(PathBuf::from(value("--bench-out")?)),
             "--assert-ws-error" => {
                 args.assert_ws_error = Some(num(&value("--assert-ws-error")?, "--assert-ws-error")?)
             }
@@ -149,7 +139,8 @@ fn parse_args() -> Result<Args, String> {
     if args.jobs == 0 || args.seeds == 0 || args.thresholds.is_empty() {
         return Err("--jobs, --seeds and --thresholds must be non-zero".into());
     }
-    if args.thresholds.iter().any(|&t| !(t > 0.0)) {
+    // `<=` alone would let NaN through.
+    if args.thresholds.iter().any(|&t| t.is_nan() || t <= 0.0) {
         return Err("--thresholds entries must be positive".into());
     }
     Ok(args)
@@ -334,7 +325,7 @@ fn raw_throughput(smt: usize, timeslice: u64, rotations: usize, seed: u64) -> (f
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("fastsim-compare: {e}");
@@ -446,39 +437,6 @@ fn main() {
                 ));
             }
         }
-
-        if let Some(path) = &args.bench_out {
-            let record = FastSimBenchRecord {
-                schema: FASTSIM_BENCH_RECORD_VERSION,
-                kind: "fastsim".to_string(),
-                unix_secs: SystemTime::now()
-                    .duration_since(UNIX_EPOCH)
-                    .map(|d| d.as_secs())
-                    .unwrap_or(0),
-                seed: args.seed,
-                jobs: total_jobs as u64,
-                fastsim: policy.describe(),
-                detail_wall_secs: detail.wall_secs,
-                fast_wall_secs: fast.wall_secs,
-                speedup,
-                detail_sim_cycles_per_sec: detail.sim_cycles as f64 / detail.wall_secs.max(1e-9),
-                fast_sim_cycles_per_sec: fast.sim_cycles as f64 / fast.wall_secs.max(1e-9),
-                extrapolated_fraction: fast.extrapolated_slices as f64
-                    / fast.timeslices.max(1) as f64,
-                detail_ws: detail.ws,
-                fast_ws: fast.ws,
-                ws_rel_error: ws_err,
-                response_rel_error: mean_rt_err,
-                response_p95_rel_error: p95_rt_err,
-                response_p99_rel_error: p99_rt_err,
-                slowdown_p95_rel_error: p95_sd_err,
-                slowdown_p99_rel_error: p99_sd_err,
-            };
-            if let Err(e) = record.append_to(path) {
-                eprintln!("fastsim-compare: bench-out {} failed: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
     }
 
     println!();
@@ -508,4 +466,22 @@ fn main() {
         std::process::exit(1);
     }
     println!("fastsim-compare: all assertions passed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn thresholds_must_be_positive_numbers() {
+        for bad in ["NaN", "0", "-0.1", "0.05,NaN", "0.05,0", ""] {
+            assert!(parse(&["--thresholds", bad]).is_err(), "accepted {bad:?}");
+        }
+        let ok = parse(&["--thresholds", "0.05, 0.1"]).expect("valid thresholds");
+        assert_eq!(ok.thresholds, vec![0.05, 0.1]);
+    }
 }

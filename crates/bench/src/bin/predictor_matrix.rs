@@ -9,15 +9,14 @@
 //! With `--learned` or `--bandit` the binary instead runs the learned
 //! evaluation sweep (`sos_bench::learn_eval`): a grid of experiments ×
 //! seeds fed sequentially through one online learner, producing a league
-//! table with `Learned` and `Bandit` rows, a deterministic
+//! table with `Learned` and `Bandit` rows and a deterministic
 //! `learn_summary.json` artifact under `--out-dir` (two runs of the same
-//! grid `cmp` equal), and — with `--bench-out` — a `kind:"learn"` JSON
-//! line for the cross-PR trajectory.
+//! grid `cmp` equal).
 //!
 //! Usage:
 //! `predictor_matrix [cycle_scale] [json_path]` (the classic table), or
 //! `predictor_matrix [--learned] [--bandit] [--grid small|wide]
-//!  [--scale N] [--seeds S1,S2,...] [--out-dir DIR] [--bench-out FILE]`
+//!  [--scale N] [--seeds S1,S2,...] [--out-dir DIR]`
 
 use sos_bench::learn_eval::{self, LearnEvalOptions};
 use sos_core::report::{format_league_table, league_table};
@@ -34,7 +33,6 @@ struct Args {
     grid: String,
     seeds: Vec<u64>,
     out_dir: PathBuf,
-    bench_out: Option<PathBuf>,
 }
 
 fn parse_seed(s: &str) -> Result<u64, String> {
@@ -54,7 +52,6 @@ fn parse_args() -> Result<Args, String> {
         grid: "wide".to_string(),
         seeds: learn_eval::DEFAULT_SEEDS.to_vec(),
         out_dir: PathBuf::from("results/learn"),
-        bench_out: None,
     };
     let mut positional = 0usize;
     let mut it = std::env::args().skip(1);
@@ -84,7 +81,6 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--out-dir" => args.out_dir = PathBuf::from(value("--out-dir")?),
-            "--bench-out" => args.bench_out = Some(PathBuf::from(value("--bench-out")?)),
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
             other => {
                 match positional {
@@ -208,19 +204,4 @@ fn run_learned(args: &Args) {
         std::process::exit(1);
     }
     println!("# sweep summary written to {}", summary_path.display());
-
-    if let Some(path) = &args.bench_out {
-        let unix_secs = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let record = summary.to_bench_record(unix_secs);
-        match record.append_to(path) {
-            Ok(()) => println!("# learn bench record appended to {}", path.display()),
-            Err(e) => {
-                eprintln!("predictor_matrix: bench-out {} failed: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
 }

@@ -6,9 +6,9 @@
 //! per-core shards, drains it, and reports cluster-wide weighted speedup,
 //! response-time percentiles, migration counts, and simulation throughput.
 //! Because every shard advances its own machine clock, a cluster of N
-//! shards simulates N machine-cycles per cluster cycle — the scaling claim
-//! the record captures is `sim_cycles = shards × makespan` against wall
-//! time, cluster vs the single fat shard (`--shards 1`).
+//! shards simulates N machine-cycles per cluster cycle — the printed
+//! throughput is `sim_cycles = shards × makespan` against wall time
+//! (`benchmark/run --workload cluster_sat` is the measured version).
 //!
 //! Usage: `sos-cluster [--shards N] [--dispatch POLICY] [--policy sos|naive]
 //! [--predictor NAME] [--jobs N] [--mean-interarrival CYCLES]
@@ -16,31 +16,27 @@
 //! [--phased-fraction F] [--seed S] [--smt N] [--timeslice CYCLES]
 //! [--slices-per-round N] [--rebalance-every N] [--steal-threshold N]
 //! [--fast] [--fast-threshold F]
-//! [--bench-out FILE] [--report-out FILE] [--prom-out FILE]`
+//! [--report-out FILE] [--prom-out FILE]`
 //!
 //! `--fast` turns on phase-aware sampled fast simulation in every shard
 //! engine (`--fast-threshold` sets the phase-stability threshold and
-//! implies `--fast`); the policy is echoed in the report and bench record.
+//! implies `--fast`); the policy is echoed in the report.
 //!
 //! The run is byte-reproducible for a fixed seed and shard count:
 //! `--report-out` writes a deterministic `ClusterReport` JSON (no
 //! wall-clock fields), so two runs of the same configuration can be
-//! compared with `cmp`. `--bench-out` appends a `kind:"cluster"` JSON line
-//! to the cross-PR perf trajectory (conventionally `BENCH_serve.json`);
-//! `--prom-out` dumps the final Prometheus exposition of the cluster
-//! metrics hub (per-shard queue/clock gauges, migration counters,
-//! response/slowdown histograms).
+//! compared with `cmp`. `--prom-out` dumps the final Prometheus exposition
+//! of the cluster's telemetry handle (per-shard engine series and
+//! queue/clock gauges, migration counters, response/slowdown histograms).
 
 use smtsim::FastSimPolicy;
-use sos_bench::serve::{ClusterBenchRecord, CLUSTER_BENCH_RECORD_VERSION};
 use sos_core::cluster::{run_cluster_on_trace, ClusterConfig, ClusterEngine, DispatchPolicy};
-use sos_core::metrics::MetricsHub;
 use sos_core::online::{OnlineConfig, SchedulerKind};
 use sos_core::opensys::{calibrate_benchmarks, ArrivalTrace, ArrivalTraceSpec};
 use sos_core::predictor::PredictorKind;
+use sos_core::telemetry::Telemetry;
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 struct Args {
     shards: usize,
@@ -62,7 +58,6 @@ struct Args {
     steal_threshold: usize,
     fast: bool,
     fast_threshold: Option<f64>,
-    bench_out: Option<PathBuf>,
     report_out: Option<PathBuf>,
     prom_out: Option<PathBuf>,
 }
@@ -89,7 +84,6 @@ impl Default for Args {
             steal_threshold: 4,
             fast: false,
             fast_threshold: None,
-            bench_out: None,
             report_out: None,
             prom_out: None,
         }
@@ -157,7 +151,6 @@ fn parse_args() -> Result<Args, String> {
                 args.fast = true;
                 args.fast_threshold = Some(num(&value("--fast-threshold")?, "--fast-threshold")?);
             }
-            "--bench-out" => args.bench_out = Some(PathBuf::from(value("--bench-out")?)),
             "--report-out" => args.report_out = Some(PathBuf::from(value("--report-out")?)),
             "--prom-out" => args.prom_out = Some(PathBuf::from(value("--prom-out")?)),
             other => return Err(format!("unknown flag {other:?}")),
@@ -224,8 +217,8 @@ fn main() {
     cfg.rebalance_every = args.rebalance_every;
     cfg.steal_threshold = args.steal_threshold;
 
-    let hub = Arc::new(MetricsHub::new());
-    let mut engine = ClusterEngine::with_metrics(&cfg, Some(&hub));
+    let tel = Telemetry::metrics();
+    let mut engine = ClusterEngine::with_telemetry(&cfg, &tel);
     engine.set_solo_ipc(solo);
 
     println!(
@@ -324,62 +317,11 @@ fn main() {
     }
 
     if let Some(path) = &args.prom_out {
-        let prom = hub.snapshot(report.now_cycles).prometheus_text();
+        let prom = tel.snapshot(report.now_cycles).prometheus_text();
         if let Err(e) = std::fs::write(path, prom) {
             eprintln!("sos-cluster: prom-out {} failed: {e}", path.display());
             std::process::exit(1);
         }
         println!("# prometheus exposition written to {}", path.display());
-    }
-
-    if let Some(path) = &args.bench_out {
-        let record = ClusterBenchRecord {
-            schema: CLUSTER_BENCH_RECORD_VERSION,
-            kind: "cluster".to_string(),
-            unix_secs: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-            shards: args.shards as u64,
-            dispatch: args.dispatch.name().to_string(),
-            policy: args.policy.name().to_string(),
-            seed: args.seed,
-            jobs: trace.jobs.len() as u64,
-            completed: report.completed,
-            migrations: report.migrations,
-            wall_secs,
-            sim_cycles,
-            sim_cycles_per_sec: sim_cycles as f64 / wall_secs.max(1e-9),
-            throughput_jobs_per_sec: report.completed as f64 / wall_secs.max(1e-9),
-            aggregate_ws: report.aggregate_ws,
-            mean_response: {
-                let sum: f64 = report
-                    .per_shard
-                    .iter()
-                    .flat_map(|s| s.records.iter())
-                    .map(|r| r.response() as f64)
-                    .sum();
-                sum / report.completed.max(1) as f64
-            },
-            response: report.response,
-            slowdown: report.slowdown,
-            fastsim: report.fastsim.clone(),
-            extrapolated_slices: report
-                .fastsim
-                .is_some()
-                .then_some(report.extrapolated_slices),
-        };
-        match record.append_to(path) {
-            Ok(()) => println!(
-                "# cluster bench record appended to {} ({:.2}M sim-cycles/s, WS {:.3})",
-                path.display(),
-                record.sim_cycles_per_sec / 1e6,
-                record.aggregate_ws
-            ),
-            Err(e) => {
-                eprintln!("sos-cluster: bench-out {} failed: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
     }
 }

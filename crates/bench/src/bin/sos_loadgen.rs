@@ -13,12 +13,12 @@
 //! Usage: `sos-loadgen [--addr HOST:PORT] [--jobs N]
 //! [--mean-interarrival CYCLES] [--mean-length CYCLES]
 //! [--phased-fraction F] [--seed S] [--pace CYCLES_PER_MS] [--no-shutdown]
-//! [--fast] [--fast-threshold F] [--bench-out FILE]`
+//! [--fast] [--fast-threshold F]`
 //!
 //! `--fast` asks the daemon (via the `fastsim` verb) to run under
 //! phase-aware sampled fast simulation before offering load;
 //! `--fast-threshold` sets the phase-stability threshold and implies
-//! `--fast`. The daemon's active policy is echoed in the bench record.
+//! `--fast`. The daemon echoes its active policy.
 //!
 //! Job lengths are submitted in solo *cycles*; the daemon converts them to
 //! instructions with its own calibrated solo IPC. `--pace` maps trace
@@ -31,15 +31,12 @@
 //! By default the daemon is told to `shutdown` after the drain; pass
 //! `--no-shutdown` to leave it running for another client.
 //!
-//! With `--bench-out FILE`, one machine-readable `BenchRecord` JSON line
-//! ({throughput, response/slowdown percentiles, SLO attainment, retries})
-//! is appended to `FILE` — the cross-PR perf trajectory for the serving
-//! layer (conventionally `BENCH_serve.json`).
+//! This is a functional driver, not a benchmark: serving-layer throughput
+//! and latency are measured by `benchmark/run --workload serve_loop`.
 
-use sos_bench::serve::{BenchRecord, Client, Request, BENCH_RECORD_VERSION};
+use sos_bench::serve::{Client, Request};
 use sos_core::opensys::{ArrivalTrace, ArrivalTraceSpec};
-use std::path::PathBuf;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 struct Args {
     addr: String,
@@ -53,7 +50,6 @@ struct Args {
     shutdown: bool,
     fast: bool,
     fast_threshold: Option<f64>,
-    bench_out: Option<PathBuf>,
 }
 
 impl Default for Args {
@@ -70,7 +66,6 @@ impl Default for Args {
             shutdown: true,
             fast: false,
             fast_threshold: None,
-            bench_out: None,
         }
     }
 }
@@ -99,7 +94,6 @@ fn parse_args() -> Result<Args, String> {
                 args.fast = true;
                 args.fast_threshold = Some(num(&value("--fast-threshold")?, "--fast-threshold")?);
             }
-            "--bench-out" => args.bench_out = Some(PathBuf::from(value("--bench-out")?)),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -145,11 +139,10 @@ fn main() {
 
     // Ask the daemon to switch into fast simulation before offering load;
     // the echoed status confirms the active policy.
-    let mut fastsim_policy = None;
     if args.fast {
         match client.request(&Request::fastsim(true, args.fast_threshold)) {
             Ok(resp) if resp.ok => {
-                fastsim_policy = resp.status.and_then(|s| s.fastsim);
+                let fastsim_policy = resp.status.and_then(|s| s.fastsim);
                 println!(
                     "# fastsim on: {}",
                     fastsim_policy.as_deref().unwrap_or("(default policy)")
@@ -169,8 +162,6 @@ fn main() {
         }
     }
 
-    let started = Instant::now();
-    let start_cycles = now_cycles(&mut client);
     let mut accepted = 0usize;
     let mut rejected = 0usize;
     let mut retries = 0usize;
@@ -232,7 +223,6 @@ fn main() {
         eprintln!("sos-loadgen: drain failed: {e}");
         std::process::exit(1);
     }
-    let wall_secs = started.elapsed().as_secs_f64();
 
     let stats = match client.request(&Request::verb("stats")) {
         Ok(resp) => match resp.stats {
@@ -265,82 +255,6 @@ fn main() {
         stats.resamples, stats.cache_hits, stats.cache_misses
     );
 
-    if let Some(path) = &args.bench_out {
-        // SLO attainment comes from the metrics verb; a daemon predating it
-        // answers with an error and the record carries NaN instead.
-        let (slo_response, slo_slowdown, end_cycles) =
-            match client.request(&Request::verb("metrics")) {
-                Ok(resp) => match resp.metrics {
-                    Some(m) => (
-                        m.snapshot
-                            .slos
-                            .get("serve.response_cycles")
-                            .map_or(f64::NAN, |s| s.attainment),
-                        m.snapshot
-                            .slos
-                            .get("serve.slowdown_x100")
-                            .map_or(f64::NAN, |s| s.attainment),
-                        m.snapshot.now_cycles,
-                    ),
-                    None => (f64::NAN, f64::NAN, 0),
-                },
-                Err(e) => {
-                    eprintln!("sos-loadgen: metrics failed: {e}");
-                    std::process::exit(1);
-                }
-            };
-        let record = BenchRecord {
-            schema: BENCH_RECORD_VERSION,
-            unix_secs: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-            seed: args.seed,
-            offered: trace.jobs.len() as u64,
-            accepted: accepted as u64,
-            rejected: rejected as u64,
-            retries: retries as u64,
-            retry_wait_ms: retry_wait.as_millis() as u64,
-            completed: stats.completed,
-            wall_secs,
-            throughput_jobs_per_sec: if wall_secs > 0.0 {
-                stats.completed as f64 / wall_secs
-            } else {
-                f64::NAN
-            },
-            sim_cycles_per_sec: if wall_secs > 0.0 {
-                end_cycles.saturating_sub(start_cycles) as f64 / wall_secs
-            } else {
-                f64::NAN
-            },
-            mean_response: stats.mean_response,
-            response: stats.response,
-            mean_slowdown: stats.mean_slowdown,
-            slowdown: stats.slowdown,
-            slo_response_attainment: slo_response,
-            slo_slowdown_attainment: slo_slowdown,
-            fastsim: fastsim_policy.clone(),
-            extrapolated_slices: client
-                .request(&Request::verb("status"))
-                .ok()
-                .and_then(|r| r.status)
-                .and_then(|s| s.extrapolated_slices),
-        };
-        match record.append_to(path) {
-            Ok(()) => println!(
-                "# bench record appended to {} ({:.1} jobs/s, SLO response {:.3} / slowdown {:.3})",
-                path.display(),
-                record.throughput_jobs_per_sec,
-                record.slo_response_attainment,
-                record.slo_slowdown_attainment
-            ),
-            Err(e) => {
-                eprintln!("sos-loadgen: bench-out {} failed: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-
     if args.shutdown {
         match client.request(&Request::verb("shutdown")) {
             Ok(resp) if resp.ok => {}
@@ -351,15 +265,4 @@ fn main() {
             Err(e) => eprintln!("sos-loadgen: shutdown failed: {e}"),
         }
     }
-}
-
-/// The daemon's simulated clock right now (0 when `status` fails — the
-/// record's cycle rate then over-counts rather than crashing the run).
-fn now_cycles(client: &mut Client) -> u64 {
-    client
-        .request(&Request::verb("status"))
-        .ok()
-        .and_then(|r| r.status)
-        .map(|s| s.now_cycles)
-        .unwrap_or(0)
 }

@@ -18,17 +18,18 @@
 //!   and on shutdown; on restart, completed-job accounting is restored
 //!   exactly and in-flight jobs are re-queued from their arrival records.
 //! * **Live metrics** — every request, error, departure, and engine
-//!   timeslice feeds a `sos_core::metrics::MetricsHub`; the `metrics` verb
+//!   timeslice feeds one `sos_core::telemetry::Telemetry` handle; the `metrics` verb
 //!   returns the versioned snapshot plus a Prometheus text exposition, and
 //!   the `stats` verb reports exact and histogram-approximated p50/p95/p99
 //!   along with per-class protocol error counts.
 //! * **Latency SLOs** — per-job response time and slowdown are tracked
 //!   against `--slo-response` / `--slo-slowdown` at `--slo-objective`,
 //!   with attainment and error-budget burn rate in the `metrics` snapshot.
-//! * **Request-scoped tracing** — with `--trace FILE`, every job's life
-//!   (admit → queue wait → schedule decision → timeslices → complete) is
-//!   recorded as Perfetto-compatible spans and written as a Chrome trace
-//!   at shutdown.
+//! * **Request-scoped tracing** — with `--trace FILE` or `--metrics FILE`
+//!   the handle also records events: every job's life (admit → queue wait →
+//!   schedule decision → timeslices → complete) as Perfetto-compatible
+//!   spans, written as a Chrome trace (`--trace`) and/or as JSONL events
+//!   plus metric rows (`--metrics`) at shutdown.
 //!
 //! * **Fast simulation** — `--fast` (optionally `--fast-threshold F`)
 //!   starts the engine with phase-aware sampled fast simulation; the
@@ -55,11 +56,10 @@ use smtsim::FastSimPolicy;
 use sos_bench::serve::{
     CompletedJob, MetricsReply, Request, Response, Snapshot, StatsReply, StatusReply,
 };
-use sos_core::metrics::{Counter, EngineMetrics, Gauge, LearnMetrics, MetricsHub};
 use sos_core::online::{OnlineConfig, OnlineEngine, SchedulerKind};
 use sos_core::opensys::{calibrate_benchmarks, JobArrival, JOB_KINDS};
 use sos_core::report::{percentiles, Percentiles};
-use sos_core::telemetry;
+use sos_core::telemetry::{Counter, Gauge, Telemetry};
 use sos_core::PredictorKind;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Write};
@@ -125,9 +125,8 @@ impl Default for Args {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
@@ -189,17 +188,18 @@ fn parse_args() -> Result<Args, String> {
     if args.smt == 0 || args.timeslice == 0 || args.queue_cap == 0 {
         return Err("--smt, --timeslice, and --queue-cap must be positive".into());
     }
-    if !(args.slo_objective > 0.0 && args.slo_objective <= 1.0) {
+    // Each `_ok` is false for NaN too, which `<=`-style rejections let through.
+    let objective_ok = args.slo_objective > 0.0 && args.slo_objective <= 1.0;
+    if !objective_ok {
         return Err("--slo-objective must be in (0, 1]".into());
     }
-    let slowdown_ok = args.slo_slowdown > 0.0; // false for NaN too
+    let slowdown_ok = args.slo_slowdown > 0.0;
     if !slowdown_ok || args.slo_response == 0 || args.metrics_window == 0 {
         return Err("--slo-response, --slo-slowdown, and --metrics-window must be positive".into());
     }
-    if let Some(t) = args.fast_threshold {
-        if !(t > 0.0) {
-            return Err("--fast-threshold must be positive".into());
-        }
+    let threshold_ok = args.fast_threshold.is_none_or(|t| t > 0.0);
+    if !threshold_ok {
+        return Err("--fast-threshold must be positive".into());
     }
     Ok(args)
 }
@@ -233,21 +233,21 @@ struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    fn register(hub: &MetricsHub) -> Self {
+    fn register(tel: &Telemetry) -> Self {
         ServeMetrics {
-            submitted: hub.counter("serve.submitted"),
-            completed: hub.counter("serve.completed"),
-            rejected: hub.counter("serve.rejected"),
-            queue_depth: hub.gauge("serve.queue_depth"),
-            snapshot_age: hub.gauge("serve.snapshot_age_cycles"),
-            snapshot_write_us: hub.gauge("serve.snapshot_write_us"),
-            cache_hits: hub.gauge("serve.cache_hits"),
-            cache_misses: hub.gauge("serve.cache_misses"),
-            err_unparsable: hub.counter("serve.errors.unparsable"),
-            err_unknown_cmd: hub.counter("serve.errors.unknown_cmd"),
-            err_bad_submit: hub.counter("serve.errors.bad_submit"),
-            err_backpressure: hub.counter("serve.errors.backpressure"),
-            err_draining: hub.counter("serve.errors.draining"),
+            submitted: tel.counter("serve.submitted"),
+            completed: tel.counter("serve.completed"),
+            rejected: tel.counter("serve.rejected"),
+            queue_depth: tel.gauge("serve.queue_depth"),
+            snapshot_age: tel.gauge("serve.snapshot_age_cycles"),
+            snapshot_write_us: tel.gauge("serve.snapshot_write_us"),
+            cache_hits: tel.gauge("serve.cache_hits"),
+            cache_misses: tel.gauge("serve.cache_misses"),
+            err_unparsable: tel.counter("serve.errors.unparsable"),
+            err_unknown_cmd: tel.counter("serve.errors.unknown_cmd"),
+            err_bad_submit: tel.counter("serve.errors.bad_submit"),
+            err_backpressure: tel.counter("serve.errors.backpressure"),
+            err_draining: tel.counter("serve.errors.draining"),
         }
     }
 
@@ -270,7 +270,7 @@ impl ServeMetrics {
 struct Daemon {
     engine: OnlineEngine,
     solo: HashMap<Benchmark, f64>,
-    hub: Arc<MetricsHub>,
+    tel: Telemetry,
     sm: ServeMetrics,
     queue_cap: usize,
     draining: bool,
@@ -307,7 +307,7 @@ impl Daemon {
             .copied()
             .find(|v| *v == msg.req.cmd)
             .unwrap_or("unknown");
-        self.hub.counter(&format!("serve.requests.{verb}")).inc();
+        self.tel.counter_add(&format!("serve.requests.{verb}"), 1);
         let reply = match msg.req.cmd.as_str() {
             "submit" => Some(self.handle_submit(&msg.req)),
             "status" => Some(self.handle_status()),
@@ -335,7 +335,7 @@ impl Daemon {
             }
         };
         if verb != "unknown" {
-            self.hub.record(
+            self.tel.histogram_record(
                 &format!("serve.request_us.{verb}"),
                 self.engine.now(),
                 start.elapsed().as_micros() as u64,
@@ -450,7 +450,7 @@ impl Daemon {
             }
         };
         let response_approx = self
-            .hub
+            .tel
             .with_histogram("serve.response_cycles", |h| h.merged().percentile_summary())
             .unwrap_or(Percentiles {
                 p50: f64::NAN,
@@ -478,7 +478,7 @@ impl Daemon {
     /// snapshot the hub as versioned JSON plus a Prometheus exposition.
     fn handle_metrics(&mut self) -> Response {
         self.refresh_gauges();
-        let snapshot = self.hub.snapshot(self.engine.now());
+        let snapshot = self.tel.snapshot(self.engine.now());
         let prometheus = snapshot.prometheus_text();
         let mut r = Response::ok();
         r.metrics = Some(Box::new(MetricsReply {
@@ -514,12 +514,13 @@ impl Daemon {
                 f64::NAN
             };
             self.sm.completed.inc();
-            self.hub.record("serve.response_cycles", now, response);
-            self.hub.observe_slo("serve.response_cycles", response);
+            self.tel
+                .histogram_record("serve.response_cycles", now, response);
+            self.tel.observe_slo("serve.response_cycles", response);
             if slowdown.is_finite() {
                 let x100 = (slowdown * 100.0) as u64;
-                self.hub.record("serve.slowdown_x100", now, x100);
-                self.hub.observe_slo("serve.slowdown_x100", x100);
+                self.tel.histogram_record("serve.slowdown_x100", now, x100);
+                self.tel.observe_slo("serve.slowdown_x100", x100);
             }
             self.completed.push(CompletedJob {
                 arrival: rec.arrival.arrival,
@@ -571,29 +572,27 @@ impl Daemon {
         }
     }
 
-    /// Writes end-of-life telemetry: the Chrome trace of request spans to
-    /// `--trace`, and drained events plus a hub metrics snapshot (in the
-    /// PR-1 registry line format) appended to `--metrics`.
+    /// Writes end-of-life telemetry from one drained snapshot: the Chrome
+    /// trace of request spans to `--trace`, and the events plus every metric
+    /// row as JSONL appended to `--metrics`.
     fn export_telemetry(&mut self) {
         if self.metrics.is_none() && self.trace.is_none() {
             return;
         }
-        let snap = telemetry::global().drain();
-        if let Some(path) = self.trace.clone() {
-            if let Err(e) = std::fs::write(&path, snap.chrome_trace_json()) {
+        self.refresh_gauges();
+        self.tel.set_clock(self.engine.now());
+        let snap = self.tel.drain();
+        if let Some(path) = &self.trace {
+            if let Err(e) = std::fs::write(path, snap.chrome_trace_json()) {
                 eprintln!("sos-serve: trace export to {} failed: {e}", path.display());
             }
         }
-        if let Some(path) = self.metrics.clone() {
-            let mut out = telemetry::events_to_jsonl(&snap.events);
-            let mut metrics = snap.metrics;
-            self.refresh_gauges();
-            metrics.extend(self.hub.snapshot(self.engine.now()).to_registry_metrics());
-            out.push_str(&telemetry::metrics_to_jsonl(&metrics));
+        if let Some(path) = &self.metrics {
+            let out = snap.events_jsonl() + &snap.metrics_jsonl();
             let res = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(&path)
+                .open(path)
                 .and_then(|mut f| f.write_all(out.as_bytes()));
             if let Err(e) = res {
                 eprintln!(
@@ -606,16 +605,13 @@ impl Daemon {
 }
 
 fn main() {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("sos-serve: {e}");
             std::process::exit(2);
         }
     };
-    if args.metrics.is_some() || args.trace.is_some() {
-        telemetry::enable();
-    }
     sos_bench::init_cache();
     eprintln!(
         "# sos-serve: calibrating {} benchmarks at SMT {} ...",
@@ -624,23 +620,31 @@ fn main() {
     );
     let solo = calibrate_benchmarks(args.smt, args.calibration_cycles, args.seed);
 
-    let hub = Arc::new(MetricsHub::new());
+    // The daemon always serves metrics; an export file additionally turns
+    // on the event stream it is written from.
+    let tel = if args.metrics.is_some() || args.trace.is_some() {
+        Telemetry::tracing()
+    } else {
+        Telemetry::metrics()
+    };
     for verb in VERBS {
-        hub.register_histogram(&format!("serve.request_us.{verb}"), args.metrics_window, 8);
+        // Created at zero so the exposition lists every verb from the start.
+        tel.counter(&format!("serve.requests.{verb}"));
+        tel.register_histogram(&format!("serve.request_us.{verb}"), args.metrics_window, 8);
     }
-    hub.register_histogram("serve.response_cycles", args.metrics_window, 8);
-    hub.register_histogram("serve.slowdown_x100", args.metrics_window, 8);
-    hub.register_slo(
+    tel.register_histogram("serve.response_cycles", args.metrics_window, 8);
+    tel.register_histogram("serve.slowdown_x100", args.metrics_window, 8);
+    tel.register_slo(
         "serve.response_cycles",
         args.slo_response,
         args.slo_objective,
     );
-    hub.register_slo(
+    tel.register_slo(
         "serve.slowdown_x100",
         (args.slo_slowdown * 100.0).round() as u64,
         args.slo_objective,
     );
-    let sm = ServeMetrics::register(&hub);
+    let sm = ServeMetrics::register(&tel);
 
     let fastsim = if args.fast {
         Some(match args.fast_threshold {
@@ -665,16 +669,12 @@ fn main() {
         eprintln!("# sos-serve: fastsim on ({})", p.describe());
     }
     let mut engine = OnlineEngine::new(args.policy, &cfg);
-    engine.attach_metrics(EngineMetrics::register(&hub));
+    engine.set_telemetry(tel.clone());
     if cfg.effective_learn().is_some() {
         eprintln!(
             "# sos-serve: learned prediction on ({})",
             args.predictor.name()
         );
-        engine.attach_learn_metrics(LearnMetrics::register(&hub));
-    }
-    if args.trace.is_some() {
-        engine.set_job_spans(true);
     }
 
     // Restore the latest snapshot, if one matches this configuration.
@@ -721,7 +721,7 @@ fn main() {
     let mut daemon = Daemon {
         engine,
         solo,
-        hub,
+        tel,
         sm,
         queue_cap: args.queue_cap,
         draining: false,
@@ -860,5 +860,36 @@ fn serve_connection(stream: TcpStream, tx: mpsc::Sender<Msg>, unparsable: Arc<Co
         {
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn slo_objective_must_be_a_fraction_in_zero_one() {
+        for bad in ["NaN", "0", "-0.5", "1.5", "inf"] {
+            assert!(parse(&["--slo-objective", bad]).is_err(), "accepted {bad}");
+        }
+        assert_eq!(parse(&["--slo-objective", "1"]).unwrap().slo_objective, 1.0);
+        assert_eq!(
+            parse(&["--slo-objective", "0.99"]).unwrap().slo_objective,
+            0.99
+        );
+    }
+
+    #[test]
+    fn fast_threshold_must_be_positive() {
+        for bad in ["NaN", "0", "-1"] {
+            assert!(parse(&["--fast-threshold", bad]).is_err(), "accepted {bad}");
+        }
+        let ok = parse(&["--fast-threshold", "0.1"]).unwrap();
+        assert!(ok.fast && ok.fast_threshold == Some(0.1));
+        assert!(parse(&[]).unwrap().fast_threshold.is_none());
     }
 }

@@ -17,7 +17,7 @@
 //!   1000) until interrupted or the daemon goes away.
 
 use sos_bench::serve::{Client, Request};
-use sos_core::metrics::MetricsSnapshot;
+use sos_core::telemetry::Snapshot;
 use std::time::{Duration, Instant};
 
 struct Args {
@@ -61,7 +61,7 @@ fn num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad value {s:?} for {flag}"))
 }
 
-fn fetch(client: &mut Client) -> Result<(MetricsSnapshot, String), String> {
+fn fetch(client: &mut Client) -> Result<(Snapshot, String), String> {
     let resp = client
         .request(&Request::verb("metrics"))
         .map_err(|e| format!("metrics request failed: {e}"))?;
@@ -106,7 +106,7 @@ fn main() {
         }
     }
 
-    let mut prev: Option<(Instant, MetricsSnapshot)> = None;
+    let mut prev: Option<(Instant, Snapshot)> = None;
     loop {
         let (snap, _) = match fetch(&mut client) {
             Ok(s) => s,
@@ -131,7 +131,7 @@ fn main() {
 
 /// Renders one dashboard frame. `prev` (when present) turns counters into
 /// per-second rates over the wall time between the two snapshots.
-fn render(addr: &str, snap: &MetricsSnapshot, prev: Option<&(Instant, MetricsSnapshot)>) -> String {
+fn render(addr: &str, snap: &Snapshot, prev: Option<&(Instant, Snapshot)>) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "sos-top — {addr}   snapshot v{}   sim clock {} cycles\n\n",

@@ -1,4 +1,4 @@
-//! Runs one `Jmn(X,Y,Z)` experiment with telemetry enabled and exports the
+//! Runs one `Jmn(X,Y,Z)` experiment on a tracing telemetry handle and exports the
 //! recording: metrics as JSONL, the event stream as JSONL, and a Chrome
 //! `trace_event` JSON file loadable in Perfetto (<https://ui.perfetto.dev>).
 //!
@@ -16,7 +16,7 @@
 //! executes and prints a summary, which is handy for smoke-testing.
 
 use sos_core::sos::SosScheduler;
-use sos_core::telemetry;
+use sos_core::telemetry::Telemetry;
 use sos_core::ExperimentSpec;
 use std::process::ExitCode;
 
@@ -120,11 +120,9 @@ fn main() -> ExitCode {
     // without a warm disk cache eliding the simulator spans being traced.
     sos_core::cache::enable();
 
-    telemetry::reset();
-    telemetry::enable();
-    let report = SosScheduler::evaluate_experiment(&args.spec, &cfg);
-    telemetry::disable();
-    let snapshot = telemetry::drain();
+    let tel = Telemetry::tracing();
+    let report = SosScheduler::evaluate_experiment_traced(&args.spec, &cfg, 0, &tel);
+    let snapshot = tel.drain();
     sos_bench::print_cache_stats();
 
     if let Some(path) = &args.trace_path {
@@ -151,7 +149,7 @@ fn main() -> ExitCode {
         args.spec.label(),
         report.candidates.len(),
         snapshot.events.len(),
-        snapshot.metrics.len()
+        snapshot.metric_rows().len()
     );
     sos_bench::print_experiment_summary(&report);
     ExitCode::SUCCESS

@@ -14,7 +14,6 @@
 //! same grid, scale, and seeds serialize byte-identically (the CI
 //! determinism gate `cmp`s exactly this artifact).
 
-use crate::serve::{LearnBenchRecord, LEARN_BENCH_RECORD_VERSION};
 use serde::{Deserialize, Serialize};
 use sos_core::learn::{LearnConfig, LearnSummary, Learner};
 use sos_core::sos::{ExperimentReport, SosConfig, SosScheduler};
@@ -145,30 +144,6 @@ impl LearnEvalSummary {
         let best_learned = self.learned_ws.max(self.bandit_ws);
         best_learned >= self.best_fixed_ws && self.bandit_ws >= self.worst_fixed_ws * 1.02
     }
-
-    /// The cross-PR bench line for this sweep (`kind:"learn"`).
-    pub fn to_bench_record(&self, unix_secs: u64) -> LearnBenchRecord {
-        LearnBenchRecord {
-            schema: LEARN_BENCH_RECORD_VERSION,
-            kind: "learn".to_string(),
-            unix_secs,
-            grid: self.grid.clone(),
-            seeds: self.seeds.clone(),
-            experiments: self.experiments,
-            best_fixed: self.best_fixed.clone(),
-            best_fixed_ws: self.best_fixed_ws,
-            worst_fixed: self.worst_fixed.clone(),
-            worst_fixed_ws: self.worst_fixed_ws,
-            learned_ws: self.learned_ws,
-            bandit_ws: self.bandit_ws,
-            oracle_ws: self.oracle_mean_ws,
-            train_updates: self.learner.train_updates,
-            err_ewma: self.learner.err_ewma,
-            bandit_pulls: self.learner.bandit_pulls,
-            bandit_regret: self.learner.bandit_regret,
-            contexts: self.learner.contexts as u64,
-        }
-    }
 }
 
 /// Runs the sweep. Returns the full reports (for the league table) and the
@@ -298,23 +273,5 @@ mod tests {
             serde_json::to_string(&summary).unwrap(),
             serde_json::to_string(&again).unwrap()
         );
-    }
-
-    #[test]
-    fn bench_record_mirrors_summary() {
-        let opts = LearnEvalOptions {
-            grid: "small".to_string(),
-            seeds: vec![3],
-            scale: 50_000,
-            learn: LearnConfig::default(),
-        };
-        let (_, summary) = run(&opts);
-        let rec = summary.to_bench_record(123);
-        assert_eq!(rec.kind, "learn");
-        assert_eq!(rec.schema, LEARN_BENCH_RECORD_VERSION);
-        assert_eq!(rec.unix_secs, 123);
-        assert_eq!(rec.experiments, summary.experiments);
-        assert_eq!(rec.learned_ws, summary.learned_ws);
-        assert_eq!(rec.contexts, summary.learner.contexts as u64);
     }
 }

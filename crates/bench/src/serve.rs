@@ -13,7 +13,7 @@
 //!   slowdown, exact (from completed-job records) and approximate (from the
 //!   live log2-bucket histograms), plus per-class protocol error counts.
 //! * `metrics` — the live observability surface: a versioned
-//!   `sos_core::metrics::MetricsSnapshot` (counters, gauges, windowed
+//!   `sos_core::telemetry::Snapshot` (counters, gauges, windowed
 //!   histograms with p50/p95/p99/p999, SLO attainment and burn rate) plus a
 //!   Prometheus-style text exposition. Polled by `sos-top`.
 //! * `fastsim` — toggle phase-aware sampled fast simulation at runtime
@@ -34,9 +34,9 @@
 //! reproduced, not lost — only partial progress is).
 
 use serde::{Deserialize, Serialize};
-use sos_core::metrics::MetricsSnapshot;
 use sos_core::opensys::JobArrival;
 use sos_core::report::Percentiles;
+use sos_core::telemetry;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -174,8 +174,8 @@ pub struct StatsReply {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MetricsReply {
     /// Live metrics as a versioned document (see
-    /// `sos_core::metrics::METRICS_VERSION`).
-    pub snapshot: MetricsSnapshot,
+    /// `sos_core::telemetry::METRICS_VERSION`).
+    pub snapshot: telemetry::Snapshot,
     /// The same snapshot rendered as Prometheus text exposition.
     pub prometheus: String,
 }
@@ -307,263 +307,6 @@ impl Snapshot {
         }
         Some(snap)
     }
-}
-
-/// Current [`BenchRecord`] schema version.
-pub const BENCH_RECORD_VERSION: u32 = 1;
-
-/// One perf-trajectory record, appended as a JSON line to
-/// `BENCH_serve.json` by `sos-loadgen --bench-out` so serving-layer
-/// throughput and tail latency are comparable across PRs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct BenchRecord {
-    /// Schema version ([`BENCH_RECORD_VERSION`]).
-    pub schema: u32,
-    /// Wall-clock record time (seconds since the Unix epoch).
-    pub unix_secs: u64,
-    /// Load-generator trace seed.
-    pub seed: u64,
-    /// Jobs in the offered trace.
-    pub offered: u64,
-    /// Jobs the daemon admitted.
-    pub accepted: u64,
-    /// Jobs finally rejected.
-    pub rejected: u64,
-    /// Backpressure retries before admission.
-    pub retries: u64,
-    /// Total wall time spent sleeping between backpressure retries, ms.
-    pub retry_wait_ms: u64,
-    /// Jobs completed by drain time (includes restored completions).
-    pub completed: u64,
-    /// Wall time from first submission to drained, seconds.
-    pub wall_secs: f64,
-    /// Completions per wall-clock second.
-    pub throughput_jobs_per_sec: f64,
-    /// Simulated cycles per wall-clock second over the run.
-    pub sim_cycles_per_sec: f64,
-    /// Mean response time in simulated cycles.
-    pub mean_response: f64,
-    /// Exact response-time percentiles in simulated cycles.
-    pub response: Percentiles,
-    /// Mean slowdown.
-    pub mean_slowdown: f64,
-    /// Exact slowdown percentiles.
-    pub slowdown: Percentiles,
-    /// `serve.response_cycles` SLO attainment at drain (NaN when the daemon
-    /// predates the `metrics` verb).
-    pub slo_response_attainment: f64,
-    /// `serve.slowdown_x100` SLO attainment at drain (NaN when unavailable).
-    pub slo_slowdown_attainment: f64,
-    /// The fast-sim policy the daemon ran under
-    /// (`smtsim::FastSimPolicy::describe`), `None`/absent for full detail.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub fastsim: Option<String>,
-    /// Timeslices the daemon synthesized by extrapolation during the run.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub extrapolated_slices: Option<u64>,
-}
-
-impl BenchRecord {
-    /// Appends the record as one JSON line to `path`, creating the file if
-    /// needed.
-    pub fn append_to(&self, path: &Path) -> std::io::Result<()> {
-        append_json_line(self, path)
-    }
-}
-
-/// Current [`ClusterBenchRecord`] schema version.
-pub const CLUSTER_BENCH_RECORD_VERSION: u32 = 1;
-
-/// One cluster-scaling record, appended as a JSON line to
-/// `BENCH_serve.json` by `sos-cluster --bench-out`. Distinguished from
-/// loadgen [`BenchRecord`] lines by its `kind:"cluster"` field.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ClusterBenchRecord {
-    /// Schema version ([`CLUSTER_BENCH_RECORD_VERSION`]).
-    pub schema: u32,
-    /// Record discriminator, always `"cluster"`.
-    pub kind: String,
-    /// Wall-clock record time (seconds since the Unix epoch).
-    pub unix_secs: u64,
-    /// Shard count.
-    pub shards: u64,
-    /// Dispatcher policy (`round-robin` / `least-loaded` / `symbiosis`).
-    pub dispatch: String,
-    /// Per-shard scheduling policy (`naive` / `sos`).
-    pub policy: String,
-    /// Cluster seed.
-    pub seed: u64,
-    /// Jobs in the offered trace.
-    pub jobs: u64,
-    /// Jobs completed by drain time.
-    pub completed: u64,
-    /// Jobs migrated between shards by rebalancing.
-    pub migrations: u64,
-    /// Wall time for the full run, seconds.
-    pub wall_secs: f64,
-    /// Total simulated machine-cycles across all shard clocks
-    /// (`shards × cluster clock` — N cores each advanced the cluster
-    /// makespan).
-    pub sim_cycles: u64,
-    /// `sim_cycles / wall_secs` — the cluster's simulation throughput.
-    pub sim_cycles_per_sec: f64,
-    /// Completions per wall-clock second.
-    pub throughput_jobs_per_sec: f64,
-    /// Cluster-wide weighted speedup (solo-equivalent cycles completed per
-    /// busy machine cycle).
-    pub aggregate_ws: f64,
-    /// Mean response time in simulated cycles.
-    pub mean_response: f64,
-    /// Exact response-time percentiles in simulated cycles.
-    pub response: Percentiles,
-    /// Exact slowdown percentiles.
-    pub slowdown: Percentiles,
-    /// The shard fast-sim policy (`smtsim::FastSimPolicy::describe`),
-    /// `None`/absent for full detail.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub fastsim: Option<String>,
-    /// Timeslices synthesized by extrapolation across all shards.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub extrapolated_slices: Option<u64>,
-}
-
-impl ClusterBenchRecord {
-    /// Appends the record as one JSON line to `path`, creating the file if
-    /// needed.
-    pub fn append_to(&self, path: &Path) -> std::io::Result<()> {
-        append_json_line(self, path)
-    }
-}
-
-/// Current [`FastSimBenchRecord`] schema version.
-pub const FASTSIM_BENCH_RECORD_VERSION: u32 = 1;
-
-/// One fast-sim accuracy/speedup record, appended as a JSON line to
-/// `BENCH_serve.json` by `fastsim-compare --bench-out`. Distinguished from
-/// the other record kinds by its `kind:"fastsim"` field. Captures a
-/// detailed-vs-extrapolated pair of runs of the same seeded open-system
-/// scenario, so the speedup-versus-error trajectory is comparable across
-/// PRs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FastSimBenchRecord {
-    /// Schema version ([`FASTSIM_BENCH_RECORD_VERSION`]).
-    pub schema: u32,
-    /// Record discriminator, always `"fastsim"`.
-    pub kind: String,
-    /// Wall-clock record time (seconds since the Unix epoch).
-    pub unix_secs: u64,
-    /// Scenario seed.
-    pub seed: u64,
-    /// Jobs in the offered trace.
-    pub jobs: u64,
-    /// The fast-sim policy under test (`smtsim::FastSimPolicy::describe`).
-    pub fastsim: String,
-    /// Wall time of the full-detail run, seconds.
-    pub detail_wall_secs: f64,
-    /// Wall time of the fast run, seconds.
-    pub fast_wall_secs: f64,
-    /// `detail_wall_secs / fast_wall_secs` — same simulated cycles both
-    /// ways, so this is also the sim-cycles/sec speedup.
-    pub speedup: f64,
-    /// Simulated cycles per wall second, full detail.
-    pub detail_sim_cycles_per_sec: f64,
-    /// Simulated cycles per wall second, fast mode.
-    pub fast_sim_cycles_per_sec: f64,
-    /// Fraction of busy timeslices the fast run extrapolated (0..1).
-    pub extrapolated_fraction: f64,
-    /// Aggregate weighted speedup, full detail.
-    pub detail_ws: f64,
-    /// Aggregate weighted speedup, fast mode.
-    pub fast_ws: f64,
-    /// `|fast_ws - detail_ws| / detail_ws`.
-    pub ws_rel_error: f64,
-    /// Relative error of the mean response time.
-    pub response_rel_error: f64,
-    /// Relative error of the p95 response time (the CI-gated percentile —
-    /// p99 over a few hundred jobs is tail noise).
-    pub response_p95_rel_error: f64,
-    /// Relative error of the p99 response time (informational).
-    pub response_p99_rel_error: f64,
-    /// Relative error of the p95 slowdown (CI-gated).
-    pub slowdown_p95_rel_error: f64,
-    /// Relative error of the p99 slowdown (informational).
-    pub slowdown_p99_rel_error: f64,
-}
-
-impl FastSimBenchRecord {
-    /// Appends the record as one JSON line to `path`, creating the file if
-    /// needed.
-    pub fn append_to(&self, path: &Path) -> std::io::Result<()> {
-        append_json_line(self, path)
-    }
-}
-
-/// Current [`LearnBenchRecord`] schema version.
-pub const LEARN_BENCH_RECORD_VERSION: u32 = 1;
-
-/// One learned-predictor evaluation record, appended as a JSON line to
-/// `BENCH_serve.json` by `predictor-matrix --bench-out`. Distinguished from
-/// the other record kinds by its `kind:"learn"` field. Captures how the
-/// online regressor and the contextual bandit fared against the ten fixed
-/// predictors on the widened grid, so learning quality is comparable
-/// across PRs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct LearnBenchRecord {
-    /// Schema version ([`LEARN_BENCH_RECORD_VERSION`]).
-    pub schema: u32,
-    /// Record discriminator, always `"learn"`.
-    pub kind: String,
-    /// Wall-clock record time (seconds since the Unix epoch).
-    pub unix_secs: u64,
-    /// Grid name (`small` / `wide`).
-    pub grid: String,
-    /// Seeds pooled into the evaluation.
-    pub seeds: Vec<u64>,
-    /// Experiments evaluated (scenarios × seeds).
-    pub experiments: u64,
-    /// Mean realized WS of the best fixed predictor, and its name.
-    pub best_fixed: String,
-    pub best_fixed_ws: f64,
-    /// Mean realized WS of the worst fixed predictor, and its name.
-    pub worst_fixed: String,
-    pub worst_fixed_ws: f64,
-    /// Mean realized WS of the online ridge regressor's picks.
-    pub learned_ws: f64,
-    /// Mean realized WS of the contextual bandit's picks.
-    pub bandit_ws: f64,
-    /// Mean realized WS of the per-experiment oracle (best schedule found
-    /// during sampling) — the ceiling every predictor chases.
-    pub oracle_ws: f64,
-    /// Regressor training updates over the run.
-    pub train_updates: u64,
-    /// Prequential error EWMA of the regressor at the end of the run.
-    pub err_ewma: f64,
-    /// Bandit arm pulls over the run.
-    pub bandit_pulls: u64,
-    /// Cumulative bandit regret against the per-decision best arm.
-    pub bandit_regret: f64,
-    /// Distinct jobmix contexts the bandit saw.
-    pub contexts: u64,
-}
-
-impl LearnBenchRecord {
-    /// Appends the record as one JSON line to `path`, creating the file if
-    /// needed.
-    pub fn append_to(&self, path: &Path) -> std::io::Result<()> {
-        append_json_line(self, path)
-    }
-}
-
-/// Appends one serialized value as a JSON line to `path`.
-fn append_json_line<T: Serialize>(value: &T, path: &Path) -> std::io::Result<()> {
-    let json = serde_json::to_string(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    f.write_all(json.as_bytes())?;
-    f.write_all(b"\n")
 }
 
 /// A blocking JSON-lines client for `sos-serve` (used by `sos-loadgen` and

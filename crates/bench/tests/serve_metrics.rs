@@ -6,7 +6,7 @@ mod common;
 
 use common::{spawn_daemon, wait_exit};
 use sos_bench::serve::{Client, Request};
-use sos_core::metrics::METRICS_VERSION;
+use sos_core::telemetry::METRICS_VERSION;
 use std::time::Duration;
 
 /// Cycle budgets are tiny: these run against a debug-profile simulator.

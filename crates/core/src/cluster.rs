@@ -18,7 +18,10 @@
 //! * a rebalancing step migrates queued-but-not-started jobs off overloaded
 //!   shards ([`OnlineEngine::reclaim_unstarted`] guarantees no execution
 //!   progress is lost), with every migration recorded in telemetry and the
-//!   cluster metrics.
+//!   cluster metrics;
+//! * each shard reports through its own child [`Telemetry`] handle
+//!   (`cluster.shard<i>`: own clock, own event buffer), so a traced cluster
+//!   run is as reproducible as an untraced one.
 //!
 //! # Lockstep clocks and determinism
 //!
@@ -40,10 +43,9 @@
 
 use crate::arrivals::JobArrival;
 use crate::learn::LearnSummary;
-use crate::metrics::{EngineMetrics, LearnMetrics, MetricsHub};
 use crate::online::{JobRecord, OnlineConfig, OnlineEngine, SchedulerKind};
 use crate::report::{percentiles, Percentiles};
-use crate::telemetry::{self, Attr};
+use crate::telemetry::{Attr, Counter, Gauge, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -369,41 +371,38 @@ fn symbiosis_score(job: &JobArrival, resident: &[JobArrival]) -> f64 {
 // Cluster metrics
 // ---------------------------------------------------------------------------
 
-/// Cluster-level metric handles (per-shard gauges + cluster counters and
-/// histograms), registered in a [`MetricsHub`].
+/// Cluster-level metric handles (per-shard gauges + cluster counters),
+/// resolved once from the cluster's [`Telemetry`] handle.
 struct ClusterMetrics {
-    hub: Arc<MetricsHub>,
-    shard_depth: Vec<Arc<crate::metrics::Gauge>>,
-    shard_now: Vec<Arc<crate::metrics::Gauge>>,
-    submitted: Arc<crate::metrics::Counter>,
-    completed: Arc<crate::metrics::Counter>,
-    migrations: Arc<crate::metrics::Counter>,
-    rounds: Arc<crate::metrics::Counter>,
-    aggregate_ws: Arc<crate::metrics::Gauge>,
+    shard_depth: Vec<Arc<Gauge>>,
+    shard_now: Vec<Arc<Gauge>>,
+    submitted: Arc<Counter>,
+    completed: Arc<Counter>,
+    migrations: Arc<Counter>,
+    rounds: Arc<Counter>,
+    aggregate_ws: Arc<Gauge>,
 }
 
 impl ClusterMetrics {
     const RESPONSE: &'static str = "cluster.response_cycles";
     const SLOWDOWN: &'static str = "cluster.slowdown_x100";
 
-    fn register(hub: &Arc<MetricsHub>, shards: usize, window_cycles: u64) -> Self {
-        let mut shard_depth = Vec::with_capacity(shards);
-        let mut shard_now = Vec::with_capacity(shards);
-        for s in 0..shards {
-            shard_depth.push(hub.gauge(&format!("cluster.shard{s}.queue_depth")));
-            shard_now.push(hub.gauge(&format!("cluster.shard{s}.now_cycles")));
-        }
-        hub.register_histogram(Self::RESPONSE, window_cycles, 8);
-        hub.register_histogram(Self::SLOWDOWN, window_cycles, 8);
+    fn register(tel: &Telemetry, shards: usize, window_cycles: u64) -> Self {
+        tel.register_histogram(Self::RESPONSE, window_cycles, 8);
+        tel.register_histogram(Self::SLOWDOWN, window_cycles, 8);
+        let per_shard = |series: &str| -> Vec<Arc<Gauge>> {
+            (0..shards)
+                .map(|s| tel.gauge(&format!("cluster.shard{s}.{series}")))
+                .collect()
+        };
         ClusterMetrics {
-            hub: Arc::clone(hub),
-            shard_depth,
-            shard_now,
-            submitted: hub.counter("cluster.submitted"),
-            completed: hub.counter("cluster.completed"),
-            migrations: hub.counter("cluster.migrations"),
-            rounds: hub.counter("cluster.rounds"),
-            aggregate_ws: hub.gauge("cluster.aggregate_ws"),
+            shard_depth: per_shard("queue_depth"),
+            shard_now: per_shard("now_cycles"),
+            submitted: tel.counter("cluster.submitted"),
+            completed: tel.counter("cluster.completed"),
+            migrations: tel.counter("cluster.migrations"),
+            rounds: tel.counter("cluster.rounds"),
+            aggregate_ws: tel.gauge("cluster.aggregate_ws"),
         }
     }
 }
@@ -439,6 +438,9 @@ pub struct ClusterEngine {
     /// Solo IPC per benchmark (for slowdown and weighted-speedup
     /// accounting; unknown benchmarks fall back to IPC 1.0).
     solo_ipc: HashMap<Benchmark, f64>,
+    /// The dispatcher's handle (shards hold children of it) and the metric
+    /// handles resolved from it (`None` while it is off).
+    tel: Telemetry,
     metrics: Option<ClusterMetrics>,
 }
 
@@ -449,44 +451,31 @@ impl ClusterEngine {
     /// Panics on an invalid configuration (zero shards or zero
     /// `slices_per_round`), or if a worker thread cannot be spawned.
     pub fn new(cfg: &ClusterConfig) -> Self {
-        Self::with_metrics(cfg, None)
+        Self::with_telemetry(cfg, &Telemetry::off())
     }
 
-    /// Like [`new`](Self::new), additionally registering cluster-wide and
-    /// per-shard series in `hub` (per-shard engine families under
-    /// `cluster.shard<i>.*`, response/slowdown histograms windowed by the
-    /// shard `base_interval`).
-    pub fn with_metrics(cfg: &ClusterConfig, hub: Option<&Arc<MetricsHub>>) -> Self {
+    /// Like [`new`](Self::new), reporting to `tel`: cluster-wide series and
+    /// response/slowdown histograms (windowed by the shard `base_interval`)
+    /// plus `cluster.migration` instants on the dispatcher's own handle, and
+    /// one child handle per shard — prefix `cluster.shard<i>`, carrying that
+    /// shard's engine series, clock and event buffer. Draining `tel` yields
+    /// the dispatcher's events followed by each shard's in shard order.
+    pub fn with_telemetry(cfg: &ClusterConfig, tel: &Telemetry) -> Self {
         cfg.validate();
-        let metrics = hub
-            .map(|h| ClusterMetrics::register(h, cfg.shards, cfg.shard.base_interval.max(1) * 4));
+        let metrics = tel
+            .is_on()
+            .then(|| ClusterMetrics::register(tel, cfg.shards, cfg.shard.base_interval.max(1) * 4));
         let mut shards = Vec::with_capacity(cfg.shards);
         for s in 0..cfg.shards {
             let mut shard_cfg = cfg.shard.clone();
             shard_cfg.seed ^= s as u64;
             let scheduler = cfg.scheduler;
-            let engine_metrics =
-                hub.map(|h| EngineMetrics::register_prefixed(h, &format!("cluster.shard{s}")));
-            let learn_metrics = match hub {
-                Some(h) if shard_cfg.effective_learn().is_some() => Some(
-                    LearnMetrics::register_prefixed(h, &format!("cluster.shard{s}.learn")),
-                ),
-                _ => None,
-            };
+            let shard_tel = tel.child(&format!("cluster.shard{s}"));
             let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
             let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
             let thread = std::thread::Builder::new()
                 .name(format!("sos-shard-{s}"))
-                .spawn(move || {
-                    shard_worker(
-                        scheduler,
-                        shard_cfg,
-                        engine_metrics,
-                        learn_metrics,
-                        cmd_rx,
-                        reply_tx,
-                    )
-                })
+                .spawn(move || shard_worker(scheduler, shard_cfg, shard_tel, cmd_rx, reply_tx))
                 .expect("spawn shard worker");
             shards.push(ShardHandle {
                 cmd: cmd_tx,
@@ -506,6 +495,7 @@ impl ClusterEngine {
             rr_next: 0,
             samples: Vec::new(),
             solo_ipc: HashMap::new(),
+            tel: tel.clone(),
             metrics,
         }
     }
@@ -669,9 +659,9 @@ impl ClusterEngine {
             self.samples.push((rec.response(), slowdown));
             if let Some(cm) = &self.metrics {
                 cm.completed.inc();
-                cm.hub
-                    .record(ClusterMetrics::RESPONSE, self.now, rec.response());
-                cm.hub.record(
+                self.tel
+                    .histogram_record(ClusterMetrics::RESPONSE, self.now, rec.response());
+                self.tel.histogram_record(
                     ClusterMetrics::SLOWDOWN,
                     self.now,
                     (slowdown * 100.0).round() as u64,
@@ -739,6 +729,7 @@ impl ClusterEngine {
             return;
         }
         let n = taken.len();
+        self.tel.set_clock(self.now);
         self.mirror[deep].depth -= n;
         self.mirror[deep].migrated_out += n;
         self.mirror[deep].submitted -= n; // re-counted at the destination
@@ -764,15 +755,13 @@ impl ClusterEngine {
                 _ => shallow,
             };
             self.mirror[dest].migrated_in += 1;
-            telemetry::instant(
-                "cluster",
-                "cluster.migration",
+            self.tel.instant("cluster", "cluster.migration", || {
                 vec![
                     Attr::num("from", deep as f64),
                     Attr::num("to", dest as f64),
                     Attr::text("benchmark", format!("{:?}", arrival.benchmark)),
-                ],
-            );
+                ]
+            });
             self.dispatch_to(dest, arrival);
             self.migrations += 1;
             if let Some(cm) = &self.metrics {
@@ -934,18 +923,12 @@ impl Drop for ClusterEngine {
 fn shard_worker(
     kind: SchedulerKind,
     cfg: OnlineConfig,
-    metrics: Option<EngineMetrics>,
-    learn_metrics: Option<LearnMetrics>,
+    tel: Telemetry,
     cmd: mpsc::Receiver<Cmd>,
     reply: mpsc::Sender<Reply>,
 ) {
     let mut engine = OnlineEngine::new(kind, &cfg);
-    if let Some(m) = metrics {
-        engine.attach_metrics(m);
-    }
-    if let Some(m) = learn_metrics {
-        engine.attach_learn_metrics(m);
-    }
+    engine.set_telemetry(tel);
     while let Ok(c) = cmd.recv() {
         match c {
             Cmd::Submit(arrival) => {

@@ -30,10 +30,11 @@
 //! * [`cache`] — content-addressed memoization of deterministic evaluation
 //!   results (calibrations, per-schedule sample/symbios measurements), with
 //!   an optional on-disk JSONL store.
-//! * [`metrics`] — live-service metrics: lock-cheap counters/gauges,
-//!   sliding-window histograms with exact quantiles, SLO trackers, and a
-//!   versioned snapshot with Prometheus-style exposition (what `sos-serve`'s
-//!   `metrics` verb and `sos-top` speak).
+//! * [`telemetry`] — the one observability handle: an instance-scoped
+//!   registry of lock-cheap counters/gauges, sliding-window histograms and
+//!   SLO trackers, an event buffer on a simulated clock, and one snapshot
+//!   rendered as Prometheus text (what `sos-serve`'s `metrics` verb and
+//!   `sos-top` speak) or as JSONL plus a Perfetto-loadable Chrome trace.
 //! * [`par`] — order-preserving parallel map used to evaluate independent
 //!   candidates and experiments concurrently.
 //! * [`report`] — aggregate reporting (the predictor league table).
@@ -77,7 +78,6 @@ pub mod experiment;
 pub mod hier;
 pub mod job;
 pub mod learn;
-pub mod metrics;
 pub mod naive;
 pub mod online;
 pub mod opensys;

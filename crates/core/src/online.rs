@@ -18,11 +18,10 @@
 
 use crate::arrivals::JobArrival;
 use crate::learn::{self, LearnConfig, LearnSummary, Learner};
-use crate::metrics::{EngineMetrics, LearnMetrics};
 use crate::predictor::PredictorKind;
 use crate::sample::ScheduleSample;
 use crate::schedule::Schedule;
-use crate::telemetry::{self, Attr, TelemetryObserver};
+use crate::telemetry::{Attr, Counter, Gauge, Telemetry, TelemetryObserver};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -30,6 +29,7 @@ use serde::{Deserialize, Serialize};
 use smtsim::fastsim::{tuple_key, FastSim, FastSimCounters, FastSimEvent, FastSimPolicy};
 use smtsim::trace::{InstructionSource, StreamId};
 use smtsim::{MachineConfig, Processor, TimesliceStats};
+use std::sync::Arc;
 use workloads::phased::{fp_int_alternator, PhasedStream};
 use workloads::synth::SyntheticStream;
 
@@ -261,13 +261,127 @@ struct PendingLearn {
 }
 
 /// The learner plumbing threaded through [`advance_after_slice`]: the
-/// engine's optional learner, its metrics handles, the unsettled bandit
-/// pull, and the bandit context of the current jobmix.
+/// engine's optional learner, the unsettled bandit pull, and the bandit
+/// context of the current jobmix.
 struct LearnHooks<'a> {
     learner: Option<&'a mut Learner>,
-    metrics: Option<&'a LearnMetrics>,
     pending: &'a mut Option<PendingLearn>,
     context: &'a str,
+}
+
+/// Metric handles resolved once in [`OnlineEngine::set_telemetry`], so the
+/// per-timeslice cost of a live handle is a few relaxed atomic writes — no
+/// name formatting, map lookup or lock.
+///
+/// Series families: under a root handle the engine books `engine.*`,
+/// `opensys.*` and (with a learner) `learn.*`. Under a child handle the
+/// child's prefix stands in for `engine` (`cluster.shard0.timeslices`) and
+/// scopes the other two (`cluster.shard0.opensys.*`,
+/// `cluster.shard0.learn.*`).
+struct Probes {
+    /// Timeslices simulated, and the scheduler mode each ran in.
+    timeslices: Arc<Counter>,
+    sampling_slices: Arc<Counter>,
+    symbios_slices: Arc<Counter>,
+    rotate_slices: Arc<Counter>,
+    /// Predictor decisions at sample-phase ends, and those that repeated
+    /// the previous pick.
+    predictor_picks: Arc<Counter>,
+    repeat_picks: Arc<Counter>,
+    /// Sample phases entered.
+    resamples: Arc<Counter>,
+    /// Fast-sim: slices synthesized by extrapolation, detail → extrapolation
+    /// locks, drift fallbacks, and moderate-drift resyncs (all 0 with
+    /// fast-sim off).
+    extrapolated_slices: Arc<Counter>,
+    fastsim_phase_locks: Arc<Counter>,
+    fastsim_fallbacks: Arc<Counter>,
+    fastsim_resyncs: Arc<Counter>,
+    /// Jobs in the system, and jobs coscheduled in the latest timeslice.
+    queue_depth: Arc<Gauge>,
+    running: Arc<Gauge>,
+    /// `opensys.{arrivals,departures,backoffs}`.
+    arrivals: Arc<Counter>,
+    departures: Arc<Counter>,
+    backoffs: Arc<Counter>,
+    /// Name of the `opensys.response_cycles` histogram. Histograms sit
+    /// behind the registry lock, so it is recorded only alongside events.
+    response_cycles: String,
+    learn: Option<LearnProbes>,
+}
+
+/// The `learn.*` family: regressor training/prediction counters, error EWMA,
+/// bandit regret, and one pull counter per arm in [`learn::arms`] order.
+struct LearnProbes {
+    train_updates: Arc<Counter>,
+    predictions: Arc<Counter>,
+    pred_err_ewma: Arc<Gauge>,
+    bandit_regret: Arc<Gauge>,
+    bandit_pulls: Arc<Counter>,
+    arm_pulls: Vec<Arc<Counter>>,
+}
+
+impl Probes {
+    fn resolve(tel: &Telemetry, learner: bool) -> Self {
+        let family = |name: &str| match tel.prefix() {
+            Some(p) if name == "engine" => p.to_string(),
+            Some(p) => format!("{p}.{name}"),
+            None => name.to_string(),
+        };
+        let (engine, opensys, learn) = (family("engine"), family("opensys"), family("learn"));
+        let counter = |family: &str, series: &str| tel.counter(&format!("{family}.{series}"));
+        let gauge = |family: &str, series: &str| tel.gauge(&format!("{family}.{series}"));
+        Probes {
+            timeslices: counter(&engine, "timeslices"),
+            sampling_slices: counter(&engine, "sampling_slices"),
+            symbios_slices: counter(&engine, "symbios_slices"),
+            rotate_slices: counter(&engine, "rotate_slices"),
+            predictor_picks: counter(&engine, "predictor_picks"),
+            repeat_picks: counter(&engine, "repeat_picks"),
+            resamples: counter(&engine, "resamples"),
+            extrapolated_slices: counter(&engine, "extrapolated_slices"),
+            fastsim_phase_locks: counter(&engine, "fastsim_phase_locks"),
+            fastsim_fallbacks: counter(&engine, "fastsim_fallbacks"),
+            fastsim_resyncs: counter(&engine, "fastsim_resyncs"),
+            queue_depth: gauge(&engine, "queue_depth"),
+            running: gauge(&engine, "running"),
+            arrivals: counter(&opensys, "arrivals"),
+            departures: counter(&opensys, "departures"),
+            backoffs: counter(&opensys, "backoffs"),
+            response_cycles: format!("{opensys}.response_cycles"),
+            learn: learner.then(|| LearnProbes {
+                train_updates: counter(&learn, "train_updates"),
+                predictions: counter(&learn, "predictions"),
+                pred_err_ewma: gauge(&learn, "pred_err_ewma"),
+                bandit_regret: gauge(&learn, "bandit_regret"),
+                bandit_pulls: counter(&learn, "bandit_pulls"),
+                arm_pulls: learn::arms()
+                    .iter()
+                    .map(|p| {
+                        counter(
+                            &learn,
+                            &format!("arm.{}.pulls", p.name().to_ascii_lowercase()),
+                        )
+                    })
+                    .collect(),
+            }),
+        }
+    }
+}
+
+impl LearnProbes {
+    /// Syncs the series from a learner summary (counters are raised to the
+    /// summary's absolute values, so syncing is idempotent per summary).
+    fn sync(&self, summary: &LearnSummary) {
+        self.train_updates.raise_to(summary.train_updates);
+        self.predictions.raise_to(summary.predictions);
+        self.bandit_pulls.raise_to(summary.bandit_pulls);
+        self.pred_err_ewma.set(summary.err_ewma);
+        self.bandit_regret.set(summary.bandit_regret);
+        for (handle, (_, pulls, _)) in self.arm_pulls.iter().zip(&summary.arms) {
+            handle.raise_to(*pulls);
+        }
+    }
 }
 
 /// The event-driven online scheduling engine.
@@ -297,23 +411,17 @@ pub struct OnlineEngine {
     /// slice through the detailed model, leaving output byte-identical with
     /// pre-fast-sim builds.
     fastsim: Option<FastSim>,
-    /// Live-metrics handles, attached by a serving layer (`None` costs one
-    /// branch per touch point and keeps batch runs byte-identical).
-    metrics: Option<EngineMetrics>,
+    /// The handle this engine reports to ([`Telemetry::off`] until
+    /// [`set_telemetry`](Self::set_telemetry)), and the metric handles
+    /// resolved from it (`None` while it is off: one branch per probe).
+    tel: Telemetry,
+    probes: Option<Probes>,
     /// Online learner ([`crate::learn`]): present when `cfg.learn` is set
     /// or the predictor is `Learned`/`Bandit`. `None` (the default) keeps
     /// every existing run byte-identical.
     learner: Option<Learner>,
-    /// `learn.*` metrics handles (independent of `metrics`, like the
-    /// learner itself).
-    learn_metrics: Option<LearnMetrics>,
     /// The bandit pull awaiting settlement, if any.
     pending_learn: Option<PendingLearn>,
-    /// Whether to emit per-job hierarchical trace spans (admit → queue wait
-    /// → schedule decision → timeslices → complete) into the telemetry
-    /// event stream. Off by default: job spans are high-volume and only a
-    /// tracing service wants them.
-    job_spans: bool,
 }
 
 impl OnlineEngine {
@@ -325,10 +433,7 @@ impl OnlineEngine {
     /// `cfg.base_interval == 0`.
     pub fn new(kind: SchedulerKind, cfg: &OnlineConfig) -> Self {
         cfg.validate();
-        let mut cpu = Processor::new(MachineConfig::alpha21264_like(cfg.smt));
-        if telemetry::is_enabled() {
-            cpu.set_observer(Box::new(TelemetryObserver::new()));
-        }
+        let cpu = Processor::new(MachineConfig::alpha21264_like(cfg.smt));
         let rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5c4ed);
         OnlineEngine {
             cfg: cfg.clone(),
@@ -345,11 +450,10 @@ impl OnlineEngine {
             reclaimed: 0,
             pending_mix_change: false,
             fastsim: cfg.fastsim.clone().map(FastSim::new),
-            metrics: None,
+            tel: Telemetry::off(),
+            probes: None,
             learner: cfg.effective_learn().map(Learner::new),
-            learn_metrics: None,
             pending_learn: None,
-            job_spans: false,
         }
     }
 
@@ -371,22 +475,37 @@ impl OnlineEngine {
         self.fastsim.as_ref().map(|f| f.counters())
     }
 
-    /// Attaches live-metrics handles (see [`crate::metrics::EngineMetrics`]).
-    /// The engine updates them inline as it schedules; without an attach the
-    /// instrumentation costs a single `Option` check.
-    pub fn attach_metrics(&mut self, metrics: EngineMetrics) {
-        metrics.queue_depth.set(self.live.len() as f64);
-        self.metrics = Some(metrics);
+    /// Points the engine at the handle it reports to; the handle's state is
+    /// the only observability switch. Off: nothing. Metrics: the `engine.*`,
+    /// `opensys.*` and `learn.*` series, written through handles resolved
+    /// here. Metrics+events: additionally every simulated timeslice through
+    /// the smtsim bridge, scheduler instants on the `opensys` and `fastsim`
+    /// tracks, and per-job hierarchical spans — each job gets its own
+    /// `job/<id>` track: a `job.lifetime` span wrapping `job.queue_wait`, a
+    /// `job.schedule_decision` instant, one `job.timeslice` span per slice
+    /// it runs, and a `job.complete` instant.
+    pub fn set_telemetry(&mut self, tel: Telemetry) {
+        if tel.events_on() {
+            self.cpu
+                .set_observer(Box::new(TelemetryObserver::new(tel.clone())));
+        } else {
+            self.cpu.clear_observer();
+        }
+        self.probes = tel
+            .is_on()
+            .then(|| Probes::resolve(&tel, self.learner.is_some()));
+        self.tel = tel;
+        if let Some(p) = &self.probes {
+            p.queue_depth.set(self.live.len() as f64);
+        }
+        self.sync_learn_probes();
     }
 
-    /// Attaches `learn.*` metrics handles (see
-    /// [`crate::metrics::LearnMetrics`]). A no-op family when the engine has
-    /// no learner.
-    pub fn attach_learn_metrics(&mut self, metrics: LearnMetrics) {
-        if let Some(l) = &self.learner {
-            metrics.sync(&l.summary());
+    fn sync_learn_probes(&self) {
+        let learn = self.probes.as_ref().and_then(|p| p.learn.as_ref());
+        if let (Some(m), Some(l)) = (learn, &self.learner) {
+            m.sync(&l.summary());
         }
-        self.learn_metrics = Some(metrics);
     }
 
     /// The engine's learner, if learning is enabled (serialize it into a
@@ -399,30 +518,15 @@ impl OnlineEngine {
     /// Enables learning even when the configuration alone would not (the
     /// snapshot's presence is the signal that this engine was learning).
     pub fn restore_learner(&mut self, learner: Learner) {
-        if let Some(m) = &self.learn_metrics {
-            m.sync(&learner.summary());
-        }
         self.learner = Some(learner);
         self.pending_learn = None;
+        // Re-resolve: an engine that had no learner has no `learn.*` probes.
+        self.set_telemetry(self.tel.clone());
     }
 
     /// The learner's summary, if learning is enabled.
     pub fn learn_summary(&self) -> Option<LearnSummary> {
         self.learner.as_ref().map(Learner::summary)
-    }
-
-    /// Enables per-job hierarchical trace spans on the telemetry event
-    /// stream (they also require [`crate::telemetry::enable`]). Each job
-    /// gets its own `job/<id>` track: a `job.lifetime` span wrapping
-    /// `job.queue_wait`, a `job.schedule_decision` instant, one
-    /// `job.timeslice` span per slice it runs, and a `job.complete` instant.
-    pub fn set_job_spans(&mut self, on: bool) {
-        self.job_spans = on;
-    }
-
-    /// Whether per-job trace spans are enabled.
-    pub fn job_spans(&self) -> bool {
-        self.job_spans
     }
 
     /// Timeslices simulated over the engine's lifetime.
@@ -497,16 +601,15 @@ impl OnlineEngine {
     pub fn submit(&mut self, arrival: JobArrival) -> usize {
         let key = self.next_key;
         self.next_key += 1;
-        telemetry::instant(
-            "opensys",
-            "opensys.arrival",
+        let phased = if arrival.phased { "true" } else { "false" };
+        self.tel.set_clock(self.now);
+        self.tel.instant("opensys", "opensys.arrival", || {
             vec![
                 Attr::num("job", key as f64),
                 Attr::text("benchmark", format!("{:?}", arrival.benchmark)),
-                Attr::text("phased", if arrival.phased { "true" } else { "false" }),
-            ],
-        );
-        telemetry::counter_add("opensys.arrivals", 1);
+                Attr::text("phased", phased),
+            ]
+        });
         // Full 64-bit key: a long-lived daemon past 2^32 submissions must not
         // reuse a stream identity (truncation made jobs replay other jobs'
         // instruction streams).
@@ -525,20 +628,18 @@ impl OnlineEngine {
                     .with_limit(arrival.instructions),
             )
         };
-        if self.job_spans && telemetry::is_enabled() {
-            telemetry::set_clock(self.now);
+        if self.tel.events_on() {
             let track = job_track(key);
-            telemetry::span_start(
-                &track,
-                "job.lifetime",
+            self.tel.span_start(&track, "job.lifetime", || {
                 vec![
                     Attr::text("benchmark", format!("{:?}", arrival.benchmark)),
                     Attr::num("instructions", arrival.instructions as f64),
-                    Attr::text("phased", if arrival.phased { "true" } else { "false" }),
-                ],
-            );
-            telemetry::instant(&track, "job.admit", vec![Attr::num("key", key as f64)]);
-            telemetry::span_start(&track, "job.queue_wait", vec![]);
+                    Attr::text("phased", phased),
+                ]
+            });
+            self.tel
+                .instant(&track, "job.admit", || vec![Attr::num("key", key as f64)]);
+            self.tel.span_start(&track, "job.queue_wait", Vec::new);
         }
         self.live.push(LiveJob {
             key,
@@ -546,8 +647,9 @@ impl OnlineEngine {
             stream,
             scheduled_once: false,
         });
-        if let Some(m) = &self.metrics {
-            m.queue_depth.set(self.live.len() as f64);
+        if let Some(p) = &self.probes {
+            p.arrivals.inc();
+            p.queue_depth.set(self.live.len() as f64);
         }
         self.pending_mix_change = true;
         key
@@ -568,7 +670,7 @@ impl OnlineEngine {
         if max == 0 || self.live.is_empty() {
             return Vec::new();
         }
-        let tracing = self.job_spans && telemetry::is_enabled();
+        let tracing = self.tel.events_on();
         let mut taken = Vec::new();
         let mut i = self.live.len();
         while i > 0 && taken.len() < max {
@@ -576,11 +678,11 @@ impl OnlineEngine {
             if !self.live[i].scheduled_once {
                 let job = self.live.remove(i);
                 if tracing {
-                    telemetry::set_clock(self.now);
+                    self.tel.set_clock(self.now);
                     let track = job_track(job.key);
-                    telemetry::span_end(&track, "job.queue_wait");
-                    telemetry::instant(&track, "job.reclaimed", vec![]);
-                    telemetry::span_end(&track, "job.lifetime");
+                    self.tel.span_end(&track, "job.queue_wait");
+                    self.tel.instant(&track, "job.reclaimed", Vec::new);
+                    self.tel.span_end(&track, "job.lifetime");
                 }
                 taken.push(job.arrival);
             }
@@ -589,10 +691,9 @@ impl OnlineEngine {
             taken.reverse();
             self.reclaimed += taken.len();
             self.pending_mix_change = true;
-            if let Some(m) = &self.metrics {
-                m.queue_depth.set(self.live.len() as f64);
+            if let Some(p) = &self.probes {
+                p.queue_depth.set(self.live.len() as f64);
             }
-            telemetry::gauge_set("opensys.jobs_in_system", self.live.len() as f64);
         }
         taken
     }
@@ -607,46 +708,17 @@ impl OnlineEngine {
         if self.live.is_empty() {
             return Vec::new();
         }
-        telemetry::set_clock(self.now);
+        self.tel.set_clock(self.now);
         if self.pending_mix_change {
             self.pending_mix_change = false;
-            telemetry::gauge_set("opensys.jobs_in_system", self.live.len() as f64);
             self.replan(false);
-            if matches!(self.state.mode, Mode::Sampling { .. }) {
-                self.resamples += 1;
-                if let Some(m) = &self.metrics {
-                    m.resamples.inc();
-                }
-                telemetry::instant(
-                    "opensys",
-                    "opensys.resample",
-                    vec![
-                        Attr::text("trigger", "arrival"),
-                        Attr::num("live", self.live.len() as f64),
-                    ],
-                );
-                telemetry::counter_add("opensys.resamples", 1);
-            }
+            self.note_sample_phase("arrival", true);
         }
         // Symbios timer (or pending drift trigger)?
         if let Mode::Symbios { until, .. } = &self.state.mode {
             if self.now >= *until && self.live.len() > self.cfg.smt {
                 self.replan(true);
-                if matches!(self.state.mode, Mode::Sampling { .. }) {
-                    self.resamples += 1;
-                    if let Some(m) = &self.metrics {
-                        m.resamples.inc();
-                    }
-                    telemetry::instant(
-                        "opensys",
-                        "opensys.resample",
-                        vec![
-                            Attr::text("trigger", "timer"),
-                            Attr::num("live", self.live.len() as f64),
-                        ],
-                    );
-                    telemetry::counter_add("opensys.resamples", 1);
-                }
+                self.note_sample_phase("timer", true);
             }
         }
 
@@ -657,31 +729,28 @@ impl OnlineEngine {
             .filter_map(|k| self.live.iter().position(|j| j.key == *k))
             .collect();
         let mode = mode_name(&self.state.mode);
-        let tracing = self.job_spans && telemetry::is_enabled();
+        let tracing = self.tel.events_on();
         for &pos in &tuple_positions {
             let job = &mut self.live[pos];
             // Mark unconditionally: `scheduled_once` gates migration
             // eligibility (reclaim_unstarted), not just trace spans, so it
-            // must be tracked even with telemetry off.
+            // must be tracked whatever the telemetry state.
             let first_slice = !job.scheduled_once;
             job.scheduled_once = true;
             if tracing {
                 let track = job_track(job.key);
                 if first_slice {
-                    telemetry::span_end(&track, "job.queue_wait");
-                    telemetry::instant(
-                        &track,
-                        "job.schedule_decision",
+                    let wait = self.now.saturating_sub(job.arrival.arrival);
+                    self.tel.span_end(&track, "job.queue_wait");
+                    self.tel.instant(&track, "job.schedule_decision", || {
                         vec![
                             Attr::text("mode", mode),
-                            Attr::num(
-                                "wait_cycles",
-                                self.now.saturating_sub(job.arrival.arrival) as f64,
-                            ),
-                        ],
-                    );
+                            Attr::num("wait_cycles", wait as f64),
+                        ]
+                    });
                 }
-                telemetry::span_start(&track, "job.timeslice", vec![Attr::text("mode", mode)]);
+                self.tel
+                    .span_start(&track, "job.timeslice", || vec![Attr::text("mode", mode)]);
             }
         }
         // Fast-sim: outside the sample phase (whose measurements must be
@@ -711,49 +780,40 @@ impl OnlineEngine {
                         &tuple_positions,
                         self.cfg.timeslice,
                     );
-                    let event = fs.observe_detailed(&key, &stats);
-                    match event {
+                    let (tel, probes) = (&self.tel, self.probes.as_ref());
+                    match fs.observe_detailed(&key, &stats) {
                         Some(FastSimEvent::PhaseLocked { confidence }) => {
-                            if let Some(m) = &self.metrics {
-                                m.fastsim_phase_locks.inc();
+                            if let Some(p) = probes {
+                                p.fastsim_phase_locks.inc();
                             }
-                            telemetry::instant(
-                                "fastsim",
-                                "fastsim.phase_lock",
+                            tel.instant("fastsim", "fastsim.phase_lock", || {
                                 vec![
                                     Attr::num("confidence", confidence),
                                     Attr::num("tuple_size", tuple_positions.len() as f64),
-                                ],
-                            );
-                            telemetry::counter_add("fastsim.phase_locks", 1);
+                                ]
+                            });
                         }
                         Some(FastSimEvent::Fallback { deviation }) => {
-                            if let Some(m) = &self.metrics {
-                                m.fastsim_fallbacks.inc();
+                            if let Some(p) = probes {
+                                p.fastsim_fallbacks.inc();
                             }
-                            telemetry::instant(
-                                "fastsim",
-                                "fastsim.fallback",
-                                vec![Attr::num("deviation", deviation)],
-                            );
-                            telemetry::counter_add("fastsim.fallbacks", 1);
+                            tel.instant("fastsim", "fastsim.fallback", || {
+                                vec![Attr::num("deviation", deviation)]
+                            });
                         }
                         Some(FastSimEvent::Resync {
                             deviation,
                             confidence,
                         }) => {
-                            if let Some(m) = &self.metrics {
-                                m.fastsim_resyncs.inc();
+                            if let Some(p) = probes {
+                                p.fastsim_resyncs.inc();
                             }
-                            telemetry::instant(
-                                "fastsim",
-                                "fastsim.resync",
+                            tel.instant("fastsim", "fastsim.resync", || {
                                 vec![
                                     Attr::num("deviation", deviation),
                                     Attr::num("confidence", confidence),
-                                ],
-                            );
-                            telemetry::counter_add("fastsim.resyncs", 1);
+                                ]
+                            });
                         }
                         Some(FastSimEvent::ResampleOk { .. }) | None => {}
                     }
@@ -771,24 +831,22 @@ impl OnlineEngine {
         self.now += self.cfg.timeslice;
         self.timeslices += 1;
         if tracing {
-            telemetry::set_clock(self.now);
+            self.tel.set_clock(self.now);
             for &pos in &tuple_positions {
-                telemetry::span_end(&job_track(self.live[pos].key), "job.timeslice");
+                self.tel
+                    .span_end(&job_track(self.live[pos].key), "job.timeslice");
             }
         }
-        if extrapolated {
-            if let Some(m) = &self.metrics {
-                m.extrapolated_slices.inc();
+        if let Some(p) = &self.probes {
+            if extrapolated {
+                p.extrapolated_slices.inc();
             }
-            telemetry::counter_add("fastsim.extrapolated_slices", 1);
-        }
-        if let Some(m) = &self.metrics {
-            m.timeslices.inc();
-            m.running.set(tuple_positions.len() as f64);
+            p.timeslices.inc();
+            p.running.set(tuple_positions.len() as f64);
             match self.state.mode {
-                Mode::Rotate => m.rotate_slices.inc(),
-                Mode::Sampling { .. } => m.sampling_slices.inc(),
-                Mode::Symbios { .. } => m.symbios_slices.inc(),
+                Mode::Rotate => p.rotate_slices.inc(),
+                Mode::Sampling { .. } => p.sampling_slices.inc(),
+                Mode::Symbios { .. } => p.symbios_slices.inc(),
             }
         }
         let learn_context = if self.learner.is_some() {
@@ -803,10 +861,10 @@ impl OnlineEngine {
             &self.cfg,
             &stats,
             self.now,
-            self.metrics.as_ref(),
+            &self.tel,
+            self.probes.as_ref(),
             LearnHooks {
                 learner: self.learner.as_mut(),
-                metrics: self.learn_metrics.as_ref(),
                 pending: &mut self.pending_learn,
                 context: &learn_context,
             },
@@ -814,59 +872,71 @@ impl OnlineEngine {
 
         // Departures.
         let now = self.now;
+        let (tel, probes) = (&self.tel, self.probes.as_ref());
         let mut departed = Vec::new();
         self.live.retain(|j| {
-            if j.finished() {
-                let response = now.saturating_sub(j.arrival.arrival);
-                telemetry::instant(
-                    "opensys",
-                    "opensys.departure",
-                    vec![
-                        Attr::num("job", j.key as f64),
-                        Attr::num("response_cycles", response as f64),
-                    ],
-                );
-                telemetry::counter_add("opensys.departures", 1);
-                telemetry::histogram_record("opensys.response_cycles", response);
-                if tracing {
-                    let track = job_track(j.key);
-                    telemetry::instant(
-                        &track,
-                        "job.complete",
-                        vec![Attr::num("response_cycles", response as f64)],
-                    );
-                    telemetry::span_end(&track, "job.lifetime");
-                }
-                departed.push(JobRecord {
-                    arrival: j.arrival.clone(),
-                    departure: now,
-                });
-                false
-            } else {
-                true
+            if !j.finished() {
+                return true;
             }
+            let response = now.saturating_sub(j.arrival.arrival);
+            tel.instant("opensys", "opensys.departure", || {
+                vec![
+                    Attr::num("job", j.key as f64),
+                    Attr::num("response_cycles", response as f64),
+                ]
+            });
+            if let Some(p) = probes {
+                p.departures.inc();
+            }
+            if tracing {
+                if let Some(p) = probes {
+                    tel.histogram_record(&p.response_cycles, now, response);
+                }
+                let track = job_track(j.key);
+                tel.instant(&track, "job.complete", || {
+                    vec![Attr::num("response_cycles", response as f64)]
+                });
+                tel.span_end(&track, "job.lifetime");
+            }
+            departed.push(JobRecord {
+                arrival: j.arrival.clone(),
+                departure: now,
+            });
+            false
         });
         if !departed.is_empty() {
             self.completed += departed.len() as u64;
-            if let Some(m) = &self.metrics {
-                m.queue_depth.set(self.live.len() as f64);
+            if let Some(p) = &self.probes {
+                p.queue_depth.set(self.live.len() as f64);
             }
-            telemetry::gauge_set("opensys.jobs_in_system", self.live.len() as f64);
             if !self.live.is_empty() {
                 self.replan(false);
-                if matches!(self.state.mode, Mode::Sampling { .. }) {
-                    telemetry::instant(
-                        "opensys",
-                        "opensys.resample",
-                        vec![
-                            Attr::text("trigger", "departure"),
-                            Attr::num("live", self.live.len() as f64),
-                        ],
-                    );
-                }
+                // Traced but not counted: `resamples` has only ever counted
+                // arrival- and timer-triggered phases, and reports pin it.
+                self.note_sample_phase("departure", false);
             }
         }
         departed
+    }
+
+    /// After a replan: if it opened a sample phase, emits the
+    /// `opensys.resample` instant and, when `counted`, books the resample.
+    fn note_sample_phase(&mut self, trigger: &'static str, counted: bool) {
+        if !matches!(self.state.mode, Mode::Sampling { .. }) {
+            return;
+        }
+        if counted {
+            self.resamples += 1;
+            if let Some(p) = &self.probes {
+                p.resamples.inc();
+            }
+        }
+        self.tel.instant("opensys", "opensys.resample", || {
+            vec![
+                Attr::text("trigger", trigger),
+                Attr::num("live", self.live.len() as f64),
+            ]
+        });
     }
 
     /// Settles the outstanding bandit pull, if any: reward = realized mean
@@ -888,19 +958,15 @@ impl OnlineEngine {
         let reward = realized / p.baseline;
         let best = p.best_proxy / p.baseline;
         l.reward_arm(p.arm, &p.context, reward, best);
-        if let Some(m) = &self.learn_metrics {
-            m.sync(&l.summary());
-        }
-        telemetry::instant(
-            "opensys",
-            "learn.settle",
+        self.sync_learn_probes();
+        self.tel.instant("opensys", "learn.settle", || {
             vec![
                 Attr::text("context", p.context),
                 Attr::text("arm", learn::arms()[p.arm].name()),
                 Attr::num("reward", reward),
                 Attr::num("regret", (best - reward).max(0.0)),
-            ],
-        );
+            ]
+        });
     }
 
     /// Re-plans after an arrival, a departure, or a symbiosis-timer expiry.
@@ -1032,7 +1098,8 @@ fn advance_after_slice(
     cfg: &OnlineConfig,
     stats: &TimesliceStats,
     now: u64,
-    metrics: Option<&EngineMetrics>,
+    tel: &Telemetry,
+    probes: Option<&Probes>,
     mut hooks: LearnHooks<'_>,
 ) {
     state.slice += 1;
@@ -1133,7 +1200,7 @@ fn advance_after_slice(
                     };
                     let targets: Vec<f64> = samples.iter().map(|s| s.ipc).collect();
                     l.train(&samples, &targets);
-                    if let Some(m) = hooks.metrics {
+                    if let Some(m) = probes.and_then(|p| p.learn.as_ref()) {
                         m.sync(&l.summary());
                     }
                     chosen
@@ -1141,22 +1208,22 @@ fn advance_after_slice(
                     cfg.predictor.choose(&samples)
                 };
                 let order = candidates.get(pick).cloned().unwrap_or_default();
-                if let Some(m) = metrics {
-                    m.predictor_picks.inc();
+                if let Some(p) = probes {
+                    p.predictor_picks.inc();
                     if prev_pick.as_deref() == Some(&order[..]) {
-                        m.repeat_picks.inc();
+                        p.repeat_picks.inc();
                     }
                 }
                 // Exponential backoff: if a timer-triggered resample repeats
                 // the previous prediction, double the symbiosis interval.
                 let new_interval = if timer_triggered && prev_pick.as_deref() == Some(&order[..]) {
                     let doubled = interval.saturating_mul(2);
-                    telemetry::instant(
-                        "opensys",
-                        "opensys.backoff",
-                        vec![Attr::num("interval", doubled as f64)],
-                    );
-                    telemetry::counter_add("opensys.backoffs", 1);
+                    tel.instant("opensys", "opensys.backoff", || {
+                        vec![Attr::num("interval", doubled as f64)]
+                    });
+                    if let Some(p) = probes {
+                        p.backoffs.inc();
+                    }
                     doubled
                 } else {
                     cfg.base_interval
@@ -1440,6 +1507,49 @@ mod tests {
             serde_json::to_string(fresh.learner().unwrap()).unwrap(),
             saved
         );
+    }
+
+    #[test]
+    fn metrics_handle_books_each_engine_event_once() {
+        let mut c = cfg();
+        c.predictor = PredictorKind::Bandit;
+        let tel = Telemetry::metrics();
+        let mut e = OnlineEngine::new(SchedulerKind::Sos, &c);
+        e.set_telemetry(tel.clone());
+        for i in 0..5 {
+            e.submit(job(0, 60_000 + i * 2_000));
+        }
+        assert_eq!(tel.gauge("engine.queue_depth").get(), 5.0);
+        while e.live_count() > 0 {
+            e.step();
+        }
+        let snap = tel.drain();
+        assert_eq!(snap.counters["engine.timeslices"], e.timeslices());
+        assert_eq!(snap.counters["engine.resamples"], e.resamples());
+        assert_eq!(
+            snap.counters["engine.timeslices"],
+            snap.counters["engine.rotate_slices"]
+                + snap.counters["engine.sampling_slices"]
+                + snap.counters["engine.symbios_slices"]
+        );
+        assert!(snap.counters["engine.predictor_picks"] > 0);
+        assert_eq!(snap.counters["opensys.arrivals"], 5);
+        assert_eq!(snap.counters["opensys.departures"], 5);
+        assert_eq!(snap.gauges["engine.queue_depth"], 0.0);
+        // The learn family mirrors the learner's own summary.
+        let l = e.learn_summary().expect("bandit implies a learner");
+        assert_eq!(snap.counters["learn.train_updates"], l.train_updates);
+        assert_eq!(snap.counters["learn.bandit_pulls"], l.bandit_pulls);
+        let score = l.arms.iter().find(|a| a.0 == "Score").expect("score arm");
+        assert_eq!(snap.counters["learn.arm.score.pulls"], score.1);
+        assert_eq!(snap.gauges["learn.pred_err_ewma"], l.err_ewma);
+        // One series per event: the second names the process-wide recorder
+        // used to book are gone, and a metrics handle records no events (nor
+        // the lock-guarded response histogram that rides with them).
+        for gone in ["opensys.resamples", "opensys.jobs_in_system"] {
+            assert!(!snap.counters.contains_key(gone) && !snap.gauges.contains_key(gone));
+        }
+        assert!(snap.events.is_empty() && snap.histograms.is_empty());
     }
 
     #[test]

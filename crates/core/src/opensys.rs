@@ -25,7 +25,7 @@
 //! submissions).
 
 use crate::online::{OnlineConfig, OnlineEngine};
-use crate::telemetry::{self, Attr};
+use crate::telemetry::{Attr, Telemetry};
 use serde::{Deserialize, Serialize};
 use smtsim::trace::StreamId;
 use smtsim::{MachineConfig, Processor};
@@ -271,21 +271,31 @@ pub fn run_open_system_on_trace(
     cfg: &OpenSystemConfig,
     trace: &[JobArrival],
 ) -> OpenSystemResult {
+    run_open_system_traced(kind, cfg, trace, &Telemetry::off())
+}
+
+/// [`run_open_system_on_trace`] with the engine reporting to `tel`, inside
+/// one `opensys.run` span.
+pub fn run_open_system_traced(
+    kind: SchedulerKind,
+    cfg: &OpenSystemConfig,
+    trace: &[JobArrival],
+    tel: &Telemetry,
+) -> OpenSystemResult {
     let mut engine = OnlineEngine::new(kind, &cfg.online());
-    let _run_span = telemetry::span(
-        "opensys",
-        "opensys.run",
+    engine.set_telemetry(tel.clone());
+    let _run_span = tel.span("opensys", "opensys.run", || {
         vec![
             Attr::text("scheduler", format!("{kind:?}")),
             Attr::num("jobs", trace.len() as f64),
-        ],
-    );
+        ]
+    });
     let mut next_arrival = 0usize;
     let mut completed = Vec::with_capacity(trace.len());
     while completed.len() < trace.len() {
-        // The open system tracks global simulated time itself; keep the
-        // telemetry clock in lockstep (also across idle fast-forwards).
-        telemetry::set_clock(engine.now());
+        // The engine tracks simulated time itself; keep the handle's clock
+        // in lockstep (also across idle fast-forwards).
+        tel.set_clock(engine.now());
         // Admit arrivals.
         while next_arrival < trace.len() && trace[next_arrival].arrival <= engine.now() {
             engine.submit(trace[next_arrival].clone());

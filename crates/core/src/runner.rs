@@ -9,6 +9,7 @@
 
 use crate::job::JobPool;
 use crate::schedule::{Coschedule, Schedule};
+use crate::telemetry::{Telemetry, TelemetryObserver};
 use crate::ws::{weighted_speedup, SoloRates};
 use serde::{Deserialize, Serialize};
 use smtsim::fastsim::{tuple_key, FastSim, FastSimCounters, FastSimPolicy};
@@ -265,18 +266,15 @@ impl Runner {
         &mut self.processor
     }
 
-    /// Installs a [`crate::telemetry::TelemetryObserver`] on the processor,
-    /// so every timeslice this runner executes is recorded as a span (with
-    /// conflict counters and occupancy samples) in the global telemetry
-    /// recorder. Replaces any previously installed observer.
-    pub fn attach_telemetry(&mut self) {
-        self.processor
-            .set_observer(Box::new(crate::telemetry::TelemetryObserver::new()));
-    }
-
-    /// Removes the processor's observer, if any (telemetry or otherwise).
-    pub fn detach_telemetry(&mut self) {
-        self.processor.clear_observer();
+    /// Installs a [`crate::telemetry::TelemetryObserver`] reporting to `tel`
+    /// on the processor, so every timeslice this runner executes is recorded
+    /// as a span (with conflict counters and occupancy samples). A handle
+    /// that records no events leaves the processor unobserved.
+    pub fn attach_telemetry(&mut self, tel: &Telemetry) {
+        if tel.events_on() {
+            self.processor
+                .set_observer(Box::new(TelemetryObserver::new(tel.clone())));
+        }
     }
 
     /// Consumes the runner, returning the pool (e.g. to rebuild with a

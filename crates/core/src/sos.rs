@@ -20,7 +20,7 @@ use crate::predictor::PredictorKind;
 use crate::runner::{RotationStats, Runner};
 use crate::sample::{sample_schedules, ScheduleSample};
 use crate::schedule::Schedule;
-use crate::telemetry::{self, Attr};
+use crate::telemetry::{Attr, Telemetry};
 use crate::ws::SoloRates;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -187,18 +187,16 @@ impl SosScheduler {
     }
 
     /// A fresh runner for one pure evaluation stage: new pool, new
-    /// processor, telemetry attached when enabled. Every stage of
+    /// processor, reporting to `tel`. Every stage of
     /// [`Self::evaluate_experiment`] starts from this state, which is what
     /// makes each stage a pure function of `(spec, cfg, schedule)` — the
     /// property the evaluation cache and the parallel candidate evaluation
     /// both rely on.
-    fn fresh_runner(spec: &ExperimentSpec, cfg: &SosConfig) -> Runner {
+    fn fresh_runner(spec: &ExperimentSpec, cfg: &SosConfig, tel: &Telemetry) -> Runner {
         let pool = JobPool::from_specs(&spec.jobmix(), cfg.seed);
         let timeslice = spec.timeslice(cfg.cycle_scale);
         let mut runner = Runner::new(MachineConfig::alpha21264_like(spec.smt), pool, timeslice);
-        if telemetry::is_enabled() {
-            runner.attach_telemetry();
-        }
+        runner.attach_telemetry(tel);
         runner
     }
 
@@ -212,6 +210,10 @@ impl SosScheduler {
     /// pure function of `(spec, cfg)`, memoized through
     /// [`cache::solo_rates`] when the cache is enabled.
     pub fn calibrate(spec: &ExperimentSpec, cfg: &SosConfig) -> SoloRates {
+        Self::calibrate_on(spec, cfg, &Telemetry::off())
+    }
+
+    fn calibrate_on(spec: &ExperimentSpec, cfg: &SosConfig, tel: &Telemetry) -> SoloRates {
         let key = cache::solo_key(
             Self::machine_hash(spec),
             &spec.label(),
@@ -220,7 +222,7 @@ impl SosScheduler {
             cfg.calibration_cycles,
         );
         cache::solo_rates(&key, || {
-            Self::fresh_runner(spec, cfg)
+            Self::fresh_runner(spec, cfg, tel)
                 .calibrate_solo(cfg.calibration_cycles, cfg.calibration_cycles)
         })
     }
@@ -235,6 +237,15 @@ impl SosScheduler {
         cfg: &SosConfig,
         schedule: &Schedule,
     ) -> Vec<RotationStats> {
+        Self::sample_candidate_on(spec, cfg, schedule, &Telemetry::off())
+    }
+
+    fn sample_candidate_on(
+        spec: &ExperimentSpec,
+        cfg: &SosConfig,
+        schedule: &Schedule,
+        tel: &Telemetry,
+    ) -> Vec<RotationStats> {
         let rotations = cfg.rotations_per_sample.max(1);
         let key = cache::sample_key(
             Self::machine_hash(spec),
@@ -245,7 +256,7 @@ impl SosScheduler {
             rotations,
         );
         cache::sample_rotations(&key, || {
-            let mut runner = Self::fresh_runner(spec, cfg);
+            let mut runner = Self::fresh_runner(spec, cfg, tel);
             let _ = runner.run_schedule(schedule, 1);
             runner.run_schedule(schedule, rotations)
         })
@@ -260,6 +271,16 @@ impl SosScheduler {
         schedule: &Schedule,
         cycles: u64,
     ) -> SymbiosEval {
+        Self::symbios_candidate_on(spec, cfg, schedule, cycles, &Telemetry::off())
+    }
+
+    fn symbios_candidate_on(
+        spec: &ExperimentSpec,
+        cfg: &SosConfig,
+        schedule: &Schedule,
+        cycles: u64,
+        tel: &Telemetry,
+    ) -> SymbiosEval {
         let key = cache::symbios_key(
             Self::machine_hash(spec),
             &spec.label(),
@@ -269,7 +290,7 @@ impl SosScheduler {
             cycles,
         );
         cache::symbios(&key, || {
-            let mut runner = Self::fresh_runner(spec, cfg);
+            let mut runner = Self::fresh_runner(spec, cfg, tel);
             let _ = runner.run_schedule(schedule, 1);
             let threads = runner.pool().len();
             let rotation_cycles = schedule.slices_per_rotation() as u64 * runner.timeslice();
@@ -304,28 +325,38 @@ impl SosScheduler {
 
     /// [`Self::evaluate_experiment`] with an explicit worker count for the
     /// candidate fan-out (`0` = [`std::thread::available_parallelism`]).
-    /// When telemetry is enabled the count is forced to 1: the event stream
-    /// is ordered by a global simulated clock, and byte-stable traces
-    /// require serial evaluation.
     pub fn evaluate_experiment_with_workers(
         spec: &ExperimentSpec,
         cfg: &SosConfig,
         workers: usize,
     ) -> ExperimentReport {
-        let _experiment_span = telemetry::span(
-            "scheduler",
-            "sos.experiment",
-            vec![Attr::text("spec", spec.to_string())],
-        );
+        Self::evaluate_experiment_traced(spec, cfg, workers, &Telemetry::off())
+    }
+
+    /// [`Self::evaluate_experiment_with_workers`] reporting to `tel`: phase
+    /// spans, per-candidate results and predictor decisions as events, the
+    /// `sos.*` counters, and every simulated timeslice through the smtsim
+    /// bridge. When `tel` records events the worker count is forced to 1:
+    /// the event stream is ordered by the handle's one simulated clock, and
+    /// byte-stable traces require serial evaluation.
+    pub fn evaluate_experiment_traced(
+        spec: &ExperimentSpec,
+        cfg: &SosConfig,
+        workers: usize,
+        tel: &Telemetry,
+    ) -> ExperimentReport {
+        let _experiment_span = tel.span("scheduler", "sos.experiment", || {
+            vec![Attr::text("spec", spec.to_string())]
+        });
         let stats_before = cache::stats();
         let solo = {
-            let _span = telemetry::span("scheduler", "sos.calibrate", vec![]);
-            Self::calibrate(spec, cfg)
+            let _span = tel.span("scheduler", "sos.calibrate", Vec::new);
+            Self::calibrate_on(spec, cfg, tel)
         };
         let candidates = Self::candidates(spec, cfg);
-        telemetry::counter_add("sos.experiments", 1);
-        telemetry::counter_add("sos.candidates_sampled", candidates.len() as u64);
-        let workers = if telemetry::is_enabled() {
+        tel.counter_add("sos.experiments", 1);
+        tel.counter_add("sos.candidates_sampled", candidates.len() as u64);
+        let workers = if tel.events_on() {
             1
         } else if workers == 0 {
             std::thread::available_parallelism()
@@ -338,19 +369,15 @@ impl SosScheduler {
         let mut samples = Vec::with_capacity(candidates.len());
         let mut sample_ws = Vec::with_capacity(candidates.len());
         {
-            let _span = telemetry::span(
-                "scheduler",
-                "sos.sample_phase",
-                vec![Attr::num("candidates", candidates.len() as f64)],
-            );
+            let _span = tel.span("scheduler", "sos.sample_phase", || {
+                vec![Attr::num("candidates", candidates.len() as f64)]
+            });
             let rotations =
                 crate::par::parallel_map_with_workers(candidates.clone(), workers, |schedule| {
-                    let _candidate_span = telemetry::span(
-                        "scheduler",
-                        "sos.sample_candidate",
-                        vec![Attr::text("schedule", schedule.paper_notation())],
-                    );
-                    Self::sample_candidate(spec, cfg, &schedule)
+                    let _candidate_span = tel.span("scheduler", "sos.sample_candidate", || {
+                        vec![Attr::text("schedule", schedule.paper_notation())]
+                    });
+                    Self::sample_candidate_on(spec, cfg, &schedule, tel)
                 });
             for (schedule, rots) in candidates.iter().zip(&rotations) {
                 samples.push(crate::sample::ScheduleSample::from_rotations(
@@ -364,14 +391,12 @@ impl SosScheduler {
                     }
                 }
                 let ws = crate::ws::weighted_speedup(&committed, cycles, &solo);
-                telemetry::instant(
-                    "scheduler",
-                    "sos.sample_result",
+                tel.instant("scheduler", "sos.sample_result", || {
                     vec![
                         Attr::text("schedule", schedule.paper_notation()),
                         Attr::num("ws", ws),
-                    ],
-                );
+                    ]
+                });
                 sample_ws.push(ws);
             }
         }
@@ -380,18 +405,17 @@ impl SosScheduler {
             .iter()
             .map(|&p| {
                 let pick = p.choose(&samples);
-                if telemetry::is_enabled() {
-                    let scores = p.scores(&samples);
+                tel.instant("scheduler", "sos.predictor_decision", || {
                     let mut attrs = vec![
                         Attr::text("predictor", p.name()),
                         Attr::num("pick", pick as f64),
                         Attr::text("schedule", candidates[pick].paper_notation()),
                     ];
-                    for (i, s) in scores.iter().enumerate() {
+                    for (i, s) in p.scores(&samples).iter().enumerate() {
                         attrs.push(Attr::num(format!("score.{i}"), *s));
                     }
-                    telemetry::instant("scheduler", "sos.predictor_decision", attrs);
-                }
+                    attrs
+                });
                 (p, pick)
             })
             .collect();
@@ -399,39 +423,35 @@ impl SosScheduler {
         let symbios_cycles = spec.symbios_cycles(cfg.cycle_scale);
         let symbios_evals =
             crate::par::parallel_map_with_workers(candidates.clone(), workers, |s| {
-                let _span = telemetry::span(
-                    "scheduler",
-                    "sos.symbios_phase",
-                    vec![Attr::text("schedule", s.paper_notation())],
-                );
-                Self::symbios_candidate(spec, cfg, &s, symbios_cycles)
+                let _span = tel.span("scheduler", "sos.symbios_phase", || {
+                    vec![Attr::text("schedule", s.paper_notation())]
+                });
+                Self::symbios_candidate_on(spec, cfg, &s, symbios_cycles, tel)
             });
         let symbios_ws: Vec<f64> = candidates
             .iter()
             .zip(&symbios_evals)
             .map(|(s, ev)| {
                 let ws = crate::ws::weighted_speedup(&ev.committed, ev.cycles, &solo);
-                telemetry::instant(
-                    "scheduler",
-                    "sos.symbios_result",
+                tel.instant("scheduler", "sos.symbios_result", || {
                     vec![
                         Attr::text("schedule", s.paper_notation()),
                         Attr::num("ws", ws),
-                    ],
-                );
+                    ]
+                });
                 ws
             })
             .collect();
-        telemetry::gauge_set("sos.best_ws", {
+        tel.gauge_set("sos.best_ws", {
             symbios_ws.iter().copied().fold(f64::NEG_INFINITY, f64::max)
         });
         if cache::is_enabled() {
             let after = cache::stats();
-            telemetry::counter_add(
+            tel.counter_add(
                 "sos.cache.hits",
                 after.hits.saturating_sub(stats_before.hits),
             );
-            telemetry::counter_add(
+            tel.counter_add(
                 "sos.cache.misses",
                 after.misses.saturating_sub(stats_before.misses),
             );
@@ -502,20 +522,6 @@ impl SosScheduler {
                 .collect();
             learner.reward_all(&context, &rewards, arm);
         }
-        telemetry::instant(
-            "scheduler",
-            "learn.decision",
-            vec![
-                Attr::text("spec", spec.to_string()),
-                Attr::text("context", context),
-                Attr::text("arm", learn::arms()[arm].name()),
-                Attr::num("learned_pick", learned_pick as f64),
-                Attr::num("bandit_pick", bandit_pick as f64),
-                Attr::num("train_updates", learner.train_updates() as f64),
-                Attr::num("err_ewma", learner.err_ewma()),
-                Attr::num("bandit_regret", learner.bandit().total_regret()),
-            ],
-        );
         report
     }
 }

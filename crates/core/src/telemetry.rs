@@ -1,52 +1,69 @@
-//! Zero-dependency telemetry: metrics, an event stream, and trace export.
+//! Zero-dependency observability: one instance-scoped [`Telemetry`] handle
+//! owning a metric registry, an event buffer and a simulated clock.
 //!
-//! This module gives every layer of the reproduction a common place to report
-//! what it is doing, without changing any API signature: a process-wide
-//! [`Recorder`] (disabled by default, one relaxed atomic load on the fast
-//! path) collects
+//! A handle is in one of three states, fixed at construction:
 //!
-//! * **metrics** — named counters, gauges, and log2-bucket [`Histogram`]s in
-//!   a [`MetricRegistry`], exportable as JSONL;
-//! * **events** — a time-stamped [`Event`] stream of spans
-//!   (`SpanStart`/`SpanEnd`), instants, and counter samples, exportable as
-//!   JSONL or as Chrome `trace_event` JSON loadable in Perfetto
-//!   (<https://ui.perfetto.dev>).
+//! * [`Telemetry::off`] — every probe is one branch on a `None`; nothing is
+//!   allocated or recorded. This is what the batch entry points run with.
+//! * [`Telemetry::metrics`] — the registry is live: named [`Counter`] /
+//!   [`Gauge`] handles (single relaxed atomics, resolved once and written
+//!   without a map or a lock), [`WindowedHistogram`]s and [`SloTracker`]s.
+//! * [`Telemetry::tracing`] — metrics plus a time-stamped [`Event`] stream of
+//!   spans, instants and counter samples on the handle's simulated-cycle
+//!   clock.
 //!
-//! Timestamps are *simulated cycles* on a global clock. The
-//! [`TelemetryObserver`] (an [`smtsim::Observer`] bridge) advances the clock
-//! as timeslices retire; open-system code re-syncs it with
-//! [`set_clock`] since it already tracks global simulated time. For export,
-//! cycles are converted to microseconds at [`TRACE_CLOCK_MHZ`].
+//! Handles are cheap clones of one `Arc` and are *passed*: whoever builds an
+//! engine, runner or cluster hands it the handle it should report to, so two
+//! runs in one process never share a buffer or a clock. A
+//! [`child`](Telemetry::child) shares its parent's registry but stamps
+//! events from its own clock into its own buffer under a track prefix; the
+//! parent's [`drain`](Telemetry::drain) appends children in creation order.
 //!
-//! ## Usage
+//! One [`Snapshot`] type comes out, rendered by two exporters: Prometheus
+//! text ([`Snapshot::prometheus_text`]) and JSONL rows plus Chrome
+//! `trace_event` JSON loadable in Perfetto (<https://ui.perfetto.dev>;
+//! [`Snapshot::metrics_jsonl`], [`Snapshot::events_jsonl`],
+//! [`Snapshot::chrome_trace_json`]). Cycles become microseconds at
+//! [`TRACE_CLOCK_MHZ`].
 //!
 //! ```
-//! use sos_core::telemetry::{self, Attr};
+//! use sos_core::telemetry::{Attr, Telemetry};
 //!
-//! telemetry::reset();
-//! telemetry::enable();
+//! let tel = Telemetry::tracing();
 //! {
-//!     let _span = telemetry::span("scheduler", "demo.phase", vec![]);
-//!     telemetry::counter_add("demo.widgets", 3);
-//!     telemetry::instant("scheduler", "demo.tick", vec![Attr::num("n", 1.0)]);
+//!     let _span = tel.span("scheduler", "demo.phase", Vec::new);
+//!     tel.counter_add("demo.widgets", 3);
+//!     tel.instant("scheduler", "demo.tick", || vec![Attr::num("n", 1.0)]);
 //! }
-//! let snapshot = telemetry::drain();
-//! telemetry::disable();
+//! let snapshot = tel.drain();
 //! assert_eq!(snapshot.events.len(), 3); // span start + instant + span end
+//! assert_eq!(snapshot.counters["demo.widgets"], 3);
 //! assert!(snapshot.chrome_trace_json().contains("traceEvents"));
 //! ```
 
+use crate::report::{percentile, Percentiles};
 use serde::{Deserialize, Serialize};
 use smtsim::counters::Resource;
 use smtsim::observe::{Observer, StageOccupancy};
 use smtsim::TimesliceStats;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Simulated clock rate assumed when converting cycles to trace time:
 /// 500 MHz (a late-90s Alpha 21264), i.e. 500 cycles per microsecond.
 pub const TRACE_CLOCK_MHZ: u64 = 500;
+
+/// Version of the [`Snapshot`] schema carried by the `metrics` protocol
+/// verb; bump on incompatible change so pollers can detect a mismatch
+/// instead of misreading fields.
+pub const METRICS_VERSION: u32 = 1;
+
+/// Raw samples retained per histogram window for exact quantiles. Past the
+/// cap a window keeps counting in its log2 buckets but stops retaining
+/// samples, and the quantile summary degrades to the bucket approximation
+/// (flagged via [`HistogramSnapshot::exact`]).
+pub const WINDOW_SAMPLE_CAP: usize = 8_192;
 
 // ---------------------------------------------------------------------------
 // Events
@@ -98,15 +115,16 @@ impl Attr {
     }
 }
 
-/// One telemetry event on the global simulated-cycle timeline.
+/// One telemetry event on its handle's simulated-cycle timeline.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Event {
-    /// Global simulated-cycle timestamp.
+    /// Simulated-cycle timestamp.
     pub ts_cycles: u64,
     /// Span/instant/counter discriminator.
     pub phase: EventPhase,
     /// Logical track (rendered as a Perfetto thread): `"smtsim"`,
-    /// `"scheduler"`, `"opensys"`, ...
+    /// `"scheduler"`, `"opensys"`, `"job/3"`, ... — prefixed
+    /// `"cluster.shard0/"` when recorded through a child handle.
     pub track: String,
     /// Low-cardinality event name, e.g. `"sos.sample_phase"`.
     pub name: String,
@@ -114,19 +132,61 @@ pub struct Event {
     pub attrs: Vec<Attr>,
 }
 
-/// Serializes events as JSONL (one JSON object per line).
-pub fn events_to_jsonl(events: &[Event]) -> String {
-    let mut out = String::new();
-    for e in events {
-        out.push_str(&serde_json::to_string(e).expect("event serializes"));
-        out.push('\n');
-    }
-    out
+// ---------------------------------------------------------------------------
+// Metric primitives
+// ---------------------------------------------------------------------------
+
+/// A monotonic counter: one relaxed atomic, safe to share across threads.
+#[derive(Debug, Default)]
+pub struct Counter {
+    value: AtomicU64,
 }
 
-// ---------------------------------------------------------------------------
-// Metrics
-// ---------------------------------------------------------------------------
+impl Counter {
+    /// Adds one.
+    #[inline]
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Adds `delta`.
+    #[inline]
+    pub fn add(&self, delta: u64) {
+        self.value.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Raises the counter to an absolute `target` (no-op when already at or
+    /// past it), so a summary-driven exporter keeps counter semantics.
+    pub fn raise_to(&self, target: u64) {
+        self.value.fetch_max(target, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed)
+    }
+}
+
+/// A last-write-wins gauge: an `f64` stored as atomic bits.
+#[derive(Debug, Default)]
+pub struct Gauge {
+    bits: AtomicU64,
+}
+
+impl Gauge {
+    /// Sets the gauge.
+    #[inline]
+    pub fn set(&self, value: f64) {
+        self.bits.store(value.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Current value.
+    #[inline]
+    pub fn get(&self) -> f64 {
+        f64::from_bits(self.bits.load(Ordering::Relaxed))
+    }
+}
 
 /// A histogram over `u64` values with logarithmic (power-of-two) buckets.
 ///
@@ -205,15 +265,15 @@ impl Histogram {
     /// lower bound of its log2 bucket — a floor, not an interpolation).
     /// All fields are `NaN` when the histogram is empty, matching
     /// [`crate::report::percentiles`] on empty input.
-    pub fn percentile_summary(&self) -> crate::report::Percentiles {
+    pub fn percentile_summary(&self) -> Percentiles {
         if self.count == 0 {
-            return crate::report::Percentiles {
+            return Percentiles {
                 p50: f64::NAN,
                 p95: f64::NAN,
                 p99: f64::NAN,
             };
         }
-        crate::report::Percentiles {
+        Percentiles {
             p50: self.approx_quantile(0.50) as f64,
             p95: self.approx_quantile(0.95) as f64,
             p99: self.approx_quantile(0.99) as f64,
@@ -230,6 +290,699 @@ impl Histogram {
     }
 }
 
+/// The p50/p95/p99/p999 summary of a distribution. All fields are `NaN`
+/// when the distribution is empty (serialized as JSON `null`, matching
+/// [`crate::report::Percentiles`]).
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Quantiles {
+    /// Median.
+    pub p50: f64,
+    /// 95th percentile.
+    pub p95: f64,
+    /// 99th percentile.
+    pub p99: f64,
+    /// 99.9th percentile.
+    pub p999: f64,
+}
+
+/// One rotation window of a [`WindowedHistogram`].
+#[derive(Clone, Debug, PartialEq)]
+struct Window {
+    /// Window index on the cycle clock: `now / window_cycles`.
+    index: u64,
+    /// Log2-bucket counts for the window.
+    hist: Histogram,
+    /// Raw samples, capped at [`WINDOW_SAMPLE_CAP`].
+    samples: Vec<u64>,
+}
+
+/// A log2-bucket histogram sliced into rotating time windows.
+///
+/// Values are recorded with an explicit clock (simulated cycles); the
+/// histogram keeps the most recent `max_windows` windows of `window_cycles`
+/// each, so reads see a sliding view of roughly
+/// `window_cycles × max_windows` cycles. Each window also retains up to
+/// [`WINDOW_SAMPLE_CAP`] raw samples, making the quantile summary *exact*
+/// (nearest-rank over the retained span, via [`crate::report::percentile`])
+/// until a window overflows its cap.
+#[derive(Clone, Debug, PartialEq)]
+pub struct WindowedHistogram {
+    window_cycles: u64,
+    max_windows: usize,
+    /// Live windows, oldest first.
+    windows: Vec<Window>,
+    /// Values recorded over the histogram's lifetime (across evictions).
+    total_count: u64,
+}
+
+impl WindowedHistogram {
+    /// A histogram rotating every `window_cycles` cycles, keeping
+    /// `max_windows` windows.
+    ///
+    /// # Panics
+    /// Panics if `window_cycles == 0` or `max_windows == 0`.
+    pub fn new(window_cycles: u64, max_windows: usize) -> Self {
+        assert!(
+            window_cycles > 0 && max_windows > 0,
+            "windowed histogram needs a positive window size and count"
+        );
+        WindowedHistogram {
+            window_cycles,
+            max_windows,
+            windows: Vec::new(),
+            total_count: 0,
+        }
+    }
+
+    /// One unbounded window: a plain lifetime histogram (what recording into
+    /// an unregistered name creates).
+    fn lifetime() -> Self {
+        WindowedHistogram::new(u64::MAX, 1)
+    }
+
+    /// Records `value` at clock `now`, rotating windows as needed.
+    pub fn record(&mut self, now: u64, value: u64) {
+        let index = now / self.window_cycles;
+        // A late sample after rotation books into the current window rather
+        // than resurrecting an old one.
+        if self.windows.last().is_none_or(|last| last.index < index) {
+            self.windows.push(Window {
+                index,
+                hist: Histogram::default(),
+                samples: Vec::new(),
+            });
+            let excess = self.windows.len().saturating_sub(self.max_windows);
+            self.windows.drain(..excess);
+        }
+        let w = self.windows.last_mut().expect("a current window exists");
+        w.hist.record(value);
+        if w.samples.len() < WINDOW_SAMPLE_CAP {
+            w.samples.push(value);
+        }
+        self.total_count += 1;
+    }
+
+    /// Values recorded in the live windows.
+    pub fn count(&self) -> u64 {
+        self.windows.iter().map(|w| w.hist.count).sum()
+    }
+
+    /// Values recorded over the histogram's lifetime (across evictions).
+    pub fn total_count(&self) -> u64 {
+        self.total_count
+    }
+
+    /// Live windows currently retained.
+    pub fn window_count(&self) -> usize {
+        self.windows.len()
+    }
+
+    /// The live windows merged into one log2-bucket [`Histogram`].
+    pub fn merged(&self) -> Histogram {
+        let mut out = Histogram::default();
+        for w in &self.windows {
+            out.merge(&w.hist);
+        }
+        out
+    }
+
+    /// Whether every live window still retains all of its raw samples (if
+    /// so, [`WindowedHistogram::quantiles`] is exact).
+    pub fn is_exact(&self) -> bool {
+        self.windows
+            .iter()
+            .all(|w| w.samples.len() as u64 == w.hist.count)
+    }
+
+    /// Quantile summary over the live windows: exact nearest-rank over the
+    /// retained raw samples while [`is_exact`](Self::is_exact), otherwise
+    /// the log2-bucket lower-bound approximation; all `NaN` when empty.
+    pub fn quantiles(&self) -> Quantiles {
+        let at = |f: &dyn Fn(f64) -> f64| Quantiles {
+            p50: f(50.0),
+            p95: f(95.0),
+            p99: f(99.0),
+            p999: f(99.9),
+        };
+        if self.count() == 0 {
+            at(&|_| f64::NAN)
+        } else if self.is_exact() {
+            let samples: Vec<f64> = self
+                .windows
+                .iter()
+                .flat_map(|w| w.samples.iter().map(|&v| v as f64))
+                .collect();
+            at(&|p| percentile(&samples, p))
+        } else {
+            let merged = self.merged();
+            at(&|p| merged.approx_quantile(p / 100.0) as f64)
+        }
+    }
+
+    fn snapshot(&self) -> HistogramSnapshot {
+        let merged = self.merged();
+        HistogramSnapshot {
+            count: merged.count,
+            sum: merged.sum,
+            mean: merged.mean(),
+            total_count: self.total_count,
+            quantiles: self.quantiles(),
+            exact: self.is_exact(),
+            windows: self.windows.len() as u64,
+            window_cycles: self.window_cycles,
+            buckets: merged
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(i, &c)| BucketCount {
+                    lo: Histogram::bucket_lower_bound(i),
+                    count: c,
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Tracks one latency-style service-level objective: "`objective` of
+/// observations at or under `target`".
+#[derive(Clone, Debug, PartialEq)]
+pub struct SloTracker {
+    /// Threshold an observation must not exceed to count as good.
+    pub target: u64,
+    /// Required good fraction in `(0, 1)`, e.g. `0.99`.
+    pub objective: f64,
+    /// Observations at or under the target.
+    pub good: u64,
+    /// All observations.
+    pub total: u64,
+}
+
+impl SloTracker {
+    /// A fresh tracker for "`objective` of observations ≤ `target`".
+    pub fn new(target: u64, objective: f64) -> Self {
+        SloTracker {
+            target,
+            objective: objective.clamp(0.0, 1.0),
+            good: 0,
+            total: 0,
+        }
+    }
+
+    /// Books one observation.
+    pub fn observe(&mut self, value: u64) {
+        self.total += 1;
+        if value <= self.target {
+            self.good += 1;
+        }
+    }
+
+    /// Good fraction so far (1.0 before any observation: no violations).
+    pub fn attainment(&self) -> f64 {
+        if self.total == 0 {
+            1.0
+        } else {
+            self.good as f64 / self.total as f64
+        }
+    }
+
+    /// Error-budget burn rate: observed bad fraction over allowed bad
+    /// fraction. 1.0 means burning the budget exactly as fast as the
+    /// objective allows; above 1.0 the SLO will be missed if the rate holds.
+    pub fn burn_rate(&self) -> f64 {
+        let allowed = 1.0 - self.objective;
+        if allowed <= 0.0 {
+            // A 100% objective has no budget: any miss is infinite burn.
+            if self.total > self.good {
+                f64::INFINITY
+            } else {
+                0.0
+            }
+        } else {
+            (1.0 - self.attainment()) / allowed
+        }
+    }
+
+    /// The serializable status row for a snapshot.
+    pub fn status(&self) -> SloStatus {
+        SloStatus {
+            target: self.target,
+            objective: self.objective,
+            good: self.good,
+            total: self.total,
+            attainment: self.attainment(),
+            burn_rate: self.burn_rate(),
+            met: self.attainment() >= self.objective,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The handle
+// ---------------------------------------------------------------------------
+
+/// The named metrics behind every handle of one family (a root and its
+/// children). Counters and gauges are handed out as `Arc`s — callers look a
+/// name up once and then write through a single relaxed atomic. Histograms
+/// and SLO trackers sit behind one mutex each; they are written off the
+/// per-timeslice path and read by snapshotters.
+#[derive(Default)]
+struct Registry {
+    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
+    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
+    histograms: Mutex<BTreeMap<String, WindowedHistogram>>,
+    slos: Mutex<BTreeMap<String, SloTracker>>,
+}
+
+/// A handle's event buffer and the simulated clock that stamps it.
+#[derive(Default)]
+struct Trace {
+    clock: u64,
+    events: Vec<Event>,
+}
+
+struct Inner {
+    registry: Arc<Registry>,
+    /// `Some` in the metrics+events state.
+    trace: Option<Mutex<Trace>>,
+    /// Set on child handles: the track prefix, and the scope engines book
+    /// their series under.
+    prefix: Option<String>,
+    /// Children in creation order, appended by [`Telemetry::drain`].
+    children: Mutex<Vec<Telemetry>>,
+}
+
+/// Telemetry must keep working even if a panicking thread poisoned a lock;
+/// the data is append-mostly and stays structurally valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The one observability handle (see the module docs for states and
+/// ownership). `Default` is [`Telemetry::off`].
+#[derive(Clone, Default)]
+pub struct Telemetry(Option<Arc<Inner>>);
+
+/// An RAII span: emits `SpanStart` on creation and `SpanEnd` on drop, so
+/// spans close on every exit path.
+///
+/// Track and name are `'static` by design — span names should be
+/// low-cardinality; put per-instance details in the attributes.
+#[must_use = "the span closes when this guard drops"]
+pub struct SpanGuard<'a> {
+    tel: &'a Telemetry,
+    track: &'static str,
+    name: &'static str,
+}
+
+impl Drop for SpanGuard<'_> {
+    fn drop(&mut self) {
+        self.tel.span_end(self.track, self.name);
+    }
+}
+
+impl Telemetry {
+    fn build(trace: bool, registry: Arc<Registry>, prefix: Option<String>) -> Self {
+        Telemetry(Some(Arc::new(Inner {
+            registry,
+            trace: trace.then(Mutex::default),
+            prefix,
+            children: Mutex::default(),
+        })))
+    }
+
+    /// The off handle: records nothing, allocates nothing.
+    pub fn off() -> Self {
+        Telemetry(None)
+    }
+
+    /// A handle recording metrics only.
+    pub fn metrics() -> Self {
+        Self::build(false, Arc::default(), None)
+    }
+
+    /// A handle recording metrics and events.
+    pub fn tracing() -> Self {
+        Self::build(true, Arc::default(), None)
+    }
+
+    /// A child in the same state sharing this handle's registry, with its
+    /// own clock and event buffer. Its events land on `"<prefix>/<track>"`
+    /// tracks and are appended, after the parent's own and in creation
+    /// order, by the parent's [`drain`](Self::drain). A child of the off
+    /// handle is off.
+    pub fn child(&self, prefix: &str) -> Telemetry {
+        let Some(inner) = &self.0 else {
+            return Telemetry::off();
+        };
+        let child = Self::build(
+            inner.trace.is_some(),
+            Arc::clone(&inner.registry),
+            Some(prefix.to_string()),
+        );
+        lock(&inner.children).push(child.clone());
+        child
+    }
+
+    /// The prefix this handle was created with by [`child`](Self::child).
+    pub fn prefix(&self) -> Option<&str> {
+        self.0.as_ref()?.prefix.as_deref()
+    }
+
+    /// Whether the handle records metrics (true in both on-states).
+    #[inline]
+    pub fn is_on(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Whether the handle records events. Probes whose attributes are
+    /// costly to build check this first (or pass a closure, which only runs
+    /// when it is true).
+    #[inline]
+    pub fn events_on(&self) -> bool {
+        self.trace().is_some()
+    }
+
+    #[inline]
+    fn trace(&self) -> Option<&Mutex<Trace>> {
+        self.0.as_ref()?.trace.as_ref()
+    }
+
+    fn registry(&self) -> Option<&Registry> {
+        Some(&self.0.as_ref()?.registry)
+    }
+
+    // -- clock and events ---------------------------------------------------
+
+    /// Current simulated-cycle clock (0 unless recording events).
+    pub fn clock(&self) -> u64 {
+        self.trace().map_or(0, |t| lock(t).clock)
+    }
+
+    /// Sets the clock (used by code that tracks simulated time itself).
+    pub fn set_clock(&self, cycles: u64) {
+        if let Some(t) = self.trace() {
+            lock(t).clock = cycles;
+        }
+    }
+
+    /// Advances the clock by `cycles`.
+    pub fn advance_clock(&self, cycles: u64) {
+        if let Some(t) = self.trace() {
+            lock(t).clock += cycles;
+        }
+    }
+
+    fn push(
+        &self,
+        ts: Option<u64>,
+        phase: EventPhase,
+        track: &str,
+        name: &str,
+        attrs: impl FnOnce() -> Vec<Attr>,
+    ) {
+        let Some(t) = self.trace() else {
+            return;
+        };
+        let track = match self.prefix() {
+            Some(p) => format!("{p}/{track}"),
+            None => track.to_string(),
+        };
+        let attrs = attrs();
+        let mut t = lock(t);
+        let ts_cycles = ts.unwrap_or(t.clock);
+        t.events.push(Event {
+            ts_cycles,
+            phase,
+            track,
+            name: name.to_string(),
+            attrs,
+        });
+    }
+
+    /// Emits a [`EventPhase::SpanStart`] at the current clock (see
+    /// [`span`](Self::span) for the RAII form).
+    pub fn span_start(&self, track: &str, name: &str, attrs: impl FnOnce() -> Vec<Attr>) {
+        self.push(None, EventPhase::SpanStart, track, name, attrs);
+    }
+
+    /// Emits a [`EventPhase::SpanEnd`] at the current clock.
+    pub fn span_end(&self, track: &str, name: &str) {
+        self.push(None, EventPhase::SpanEnd, track, name, Vec::new);
+    }
+
+    /// Emits an [`EventPhase::Instant`] at the current clock.
+    pub fn instant(&self, track: &str, name: &str, attrs: impl FnOnce() -> Vec<Attr>) {
+        self.push(None, EventPhase::Instant, track, name, attrs);
+    }
+
+    /// Emits an [`EventPhase::Counter`] sample at an explicit timestamp
+    /// (e.g. occupancy sampled mid-timeslice, before the clock advances).
+    pub fn counter_sample_at(
+        &self,
+        ts_cycles: u64,
+        track: &str,
+        name: &str,
+        attrs: impl FnOnce() -> Vec<Attr>,
+    ) {
+        self.push(Some(ts_cycles), EventPhase::Counter, track, name, attrs);
+    }
+
+    /// Opens a span closed when the returned guard drops.
+    pub fn span(
+        &self,
+        track: &'static str,
+        name: &'static str,
+        attrs: impl FnOnce() -> Vec<Attr>,
+    ) -> SpanGuard<'_> {
+        self.span_start(track, name, attrs);
+        SpanGuard {
+            tel: self,
+            track,
+            name,
+        }
+    }
+
+    // -- metrics ------------------------------------------------------------
+
+    /// The counter named `name`, created at zero on first use. Resolve once
+    /// and keep the `Arc` on hot paths. (On the off handle this is a
+    /// detached counter nobody reads.)
+    pub fn counter(&self, name: &str) -> Arc<Counter> {
+        match self.registry() {
+            Some(r) => Arc::clone(lock(&r.counters).entry(name.into()).or_default()),
+            None => Arc::default(),
+        }
+    }
+
+    /// The gauge named `name`, created at 0.0 on first use (detached on the
+    /// off handle, like [`counter`](Self::counter)).
+    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+        match self.registry() {
+            Some(r) => Arc::clone(lock(&r.gauges).entry(name.into()).or_default()),
+            None => Arc::default(),
+        }
+    }
+
+    /// Adds to a counter by name (a map lookup under a lock: for
+    /// per-experiment and per-phase paths, not per-timeslice ones).
+    pub fn counter_add(&self, name: &str, delta: u64) {
+        if self.is_on() {
+            self.counter(name).add(delta);
+        }
+    }
+
+    /// Sets a gauge by name (same cost caveat as
+    /// [`counter_add`](Self::counter_add)).
+    pub fn gauge_set(&self, name: &str, value: f64) {
+        if self.is_on() {
+            self.gauge(name).set(value);
+        }
+    }
+
+    /// Shapes the histogram named `name` as `max_windows` rotating windows
+    /// of `window_cycles` (first registration wins).
+    pub fn register_histogram(&self, name: &str, window_cycles: u64, max_windows: usize) {
+        if let Some(r) = self.registry() {
+            lock(&r.histograms)
+                .entry(name.into())
+                .or_insert_with(|| WindowedHistogram::new(window_cycles, max_windows));
+        }
+    }
+
+    /// Records `value` at clock `now` into histogram `name`; an unregistered
+    /// name becomes a single-window lifetime histogram.
+    pub fn histogram_record(&self, name: &str, now: u64, value: u64) {
+        if let Some(r) = self.registry() {
+            lock(&r.histograms)
+                .entry(name.into())
+                .or_insert_with(WindowedHistogram::lifetime)
+                .record(now, value);
+        }
+    }
+
+    /// Runs `f` over the histogram named `name`, if it exists (for readers
+    /// that need more than the snapshot, e.g. the `stats` verb's
+    /// bucket-approximate percentiles).
+    pub fn with_histogram<R>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&WindowedHistogram) -> R,
+    ) -> Option<R> {
+        lock(&self.registry()?.histograms).get(name).map(f)
+    }
+
+    /// Registers an SLO: `objective` of observations ≤ `target`.
+    pub fn register_slo(&self, name: &str, target: u64, objective: f64) {
+        if let Some(r) = self.registry() {
+            lock(&r.slos)
+                .entry(name.into())
+                .or_insert_with(|| SloTracker::new(target, objective));
+        }
+    }
+
+    /// Books one observation against SLO `name` (no-op when unregistered).
+    pub fn observe_slo(&self, name: &str, value: u64) {
+        if let Some(r) = self.registry() {
+            if let Some(s) = lock(&r.slos).get_mut(name) {
+                s.observe(value);
+            }
+        }
+    }
+
+    // -- snapshots ----------------------------------------------------------
+
+    /// A point-in-time view of every metric, stamped `now`; no events, and
+    /// nothing is reset (what a live poller reads).
+    pub fn snapshot(&self, now: u64) -> Snapshot {
+        let mut snap = Snapshot {
+            version: METRICS_VERSION,
+            now_cycles: now,
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+            slos: BTreeMap::new(),
+            events: Vec::new(),
+        };
+        if let Some(r) = self.registry() {
+            snap.counters = (lock(&r.counters).iter())
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect();
+            snap.gauges = (lock(&r.gauges).iter())
+                .map(|(k, v)| (k.clone(), v.get()))
+                .collect();
+            snap.histograms = (lock(&r.histograms).iter())
+                .map(|(k, h)| (k.clone(), h.snapshot()))
+                .collect();
+            snap.slos = (lock(&r.slos).iter())
+                .map(|(k, s)| (k.clone(), s.status()))
+                .collect();
+        }
+        snap
+    }
+
+    fn take_events(&self, out: &mut Vec<Event>) {
+        let Some(i) = &self.0 else {
+            return;
+        };
+        if let Some(t) = &i.trace {
+            out.append(&mut lock(t).events);
+        }
+        for child in lock(&i.children).iter() {
+            child.take_events(out);
+        }
+    }
+
+    /// [`snapshot`](Self::snapshot) at this handle's clock, plus the
+    /// buffered events — its own in emission order, then each child's in
+    /// creation order — which are cleared. Metrics are not reset: their
+    /// handles stay live in whoever resolved them.
+    pub fn drain(&self) -> Snapshot {
+        let mut snap = self.snapshot(self.clock());
+        self.take_events(&mut snap.events);
+        snap
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot and the two exporters
+// ---------------------------------------------------------------------------
+
+/// One histogram in a [`Snapshot`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct HistogramSnapshot {
+    /// Values in the live windows.
+    pub count: u64,
+    /// Sum of values in the live windows.
+    pub sum: u64,
+    /// Mean of values in the live windows.
+    pub mean: f64,
+    /// Values recorded over the histogram's lifetime (across window
+    /// evictions).
+    pub total_count: u64,
+    /// Quantile summary (exact while `exact` is true).
+    pub quantiles: Quantiles,
+    /// Whether `quantiles` is exact nearest-rank (every live window still
+    /// retains all raw samples) or the log2-bucket approximation.
+    pub exact: bool,
+    /// Live windows merged into this snapshot.
+    pub windows: u64,
+    /// Cycles per window.
+    pub window_cycles: u64,
+    /// Non-empty log2 buckets, by inclusive lower bound.
+    pub buckets: Vec<BucketCount>,
+}
+
+/// One non-empty log2 bucket: inclusive lower bound and count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct BucketCount {
+    /// Inclusive lower bound of the bucket.
+    pub lo: u64,
+    /// Values in the bucket.
+    pub count: u64,
+}
+
+/// One SLO row in a [`Snapshot`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct SloStatus {
+    /// Threshold an observation must not exceed to count as good.
+    pub target: u64,
+    /// Required good fraction.
+    pub objective: f64,
+    /// Good observations.
+    pub good: u64,
+    /// All observations.
+    pub total: u64,
+    /// Good fraction so far.
+    pub attainment: f64,
+    /// Error-budget burn rate (see [`SloTracker::burn_rate`]).
+    pub burn_rate: f64,
+    /// Whether the objective is currently met.
+    pub met: bool,
+}
+
+/// A versioned view of a handle: every metric, plus (from
+/// [`Telemetry::drain`]) the event stream. Carried by the `metrics`
+/// protocol verb, rendered by `sos-top`, and the input of both exporters.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Snapshot {
+    /// Schema version ([`METRICS_VERSION`]).
+    pub version: u32,
+    /// Simulated clock at snapshot time.
+    pub now_cycles: u64,
+    /// Counter values by name.
+    pub counters: BTreeMap<String, u64>,
+    /// Gauge values by name.
+    pub gauges: BTreeMap<String, f64>,
+    /// Histogram summaries by name.
+    pub histograms: BTreeMap<String, HistogramSnapshot>,
+    /// SLO statuses by name.
+    pub slos: BTreeMap<String, SloStatus>,
+    /// Drained events (empty in a live [`Telemetry::snapshot`]).
+    #[serde(default)]
+    pub events: Vec<Event>,
+}
+
 /// Discriminates [`Metric`] payloads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MetricKind {
@@ -241,8 +994,8 @@ pub enum MetricKind {
     Histogram,
 }
 
-/// A named metric snapshot: exactly one of the payload fields is set,
-/// matching `kind`.
+/// One line of the metrics JSONL export: exactly one of the payload fields
+/// is set, matching `kind`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Metric {
     /// Metric name, e.g. `"smtsim.cycles"`.
@@ -257,432 +1010,129 @@ pub struct Metric {
     pub histogram: Option<Histogram>,
 }
 
-#[derive(Clone)]
-enum MetricValue {
-    Counter(u64),
-    Gauge(f64),
-    Histogram(Histogram),
+/// Sanitizes a metric name into a Prometheus-legal series name:
+/// `serve.request_us.submit` → `sos_serve_request_us_submit`.
+pub fn prometheus_name(name: &str) -> String {
+    let mut out = String::with_capacity(name.len() + 4);
+    out.push_str("sos_");
+    for c in name.chars() {
+        out.push(if c.is_ascii_alphanumeric() { c } else { '_' });
+    }
+    out
 }
 
-/// A registry of named counters, gauges, and histograms.
-///
-/// Writes with a kind different from the name's existing kind are ignored
-/// rather than panicking (telemetry must never take the simulation down).
-#[derive(Default)]
-pub struct MetricRegistry {
-    metrics: BTreeMap<String, MetricValue>,
-}
-
-impl MetricRegistry {
-    /// An empty registry.
-    pub const fn new() -> Self {
-        MetricRegistry {
-            metrics: BTreeMap::new(),
-        }
-    }
-
-    /// Adds `delta` to counter `name` (creating it at zero).
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        if let MetricValue::Counter(c) = self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(MetricValue::Counter(0))
-        {
-            *c += delta;
-        }
-    }
-
-    /// Sets gauge `name` to `value`.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        if let MetricValue::Gauge(g) = self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(MetricValue::Gauge(0.0))
-        {
-            *g = value;
-        }
-    }
-
-    /// Records `value` into histogram `name` (creating it empty).
-    pub fn histogram_record(&mut self, name: &str, value: u64) {
-        if let MetricValue::Histogram(h) = self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| MetricValue::Histogram(Histogram::default()))
-        {
-            h.record(value);
-        }
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
-    /// Snapshots every metric, sorted by name.
-    pub fn snapshot(&self) -> Vec<Metric> {
-        self.metrics
-            .iter()
-            .map(|(name, v)| match v {
-                MetricValue::Counter(c) => Metric {
-                    name: name.clone(),
-                    kind: MetricKind::Counter,
-                    counter: Some(*c),
-                    gauge: None,
-                    histogram: None,
-                },
-                MetricValue::Gauge(g) => Metric {
-                    name: name.clone(),
-                    kind: MetricKind::Gauge,
-                    counter: None,
-                    gauge: Some(*g),
-                    histogram: None,
-                },
-                MetricValue::Histogram(h) => Metric {
-                    name: name.clone(),
-                    kind: MetricKind::Histogram,
-                    counter: None,
-                    gauge: None,
-                    histogram: Some(h.clone()),
-                },
-            })
-            .collect()
-    }
-
-    fn clear(&mut self) {
-        self.metrics.clear();
+fn fmt_f64(v: f64) -> String {
+    if v.is_nan() {
+        "NaN".to_string()
+    } else if v.is_infinite() {
+        if v > 0.0 { "+Inf" } else { "-Inf" }.to_string()
+    } else {
+        format!("{v}")
     }
 }
 
-/// Serializes metrics as JSONL (one metric object per line, sorted by name).
-pub fn metrics_to_jsonl(metrics: &[Metric]) -> String {
+fn jsonl<T: Serialize>(rows: &[T]) -> String {
     let mut out = String::new();
-    for m in metrics {
-        out.push_str(&serde_json::to_string(m).expect("metric serializes"));
+    for row in rows {
+        out.push_str(&serde_json::to_string(row).expect("telemetry row serializes"));
         out.push('\n');
     }
     out
 }
 
-// ---------------------------------------------------------------------------
-// The global recorder
-// ---------------------------------------------------------------------------
-
-struct RecorderInner {
-    events: Vec<Event>,
-    registry: MetricRegistry,
-    clock_cycles: u64,
-}
-
-/// A telemetry collector: an enable flag, an event buffer, a metric
-/// registry, and a simulated-cycle clock.
-///
-/// The process-wide instance behind the module-level free functions is the
-/// normal way to use this; the type is public so tests and embedders can
-/// run isolated recorders.
-pub struct Recorder {
-    enabled: AtomicBool,
-    inner: Mutex<RecorderInner>,
-}
-
-impl Recorder {
-    /// A disabled recorder with an empty buffer and registry.
-    pub const fn new() -> Self {
-        Recorder {
-            enabled: AtomicBool::new(false),
-            inner: Mutex::new(RecorderInner {
-                events: Vec::new(),
-                registry: MetricRegistry::new(),
-                clock_cycles: 0,
-            }),
-        }
-    }
-
-    /// Starts recording.
-    pub fn enable(&self) {
-        self.enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Stops recording (buffered data is kept until [`Recorder::drain`] or
-    /// [`Recorder::reset`]).
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::Relaxed);
-    }
-
-    /// Whether recording is on. This is the fast path every probe checks
-    /// first: a single relaxed atomic load.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Clears events, metrics, and the clock (the enable flag is untouched).
-    pub fn reset(&self) {
-        let mut inner = self.lock();
-        inner.events.clear();
-        inner.registry.clear();
-        inner.clock_cycles = 0;
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, RecorderInner> {
-        // Telemetry must keep working even if a panicking test poisoned the
-        // lock; the data is append-mostly and stays structurally valid.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Current simulated-cycle clock.
-    pub fn clock(&self) -> u64 {
-        self.lock().clock_cycles
-    }
-
-    /// Sets the clock (used by code that tracks global simulated time).
-    pub fn set_clock(&self, cycles: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.lock().clock_cycles = cycles;
-    }
-
-    /// Advances the clock by `cycles`.
-    pub fn advance_clock(&self, cycles: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut inner = self.lock();
-        inner.clock_cycles += cycles;
-    }
-
-    fn push_at(
-        &self,
-        ts_cycles: u64,
-        phase: EventPhase,
-        track: &str,
-        name: &str,
-        attrs: Vec<Attr>,
-    ) {
-        let mut inner = self.lock();
-        inner.events.push(Event {
-            ts_cycles,
-            phase,
-            track: track.to_string(),
-            name: name.to_string(),
-            attrs,
-        });
-    }
-
-    fn push(&self, phase: EventPhase, track: &str, name: &str, attrs: Vec<Attr>) {
-        let mut inner = self.lock();
-        let ts = inner.clock_cycles;
-        inner.events.push(Event {
-            ts_cycles: ts,
-            phase,
-            track: track.to_string(),
-            name: name.to_string(),
-            attrs,
-        });
-    }
-
-    /// Emits a [`EventPhase::SpanStart`] at the current clock.
-    pub fn span_start(&self, track: &str, name: &str, attrs: Vec<Attr>) {
-        if self.is_enabled() {
-            self.push(EventPhase::SpanStart, track, name, attrs);
-        }
-    }
-
-    /// Emits a [`EventPhase::SpanEnd`] at the current clock.
-    pub fn span_end(&self, track: &str, name: &str) {
-        if self.is_enabled() {
-            self.push(EventPhase::SpanEnd, track, name, Vec::new());
-        }
-    }
-
-    /// Emits an [`EventPhase::Instant`] at the current clock.
-    pub fn instant(&self, track: &str, name: &str, attrs: Vec<Attr>) {
-        if self.is_enabled() {
-            self.push(EventPhase::Instant, track, name, attrs);
-        }
-    }
-
-    /// Emits an [`EventPhase::Counter`] sample at an explicit timestamp
-    /// (e.g. occupancy sampled mid-timeslice, before the clock advances).
-    pub fn counter_sample_at(&self, ts_cycles: u64, track: &str, name: &str, attrs: Vec<Attr>) {
-        if self.is_enabled() {
-            self.push_at(ts_cycles, EventPhase::Counter, track, name, attrs);
-        }
-    }
-
-    /// Adds to a named counter metric.
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        if self.is_enabled() {
-            self.lock().registry.counter_add(name, delta);
-        }
-    }
-
-    /// Sets a named gauge metric.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        if self.is_enabled() {
-            self.lock().registry.gauge_set(name, value);
-        }
-    }
-
-    /// Records into a named histogram metric.
-    pub fn histogram_record(&self, name: &str, value: u64) {
-        if self.is_enabled() {
-            self.lock().registry.histogram_record(name, value);
-        }
-    }
-
-    /// Takes the buffered events and a metric snapshot, clearing both (the
-    /// clock and enable flag are untouched).
-    pub fn drain(&self) -> Snapshot {
-        let mut inner = self.lock();
-        let events = std::mem::take(&mut inner.events);
-        let metrics = inner.registry.snapshot();
-        inner.registry.clear();
-        Snapshot { events, metrics }
-    }
-}
-
-impl Default for Recorder {
-    fn default() -> Self {
-        Recorder::new()
-    }
-}
-
-static GLOBAL: Recorder = Recorder::new();
-
-/// The process-wide recorder behind the module-level free functions.
-pub fn global() -> &'static Recorder {
-    &GLOBAL
-}
-
-/// Starts recording on the global recorder.
-pub fn enable() {
-    GLOBAL.enable()
-}
-
-/// Stops recording on the global recorder.
-pub fn disable() {
-    GLOBAL.disable()
-}
-
-/// Whether global recording is on.
-#[inline]
-pub fn is_enabled() -> bool {
-    GLOBAL.is_enabled()
-}
-
-/// Clears the global recorder's events, metrics, and clock.
-pub fn reset() {
-    GLOBAL.reset()
-}
-
-/// The global simulated-cycle clock.
-pub fn clock() -> u64 {
-    GLOBAL.clock()
-}
-
-/// Sets the global clock.
-pub fn set_clock(cycles: u64) {
-    GLOBAL.set_clock(cycles)
-}
-
-/// Advances the global clock.
-pub fn advance_clock(cycles: u64) {
-    GLOBAL.advance_clock(cycles)
-}
-
-/// Emits a span-start event (see [`span`] for the RAII form).
-pub fn span_start(track: &str, name: &str, attrs: Vec<Attr>) {
-    GLOBAL.span_start(track, name, attrs)
-}
-
-/// Emits a span-end event.
-pub fn span_end(track: &str, name: &str) {
-    GLOBAL.span_end(track, name)
-}
-
-/// Emits an instant event.
-pub fn instant(track: &str, name: &str, attrs: Vec<Attr>) {
-    GLOBAL.instant(track, name, attrs)
-}
-
-/// Emits a counter sample at an explicit timestamp.
-pub fn counter_sample_at(ts_cycles: u64, track: &str, name: &str, attrs: Vec<Attr>) {
-    GLOBAL.counter_sample_at(ts_cycles, track, name, attrs)
-}
-
-/// Adds to a global counter metric.
-pub fn counter_add(name: &str, delta: u64) {
-    GLOBAL.counter_add(name, delta)
-}
-
-/// Sets a global gauge metric.
-pub fn gauge_set(name: &str, value: f64) {
-    GLOBAL.gauge_set(name, value)
-}
-
-/// Records into a global histogram metric.
-pub fn histogram_record(name: &str, value: u64) {
-    GLOBAL.histogram_record(name, value)
-}
-
-/// Drains the global recorder.
-pub fn drain() -> Snapshot {
-    GLOBAL.drain()
-}
-
-/// An RAII span on the global recorder: emits `SpanStart` on creation and
-/// `SpanEnd` on drop, so spans close on every exit path.
-///
-/// Track and name are `'static` by design — span names should be
-/// low-cardinality; put per-instance details in `attrs`.
-#[must_use = "the span closes when this guard drops"]
-pub struct SpanGuard {
-    track: &'static str,
-    name: &'static str,
-}
-
-/// Opens a span on the global recorder, closed when the guard drops.
-pub fn span(track: &'static str, name: &'static str, attrs: Vec<Attr>) -> SpanGuard {
-    span_start(track, name, attrs);
-    SpanGuard { track, name }
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        span_end(self.track, self.name);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot and export
-// ---------------------------------------------------------------------------
-
-/// Everything drained from a recorder: the event stream and a metric
-/// snapshot.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Snapshot {
-    /// Buffered events in emission order.
-    pub events: Vec<Event>,
-    /// Metric snapshot, sorted by name.
-    pub metrics: Vec<Metric>,
-}
-
 impl Snapshot {
-    /// Events as JSONL.
-    pub fn events_jsonl(&self) -> String {
-        events_to_jsonl(&self.events)
+    /// Renders the metrics as Prometheus text exposition (format 0.0.4):
+    /// counters and gauges as single series, histograms as cumulative
+    /// `_bucket{le=…}` series with `_sum`/`_count`, SLOs as
+    /// `_slo_attainment` / `_slo_burn_rate` / `_slo_met` gauges.
+    pub fn prometheus_text(&self) -> String {
+        let mut out = String::new();
+        for (name, v) in &self.counters {
+            let p = prometheus_name(name);
+            out.push_str(&format!("# TYPE {p} counter\n{p} {v}\n"));
+        }
+        for (name, v) in &self.gauges {
+            let p = prometheus_name(name);
+            out.push_str(&format!("# TYPE {p} gauge\n{p} {}\n", fmt_f64(*v)));
+        }
+        for (name, h) in &self.histograms {
+            let p = prometheus_name(name);
+            out.push_str(&format!("# TYPE {p} histogram\n"));
+            let mut cumulative = 0u64;
+            for b in &h.buckets {
+                cumulative += b.count;
+                // The log2 bucket [lo, 2·lo) is reported at its exclusive
+                // upper bound, the Prometheus `le` convention.
+                let le = if b.lo == 0 { 1 } else { b.lo.saturating_mul(2) };
+                out.push_str(&format!("{p}_bucket{{le=\"{le}\"}} {cumulative}\n"));
+            }
+            out.push_str(&format!("{p}_bucket{{le=\"+Inf\"}} {}\n", h.count));
+            out.push_str(&format!("{p}_sum {}\n{p}_count {}\n", h.sum, h.count));
+        }
+        for (name, s) in &self.slos {
+            let p = prometheus_name(name);
+            for (series, value) in [
+                ("attainment", fmt_f64(s.attainment)),
+                ("burn_rate", fmt_f64(s.burn_rate)),
+                ("met", u8::from(s.met).to_string()),
+            ] {
+                out.push_str(&format!(
+                    "# TYPE {p}_slo_{series} gauge\n{p}_slo_{series} {value}\n"
+                ));
+            }
+        }
+        out
     }
 
-    /// Metrics as JSONL.
+    /// The counters, gauges and histograms as JSONL rows, sorted by name
+    /// (SLOs are Prometheus-only).
+    pub fn metric_rows(&self) -> Vec<Metric> {
+        let row = |name: &String, kind| Metric {
+            name: name.clone(),
+            kind,
+            counter: None,
+            gauge: None,
+            histogram: None,
+        };
+        let mut out = Vec::new();
+        for (name, &v) in &self.counters {
+            out.push(Metric {
+                counter: Some(v),
+                ..row(name, MetricKind::Counter)
+            });
+        }
+        for (name, &v) in &self.gauges {
+            out.push(Metric {
+                gauge: Some(v),
+                ..row(name, MetricKind::Gauge)
+            });
+        }
+        for (name, h) in &self.histograms {
+            let mut hist = Histogram {
+                count: h.count,
+                sum: h.sum,
+                ..Histogram::default()
+            };
+            for b in &h.buckets {
+                hist.buckets[Histogram::bucket_index(b.lo)] += b.count;
+            }
+            out.push(Metric {
+                histogram: Some(hist),
+                ..row(name, MetricKind::Histogram)
+            });
+        }
+        out.sort_by(|a, b| a.name.cmp(&b.name));
+        out
+    }
+
+    /// Metrics as JSONL (one [`Metric`] object per line, sorted by name).
     pub fn metrics_jsonl(&self) -> String {
-        metrics_to_jsonl(&self.metrics)
+        jsonl(&self.metric_rows())
+    }
+
+    /// Events as JSONL (one [`Event`] object per line).
+    pub fn events_jsonl(&self) -> String {
+        jsonl(&self.events)
     }
 
     /// The event stream as Chrome `trace_event` JSON (object format), with
@@ -784,42 +1234,48 @@ pub fn chrome_trace_value(events: &[Event]) -> serde::Value {
 // The smtsim bridge observer
 // ---------------------------------------------------------------------------
 
-/// Bridges [`smtsim::Observer`] pipeline probes into the global recorder:
+/// Bridges [`smtsim::Observer`] pipeline probes into a tracing handle:
 ///
-/// * timeslices become `smtsim.timeslice` spans and advance the global
+/// * timeslices become `smtsim.timeslice` spans and advance the handle's
 ///   clock;
 /// * per-cycle conflict events are aggregated locally (no lock in the cycle
 ///   loop) and flushed as `smtsim.conflict_cycles.<resource>` counters at
 ///   the timeslice boundary;
 /// * sampled [`StageOccupancy`] snapshots become `C` (counter-track) events
 ///   with the pipeline-structure occupancies.
-#[derive(Debug, Default)]
+///
+/// Installed only for handles that record events (see
+/// [`crate::runner::Runner::attach_telemetry`]): the per-cycle virtual calls
+/// are a tracing cost, not a metrics one.
 pub struct TelemetryObserver {
-    /// Global clock at the current timeslice's cycle 0.
+    tel: Telemetry,
+    /// The handle's clock at the current timeslice's cycle 0.
     base_cycle: u64,
     /// Conflict cycles this timeslice, indexed like [`Resource::ALL`].
     conflict_cycles: [u64; 7],
 }
 
 impl TelemetryObserver {
-    /// A fresh bridge observer.
-    pub fn new() -> Self {
-        TelemetryObserver::default()
+    /// A bridge observer reporting to `tel`.
+    pub fn new(tel: Telemetry) -> Self {
+        TelemetryObserver {
+            tel,
+            base_cycle: 0,
+            conflict_cycles: [0; 7],
+        }
     }
 }
 
 impl Observer for TelemetryObserver {
     fn timeslice_start(&mut self, threads: usize, cycles: u64) {
-        self.base_cycle = clock();
+        self.base_cycle = self.tel.clock();
         self.conflict_cycles = [0; 7];
-        span_start(
-            "smtsim",
-            "smtsim.timeslice",
+        self.tel.span_start("smtsim", "smtsim.timeslice", || {
             vec![
                 Attr::num("threads", threads as f64),
                 Attr::num("cycles", cycles as f64),
-            ],
-        );
+            ]
+        });
     }
 
     fn conflict_cycle(&mut self, _cycle: u64, resource: Resource) {
@@ -831,98 +1287,162 @@ impl Observer for TelemetryObserver {
     }
 
     fn stage_occupancy(&mut self, occ: &StageOccupancy) {
-        counter_sample_at(
+        self.tel.counter_sample_at(
             self.base_cycle + occ.cycle,
             "smtsim",
             "smtsim.occupancy",
-            vec![
-                Attr::num("decode", occ.decode as f64),
-                Attr::num("int_queue", occ.int_queue as f64),
-                Attr::num("fp_queue", occ.fp_queue as f64),
-                Attr::num("int_regs", occ.int_regs_in_use as f64),
-                Attr::num("fp_regs", occ.fp_regs_in_use as f64),
-                Attr::num("inflight", occ.inflight as f64),
-            ],
+            || {
+                vec![
+                    Attr::num("decode", occ.decode as f64),
+                    Attr::num("int_queue", occ.int_queue as f64),
+                    Attr::num("fp_queue", occ.fp_queue as f64),
+                    Attr::num("int_regs", occ.int_regs_in_use as f64),
+                    Attr::num("fp_regs", occ.fp_regs_in_use as f64),
+                    Attr::num("inflight", occ.inflight as f64),
+                ]
+            },
         );
     }
 
     fn timeslice_end(&mut self, stats: &TimesliceStats) {
-        advance_clock(stats.cycles);
-        counter_add("smtsim.cycles", stats.cycles);
-        counter_add("smtsim.timeslices", 1);
+        let tel = &self.tel;
+        tel.advance_clock(stats.cycles);
+        tel.counter_add("smtsim.cycles", stats.cycles);
+        tel.counter_add("smtsim.timeslices", 1);
         let committed = stats.total_committed();
-        counter_add("smtsim.committed", committed);
-        histogram_record("smtsim.timeslice_committed", committed);
+        tel.counter_add("smtsim.committed", committed);
+        tel.histogram_record("smtsim.timeslice_committed", tel.clock(), committed);
         for (i, &r) in Resource::ALL.iter().enumerate() {
             if self.conflict_cycles[i] > 0 {
-                counter_add(
+                tel.counter_add(
                     &format!("smtsim.conflict_cycles.{r}"),
                     self.conflict_cycles[i],
                 );
             }
         }
-        span_end("smtsim", "smtsim.timeslice");
+        tel.span_end("smtsim", "smtsim.timeslice");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes global-recorder tests: the test harness runs threads in
-    /// parallel and the recorder is process-wide.
-    pub(crate) static TEST_GUARD: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::report::percentiles;
 
     #[test]
-    fn disabled_recorder_drops_everything() {
-        let r = Recorder::new();
-        r.span_start("t", "a", vec![]);
-        r.counter_add("c", 5);
-        r.advance_clock(100);
-        let snap = r.drain();
+    fn off_handle_drops_everything() {
+        let tel = Telemetry::off();
+        tel.span_start("t", "a", Vec::new);
+        tel.instant("t", "b", || unreachable!("attrs are not built when off"));
+        tel.counter_add("c", 5);
+        tel.histogram_record("h", 0, 5);
+        tel.advance_clock(100);
+        assert!(!tel.is_on() && !tel.events_on());
+        assert!(!tel.child("x").is_on());
+        let snap = tel.drain();
         assert!(snap.events.is_empty());
-        assert!(snap.metrics.is_empty());
-        assert_eq!(r.clock(), 0);
+        assert!(snap.metric_rows().is_empty());
+        assert_eq!(tel.clock(), 0);
     }
 
     #[test]
-    fn recorder_buffers_events_and_metrics() {
-        let r = Recorder::new();
-        r.enable();
-        r.advance_clock(50);
-        r.span_start("track", "phase", vec![Attr::text("k", "v")]);
-        r.advance_clock(25);
-        r.instant("track", "tick", vec![Attr::num("n", 2.0)]);
-        r.span_end("track", "phase");
-        r.counter_add("jobs", 2);
-        r.counter_add("jobs", 3);
-        r.gauge_set("load", 0.75);
-        r.histogram_record("lat", 100);
-        r.histogram_record("lat", 3_000);
+    fn metrics_handle_records_metrics_but_no_events() {
+        let tel = Telemetry::metrics();
+        tel.instant("t", "a", || {
+            unreachable!("attrs are not built without events")
+        });
+        tel.set_clock(9);
+        tel.counter_add("c", 5);
+        let snap = tel.drain();
+        assert!(snap.events.is_empty());
+        assert_eq!(snap.counters["c"], 5);
+        assert_eq!(tel.clock(), 0);
+    }
 
-        let snap = r.drain();
+    #[test]
+    fn tracing_handle_buffers_events_and_metrics() {
+        let tel = Telemetry::tracing();
+        tel.advance_clock(50);
+        tel.span_start("track", "phase", || vec![Attr::text("k", "v")]);
+        tel.advance_clock(25);
+        tel.instant("track", "tick", || vec![Attr::num("n", 2.0)]);
+        tel.span_end("track", "phase");
+        tel.counter_add("jobs", 2);
+        tel.counter_add("jobs", 3);
+        tel.gauge_set("load", 0.75);
+        tel.histogram_record("lat", 0, 100);
+        tel.histogram_record("lat", 0, 3_000);
+
+        let snap = tel.drain();
+        assert_eq!(snap.now_cycles, 75);
         assert_eq!(snap.events.len(), 3);
         assert_eq!(snap.events[0].ts_cycles, 50);
         assert_eq!(snap.events[1].ts_cycles, 75);
         assert_eq!(snap.events[0].phase, EventPhase::SpanStart);
         assert_eq!(snap.events[2].phase, EventPhase::SpanEnd);
 
-        assert_eq!(snap.metrics.len(), 3);
-        let jobs = snap.metrics.iter().find(|m| m.name == "jobs").unwrap();
-        assert_eq!(jobs.counter, Some(5));
-        let load = snap.metrics.iter().find(|m| m.name == "load").unwrap();
-        assert_eq!(load.gauge, Some(0.75));
-        let lat = snap.metrics.iter().find(|m| m.name == "lat").unwrap();
-        let h = lat.histogram.as_ref().unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 3_100);
+        let rows = snap.metric_rows();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(snap.counters["jobs"], 5);
+        assert_eq!(snap.gauges["load"], 0.75);
+        let h = rows[1].histogram.as_ref().unwrap();
+        assert_eq!((h.count, h.sum), (2, 3_100));
 
-        // Drained: a second drain is empty.
-        assert!(r.drain().events.is_empty());
+        // Events are drained; metrics handles stay live.
+        let again = tel.drain();
+        assert!(again.events.is_empty());
+        assert_eq!(again.counters["jobs"], 5);
+    }
+
+    #[test]
+    fn counter_and_gauge_are_shared_atomic_handles() {
+        let tel = Telemetry::metrics();
+        let c = tel.counter("x");
+        c.inc();
+        tel.clone().counter("x").add(4);
+        assert_eq!(tel.counter("x").get(), 5);
+        c.raise_to(3);
+        assert_eq!(c.get(), 5, "raise_to never lowers");
+        c.raise_to(8);
+        assert_eq!(c.get(), 8);
+        tel.gauge("y").set(2.5);
+        assert_eq!(tel.gauge("y").get(), 2.5);
+    }
+
+    #[test]
+    fn child_shares_registry_but_owns_clock_buffer_and_track_prefix() {
+        let root = Telemetry::tracing();
+        let a = root.child("cluster.shard0");
+        let b = root.child("cluster.shard1");
+        assert_eq!(a.prefix(), Some("cluster.shard0"));
+        assert_eq!(root.prefix(), None);
+        b.set_clock(700);
+        b.instant("opensys", "late", Vec::new);
+        a.set_clock(40);
+        a.instant("opensys", "early", Vec::new);
+        root.set_clock(5);
+        root.instant("cluster", "own", Vec::new);
+        a.counter("n").inc();
+        b.counter("n").inc();
+        assert_eq!(root.counter("n").get(), 2);
+
+        // Own events first, then children in creation order — regardless of
+        // the order they were recorded in.
+        let snap = root.drain();
+        let seen: Vec<(&str, u64)> = snap
+            .events
+            .iter()
+            .map(|e| (e.track.as_str(), e.ts_cycles))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                ("cluster", 5),
+                ("cluster.shard0/opensys", 40),
+                ("cluster.shard1/opensys", 700)
+            ]
+        );
+        assert!(a.drain().events.is_empty(), "the parent drained the child");
     }
 
     #[test]
@@ -972,29 +1492,262 @@ mod tests {
     }
 
     #[test]
-    fn registry_ignores_kind_mismatches() {
-        let mut reg = MetricRegistry::new();
-        reg.counter_add("x", 1);
-        reg.gauge_set("x", 9.0); // ignored: x is a counter
-        reg.histogram_record("x", 4); // ignored
-        let snap = reg.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].kind, MetricKind::Counter);
-        assert_eq!(snap[0].counter, Some(1));
+    fn window_rotation_evicts_old_windows() {
+        let mut h = WindowedHistogram::new(1_000, 3);
+        h.record(0, 10); // window 0
+        h.record(1_500, 20); // window 1
+        h.record(2_100, 300); // window 2
+        assert_eq!(h.window_count(), 3);
+        assert_eq!(h.count(), 3);
+        h.record(3_999, 40); // window 3 evicts window 0
+        assert_eq!(h.window_count(), 3);
+        assert_eq!(h.count(), 3, "value 10 aged out of the live view");
+        assert_eq!(h.total_count(), 4, "lifetime count keeps evicted values");
+        // The merged view no longer contains 10's bucket.
+        let merged = h.merged();
+        assert_eq!(merged.buckets[Histogram::bucket_index(10)], 0);
+        assert_eq!(merged.buckets[Histogram::bucket_index(20)], 1);
+    }
+
+    #[test]
+    fn late_samples_book_into_the_current_window() {
+        let mut h = WindowedHistogram::new(1_000, 4);
+        h.record(5_000, 1);
+        h.record(100, 2); // clock went backwards: current window absorbs it
+        assert_eq!(h.window_count(), 1);
+        assert_eq!(h.count(), 2);
+    }
+
+    #[test]
+    fn quantiles_agree_with_report_percentiles_exactly() {
+        // Identical samples through the windowed histogram and through
+        // report::percentiles give identical answers.
+        let values: Vec<u64> = (1..=1_000).map(|i| i * 7).collect();
+        let mut h = WindowedHistogram::new(1 << 40, 4); // one big window
+        for &v in &values {
+            h.record(0, v);
+        }
+        assert!(h.is_exact());
+        let q = h.quantiles();
+        let f: Vec<f64> = values.iter().map(|&v| v as f64).collect();
+        let p = percentiles(&f);
+        assert_eq!(q.p50, p.p50);
+        assert_eq!(q.p95, p.p95);
+        assert_eq!(q.p99, p.p99);
+        assert_eq!(q.p999, percentile(&f, 99.9));
+    }
+
+    #[test]
+    fn quantiles_degrade_to_buckets_past_the_sample_cap() {
+        let mut h = WindowedHistogram::new(1 << 40, 1);
+        for i in 0..(WINDOW_SAMPLE_CAP as u64 + 10) {
+            h.record(0, 100 + i % 3);
+        }
+        assert!(!h.is_exact());
+        let q = h.quantiles();
+        // Bucket lower bound of 100..103 is 64.
+        assert_eq!(q.p50, 64.0);
+    }
+
+    #[test]
+    fn slo_attainment_and_burn_rate() {
+        let mut s = SloTracker::new(100, 0.9);
+        assert_eq!(s.attainment(), 1.0);
+        assert!(s.status().met);
+        assert_eq!(s.burn_rate(), 0.0);
+        for v in [10, 50, 100, 101, 500, 20, 30, 40, 60, 70] {
+            s.observe(v);
+        }
+        // 8 of 10 good → attainment 0.8, budget 0.1, burn 2.0.
+        assert_eq!(s.good, 8);
+        assert!((s.attainment() - 0.8).abs() < 1e-12);
+        assert!((s.burn_rate() - 2.0).abs() < 1e-12);
+        let status = s.status();
+        assert_eq!(status.total, 10);
+        assert!(!status.met);
+    }
+
+    #[test]
+    fn slo_with_total_objective_has_infinite_burn_on_any_miss() {
+        let mut s = SloTracker::new(10, 1.0);
+        s.observe(5);
+        assert_eq!(s.burn_rate(), 0.0);
+        s.observe(11);
+        assert!(s.burn_rate().is_infinite());
+    }
+
+    #[test]
+    fn snapshot_round_trips_through_serde() {
+        let tel = Telemetry::metrics();
+        tel.counter("serve.requests.submit").add(7);
+        tel.gauge("engine.queue_depth").set(3.0);
+        tel.register_histogram("serve.response_cycles", 1_000, 4);
+        tel.histogram_record("serve.response_cycles", 100, 2_048);
+        tel.histogram_record("serve.response_cycles", 200, 4_096);
+        tel.register_slo("serve.response_cycles", 3_000, 0.99);
+        tel.observe_slo("serve.response_cycles", 2_048);
+        tel.observe_slo("serve.response_cycles", 4_096);
+        let snap = tel.snapshot(250);
+
+        let json = serde_json::to_string(&snap).unwrap();
+        let back: Snapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, snap);
+        assert_eq!(back.version, METRICS_VERSION);
+        assert_eq!(back.counters["serve.requests.submit"], 7);
+        assert_eq!(back.gauges["engine.queue_depth"], 3.0);
+        let h = &back.histograms["serve.response_cycles"];
+        assert_eq!(h.count, 2);
+        assert!(h.exact);
+        let slo = &back.slos["serve.response_cycles"];
+        assert_eq!(slo.good, 1);
+        assert_eq!(slo.total, 2);
+        assert!((slo.attainment - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn prometheus_exposition_has_expected_series() {
+        let tel = Telemetry::metrics();
+        tel.counter("serve.requests.submit").add(3);
+        tel.gauge("engine.queue_depth").set(2.0);
+        tel.register_histogram("serve.response_cycles", 1_000, 4);
+        tel.histogram_record("serve.response_cycles", 0, 3); // bucket [2,4) → le=4
+        tel.histogram_record("serve.response_cycles", 0, 100); // bucket [64,128) → le=128
+        tel.register_slo("serve.response_cycles", 50, 0.99);
+        tel.observe_slo("serve.response_cycles", 3);
+        let text = tel.snapshot(0).prometheus_text();
+
+        assert!(text.contains("# TYPE sos_serve_requests_submit counter"));
+        assert!(text.contains("sos_serve_requests_submit 3"));
+        assert!(text.contains("sos_engine_queue_depth 2"));
+        assert!(text.contains("# TYPE sos_serve_response_cycles histogram"));
+        assert!(text.contains("sos_serve_response_cycles_bucket{le=\"4\"} 1"));
+        // Buckets are cumulative.
+        assert!(text.contains("sos_serve_response_cycles_bucket{le=\"128\"} 2"));
+        assert!(text.contains("sos_serve_response_cycles_bucket{le=\"+Inf\"} 2"));
+        assert!(text.contains("sos_serve_response_cycles_sum 103"));
+        assert!(text.contains("sos_serve_response_cycles_count 2"));
+        assert!(text.contains("sos_serve_response_cycles_slo_attainment 1"));
+        assert!(text.contains("sos_serve_response_cycles_slo_met 1"));
+        // Every non-comment line is "name[{labels}] value".
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            let (series, value) = line.rsplit_once(' ').unwrap();
+            assert!(!series.is_empty(), "bad exposition line {line:?}");
+            assert!(
+                value.parse::<f64>().is_ok() || matches!(value, "NaN" | "+Inf" | "-Inf"),
+                "bad exposition value in {line:?}"
+            );
+        }
+    }
+
+    /// Parses a Prometheus exposition into `series → value` text.
+    fn prom_series(text: &str) -> BTreeMap<&str, &str> {
+        text.lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| l.rsplit_once(' ').expect("series and value"))
+            .collect()
+    }
+
+    #[test]
+    fn both_exporters_carry_the_same_names_and_values() {
+        let tel = Telemetry::tracing();
+        tel.counter("a.count").add(2);
+        tel.counter("a.zero");
+        tel.gauge("g.plain").set(1.5);
+        tel.gauge("g.nan").set(f64::NAN);
+        tel.gauge("g.inf").set(f64::INFINITY);
+        tel.gauge("g.ninf").set(f64::NEG_INFINITY);
+        tel.register_histogram("h.empty", 1_000, 2);
+        for v in [0, 3, 3, 100, 5_000] {
+            tel.histogram_record("h.full", 7, v);
+        }
+        let snap = tel.drain();
+        let text = snap.prometheus_text();
+        let prom = prom_series(&text);
+        let rows = snap.metric_rows();
+        assert_eq!(rows.len(), 8);
+
+        let mut prom_names: Vec<String> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .map(|l| l.split(' ').next().unwrap().to_string())
+            .collect();
+        prom_names.sort();
+        let mut row_names: Vec<String> = rows.iter().map(|m| prometheus_name(&m.name)).collect();
+        row_names.sort();
+        assert_eq!(prom_names, row_names, "one exposition family per JSONL row");
+
+        for m in &rows {
+            let p = prometheus_name(&m.name);
+            match m.kind {
+                MetricKind::Counter => {
+                    assert_eq!(prom[p.as_str()], m.counter.unwrap().to_string());
+                }
+                MetricKind::Gauge => {
+                    let g = m.gauge.unwrap();
+                    let shown = prom[p.as_str()];
+                    match m.name.as_str() {
+                        "g.nan" => assert!(g.is_nan() && shown == "NaN"),
+                        "g.inf" => assert!(g == f64::INFINITY && shown == "+Inf"),
+                        "g.ninf" => assert!(g == f64::NEG_INFINITY && shown == "-Inf"),
+                        _ => assert_eq!(shown.parse::<f64>().unwrap(), g),
+                    }
+                }
+                MetricKind::Histogram => {
+                    let h = m.histogram.as_ref().unwrap();
+                    assert_eq!(prom[format!("{p}_count").as_str()], h.count.to_string());
+                    assert_eq!(prom[format!("{p}_sum").as_str()], h.sum.to_string());
+                    // The row's non-empty buckets, as (exclusive upper bound,
+                    // cumulative count), are exactly the `le` series.
+                    let bucket = format!("{p}_bucket{{le=\"");
+                    let mut from_prom: Vec<(u64, u64)> = prom
+                        .iter()
+                        .filter_map(|(s, v)| Some((s.strip_prefix(&bucket)?, v)))
+                        .filter_map(|(s, v)| Some((s.strip_suffix("\"}")?.parse().ok()?, v)))
+                        .map(|(le, v)| (le, v.parse().unwrap()))
+                        .collect();
+                    from_prom.sort_unstable();
+                    let mut seen = 0u64;
+                    let from_rows: Vec<(u64, u64)> = (h.buckets.iter().enumerate())
+                        .filter(|(_, &c)| c > 0)
+                        .map(|(i, &c)| {
+                            seen += c;
+                            let lo = Histogram::bucket_lower_bound(i);
+                            (if lo == 0 { 1 } else { lo * 2 }, seen)
+                        })
+                        .collect();
+                    assert_eq!(from_prom, from_rows, "{}", m.name);
+                    assert_eq!(
+                        prom[format!("{p}_bucket{{le=\"+Inf\"}}").as_str()],
+                        h.count.to_string()
+                    );
+                }
+            }
+        }
+        // An empty histogram renders as the +Inf bucket, sum and count only,
+        // and as an all-zero row.
+        assert_eq!(
+            text.lines().filter(|l| l.contains("sos_h_empty")).count(),
+            4
+        );
+        let empty = rows.iter().find(|m| m.name == "h.empty").unwrap();
+        assert_eq!(empty.histogram, Some(Histogram::default()));
+        // The rows serialize in the JSONL line format and parse back.
+        for line in snap.metrics_jsonl().lines() {
+            let back: Metric = serde_json::from_str(line).unwrap();
+            assert!(rows
+                .iter()
+                .any(|m| m.name == back.name && m.kind == back.kind));
+        }
     }
 
     #[test]
     fn span_guard_closes_on_drop() {
-        let _l = locked();
-        reset();
-        enable();
+        let tel = Telemetry::tracing();
         {
-            let _g = span("scheduler", "outer", vec![]);
-            instant("scheduler", "mid", vec![]);
+            let _g = tel.span("scheduler", "outer", Vec::new);
+            tel.instant("scheduler", "mid", Vec::new);
         }
-        disable();
-        let snap = drain();
-        let phases: Vec<EventPhase> = snap.events.iter().map(|e| e.phase).collect();
+        let phases: Vec<EventPhase> = tel.drain().events.iter().map(|e| e.phase).collect();
         assert_eq!(
             phases,
             vec![
@@ -1007,38 +1760,32 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_expected_shape() {
+        let event = |ts_cycles, phase, track: &str, name: &str, attrs| Event {
+            ts_cycles,
+            phase,
+            track: track.into(),
+            name: name.into(),
+            attrs,
+        };
         let events = vec![
-            Event {
-                ts_cycles: 1_000,
-                phase: EventPhase::SpanStart,
-                track: "scheduler".into(),
-                name: "phase".into(),
-                attrs: vec![Attr::text("spec", "Jsb(6,3,3)")],
-            },
-            Event {
-                ts_cycles: 1_500,
-                phase: EventPhase::Counter,
-                track: "smtsim".into(),
-                name: "occupancy".into(),
-                attrs: vec![Attr::num("int_queue", 12.0)],
-            },
-            Event {
-                ts_cycles: 2_000,
-                phase: EventPhase::SpanEnd,
-                track: "scheduler".into(),
-                name: "phase".into(),
-                attrs: vec![],
-            },
+            event(
+                1_000,
+                EventPhase::SpanStart,
+                "scheduler",
+                "phase",
+                vec![Attr::text("spec", "Jsb(6,3,3)")],
+            ),
+            event(
+                1_500,
+                EventPhase::Counter,
+                "smtsim",
+                "occupancy",
+                vec![Attr::num("int_queue", 12.0)],
+            ),
+            event(2_000, EventPhase::SpanEnd, "scheduler", "phase", vec![]),
         ];
         let value = chrome_trace_value(&events);
-        let top = value.as_object().unwrap();
-        let trace_events = top
-            .iter()
-            .find(|(k, _)| k == "traceEvents")
-            .unwrap()
-            .1
-            .as_array()
-            .unwrap();
+        let trace_events = value.get("traceEvents").unwrap().as_array().unwrap();
         // 2 thread_name metadata + 3 events.
         assert_eq!(trace_events.len(), 5);
         let get = |v: &serde::Value, k: &str| v.get(k).cloned().unwrap();
@@ -1053,33 +1800,6 @@ mod tests {
             get(&trace_events[2], "tid").as_u64(),
             get(&trace_events[3], "tid").as_u64()
         );
-    }
-
-    #[test]
-    fn jsonl_round_trips_events_and_metrics() {
-        let e = Event {
-            ts_cycles: 42,
-            phase: EventPhase::Instant,
-            track: "opensys".into(),
-            name: "arrival".into(),
-            attrs: vec![Attr::num("job", 3.0), Attr::text("bench", "gcc")],
-        };
-        let line = serde_json::to_string(&e).unwrap();
-        let back: Event = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, e);
-
-        let mut h = Histogram::default();
-        h.record(77);
-        let m = Metric {
-            name: "lat".into(),
-            kind: MetricKind::Histogram,
-            counter: None,
-            gauge: None,
-            histogram: Some(h),
-        };
-        let line = serde_json::to_string(&m).unwrap();
-        let back: Metric = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, m);
     }
 
     #[test]
@@ -1099,25 +1819,16 @@ mod tests {
             }
         }
 
-        let _l = locked();
-        reset();
-        enable();
+        let tel = Telemetry::tracing();
         let mut p = Processor::new(MachineConfig::alpha21264_like(2));
-        p.set_observer(Box::new(TelemetryObserver::new()));
+        p.set_observer(Box::new(TelemetryObserver::new(tel.clone())));
         p.set_occupancy_interval(500);
         let mut job = Alu { pc: 0 };
         let _ = p.run_timeslice(&mut [&mut job], 2_000);
         let _ = p.run_timeslice(&mut [&mut job], 2_000);
-        disable();
-        let snap = drain();
+        let snap = tel.drain();
 
-        assert_eq!(clock() % 4_000, 0);
-        let starts = snap
-            .events
-            .iter()
-            .filter(|e| e.name == "smtsim.timeslice" && e.phase == EventPhase::SpanStart)
-            .count();
-        assert_eq!(starts, 2);
+        assert_eq!(tel.clock(), 4_000);
         // Second timeslice's span starts at the advanced clock.
         let start_ts: Vec<u64> = snap
             .events
@@ -1133,12 +1844,6 @@ mod tests {
             .filter(|e| e.name == "smtsim.occupancy")
             .count();
         assert_eq!(occ, 8);
-        let cycles = snap
-            .metrics
-            .iter()
-            .find(|m| m.name == "smtsim.cycles")
-            .unwrap();
-        assert_eq!(cycles.counter, Some(4_000));
-        reset();
+        assert_eq!(snap.counters["smtsim.cycles"], 4_000);
     }
 }

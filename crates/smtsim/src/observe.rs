@@ -16,12 +16,12 @@
 //! Every method has a no-op default, so observers implement only what they
 //! need. The engine holds the observer behind `Option<Box<dyn Observer>>`
 //! and tests `is_some()` once per cycle; with no observer registered the
-//! probes cost one predicted branch per cycle (see the
-//! `observer_overhead` benchmark in the `sos-bench` crate).
+//! probes cost one predicted branch per cycle.
 //!
 //! Observers that aggregate state across timeslices (e.g. a telemetry sink)
-//! conventionally hold a shared handle (`Arc<Mutex<…>>` or a global
-//! recorder) rather than relying on retrieving the box from the engine.
+//! conventionally hold a shared handle (`Arc<Mutex<…>>`, as `sos-core`'s
+//! `TelemetryObserver` does) rather than relying on retrieving the box from
+//! the engine.
 
 use crate::counters::Resource;
 use crate::stats::TimesliceStats;

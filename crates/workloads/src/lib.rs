@@ -17,8 +17,6 @@
 //!   and its loosely-synchronizing variant; `mt_EP`, `mt_ARRAY`).
 //! * [`phased`] — strongly phased jobs (alternating behavioural profiles),
 //!   the workload class §9 anticipates beyond SPEC/NPB.
-//! * [`recorded`] — capture/replay of instruction traces (regression
-//!   fixtures; an entry point for real program traces).
 //! * [`jobmix`] — the exact jobmixes of Table 1, keyed by experiment.
 //!
 //! ## Example
@@ -41,7 +39,6 @@ pub mod jobmix;
 pub mod parallel;
 pub mod phased;
 pub mod profile;
-pub mod recorded;
 pub mod spec;
 pub mod synth;
 
@@ -49,6 +46,5 @@ pub use jobmix::JobSpec;
 pub use parallel::ParallelJob;
 pub use phased::PhasedStream;
 pub use profile::{BenchProfile, ClassMix};
-pub use recorded::{RecordedTrace, TracePlayer};
 pub use spec::Benchmark;
 pub use synth::SyntheticStream;

@@ -6,11 +6,15 @@
 //! 2. a 1-shard cluster is bit-exact with a plain `OnlineEngine` driven by
 //!    the canonical open-system loop;
 //! 3. migration conserves jobs: under forced stealing nothing is lost or
-//!    duplicated, and every departed job matches a submitted one.
+//!    duplicated, and every departed job matches a submitted one;
+//! 4. a traced cluster is as reproducible as an untraced one: every shard
+//!    records on its own clock into its own buffer, merged in shard order.
 
 use sos_core::cluster::{run_cluster_on_trace, ClusterConfig, ClusterEngine, DispatchPolicy};
 use sos_core::online::{JobRecord, OnlineEngine, SchedulerKind};
 use sos_core::opensys::{arrival_trace, calibrate_benchmarks, JobArrival, OpenSystemConfig};
+use sos_core::telemetry::{EventPhase, Snapshot, Telemetry};
+use workloads::spec::Benchmark;
 
 fn small_config() -> OpenSystemConfig {
     // Tiny cycle budget: the suite runs several debug-profile cluster
@@ -204,4 +208,106 @@ fn forced_stealing_conserves_jobs() {
     assert_eq!(report.migrations as usize, migrated_in);
     let per_shard_completed: u64 = report.per_shard.iter().map(|s| s.completed).sum();
     assert_eq!(per_shard_completed, report.completed);
+}
+
+/// A traced 2-shard run with exactly one forced migration: two long jobs
+/// occupy both contexts of shard 0 while shard 1's short ones drain; a
+/// third job dispatched to shard 0 is then still unstarted when the
+/// rebalance after that round sees a depth gap of 2, and moves to shard 1.
+fn traced_two_shard_run(cfg: &OpenSystemConfig) -> (Snapshot, u64) {
+    let mut ccfg = ClusterConfig::new(
+        2,
+        DispatchPolicy::RoundRobin,
+        SchedulerKind::Naive,
+        cfg.online(),
+    );
+    ccfg.rebalance_every = 1;
+    ccfg.steal_threshold = 2;
+    let tel = Telemetry::tracing();
+    let mut engine = ClusterEngine::with_telemetry(&ccfg, &tel);
+    let job = |engine: &ClusterEngine, instructions| JobArrival {
+        arrival: engine.now(),
+        benchmark: Benchmark::Gcc,
+        instructions,
+        phased: false,
+    };
+    // Round-robin: long, short, long, short → shard 0 holds both long jobs.
+    for instructions in [400_000, 10_000, 400_000, 10_000] {
+        engine.submit(job(&engine, instructions));
+    }
+    while engine.shard_depths()[1] > 0 {
+        engine.step();
+    }
+    assert_eq!(engine.shard_depths(), [2, 0]);
+    assert_eq!(engine.migrations(), 0, "started jobs must not migrate");
+    for _ in 0..2 {
+        engine.submit(job(&engine, 10_000));
+    }
+    engine.drain(u64::MAX);
+    let migrations = engine.report().migrations;
+    drop(engine); // joins the shard threads: every buffer is final
+    (tel.drain(), migrations)
+}
+
+#[test]
+fn traced_cluster_is_reproducible_with_per_shard_clocks() {
+    let cfg = small_config();
+    let (snap, migrations) = traced_two_shard_run(&cfg);
+    let (again, _) = traced_two_shard_run(&cfg);
+    assert_eq!(
+        snap.chrome_trace_json(),
+        again.chrome_trace_json(),
+        "a traced cluster run must be byte-reproducible"
+    );
+    assert_eq!(snap.metrics_jsonl(), again.metrics_jsonl());
+
+    // The forced migration appears once: one dispatcher instant, one
+    // reclaim on the source shard, and the cluster counter agrees.
+    assert_eq!(migrations, 1);
+    let named = |name: &'static str| snap.events.iter().filter(move |e| e.name == name);
+    let moved: Vec<_> = named("cluster.migration").collect();
+    assert_eq!(moved.len(), 1);
+    assert_eq!(moved[0].track, "cluster");
+    let reclaimed: Vec<_> = named("job.reclaimed").collect();
+    assert_eq!(reclaimed.len(), 1);
+    assert!(reclaimed[0].track.starts_with("cluster.shard0/job/"));
+    assert_eq!(snap.counters["cluster.migrations"], 1);
+    // 4 + 2 dispatched plus the one re-dispatch; shard 1 ran 2 + 1 + 1 jobs.
+    assert_eq!(named("job.admit").count(), 7);
+    assert_eq!(named("job.complete").count(), 6);
+    assert_eq!(snap.counters["cluster.shard1.opensys.departures"], 4);
+    assert_eq!(
+        snap.counters["cluster.shard0.timeslices"] + snap.counters["cluster.shard1.timeslices"],
+        named("smtsim.timeslice").count() as u64 / 2
+    );
+
+    // Dispatcher events first, then shard 0's, then shard 1's; and every
+    // track is stamped by one clock — timestamps never step back on it.
+    let shard_of = |track: &str| match track.split_once('/') {
+        Some(("cluster.shard0", _)) => 1,
+        Some(("cluster.shard1", _)) => 2,
+        _ => 0,
+    };
+    let owners: Vec<u8> = snap.events.iter().map(|e| shard_of(&e.track)).collect();
+    assert!(owners.windows(2).all(|w| w[0] <= w[1]), "merge order");
+    assert!(owners.contains(&1) && owners.contains(&2));
+    let mut last = std::collections::HashMap::new();
+    for e in &snap.events {
+        let prev = last.insert(e.track.as_str(), e.ts_cycles).unwrap_or(0);
+        assert!(prev <= e.ts_cycles, "clock stepped back on {}", e.track);
+    }
+    // A shard's clock is its own: each of its timeslice spans covers exactly
+    // one timeslice, however the other shard's thread was scheduled (with a
+    // shared clock the other shard would move it mid-span).
+    for shard in ["cluster.shard0/smtsim", "cluster.shard1/smtsim"] {
+        let spans: Vec<_> = named("smtsim.timeslice")
+            .filter(|e| e.track == shard)
+            .collect();
+        assert!(!spans.is_empty());
+        for pair in spans.chunks(2) {
+            assert_eq!(pair[0].phase, EventPhase::SpanStart);
+            assert_eq!(pair[1].phase, EventPhase::SpanEnd);
+            assert_eq!(pair[1].ts_cycles - pair[0].ts_cycles, cfg.timeslice);
+        }
+    }
 }

@@ -1,30 +1,30 @@
 //! Golden test for request-scoped job tracing: a seeded 3-job run through
-//! `OnlineEngine` with job spans enabled must produce a byte-identical
-//! Chrome trace across reruns, with the full span tree per job
+//! `OnlineEngine` on a tracing telemetry handle must produce a
+//! byte-identical Chrome trace across reruns — solo or next to another
+//! traced engine on a second thread — with the full span tree per job
 //! (admit → queue wait → schedule decision → timeslices → complete) on that
 //! job's own track.
 //!
-//! This lives in its own integration-test binary because the telemetry
-//! recorder is process-global: sharing a process with other telemetry tests
-//! would interleave their events into the trace under test. The two tests
-//! here share that recorder too, so each run holds `LOCK` from `reset()` to
-//! `drain()`.
+//! Every run owns its handle (buffer and clock), so the tests here run in
+//! parallel without any lock.
 
 use sos_core::online::{OnlineConfig, OnlineEngine, SchedulerKind};
 use sos_core::opensys::JobArrival;
-use sos_core::telemetry;
+use sos_core::telemetry::Telemetry;
 use sos_core::PredictorKind;
-use std::sync::Mutex;
+use std::sync::Barrier;
 use workloads::spec::Benchmark;
 
-static LOCK: Mutex<()> = Mutex::new(());
+/// FNV-1a digest of [`traced_run`]'s output, recorded on the commit before
+/// the process-wide recorder was replaced by the handle: the refactor must
+/// not move a byte of the trace.
+const GOLDEN_DIGEST: u64 = 0x36db_2d57_a67e_2285;
+const GOLDEN_LEN: usize = 670_950;
 
-/// Runs the seeded 3-job scenario with job spans on and returns the Chrome
-/// trace JSON.
-fn traced_run() -> String {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    telemetry::reset();
-    telemetry::enable();
+/// Runs the seeded 3-job scenario on its own tracing handle and returns the
+/// Chrome trace JSON. `before_step` runs ahead of every timeslice.
+fn traced_run_with(mut before_step: impl FnMut()) -> String {
+    let tel = Telemetry::tracing();
     let cfg = OnlineConfig {
         smt: 2,
         timeslice: 2_000,
@@ -37,7 +37,7 @@ fn traced_run() -> String {
         learn: None,
     };
     let mut engine = OnlineEngine::new(SchedulerKind::Sos, &cfg);
-    engine.set_job_spans(true);
+    engine.set_telemetry(tel.clone());
     let jobs = [
         (Benchmark::Gcc, 40_000, false),
         (Benchmark::Mg, 30_000, true),
@@ -53,13 +53,16 @@ fn traced_run() -> String {
     }
     let mut safety = 0;
     while engine.live_count() > 0 {
+        before_step();
         engine.step();
         safety += 1;
         assert!(safety < 100_000, "run did not terminate");
     }
-    let snap = telemetry::global().drain();
-    telemetry::disable();
-    snap.chrome_trace_json()
+    tel.drain().chrome_trace_json()
+}
+
+fn traced_run() -> String {
+    traced_run_with(|| {})
 }
 
 #[test]
@@ -67,6 +70,39 @@ fn job_span_trace_is_byte_identical_across_reruns() {
     let first = traced_run();
     let second = traced_run();
     assert_eq!(first, second, "job-span trace must be deterministic");
+}
+
+#[test]
+fn job_span_trace_matches_the_digest_recorded_before_the_refactor() {
+    let trace = traced_run();
+    let digest = trace.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!((trace.len(), digest), (GOLDEN_LEN, GOLDEN_DIGEST));
+}
+
+#[test]
+fn concurrent_traced_engines_each_match_a_solo_run() {
+    // Both threads run the same scenario, so they take the same number of
+    // steps; a barrier ahead of every step forces the two engines to record
+    // interleaved. With one shared buffer and clock (the old process-wide
+    // recorder) each trace would contain the other's events.
+    let solo = traced_run();
+    let barrier = Barrier::new(2);
+    let (a, b) = std::thread::scope(|s| {
+        let run = || {
+            traced_run_with(|| {
+                barrier.wait();
+            })
+        };
+        let a = s.spawn(run);
+        let b = s.spawn(run);
+        (
+            a.join().expect("first traced engine"),
+            b.join().expect("second traced engine"),
+        )
+    });
+    assert!(a == solo && b == solo, "a concurrent trace diverged");
 }
 
 #[test]

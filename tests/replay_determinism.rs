@@ -10,16 +10,10 @@
 use smt_symbiosis::sos::runner::{RotationStats, Runner};
 use smt_symbiosis::sos::schedule::Schedule;
 use smt_symbiosis::sos::sos::{SosConfig, SosScheduler};
-use smt_symbiosis::sos::{telemetry, ExperimentSpec, JobPool};
+use smt_symbiosis::sos::telemetry::Telemetry;
+use smt_symbiosis::sos::{ExperimentSpec, JobPool};
 use smt_symbiosis::workloads::{Benchmark, JobSpec};
 use smtsim::MachineConfig;
-use std::sync::Mutex;
-
-/// The telemetry recorder is process-wide and the test harness is
-/// multi-threaded. Every test in this file takes the lock — including the
-/// ones that do not read telemetry — so a run under test can never record
-/// spans into a concurrent test's snapshot.
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 fn seeded_runner(seed: u64) -> Runner {
     let pool = JobPool::from_specs(
@@ -43,7 +37,6 @@ fn rotations_json(seed: u64) -> String {
 
 #[test]
 fn rotation_stats_replay_byte_identical() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
     let a = rotations_json(7);
     let b = rotations_json(7);
     assert_eq!(a, b, "same seed must replay to identical rotation counters");
@@ -54,7 +47,6 @@ fn rotation_stats_replay_byte_identical() {
 
 #[test]
 fn experiment_report_replay_byte_identical() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
     let spec: ExperimentSpec = "Jsb(4,2,2)".parse().expect("valid spec");
     let cfg = SosConfig {
         cycle_scale: 20_000,
@@ -74,19 +66,13 @@ fn experiment_report_replay_byte_identical() {
 
 #[test]
 fn telemetry_event_stream_replays_byte_identical() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
     let run = || {
-        telemetry::reset();
-        telemetry::enable();
+        let tel = Telemetry::tracing();
         let mut r = seeded_runner(11);
-        r.attach_telemetry();
+        r.attach_telemetry(&tel);
         let s = Schedule::new(vec![0, 1, 2, 3], 2, 2);
         let _ = r.run_schedule(&s, 2);
-        r.detach_telemetry();
-        telemetry::disable();
-        let snapshot = telemetry::drain();
-        telemetry::reset();
-        telemetry::events_to_jsonl(&snapshot.events)
+        tel.drain().events_jsonl()
     };
     let a = run();
     let b = run();

@@ -4,15 +4,10 @@
 
 use smt_symbiosis::sos::sos::{SosConfig, SosScheduler};
 use smt_symbiosis::sos::telemetry::{
-    self, chrome_trace_value, Attr, Event, EventPhase, Histogram, Metric, MetricKind, Snapshot,
+    chrome_trace_value, Attr, Event, EventPhase, Histogram, Metric, MetricKind, Telemetry,
 };
 use smt_symbiosis::sos::ExperimentSpec;
 use smtsim::{ConflictCounters, ThreadStats};
-use std::sync::Mutex;
-
-/// The recorder is process-wide and the test harness is multi-threaded:
-/// every test that touches the global recorder takes this lock.
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 fn round_trip<T>(value: &T) -> T
 where
@@ -72,17 +67,31 @@ fn metrics_and_snapshots_round_trip() {
             histogram: Some(h),
         },
     ];
-    let snap = Snapshot {
-        events: vec![Event {
+    for m in &metrics {
+        assert_eq!(&round_trip(m), m);
+    }
+    // The same three metrics and one event, recorded through a handle: the
+    // drained snapshot round-trips and exports exactly those rows.
+    let tel = Telemetry::tracing();
+    tel.counter_add("c", 42);
+    tel.gauge_set("g", -1.25);
+    tel.histogram_record("h", 0, 0);
+    tel.histogram_record("h", 0, 513);
+    tel.set_clock(7);
+    tel.instant("opensys", "opensys.arrival", Vec::new);
+    let snap = tel.drain();
+    assert_eq!(round_trip(&snap), snap);
+    assert_eq!(snap.metric_rows(), metrics);
+    assert_eq!(
+        snap.events,
+        vec![Event {
             ts_cycles: 7,
             phase: EventPhase::Instant,
             track: "opensys".into(),
             name: "opensys.arrival".into(),
             attrs: vec![],
-        }],
-        metrics,
-    };
-    assert_eq!(round_trip(&snap), snap);
+        }]
+    );
 }
 
 #[test]
@@ -121,23 +130,19 @@ fn rfind(events: &[Event], phase: EventPhase, name: &str) -> usize {
 
 #[test]
 fn sos_run_emits_well_nested_ordered_events() {
-    let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    telemetry::reset();
-    telemetry::enable();
+    let tel = Telemetry::tracing();
     let spec: ExperimentSpec = "Jsb(4,2,2)".parse().unwrap();
     let cfg = SosConfig {
         cycle_scale: 20_000,
         calibration_cycles: 15_000,
         ..SosConfig::default()
     };
-    let report = SosScheduler::evaluate_experiment(&spec, &cfg);
-    telemetry::disable();
-    let snap = telemetry::drain();
-    telemetry::reset();
+    let report = SosScheduler::evaluate_experiment_traced(&spec, &cfg, 0, &tel);
+    let snap = tel.drain();
     let events = &snap.events;
     assert!(!events.is_empty());
 
-    // Timestamps never go backwards: the recorder's clock is monotonic
+    // Timestamps never go backwards: the handle's clock is monotonic
     // within a run and occupancy samples are stamped inside their slice.
     for w in events.windows(2) {
         assert!(
@@ -208,8 +213,8 @@ fn sos_run_emits_well_nested_ordered_events() {
 
     // The smtsim bridge recorded timeslices and conflict metrics.
     assert!(count_named(EventPhase::SpanStart, "smtsim.timeslice") > 0);
-    assert!(snap.metrics.iter().any(|m| m.name == "smtsim.cycles"));
-    assert!(snap.metrics.iter().any(|m| m.name == "sos.experiments"));
+    assert!(snap.counters.contains_key("smtsim.cycles"));
+    assert!(snap.counters.contains_key("sos.experiments"));
 }
 
 #[test]
@@ -251,17 +256,16 @@ fn chrome_trace_matches_golden_schema() {
 
 #[test]
 fn disabled_telemetry_records_nothing_during_sos_run() {
-    let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    telemetry::reset();
-    assert!(!telemetry::is_enabled());
+    let tel = Telemetry::off();
+    assert!(!tel.is_on());
     let spec: ExperimentSpec = "Jsb(4,2,2)".parse().unwrap();
     let cfg = SosConfig {
         cycle_scale: 40_000,
         calibration_cycles: 10_000,
         ..SosConfig::default()
     };
-    let _ = SosScheduler::evaluate_experiment(&spec, &cfg);
-    let snap = telemetry::drain();
+    let _ = SosScheduler::evaluate_experiment_traced(&spec, &cfg, 0, &tel);
+    let snap = tel.drain();
     assert!(snap.events.is_empty());
-    assert!(snap.metrics.is_empty());
+    assert!(snap.metric_rows().is_empty());
 }
