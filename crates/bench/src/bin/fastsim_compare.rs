@@ -32,7 +32,7 @@
 
 use smtsim::{FastSimPolicy, MachineConfig};
 use sos_core::job::JobPool;
-use sos_core::online::{OnlineEngine, SchedulerKind};
+use sos_core::online::{replay, OnlineEngine, SchedulerKind};
 use sos_core::opensys::{arrival_trace, calibrate_benchmarks, JobArrival, OpenSystemConfig};
 use sos_core::report::{percentiles, Percentiles};
 use sos_core::runner::Runner;
@@ -51,7 +51,8 @@ struct Args {
     timeslice: u64,
     seed: u64,
     seeds: usize,
-    thresholds: Vec<f64>,
+    /// One fast-mode policy per `--thresholds` entry.
+    policies: Vec<FastSimPolicy>,
     raw_rotations: usize,
     assert_ws_error: Option<f64>,
     assert_response_error: Option<f64>,
@@ -71,7 +72,7 @@ impl Default for Args {
             timeslice: 5_000,
             seed: 42,
             seeds: 1,
-            thresholds: vec![0.05, 0.10, 0.20],
+            policies: policies("0.05,0.10,0.20").expect("valid defaults"),
             raw_rotations: 400,
             assert_ws_error: None,
             assert_response_error: None,
@@ -99,13 +100,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             "--timeslice" => args.timeslice = num(&value("--timeslice")?, "--timeslice")?,
             "--seed" => args.seed = num(&value("--seed")?, "--seed")?,
             "--seeds" => args.seeds = num(&value("--seeds")?, "--seeds")?,
-            "--thresholds" => {
-                let v = value("--thresholds")?;
-                args.thresholds = v
-                    .split(',')
-                    .map(|t| num(t.trim(), "--thresholds"))
-                    .collect::<Result<_, _>>()?;
-            }
+            "--thresholds" => args.policies = policies(&value("--thresholds")?)?,
             "--raw-rotations" => {
                 args.raw_rotations = num(&value("--raw-rotations")?, "--raw-rotations")?
             }
@@ -136,14 +131,21 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if args.jobs == 0 || args.seeds == 0 || args.thresholds.is_empty() {
+    if args.jobs == 0 || args.seeds == 0 || args.policies.is_empty() {
         return Err("--jobs, --seeds and --thresholds must be non-zero".into());
     }
-    // `<=` alone would let NaN through.
-    if args.thresholds.iter().any(|&t| t.is_nan() || t <= 0.0) {
-        return Err("--thresholds entries must be positive".into());
-    }
     Ok(args)
+}
+
+/// One fast-mode policy per entry of a comma-separated threshold list.
+fn policies(thresholds: &str) -> Result<Vec<FastSimPolicy>, String> {
+    thresholds
+        .split(',')
+        .map(|t| {
+            let t = num(t.trim(), "--thresholds")?;
+            Ok(sos_bench::fastsim_policy(true, Some(t))?.expect("fast mode is on"))
+        })
+        .collect()
 }
 
 fn num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
@@ -203,8 +205,7 @@ fn pool(runs: &[RunSummary]) -> Pooled {
     }
 }
 
-/// Drives the canonical open-system loop (submit due arrivals, step while
-/// busy, jump idle gaps) against one engine and summarizes it.
+/// Replays the trace through one engine and summarizes the run.
 fn run_scenario(
     cfg: &OpenSystemConfig,
     trace: &[JobArrival],
@@ -215,19 +216,7 @@ fn run_scenario(
     online.fastsim = fastsim;
     let mut engine = OnlineEngine::new(SchedulerKind::Sos, &online);
     let started = Instant::now();
-    let mut completed = Vec::with_capacity(trace.len());
-    let mut next = 0usize;
-    while completed.len() < trace.len() {
-        while next < trace.len() && trace[next].arrival <= engine.now() {
-            engine.submit(trace[next].clone());
-            next += 1;
-        }
-        if engine.live_count() == 0 {
-            engine.jump_to(trace[next].arrival);
-            continue;
-        }
-        completed.extend(engine.step());
-    }
+    let completed = replay(&mut engine, trace);
     let wall_secs = started.elapsed().as_secs_f64();
 
     let solo_ipc = |b: Benchmark| solo.get(&b).copied().unwrap_or(1.0).max(1e-9);
@@ -386,8 +375,8 @@ fn main() {
     );
 
     let mut failures = Vec::new();
-    for &threshold in &args.thresholds {
-        let policy = FastSimPolicy::with_threshold(threshold);
+    for policy in &args.policies {
+        let threshold = policy.stability_threshold;
         let fast_runs: Vec<RunSummary> = scenarios
             .iter()
             .map(|(cfg, trace, solo)| run_scenario(cfg, trace, solo, Some(policy.clone())))
@@ -478,10 +467,12 @@ mod tests {
 
     #[test]
     fn thresholds_must_be_positive_numbers() {
-        for bad in ["NaN", "0", "-0.1", "0.05,NaN", "0.05,0", ""] {
+        for bad in ["NaN", "inf", "0", "-0.1", "abc", "0.05,NaN", "0.05,0", ""] {
             assert!(parse(&["--thresholds", bad]).is_err(), "accepted {bad:?}");
         }
         let ok = parse(&["--thresholds", "0.05, 0.1"]).expect("valid thresholds");
-        assert_eq!(ok.thresholds, vec![0.05, 0.1]);
+        let thresholds: Vec<f64> = ok.policies.iter().map(|p| p.stability_threshold).collect();
+        assert_eq!(thresholds, vec![0.05, 0.1]);
+        assert!(parse(&["--thresholds"]).is_err(), "no value");
     }
 }

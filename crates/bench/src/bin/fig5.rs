@@ -15,7 +15,6 @@
 //! `--fast`). Without it, every timeslice executes in full detail and the
 //! output is byte-identical to earlier revisions.
 
-use smtsim::FastSimPolicy;
 use sos_core::opensys::{
     arrival_trace, calibrate_benchmarks, measure_capacity, run_open_system_on_trace,
     OpenSystemConfig, SchedulerKind,
@@ -23,26 +22,14 @@ use sos_core::opensys::{
 use sos_core::report::percentiles;
 
 fn main() {
-    // Strip the fast-sim flags before positional parsing so
+    // The fast-sim flags may sit anywhere among the positionals, so
     // `fig5 6000 --fast` and `fig5 --fast 6000` both work.
-    let mut positional = Vec::new();
-    let mut fast = false;
-    let mut fast_threshold: Option<f64> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--fast" => fast = true,
-            "--fast-threshold" => {
-                fast = true;
-                fast_threshold = it.next().and_then(|v| v.parse().ok());
-            }
-            _ => positional.push(a),
-        }
-    }
-    let fastsim = fast.then(|| match fast_threshold {
-        Some(t) => FastSimPolicy::with_threshold(t),
-        None => FastSimPolicy::default(),
-    });
+    let (fastsim, positional) = sos_bench::take_fast_flags(std::env::args().skip(1))
+        .unwrap_or_else(|e| {
+            eprintln!("fig5: {e}");
+            eprintln!("usage: fig5 [cycle_scale] [num_jobs] [seeds] [--fast] [--fast-threshold F]");
+            std::process::exit(2)
+        });
     // Open-system runs are long; default to a smaller scale than the
     // closed-system experiments.
     let scale: u64 = positional

@@ -30,8 +30,8 @@
 //! queue/clock gauges, migration counters, response/slowdown histograms).
 
 use smtsim::FastSimPolicy;
-use sos_core::cluster::{run_cluster_on_trace, ClusterConfig, ClusterEngine, DispatchPolicy};
-use sos_core::online::{OnlineConfig, SchedulerKind};
+use sos_core::cluster::{ClusterConfig, ClusterEngine, DispatchPolicy};
+use sos_core::online::{replay, OnlineConfig, SchedulerKind};
 use sos_core::opensys::{calibrate_benchmarks, ArrivalTrace, ArrivalTraceSpec};
 use sos_core::predictor::PredictorKind;
 use sos_core::telemetry::Telemetry;
@@ -56,8 +56,7 @@ struct Args {
     slices_per_round: u64,
     rebalance_every: u64,
     steal_threshold: usize,
-    fast: bool,
-    fast_threshold: Option<f64>,
+    fastsim: Option<FastSimPolicy>,
     report_out: Option<PathBuf>,
     prom_out: Option<PathBuf>,
 }
@@ -82,8 +81,7 @@ impl Default for Args {
             slices_per_round: 8,
             rebalance_every: 8,
             steal_threshold: 4,
-            fast: false,
-            fast_threshold: None,
+            fastsim: None,
             report_out: None,
             prom_out: None,
         }
@@ -92,6 +90,7 @@ impl Default for Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
+    let (mut fast, mut fast_threshold) = (false, None);
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
@@ -146,10 +145,9 @@ fn parse_args() -> Result<Args, String> {
             "--steal-threshold" => {
                 args.steal_threshold = num(&value("--steal-threshold")?, "--steal-threshold")?
             }
-            "--fast" => args.fast = true,
+            "--fast" => fast = true,
             "--fast-threshold" => {
-                args.fast = true;
-                args.fast_threshold = Some(num(&value("--fast-threshold")?, "--fast-threshold")?);
+                fast_threshold = Some(num(&value("--fast-threshold")?, "--fast-threshold")?)
             }
             "--report-out" => args.report_out = Some(PathBuf::from(value("--report-out")?)),
             "--prom-out" => args.prom_out = Some(PathBuf::from(value("--prom-out")?)),
@@ -162,6 +160,7 @@ fn parse_args() -> Result<Args, String> {
     if args.mean_interarrival == 0 || args.mean_length == 0 {
         return Err("--mean-interarrival and --mean-length must be positive".into());
     }
+    args.fastsim = sos_bench::fastsim_policy(fast, fast_threshold)?;
     Ok(args)
 }
 
@@ -193,14 +192,6 @@ fn main() {
         &solo,
     );
 
-    let fastsim = if args.fast {
-        Some(match args.fast_threshold {
-            Some(t) => FastSimPolicy::with_threshold(t),
-            None => FastSimPolicy::default(),
-        })
-    } else {
-        None
-    };
     let shard = OnlineConfig {
         smt: args.smt,
         timeslice: args.timeslice,
@@ -209,7 +200,7 @@ fn main() {
         drift_threshold: Some(0.35),
         base_interval: args.base_interval,
         seed: args.seed,
-        fastsim,
+        fastsim: args.fastsim,
         learn: None,
     };
     let mut cfg = ClusterConfig::new(args.shards, args.dispatch, args.policy, shard);
@@ -233,7 +224,7 @@ fn main() {
         println!("# fastsim: {}", p.describe());
     }
     let started = Instant::now();
-    let departed = run_cluster_on_trace(&mut engine, &trace.jobs, u64::MAX);
+    let departed = replay(&mut engine, &trace.jobs);
     let wall_secs = started.elapsed().as_secs_f64();
     let report = engine.report();
 

@@ -91,8 +91,7 @@ fn parse_args() -> Result<Args, String> {
             "--no-shutdown" => args.shutdown = false,
             "--fast" => args.fast = true,
             "--fast-threshold" => {
-                args.fast = true;
-                args.fast_threshold = Some(num(&value("--fast-threshold")?, "--fast-threshold")?);
+                args.fast_threshold = Some(num(&value("--fast-threshold")?, "--fast-threshold")?)
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -103,6 +102,9 @@ fn parse_args() -> Result<Args, String> {
     if args.mean_interarrival == 0 || args.mean_length == 0 {
         return Err("--mean-interarrival and --mean-length must be positive".into());
     }
+    // The daemon builds the policy; check the flags here so a bad threshold
+    // is refused before anything connects.
+    args.fast = sos_bench::fastsim_policy(args.fast, args.fast_threshold)?.is_some();
     Ok(args)
 }
 

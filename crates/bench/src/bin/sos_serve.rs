@@ -86,8 +86,7 @@ struct Args {
     base_interval: u64,
     calibration_cycles: u64,
     seed: u64,
-    fast: bool,
-    fast_threshold: Option<f64>,
+    fastsim: Option<FastSimPolicy>,
     snapshot_dir: PathBuf,
     snapshot_every: u64,
     metrics: Option<PathBuf>,
@@ -111,8 +110,7 @@ impl Default for Args {
             base_interval: 500_000,
             calibration_cycles: 60_000,
             seed: 0x5E54E,
-            fast: false,
-            fast_threshold: None,
+            fastsim: None,
             snapshot_dir: PathBuf::from("results/serve"),
             snapshot_every: 16,
             metrics: None,
@@ -127,6 +125,7 @@ impl Default for Args {
 
 fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args::default();
+    let (mut fast, mut fast_threshold) = (false, None);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
@@ -159,10 +158,9 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
                     num(&value("--calibration-cycles")?, "--calibration-cycles")?
             }
             "--seed" => args.seed = num(&value("--seed")?, "--seed")?,
-            "--fast" => args.fast = true,
+            "--fast" => fast = true,
             "--fast-threshold" => {
-                args.fast = true;
-                args.fast_threshold = Some(num(&value("--fast-threshold")?, "--fast-threshold")?);
+                fast_threshold = Some(num(&value("--fast-threshold")?, "--fast-threshold")?)
             }
             "--snapshot-dir" => args.snapshot_dir = PathBuf::from(value("--snapshot-dir")?),
             "--snapshot-every" => {
@@ -197,10 +195,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     if !slowdown_ok || args.slo_response == 0 || args.metrics_window == 0 {
         return Err("--slo-response, --slo-slowdown, and --metrics-window must be positive".into());
     }
-    let threshold_ok = args.fast_threshold.is_none_or(|t| t > 0.0);
-    if !threshold_ok {
-        return Err("--fast-threshold must be positive".into());
-    }
+    args.fastsim = sos_bench::fastsim_policy(fast, fast_threshold)?;
     Ok(args)
 }
 
@@ -423,19 +418,15 @@ impl Daemon {
     /// re-sampling restarts from scratch after every toggle (phase state is
     /// rebuilt, never carried across policies).
     fn handle_fastsim(&mut self, req: &Request) -> Response {
-        let enable = req.fast.unwrap_or(true);
-        let policy = if enable {
-            Some(match req.fast_threshold {
-                Some(t) if t > 0.0 => FastSimPolicy::with_threshold(t),
-                Some(t) => {
-                    return Response::err(format!("fast_threshold must be positive, got {t}"))
-                }
-                None => FastSimPolicy::default(),
-            })
-        } else {
-            None
+        // An explicit `fast: false` switches off whatever else is sent.
+        let policy = match req.fast {
+            Some(false) => Ok(None),
+            _ => sos_bench::fastsim_policy(true, req.fast_threshold),
         };
-        self.engine.set_fastsim(policy);
+        match policy {
+            Ok(policy) => self.engine.set_fastsim(policy),
+            Err(e) => return Response::err(e),
+        }
         self.handle_status()
     }
 
@@ -646,14 +637,6 @@ fn main() {
     );
     let sm = ServeMetrics::register(&tel);
 
-    let fastsim = if args.fast {
-        Some(match args.fast_threshold {
-            Some(t) => FastSimPolicy::with_threshold(t),
-            None => FastSimPolicy::default(),
-        })
-    } else {
-        None
-    };
     let cfg = OnlineConfig {
         smt: args.smt,
         timeslice: args.timeslice,
@@ -662,7 +645,7 @@ fn main() {
         drift_threshold: Some(0.35),
         base_interval: args.base_interval,
         seed: args.seed,
-        fastsim,
+        fastsim: args.fastsim,
         learn: None,
     };
     if let Some(p) = &cfg.fastsim {
@@ -884,12 +867,15 @@ mod tests {
     }
 
     #[test]
-    fn fast_threshold_must_be_positive() {
-        for bad in ["NaN", "0", "-1"] {
+    fn fast_threshold_must_be_a_finite_positive_number() {
+        for bad in ["NaN", "inf", "0", "-1", "abc"] {
             assert!(parse(&["--fast-threshold", bad]).is_err(), "accepted {bad}");
         }
+        assert!(parse(&["--fast", "--fast-threshold"]).is_err(), "no value");
         let ok = parse(&["--fast-threshold", "0.1"]).unwrap();
-        assert!(ok.fast && ok.fast_threshold == Some(0.1));
-        assert!(parse(&[]).unwrap().fast_threshold.is_none());
+        assert_eq!(ok.fastsim, Some(FastSimPolicy::with_threshold(0.1)));
+        let default = parse(&["--fast"]).unwrap();
+        assert_eq!(default.fastsim, Some(FastSimPolicy::default()));
+        assert!(parse(&[]).unwrap().fastsim.is_none());
     }
 }

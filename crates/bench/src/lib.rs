@@ -4,6 +4,7 @@
 //! (see DESIGN.md §4 for the index). They all accept an optional first
 //! argument: the cycle scale divisor (default 1000; 1 = full paper scale).
 
+use smtsim::FastSimPolicy;
 use sos_core::sos::ExperimentReport;
 use sos_core::{PredictorKind, SosConfig};
 
@@ -24,6 +25,44 @@ pub fn config(scale: u64) -> SosConfig {
         cycle_scale: scale,
         ..SosConfig::default()
     }
+}
+
+/// The one rule behind `--fast [--fast-threshold F]` on every binary that
+/// takes the pair, `fastsim-compare --thresholds`, and the serve protocol's
+/// `fastsim` verb: a threshold implies fast mode and must be a finite number
+/// above zero; fast mode without one runs [`FastSimPolicy::default`]; neither
+/// is full detail (`None`).
+pub fn fastsim_policy(fast: bool, threshold: Option<f64>) -> Result<Option<FastSimPolicy>, String> {
+    match threshold {
+        Some(t) if t.is_finite() && t > 0.0 => Ok(Some(FastSimPolicy::with_threshold(t))),
+        Some(t) => Err(format!(
+            "the fast-sim threshold must be a finite number above 0, got {t}"
+        )),
+        None => Ok(fast.then(FastSimPolicy::default)),
+    }
+}
+
+/// Splits `--fast` / `--fast-threshold F` out of a command line whose other
+/// arguments are positional (fig5, fig6), so the flags may sit anywhere
+/// among them. Returns the policy ([`fastsim_policy`]) and the positionals.
+pub fn take_fast_flags(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Option<FastSimPolicy>, Vec<String>), String> {
+    let (mut fast, mut threshold, mut positional) = (false, None, Vec::new());
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--fast" => fast = true,
+            "--fast-threshold" => {
+                let v = args.next().ok_or("missing value for --fast-threshold")?;
+                let t: f64 = v
+                    .parse()
+                    .map_err(|_| format!("bad value {v:?} for --fast-threshold"))?;
+                threshold = Some(t);
+            }
+            _ => positional.push(a),
+        }
+    }
+    Ok((fastsim_policy(fast, threshold)?, positional))
 }
 
 /// Percent by which `a` exceeds `b`; NaN when either input is non-finite or
@@ -125,6 +164,30 @@ mod tests {
         assert!(pct_over(1.0, 0.0).is_nan());
         assert!(pct_over(f64::NAN, 1.0).is_nan());
         assert!(pct_over(1.0, f64::NEG_INFINITY).is_nan());
+    }
+
+    #[test]
+    fn fast_flags_follow_the_one_rule() {
+        let take = |args: &[&str]| take_fast_flags(args.iter().map(|a| a.to_string()));
+        for bad in ["NaN", "inf", "0", "-1", "abc"] {
+            let refused = take(&["6000", "--fast-threshold", bad]);
+            assert!(refused.is_err(), "accepted {bad}");
+        }
+        assert!(take(&["--fast", "--fast-threshold"])
+            .unwrap_err()
+            .contains("missing value"));
+        // A threshold implies --fast; --fast alone is the default policy;
+        // the flags may sit anywhere among the positionals.
+        let (policy, rest) = take(&["6000", "--fast-threshold", "0.1", "40"]).unwrap();
+        assert_eq!(policy, Some(FastSimPolicy::with_threshold(0.1)));
+        assert_eq!(rest, ["6000", "40"]);
+        let (policy, rest) = take(&["--fast", "6000"]).unwrap();
+        assert_eq!(policy, Some(FastSimPolicy::default()));
+        assert_eq!(rest, ["6000"]);
+        assert_eq!(take(&["6000"]).unwrap(), (None, vec!["6000".to_string()]));
+        // The protocol form: an explicit `fast: false` with no threshold is off.
+        assert_eq!(fastsim_policy(false, None), Ok(None));
+        assert!(fastsim_policy(true, Some(f64::INFINITY)).is_err());
     }
 
     #[test]

@@ -315,11 +315,6 @@ impl EvalCache {
         Ok(loaded)
     }
 
-    /// Detaches the disk store; in-memory entries are kept.
-    pub fn detach_disk(&self) {
-        self.lock().disk = None;
-    }
-
     /// Inserts an entry, writing through to the disk store if one is
     /// attached. A disk write failure silently detaches the store (caching
     /// is best-effort; the computation already succeeded).
@@ -507,11 +502,6 @@ pub fn stats() -> CacheStats {
 /// [`EvalCache::attach_disk`].
 pub fn attach_disk(dir: &Path) -> std::io::Result<usize> {
     global().attach_disk(dir)
-}
-
-/// Detaches the process-wide cache's disk store.
-pub fn detach_disk() {
-    global().detach_disk();
 }
 
 /// [`EvalCache::solo_rates`] on the process-wide cache.

@@ -9,8 +9,8 @@
 //! (naive rotation or SOS) locally. [`ClusterEngine`] implements exactly
 //! that split:
 //!
-//! * each shard is a full [`OnlineEngine`] on its own OS thread, owning its
-//!   own simulated Alpha-21264-like machine;
+//! * each shard is a full [`OnlineEngine`] — its own simulated
+//!   Alpha-21264-like machine — that the cluster *owns* and calls directly;
 //! * the dispatcher routes every [`submit`](ClusterEngine::submit) to one
 //!   shard under a [`DispatchPolicy`] — round-robin, least-loaded, or
 //!   symbiosis-aware (route to the shard whose predicted coschedule
@@ -25,32 +25,29 @@
 //!
 //! # Lockstep clocks and determinism
 //!
-//! Shard engines are not `Send` (the processor observer slot is
-//! thread-local by design), so each worker thread *constructs* its engine
-//! locally and is driven purely by messages — the [`sos_core::par`]
-//! discipline of deterministic work distribution, applied to long-lived
-//! workers. All shard clocks advance in lockstep: one
-//! [`step`](ClusterEngine::step) of the cluster advances every shard by the
-//! same `slices_per_round × timeslice` cycles (idle shards jump), so at
-//! every round boundary all shards agree on "now" and dispatch decisions
-//! depend only on deterministic mirror state. Each shard's RNG is seeded
-//! `cluster seed ⊕ shard id`. Replies are collected in shard-index order.
-//! Consequently a cluster run is **byte-reproducible** for a fixed shard
-//! count, and a 1-shard cluster is bit-exact with a plain [`OnlineEngine`]
-//! (same seed, same event sequence).
-//!
-//! [`sos_core::par`]: crate::par
+//! Shards are values, not actors: everything the dispatcher wants to know
+//! about one (depth, clock, residents, learner state) it reads from the
+//! engine. Only [`step`](ClusterEngine::step) uses threads, and only for
+//! its duration — every shard advances by the same `slices_per_round ×
+//! timeslice` cycles (idle shards jump) through [`crate::par`]'s
+//! order-preserving map, the calling thread working alongside at most
+//! `min(shards, cores) − 1` scoped ones, and a 1-shard cluster runs inline
+//! with no thread at all. Three rules make a run **byte-reproducible** for
+//! a fixed shard count, whatever the worker count: each shard's RNG is
+//! seeded `cluster seed ⊕ shard id`; all shards stop at the same round
+//! boundary, so every dispatch and rebalancing decision sees them at one
+//! agreed "now"; and a round's departures are merged in shard-index order.
+//! A 1-shard cluster is bit-exact with a plain [`OnlineEngine`] (same seed,
+//! same event sequence).
 
 use crate::arrivals::JobArrival;
 use crate::learn::LearnSummary;
-use crate::online::{JobRecord, OnlineConfig, OnlineEngine, SchedulerKind};
+use crate::online::{JobRecord, OnlineConfig, OnlineEngine, Scheduler, SchedulerKind};
 use crate::report::{percentiles, Percentiles};
 use crate::telemetry::{Attr, Counter, Gauge, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use workloads::spec::Benchmark;
 
 /// How the dispatcher picks a shard for an arriving job.
@@ -107,7 +104,7 @@ pub struct ClusterConfig {
     /// Timeslices every shard advances per cluster [`ClusterEngine::step`].
     /// 1 gives the finest dispatch/rebalance granularity (and makes a
     /// 1-shard cluster step-for-step identical to a plain engine); larger
-    /// values amortize messaging.
+    /// values amortize the per-round thread fan-out.
     pub slices_per_round: u64,
     /// Check rebalancing every this many rounds (0 disables stealing).
     pub rebalance_every: u64,
@@ -142,46 +139,6 @@ impl ClusterConfig {
         assert!(self.shards > 0, "a cluster needs at least one shard");
         assert!(self.slices_per_round > 0, "slices_per_round must be > 0");
     }
-}
-
-// ---------------------------------------------------------------------------
-// Worker protocol
-// ---------------------------------------------------------------------------
-
-/// Commands the dispatcher sends a shard worker. The engine lives inside
-/// the worker thread (it is not `Send`); everything it does is a response
-/// to one of these.
-enum Cmd {
-    /// Admit a job (fire-and-forget; ordered before any later `Step`).
-    Submit(JobArrival),
-    /// Run up to `slices` timeslices, then jump the shard clock to
-    /// `target` (a shard that idles mid-round still lands on the round
-    /// boundary). Replies `Reply::Stepped`.
-    Step { slices: u64, target: u64 },
-    /// Fast-forward an idle shard's clock (fire-and-forget).
-    JumpTo(u64),
-    /// Hand back up to `max` queued-but-not-started jobs for migration.
-    /// Replies `Reply::Reclaimed`.
-    Reclaim { max: usize },
-    /// Exit the worker loop (the dispatcher joins the thread after).
-    Finish,
-}
-
-/// Worker → dispatcher replies.
-enum Reply {
-    Stepped {
-        departed: Vec<JobRecord>,
-        live: usize,
-        now: u64,
-        timeslices: u64,
-        /// Cumulative timeslices the shard synthesized via fast-sim
-        /// extrapolation (0 when fast-sim is off).
-        extrapolated: u64,
-        /// The shard's learner state summary (`None` when learning is
-        /// disabled on the shard).
-        learn: Option<LearnSummary>,
-    },
-    Reclaimed(Vec<JobArrival>),
 }
 
 /// One shard's lifetime summary in the [`ClusterReport`]. Excludes
@@ -264,54 +221,35 @@ pub struct ClusterReport {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatcher-side mirror state
+// Shards
 // ---------------------------------------------------------------------------
 
-/// What the dispatcher knows about one shard without asking it: a mirror
-/// maintained from its own dispatch decisions and the worker's replies.
-struct ShardMirror {
-    /// Jobs believed resident (dispatched or migrated in, minus departures
-    /// and reclaims). Order is submission order; used for symbiosis scoring.
-    resident: Vec<JobArrival>,
-    /// Authoritative live count from the last `Stepped` reply (equals
-    /// `resident.len()` at round boundaries).
-    depth: usize,
-    submitted: usize,
+/// One shard: the engine, plus the two things about it the engine does not
+/// itself keep. Depth, clock, timeslices, residents, jobs taken in and
+/// reclaimed, and learner state are all read from the engine.
+struct Shard {
+    engine: OnlineEngine,
+    /// Jobs migrated *into* this shard by rebalancing.
     migrated_in: usize,
-    migrated_out: usize,
-    completed: u64,
-    timeslices: u64,
-    extrapolated: u64,
-    now: u64,
-    /// Departure records, accumulated for the report.
+    /// Every job this shard completed, in departure order.
     records: Vec<JobRecord>,
-    /// Last learner summary reported by the shard (`None` when learning
-    /// is off).
-    learn: Option<LearnSummary>,
 }
 
-impl ShardMirror {
-    fn new() -> Self {
-        ShardMirror {
-            resident: Vec::new(),
-            depth: 0,
-            submitted: 0,
-            migrated_in: 0,
-            migrated_out: 0,
-            completed: 0,
-            timeslices: 0,
-            extrapolated: 0,
-            now: 0,
-            records: Vec::new(),
-            learn: None,
+impl Shard {
+    /// Runs up to `slices` timeslices, then lands exactly on the round
+    /// boundary `target` whether the shard ran them all, idled early, or was
+    /// empty all along. Returns the jobs that departed.
+    fn advance(&mut self, slices: u64, target: u64) -> Vec<JobRecord> {
+        let mut departed = Vec::new();
+        for _ in 0..slices {
+            if self.engine.live_count() == 0 {
+                break;
+            }
+            departed.extend(self.engine.step());
         }
-    }
-
-    /// Drops one resident entry matching a departed/reclaimed job.
-    fn remove_resident(&mut self, arrival: &JobArrival) {
-        if let Some(pos) = self.resident.iter().position(|a| a == arrival) {
-            self.resident.remove(pos);
-        }
+        self.engine.jump_to(target);
+        self.records.extend_from_slice(&departed);
+        departed
     }
 }
 
@@ -411,26 +349,20 @@ impl ClusterMetrics {
 // The engine
 // ---------------------------------------------------------------------------
 
-/// One shard worker: its command channel, reply channel, and thread handle.
-struct ShardHandle {
-    cmd: mpsc::Sender<Cmd>,
-    reply: mpsc::Receiver<Reply>,
-    thread: Option<JoinHandle<()>>,
-}
-
 /// The two-level cluster scheduler: a dispatcher over N per-core
 /// [`OnlineEngine`] shards. Mirrors the engine's facade —
 /// [`submit`](Self::submit) / [`step`](Self::step) /
-/// [`jump_to`](Self::jump_to) / [`drain`](Self::drain) — so existing
-/// drivers scale out by swapping the type.
+/// [`jump_to`](Self::jump_to) / [`drain`](Self::drain) — and implements
+/// [`Scheduler`], so [`crate::online::replay`] drives either.
 pub struct ClusterEngine {
     cfg: ClusterConfig,
-    shards: Vec<ShardHandle>,
-    mirror: Vec<ShardMirror>,
+    shards: Vec<Shard>,
+    /// Threads a round may use, the caller included
+    /// ([`crate::par::available_workers`]; the shard count caps it).
+    workers: usize,
     now: u64,
     rounds: u64,
     submitted: usize,
-    completed: u64,
     migrations: u64,
     rr_next: usize,
     /// Completed-job samples for the report: (response, slowdown).
@@ -445,11 +377,11 @@ pub struct ClusterEngine {
 }
 
 impl ClusterEngine {
-    /// Spawns the shard workers and builds the dispatcher.
+    /// Builds the shard engines and the dispatcher.
     ///
     /// # Panics
-    /// Panics on an invalid configuration (zero shards or zero
-    /// `slices_per_round`), or if a worker thread cannot be spawned.
+    /// Panics on an invalid configuration: zero shards, zero
+    /// `slices_per_round`, or a shard template [`OnlineEngine::new`] rejects.
     pub fn new(cfg: &ClusterConfig) -> Self {
         Self::with_telemetry(cfg, &Telemetry::off())
     }
@@ -465,32 +397,26 @@ impl ClusterEngine {
         let metrics = tel
             .is_on()
             .then(|| ClusterMetrics::register(tel, cfg.shards, cfg.shard.base_interval.max(1) * 4));
-        let mut shards = Vec::with_capacity(cfg.shards);
-        for s in 0..cfg.shards {
-            let mut shard_cfg = cfg.shard.clone();
-            shard_cfg.seed ^= s as u64;
-            let scheduler = cfg.scheduler;
-            let shard_tel = tel.child(&format!("cluster.shard{s}"));
-            let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
-            let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-            let thread = std::thread::Builder::new()
-                .name(format!("sos-shard-{s}"))
-                .spawn(move || shard_worker(scheduler, shard_cfg, shard_tel, cmd_rx, reply_tx))
-                .expect("spawn shard worker");
-            shards.push(ShardHandle {
-                cmd: cmd_tx,
-                reply: reply_rx,
-                thread: Some(thread),
-            });
-        }
+        let shards = (0..cfg.shards)
+            .map(|s| {
+                let mut shard_cfg = cfg.shard.clone();
+                shard_cfg.seed ^= s as u64;
+                let mut engine = OnlineEngine::new(cfg.scheduler, &shard_cfg);
+                engine.set_telemetry(tel.child(&format!("cluster.shard{s}")));
+                Shard {
+                    engine,
+                    migrated_in: 0,
+                    records: Vec::new(),
+                }
+            })
+            .collect();
         ClusterEngine {
             cfg: cfg.clone(),
-            mirror: (0..cfg.shards).map(|_| ShardMirror::new()).collect(),
             shards,
+            workers: crate::par::available_workers(),
             now: 0,
             rounds: 0,
             submitted: 0,
-            completed: 0,
             migrations: 0,
             rr_next: 0,
             samples: Vec::new(),
@@ -507,11 +433,6 @@ impl ClusterEngine {
         self.solo_ipc = solo;
     }
 
-    /// The cluster configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
-    }
-
     /// The cluster clock (every shard's clock at the last round boundary).
     pub fn now(&self) -> u64 {
         self.now
@@ -519,17 +440,12 @@ impl ClusterEngine {
 
     /// Jobs currently resident across all shards.
     pub fn live_count(&self) -> usize {
-        self.mirror.iter().map(|m| m.depth).sum()
-    }
-
-    /// Jobs submitted to the cluster over its lifetime.
-    pub fn submitted(&self) -> usize {
-        self.submitted
+        self.shards.iter().map(|sh| sh.engine.live_count()).sum()
     }
 
     /// Jobs completed across all shards.
     pub fn completed(&self) -> u64 {
-        self.completed
+        self.shards.iter().map(|sh| sh.records.len() as u64).sum()
     }
 
     /// Jobs migrated between shards by rebalancing.
@@ -537,10 +453,12 @@ impl ClusterEngine {
         self.migrations
     }
 
-    /// Queue depth of each shard (dispatcher mirror, exact at round
-    /// boundaries).
+    /// Queue depth of each shard.
     pub fn shard_depths(&self) -> Vec<usize> {
-        self.mirror.iter().map(|m| m.depth).collect()
+        self.shards
+            .iter()
+            .map(|sh| sh.engine.live_count())
+            .collect()
     }
 
     /// Admits a job, routing it to a shard under the dispatch policy, and
@@ -555,19 +473,13 @@ impl ClusterEngine {
         shard
     }
 
-    /// Routes `arrival` to `shard`, updating the mirror.
+    /// Hands `arrival` to `shard`'s engine.
     fn dispatch_to(&mut self, shard: usize, arrival: JobArrival) {
-        let m = &mut self.mirror[shard];
-        m.submitted += 1;
-        m.depth += 1;
-        m.resident.push(arrival.clone());
+        let engine = &mut self.shards[shard].engine;
+        engine.submit(arrival);
         if let Some(cm) = &self.metrics {
-            cm.shard_depth[shard].set(m.depth as f64);
+            cm.shard_depth[shard].set(engine.live_count() as f64);
         }
-        self.shards[shard]
-            .cmd
-            .send(Cmd::Submit(arrival))
-            .expect("shard worker alive");
     }
 
     /// The dispatch decision for one arrival.
@@ -579,80 +491,61 @@ impl ClusterEngine {
                 s
             }
             DispatchPolicy::LeastLoaded => self
-                .mirror
+                .shards
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, m)| m.resident.len())
+                .min_by_key(|(_, sh)| sh.engine.live_count())
                 .map(|(s, _)| s)
                 .unwrap_or(0),
-            DispatchPolicy::Symbiosis => {
-                let mut best = 0usize;
-                let mut best_score = f64::INFINITY;
-                for (s, m) in self.mirror.iter().enumerate() {
-                    let score = symbiosis_score(arrival, &m.resident);
-                    if score < best_score {
-                        best_score = score;
-                        best = s;
-                    }
-                }
-                best
-            }
+            DispatchPolicy::Symbiosis => self.most_symbiotic(arrival, None, 0),
         }
     }
 
+    /// The shard, `skip` excepted, whose residents `arrival` interferes with
+    /// least (ties to the lowest index; `fallback` when no shard is left to
+    /// score).
+    fn most_symbiotic(&self, arrival: &JobArrival, skip: Option<usize>, fallback: usize) -> usize {
+        let mut best = fallback;
+        let mut best_score = f64::INFINITY;
+        for (s, sh) in self.shards.iter().enumerate() {
+            if Some(s) == skip {
+                continue;
+            }
+            let score = symbiosis_score(arrival, &sh.engine.live_arrivals());
+            if score < best_score {
+                best_score = score;
+                best = s;
+            }
+        }
+        best
+    }
+
     /// Runs one cluster round: every shard advances `slices_per_round`
-    /// timeslices (idle shards jump to the round boundary), departures are
-    /// collected in shard order, and rebalancing runs on schedule. Returns
-    /// the departed jobs. A round with no live jobs anywhere is a no-op
-    /// (use [`jump_to`](Self::jump_to) for idle gaps), mirroring
-    /// [`OnlineEngine::step`].
+    /// timeslices (idle shards jump to the round boundary) — concurrently
+    /// when there are shards and cores to spare, see the module docs —
+    /// departures are collected in shard order, and rebalancing runs on
+    /// schedule. Returns the departed jobs. A round with no live jobs
+    /// anywhere is a no-op (use [`jump_to`](Self::jump_to) for idle gaps),
+    /// mirroring [`OnlineEngine::step`].
     pub fn step(&mut self) -> Vec<JobRecord> {
         if self.live_count() == 0 {
             return Vec::new();
         }
-        let target = self.now + self.cfg.slices_per_round * self.cfg.shard.timeslice;
-        for h in &self.shards {
-            h.cmd
-                .send(Cmd::Step {
-                    slices: self.cfg.slices_per_round,
-                    target,
-                })
-                .expect("shard worker alive");
-        }
-        let mut departed = Vec::new();
-        for s in 0..self.shards.len() {
-            match self.shards[s].reply.recv().expect("shard worker alive") {
-                Reply::Stepped {
-                    departed: d,
-                    live,
-                    now,
-                    timeslices,
-                    extrapolated,
-                    learn,
-                } => {
-                    let m = &mut self.mirror[s];
-                    m.depth = live;
-                    m.now = now;
-                    m.timeslices = timeslices;
-                    m.extrapolated = extrapolated;
-                    m.learn = learn;
-                    m.completed += d.len() as u64;
-                    for rec in &d {
-                        m.remove_resident(&rec.arrival);
-                        m.records.push(rec.clone());
-                    }
-                    if let Some(cm) = &self.metrics {
-                        cm.shard_depth[s].set(live as f64);
-                        cm.shard_now[s].set(now as f64);
-                    }
-                    departed.extend(d);
-                }
-                _ => panic!("shard {s}: unexpected reply to Step"),
+        let slices = self.cfg.slices_per_round;
+        let target = self.now + slices * self.cfg.shard.timeslice;
+        let departed: Vec<JobRecord> = self
+            .each_shard(|sh| sh.advance(slices, target))
+            .into_iter()
+            .flatten()
+            .collect();
+        if let Some(cm) = &self.metrics {
+            for (s, sh) in self.shards.iter().enumerate() {
+                cm.shard_depth[s].set(sh.engine.live_count() as f64);
+                cm.shard_now[s].set(sh.engine.now() as f64);
             }
         }
         self.now = target;
         self.rounds += 1;
-        self.completed += departed.len() as u64;
         for rec in &departed {
             let solo = self.solo_cycles(&rec.arrival);
             let slowdown = rec.response() as f64 / solo.max(1.0);
@@ -680,6 +573,13 @@ impl ClusterEngine {
         departed
     }
 
+    /// Runs `f` on every shard and returns the results in shard order:
+    /// inline for one shard or one worker, otherwise on scoped threads next
+    /// to the calling one.
+    fn each_shard<R: Send>(&mut self, f: impl Fn(&mut Shard) -> R + Sync) -> Vec<R> {
+        crate::par::parallel_map_with_workers(self.shards.iter_mut().collect(), self.workers, f)
+    }
+
     /// Solo-execution cycles of a job at its benchmark's solo IPC.
     fn solo_cycles(&self, arrival: &JobArrival) -> f64 {
         let ipc = self
@@ -696,65 +596,27 @@ impl ClusterEngine {
     /// score elsewhere); the baseline policies send migrants straight to
     /// the shallowest shard.
     fn rebalance(&mut self) {
-        let Some((deep, _)) = self
-            .mirror
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, m)| m.depth)
-            .map(|(s, m)| (s, m.depth))
-        else {
+        let depths = self.shard_depths();
+        let by_depth = || depths.iter().enumerate();
+        let Some((deep, _)) = by_depth().max_by_key(|(_, d)| **d) else {
             return;
         };
-        let shallow = self
-            .mirror
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, m)| m.depth)
-            .map(|(s, _)| s)
-            .unwrap_or(0);
-        let gap = self.mirror[deep].depth - self.mirror[shallow].depth;
+        let shallow = by_depth().min_by_key(|(_, d)| **d).map_or(0, |(s, _)| s);
+        let gap = depths[deep] - depths[shallow];
         if deep == shallow || gap < self.cfg.steal_threshold.max(2) {
             return;
         }
-        let want = gap / 2;
-        self.shards[deep]
-            .cmd
-            .send(Cmd::Reclaim { max: want })
-            .expect("shard worker alive");
-        let taken = match self.shards[deep].reply.recv().expect("shard worker alive") {
-            Reply::Reclaimed(t) => t,
-            _ => panic!("shard {deep}: unexpected reply to Reclaim"),
-        };
+        let taken = self.shards[deep].engine.reclaim_unstarted(gap / 2);
         if taken.is_empty() {
             return;
         }
-        let n = taken.len();
         self.tel.set_clock(self.now);
-        self.mirror[deep].depth -= n;
-        self.mirror[deep].migrated_out += n;
-        self.mirror[deep].submitted -= n; // re-counted at the destination
         for arrival in taken {
-            self.mirror[deep].remove_resident(&arrival);
             let dest = match self.cfg.dispatch {
-                DispatchPolicy::Symbiosis => {
-                    // Re-score everywhere except the source.
-                    let mut best = shallow;
-                    let mut best_score = f64::INFINITY;
-                    for (s, m) in self.mirror.iter().enumerate() {
-                        if s == deep {
-                            continue;
-                        }
-                        let score = symbiosis_score(&arrival, &m.resident);
-                        if score < best_score {
-                            best_score = score;
-                            best = s;
-                        }
-                    }
-                    best
-                }
+                DispatchPolicy::Symbiosis => self.most_symbiotic(&arrival, Some(deep), shallow),
                 _ => shallow,
             };
-            self.mirror[dest].migrated_in += 1;
+            self.shards[dest].migrated_in += 1;
             self.tel.instant("cluster", "cluster.migration", || {
                 vec![
                     Attr::num("from", deep as f64),
@@ -769,7 +631,7 @@ impl ClusterEngine {
             }
         }
         if let Some(cm) = &self.metrics {
-            cm.shard_depth[deep].set(self.mirror[deep].depth as f64);
+            cm.shard_depth[deep].set(self.shards[deep].engine.live_count() as f64);
         }
     }
 
@@ -788,9 +650,8 @@ impl ClusterEngine {
             return;
         }
         self.now = t;
-        for (s, h) in self.shards.iter().enumerate() {
-            h.cmd.send(Cmd::JumpTo(t)).expect("shard worker alive");
-            self.mirror[s].now = t;
+        for (s, sh) in self.shards.iter_mut().enumerate() {
+            sh.engine.jump_to(t);
             if let Some(cm) = &self.metrics {
                 cm.shard_now[s].set(t as f64);
             }
@@ -814,15 +675,15 @@ impl ClusterEngine {
     /// completed work per busy machine cycle across all shards.
     pub fn aggregate_ws(&self) -> f64 {
         let solo_total: f64 = self
-            .mirror
+            .shards
             .iter()
-            .flat_map(|m| m.records.iter())
+            .flat_map(|sh| sh.records.iter())
             .map(|r| self.solo_cycles(&r.arrival))
             .sum();
         let busy: u64 = self
-            .mirror
+            .shards
             .iter()
-            .map(|m| m.timeslices * self.cfg.shard.timeslice)
+            .map(|sh| sh.engine.timeslices() * self.cfg.shard.timeslice)
             .sum();
         if busy == 0 {
             0.0
@@ -831,54 +692,30 @@ impl ClusterEngine {
         }
     }
 
-    /// Builds the deterministic cluster report (syncs final per-shard
-    /// totals from the workers first; the engine remains usable after).
-    pub fn report(&mut self) -> ClusterReport {
-        // Refresh authoritative per-shard totals with a zero-slice step
-        // round (a no-op for the simulation: zero slices, target = now).
-        for h in &self.shards {
-            h.cmd
-                .send(Cmd::Step {
-                    slices: 0,
-                    target: self.now,
-                })
-                .expect("shard worker alive");
-        }
-        for s in 0..self.shards.len() {
-            if let Reply::Stepped {
-                live,
-                now,
-                timeslices,
-                extrapolated,
-                learn,
-                ..
-            } = self.shards[s].reply.recv().expect("shard worker alive")
-            {
-                let m = &mut self.mirror[s];
-                m.depth = live;
-                m.now = now;
-                m.timeslices = timeslices;
-                m.extrapolated = extrapolated;
-                m.learn = learn;
-            }
-        }
+    /// Builds the deterministic cluster report (the engine remains usable
+    /// after).
+    pub fn report(&self) -> ClusterReport {
         let per_shard: Vec<ShardReport> = self
-            .mirror
+            .shards
             .iter()
             .enumerate()
-            .map(|(s, m)| ShardReport {
+            .map(|(s, sh)| ShardReport {
                 shard: s,
-                seed: self.cfg.shard.seed ^ s as u64,
-                submitted: m.submitted,
-                migrated_in: m.migrated_in,
-                migrated_out: m.migrated_out,
-                completed: m.completed,
-                timeslices: m.timeslices,
-                extrapolated_slices: m.extrapolated,
-                now_cycles: m.now,
-                final_queue_depth: m.depth,
-                records: m.records.clone(),
-                learn: m.learn.clone(),
+                seed: sh.engine.config().seed,
+                // Reclaimed jobs are re-counted at their destination.
+                submitted: sh.engine.submitted() - sh.engine.reclaimed(),
+                migrated_in: sh.migrated_in,
+                migrated_out: sh.engine.reclaimed(),
+                completed: sh.records.len() as u64,
+                timeslices: sh.engine.timeslices(),
+                extrapolated_slices: sh
+                    .engine
+                    .fastsim_counters()
+                    .map_or(0, |c| c.extrapolated_slices),
+                now_cycles: sh.engine.now(),
+                final_queue_depth: sh.engine.live_count(),
+                records: sh.records.clone(),
+                learn: sh.engine.learn_summary(),
             })
             .collect();
         let responses: Vec<f64> = self.samples.iter().map(|(r, _)| *r as f64).collect();
@@ -890,7 +727,7 @@ impl ClusterEngine {
             seed: self.cfg.shard.seed,
             now_cycles: self.now,
             submitted: self.submitted,
-            completed: self.completed,
+            completed: self.completed(),
             migrations: self.migrations,
             timeslices: per_shard.iter().map(|p| p.timeslices).sum(),
             extrapolated_slices: per_shard.iter().map(|p| p.extrapolated_slices).sum(),
@@ -903,104 +740,22 @@ impl ClusterEngine {
     }
 }
 
-impl Drop for ClusterEngine {
-    fn drop(&mut self) {
-        for h in &mut self.shards {
-            // The worker may already be gone (panic elsewhere); ignore
-            // send/join failures during teardown.
-            let _ = h.cmd.send(Cmd::Finish);
-        }
-        for h in &mut self.shards {
-            if let Some(t) = h.thread.take() {
-                let _ = t.join();
-            }
-        }
+impl Scheduler for ClusterEngine {
+    fn now(&self) -> u64 {
+        self.now
     }
-}
-
-/// The shard worker loop: builds the engine locally (it is not `Send`) and
-/// serves dispatcher commands until `Finish`.
-fn shard_worker(
-    kind: SchedulerKind,
-    cfg: OnlineConfig,
-    tel: Telemetry,
-    cmd: mpsc::Receiver<Cmd>,
-    reply: mpsc::Sender<Reply>,
-) {
-    let mut engine = OnlineEngine::new(kind, &cfg);
-    engine.set_telemetry(tel);
-    while let Ok(c) = cmd.recv() {
-        match c {
-            Cmd::Submit(arrival) => {
-                engine.submit(arrival);
-            }
-            Cmd::Step { slices, target } => {
-                let mut departed = Vec::new();
-                for _ in 0..slices {
-                    if engine.live_count() == 0 {
-                        break;
-                    }
-                    departed.extend(engine.step());
-                }
-                // Land exactly on the round boundary whether we ran all
-                // slices, idled early, or were empty all along.
-                engine.jump_to(target);
-                let r = Reply::Stepped {
-                    departed,
-                    live: engine.live_count(),
-                    now: engine.now(),
-                    timeslices: engine.timeslices(),
-                    extrapolated: engine
-                        .fastsim_counters()
-                        .map(|c| c.extrapolated_slices)
-                        .unwrap_or(0),
-                    learn: engine.learn_summary(),
-                };
-                if reply.send(r).is_err() {
-                    break;
-                }
-            }
-            Cmd::JumpTo(t) => engine.jump_to(t),
-            Cmd::Reclaim { max } => {
-                let taken = engine.reclaim_unstarted(max);
-                if reply.send(Reply::Reclaimed(taken)).is_err() {
-                    break;
-                }
-            }
-            Cmd::Finish => break,
-        }
+    fn live_count(&self) -> usize {
+        ClusterEngine::live_count(self)
     }
-}
-
-/// Replays an arrival trace through a cluster with the canonical
-/// open-system discipline (submit arrivals that are due, step when busy,
-/// jump across idle gaps), then drains. Returns all departures in
-/// round/shard order. The cluster-side twin of
-/// [`crate::opensys::run_open_system_on_trace`].
-pub fn run_cluster_on_trace(
-    engine: &mut ClusterEngine,
-    jobs: &[JobArrival],
-    max_rounds: u64,
-) -> Vec<JobRecord> {
-    let mut next = 0usize;
-    let mut departed = Vec::new();
-    let mut rounds = 0u64;
-    while (next < jobs.len() || engine.live_count() > 0) && rounds < max_rounds {
-        while next < jobs.len() && jobs[next].arrival <= engine.now() {
-            engine.submit(jobs[next].clone());
-            next += 1;
-        }
-        if engine.live_count() == 0 {
-            if next < jobs.len() {
-                engine.jump_to(jobs[next].arrival);
-            }
-            continue;
-        }
-        departed.extend(engine.step());
-        rounds += 1;
+    fn submit(&mut self, arrival: JobArrival) {
+        ClusterEngine::submit(self, arrival);
     }
-    departed.extend(engine.drain(max_rounds));
-    departed
+    fn step(&mut self) -> Vec<JobRecord> {
+        ClusterEngine::step(self)
+    }
+    fn jump_to(&mut self, t: u64) {
+        ClusterEngine::jump_to(self, t)
+    }
 }
 
 #[cfg(test)]
@@ -1194,6 +949,77 @@ mod tests {
         c.drain(100_000);
         let report = c.report();
         assert!(report.per_shard[0].learn.is_none());
+    }
+
+    #[test]
+    fn engines_are_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<smtsim::Processor>();
+        assert_send::<crate::runner::Runner>();
+        assert_send::<OnlineEngine>();
+        assert_send::<ClusterEngine>();
+    }
+
+    #[test]
+    fn one_shard_cluster_runs_on_the_calling_thread() {
+        let cfg = ClusterConfig::new(
+            1,
+            DispatchPolicy::RoundRobin,
+            SchedulerKind::Naive,
+            shard_cfg(3),
+        );
+        let mut c = ClusterEngine::new(&cfg);
+        c.workers = 8;
+        let me = std::thread::current().id();
+        assert_eq!(c.each_shard(|_| std::thread::current().id()), [me]);
+    }
+
+    #[test]
+    fn worker_count_changes_neither_report_nor_trace() {
+        let run = |workers: usize| {
+            let mut cfg = ClusterConfig::new(
+                3,
+                DispatchPolicy::Symbiosis,
+                SchedulerKind::Sos,
+                shard_cfg(13),
+            );
+            cfg.rebalance_every = 1;
+            cfg.steal_threshold = 2;
+            let tel = Telemetry::tracing();
+            let mut c = ClusterEngine::with_telemetry(&cfg, &tel);
+            c.workers = workers;
+            let benches = [
+                Benchmark::Gcc,
+                Benchmark::Fp,
+                Benchmark::Swim,
+                Benchmark::Is,
+            ];
+            for (i, b) in benches.iter().cycle().take(14).enumerate() {
+                c.submit(job(0, *b, 30_000 + i as u64 * 1_500));
+            }
+            assert_eq!(c.drain(u64::MAX).len(), 14);
+            let report = serde_json::to_string(&c.report()).unwrap();
+            (report, tel.drain().events_jsonl())
+        };
+        let inline = run(1);
+        assert!(inline.1.contains("cluster.shard2/"), "shard 2 never traced");
+        assert_eq!(inline, run(3), "1 worker (inline) vs 3 workers");
+    }
+
+    #[test]
+    #[should_panic(expected = "bad fast-sim policy")]
+    fn unbuildable_shard_config_panics_in_the_caller_with_fastsims_message() {
+        let mut shard = shard_cfg(1);
+        shard.fastsim = Some(smtsim::FastSimPolicy {
+            stability_threshold: 0.0,
+            ..Default::default()
+        });
+        let _ = ClusterEngine::new(&ClusterConfig::new(
+            2,
+            DispatchPolicy::RoundRobin,
+            SchedulerKind::Naive,
+            shard,
+        ));
     }
 
     #[test]

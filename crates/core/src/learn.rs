@@ -318,7 +318,7 @@ impl ArmStats {
 ///
 /// Each context keeps its own arm table, but selection shrinks a context's
 /// per-arm statistics toward the cross-context `global` mean with
-/// [`CONTEXT_PRIOR_WEIGHT`] pseudo-pulls: a sparse context scores arms
+/// `CONTEXT_PRIOR_WEIGHT` pseudo-pulls: a sparse context scores arms
 /// mostly by the global prior (warm start), while a data-rich context
 /// specializes. Sample phases are scarce — a full sweep books only a few
 /// dozen pulls — so fully independent contexts would spend the entire run

@@ -46,14 +46,14 @@
 //! * [`online`] — the event-driven online scheduling engine: job
 //!   submissions, timeslice ticks, SOS-or-naive policy, response-time
 //!   accounting. Drives both the batch §9 reproduction and `sos-serve`.
-//! * [`opensys`] — the open system of §9: exponential arrivals/departures,
-//!   resampling with exponential backoff, response-time accounting (batch
-//!   replay of an arrival trace through the online engine).
+//! * [`opensys`] — the open system of §9: its configuration, solo-IPC
+//!   calibration, and the batch run ([`online::replay`] of a seeded arrival
+//!   trace through the online engine).
 //! * [`cluster`] — the two-level cluster scheduler: a dispatcher
 //!   (round-robin, least-loaded, or symbiosis-aware routing, plus
-//!   work-stealing rebalancing) over N per-core [`online`] shards running
-//!   in lockstep on their own OS threads, byte-reproducible per seed and
-//!   shard count.
+//!   work-stealing rebalancing) over N per-core [`online`] engines it
+//!   owns and steps in lockstep on scoped threads, byte-reproducible per
+//!   seed and shard count.
 //!
 //! ## Quickstart
 //!
@@ -78,7 +78,6 @@ pub mod experiment;
 pub mod hier;
 pub mod job;
 pub mod learn;
-pub mod naive;
 pub mod online;
 pub mod opensys;
 pub mod par;

@@ -26,7 +26,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use smtsim::fastsim::{tuple_key, FastSim, FastSimCounters, FastSimEvent, FastSimPolicy};
+use smtsim::fastsim::{FastSim, FastSimCounters, FastSimEvent, FastSimPolicy};
 use smtsim::trace::{InstructionSource, StreamId};
 use smtsim::{MachineConfig, Processor, TimesliceStats};
 use std::sync::Arc;
@@ -754,78 +754,61 @@ impl OnlineEngine {
             }
         }
         // Fast-sim: outside the sample phase (whose measurements must be
-        // real hardware counters), a tuple whose phase is locked gets its
-        // slice synthesized from the reference window and its streams
-        // fast-forwarded past the credited work; every detailed slice feeds
-        // the phase detector. With `fastsim: None` this is the one branch
-        // the feature costs and output is byte-identical to full detail.
+        // real hardware counters) the slice goes through the fast-sim slice
+        // protocol, which may synthesize it; the engine books what happened.
+        // With `fastsim: None` this is the one branch the feature costs and
+        // output is byte-identical to full detail.
         let sampling = matches!(self.state.mode, Mode::Sampling { .. });
         let mut extrapolated = false;
+        let mut refs = tuple_sources(&mut self.live, &tuple_positions);
         let stats = match self.fastsim.as_mut() {
-            Some(fs) if !sampling && !tuple_positions.is_empty() => {
-                let key = tuple_key(tuple_positions.iter().map(|&p| self.live[p].stream.id().0));
-                if let Some(stats) = fs.try_extrapolate(&key, self.cfg.timeslice) {
-                    extrapolated = true;
-                    for &pos in &tuple_positions {
-                        let job = &mut self.live[pos];
-                        if let Some(ts) = stats.thread(job.stream.id()) {
-                            job.stream.skip_instructions(ts.committed);
+            _ if refs.is_empty() => TimesliceStats {
+                cycles: self.cfg.timeslice,
+                ..Default::default()
+            },
+            Some(fs) if !sampling => {
+                let slice = fs.run_slice(&mut self.cpu, &mut refs, self.cfg.timeslice);
+                extrapolated = slice.extrapolated;
+                let (tel, probes) = (&self.tel, self.probes.as_ref());
+                match slice.event {
+                    Some(FastSimEvent::PhaseLocked { confidence }) => {
+                        if let Some(p) = probes {
+                            p.fastsim_phase_locks.inc();
                         }
+                        tel.instant("fastsim", "fastsim.phase_lock", || {
+                            vec![
+                                Attr::num("confidence", confidence),
+                                Attr::num("tuple_size", tuple_positions.len() as f64),
+                            ]
+                        });
                     }
-                    stats
-                } else {
-                    let stats = run_tuple(
-                        &mut self.cpu,
-                        &mut self.live,
-                        &tuple_positions,
-                        self.cfg.timeslice,
-                    );
-                    let (tel, probes) = (&self.tel, self.probes.as_ref());
-                    match fs.observe_detailed(&key, &stats) {
-                        Some(FastSimEvent::PhaseLocked { confidence }) => {
-                            if let Some(p) = probes {
-                                p.fastsim_phase_locks.inc();
-                            }
-                            tel.instant("fastsim", "fastsim.phase_lock", || {
-                                vec![
-                                    Attr::num("confidence", confidence),
-                                    Attr::num("tuple_size", tuple_positions.len() as f64),
-                                ]
-                            });
+                    Some(FastSimEvent::Fallback { deviation }) => {
+                        if let Some(p) = probes {
+                            p.fastsim_fallbacks.inc();
                         }
-                        Some(FastSimEvent::Fallback { deviation }) => {
-                            if let Some(p) = probes {
-                                p.fastsim_fallbacks.inc();
-                            }
-                            tel.instant("fastsim", "fastsim.fallback", || {
-                                vec![Attr::num("deviation", deviation)]
-                            });
-                        }
-                        Some(FastSimEvent::Resync {
-                            deviation,
-                            confidence,
-                        }) => {
-                            if let Some(p) = probes {
-                                p.fastsim_resyncs.inc();
-                            }
-                            tel.instant("fastsim", "fastsim.resync", || {
-                                vec![
-                                    Attr::num("deviation", deviation),
-                                    Attr::num("confidence", confidence),
-                                ]
-                            });
-                        }
-                        Some(FastSimEvent::ResampleOk { .. }) | None => {}
+                        tel.instant("fastsim", "fastsim.fallback", || {
+                            vec![Attr::num("deviation", deviation)]
+                        });
                     }
-                    stats
+                    Some(FastSimEvent::Resync {
+                        deviation,
+                        confidence,
+                    }) => {
+                        if let Some(p) = probes {
+                            p.fastsim_resyncs.inc();
+                        }
+                        tel.instant("fastsim", "fastsim.resync", || {
+                            vec![
+                                Attr::num("deviation", deviation),
+                                Attr::num("confidence", confidence),
+                            ]
+                        });
+                    }
+                    Some(FastSimEvent::ResampleOk { .. }) | None => {}
                 }
+                slice.stats
             }
-            _ => run_tuple(
-                &mut self.cpu,
-                &mut self.live,
-                &tuple_positions,
-                self.cfg.timeslice,
-            ),
+            _ => self.cpu.run_timeslice(&mut refs, self.cfg.timeslice),
         };
         self.population_cycles += (self.live.len() as u128) * (self.cfg.timeslice as u128);
         self.now += self.cfg.timeslice;
@@ -1027,6 +1010,64 @@ impl OnlineEngine {
             }
         }
     }
+}
+
+/// What an open-system driver needs from a scheduler: a clock, a population
+/// count, and the three events. [`OnlineEngine`] and
+/// [`crate::cluster::ClusterEngine`] both implement it, so one [`replay`]
+/// loop — and one differential test — drives either.
+pub trait Scheduler {
+    /// Current simulated time in cycles.
+    fn now(&self) -> u64;
+    /// Jobs currently in the system.
+    fn live_count(&self) -> usize;
+    /// Admits a job.
+    fn submit(&mut self, arrival: JobArrival);
+    /// Advances the busy system by one scheduling quantum and returns the
+    /// jobs that departed in it.
+    fn step(&mut self) -> Vec<JobRecord>;
+    /// Fast-forwards the idle system to time `t`.
+    fn jump_to(&mut self, t: u64);
+}
+
+impl Scheduler for OnlineEngine {
+    fn now(&self) -> u64 {
+        self.now
+    }
+    fn live_count(&self) -> usize {
+        self.live.len()
+    }
+    fn submit(&mut self, arrival: JobArrival) {
+        OnlineEngine::submit(self, arrival);
+    }
+    fn step(&mut self) -> Vec<JobRecord> {
+        OnlineEngine::step(self)
+    }
+    fn jump_to(&mut self, t: u64) {
+        OnlineEngine::jump_to(self, t)
+    }
+}
+
+/// *The* open-system loop: replays `trace` (sorted by arrival) through
+/// `engine` — submit every arrival that is due, step while any job is live,
+/// jump across idle gaps — until every job has been submitted and has
+/// departed. Returns the departures in the order the engine reported them.
+pub fn replay(engine: &mut impl Scheduler, trace: &[JobArrival]) -> Vec<JobRecord> {
+    let mut next = 0usize;
+    let mut departed = Vec::with_capacity(trace.len());
+    while next < trace.len() || engine.live_count() > 0 {
+        while next < trace.len() && trace[next].arrival <= engine.now() {
+            engine.submit(trace[next].clone());
+            next += 1;
+        }
+        if engine.live_count() == 0 {
+            // Nothing was due and nothing is live, so arrivals remain.
+            engine.jump_to(trace[next].arrival);
+            continue;
+        }
+        departed.extend(engine.step());
+    }
+    departed
 }
 
 /// The schedule implied by a circular order of keys at SMT level `y`
@@ -1276,29 +1317,17 @@ fn condense(order: &[usize], y: usize, slices: &[TimesliceStats]) -> ScheduleSam
     s
 }
 
-/// Runs one tuple of live jobs (by position) for a timeslice.
-fn run_tuple(
-    cpu: &mut Processor,
-    live: &mut [LiveJob],
+/// The instruction streams of one tuple of live jobs (by position), in
+/// live order.
+fn tuple_sources<'a>(
+    live: &'a mut [LiveJob],
     positions: &[usize],
-    cycles: u64,
-) -> TimesliceStats {
-    let mut sorted = positions.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let mut refs: Vec<&mut dyn InstructionSource> = live
-        .iter_mut()
+) -> Vec<&'a mut dyn InstructionSource> {
+    live.iter_mut()
         .enumerate()
-        .filter(|(i, _)| sorted.binary_search(i).is_ok())
+        .filter(|(i, _)| positions.contains(i))
         .map(|(_, j)| &mut j.stream as &mut dyn InstructionSource)
-        .collect();
-    if refs.is_empty() {
-        return TimesliceStats {
-            cycles,
-            ..Default::default()
-        };
-    }
-    cpu.run_timeslice(&mut refs, cycles)
+        .collect()
 }
 
 #[cfg(test)]

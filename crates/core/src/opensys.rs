@@ -18,13 +18,14 @@
 //!   symbiosis timer (with exponential backoff when the prediction repeats),
 //!   and runs the Score-predicted schedule in between.
 //!
-//! This module is the *batch* driver: it generates a seeded
-//! [`crate::arrivals::ArrivalTrace`] and replays it through the event-driven
-//! [`crate::online::OnlineEngine`], which holds the actual scheduler state
-//! machine (the `sos-serve` daemon drives the same engine from live TCP
-//! submissions).
+//! This module is the *batch* front end: configuration, solo-IPC
+//! calibration, and a run that generates a seeded
+//! [`crate::arrivals::ArrivalTrace`] and [`replay`]s it through the
+//! event-driven [`crate::online::OnlineEngine`], which holds the actual
+//! scheduler state machine (the `sos-serve` daemon drives the same engine
+//! from live TCP submissions).
 
-use crate::online::{OnlineConfig, OnlineEngine};
+use crate::online::{replay, OnlineConfig, OnlineEngine};
 use crate::telemetry::{Attr, Telemetry};
 use serde::{Deserialize, Serialize};
 use smtsim::trace::StreamId;
@@ -263,9 +264,7 @@ pub fn run_open_system(kind: SchedulerKind, cfg: &OpenSystemConfig) -> OpenSyste
 }
 
 /// Runs the open system on a pre-generated arrival trace (so both schedulers
-/// can share one trace): replays the trace through an [`OnlineEngine`],
-/// submitting each job when simulated time reaches its arrival stamp and
-/// fast-forwarding across idle gaps.
+/// can share one trace): [`replay`]s it through a fresh [`OnlineEngine`].
 pub fn run_open_system_on_trace(
     kind: SchedulerKind,
     cfg: &OpenSystemConfig,
@@ -290,24 +289,7 @@ pub fn run_open_system_traced(
             Attr::num("jobs", trace.len() as f64),
         ]
     });
-    let mut next_arrival = 0usize;
-    let mut completed = Vec::with_capacity(trace.len());
-    while completed.len() < trace.len() {
-        // The engine tracks simulated time itself; keep the handle's clock
-        // in lockstep (also across idle fast-forwards).
-        tel.set_clock(engine.now());
-        // Admit arrivals.
-        while next_arrival < trace.len() && trace[next_arrival].arrival <= engine.now() {
-            engine.submit(trace[next_arrival].clone());
-            next_arrival += 1;
-        }
-        if engine.live_count() == 0 {
-            engine.jump_to(trace[next_arrival].arrival);
-            continue;
-        }
-        completed.extend(engine.step());
-    }
-
+    let completed = replay(&mut engine, trace);
     OpenSystemResult {
         scheduler: kind,
         completed,

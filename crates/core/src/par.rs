@@ -7,30 +7,43 @@
 //! produces byte-identical reports to a serial one (the replay tests pin
 //! `workers = 1` against `workers = N`).
 //!
+//! [`ClusterEngine`](crate::cluster::ClusterEngine) advances its shards
+//! through the same map once per round, which is why the calling thread
+//! works alongside the threads it spawns and one worker means no thread at
+//! all.
+//!
 //! These helpers used to live in `sos_bench`; they moved here so the
 //! scheduler can use them, and `sos_bench` re-exports them under the old
 //! paths.
 
+/// The default fan-out: [`std::thread::available_parallelism`], or 1 when
+/// the host will not say.
+pub fn available_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+}
+
 /// Runs `f` over `items` on a pool of OS threads (experiments and candidate
 /// evaluations are independent and single-threaded, so this scales to the 13
 /// paper configurations on a multicore host). The fan-out is capped at
-/// [`std::thread::available_parallelism`], so oversubscription does not
-/// distort per-experiment timing on small hosts. Results keep input order.
+/// [`available_workers`], so oversubscription does not distort
+/// per-experiment timing on small hosts. Results keep input order.
 pub fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
     F: Fn(T) -> U + Sync,
 {
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    parallel_map_with_workers(items, workers, f)
+    parallel_map_with_workers(items, available_workers(), f)
 }
 
 /// [`parallel_map`] with an explicit worker count. Results keep input order
 /// regardless of `workers`, so a run is reproducible across pool sizes — the
 /// replay tests pin this by comparing `workers = 1` against `workers = N`.
+/// The calling thread is one of the workers: `workers − 1` scoped threads
+/// are spawned (capped by the item count), and one worker runs `f` inline
+/// with no thread at all.
 pub fn parallel_map_with_workers<T, U, F>(items: Vec<T>, workers: usize, f: F) -> Vec<U>
 where
     T: Send,
@@ -48,22 +61,24 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("item slot poisoned")
-                    .take()
-                    .expect("each slot is claimed exactly once");
-                let out = f(item);
-                *results[i].lock().expect("result slot poisoned") = Some(out);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let item = slots[i]
+            .lock()
+            .expect("item slot poisoned")
+            .take()
+            .expect("each slot is claimed exactly once");
+        let out = f(item);
+        *results[i].lock().expect("result slot poisoned") = Some(out);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
     results
         .into_iter()
@@ -97,6 +112,27 @@ mod tests {
         let serial = parallel_map_with_workers(items.clone(), 1, |x| x + 7);
         let pooled = parallel_map_with_workers(items, 8, |x| x + 7);
         assert_eq!(serial, pooled);
+    }
+
+    #[test]
+    fn the_caller_is_a_worker_and_one_worker_spawns_nothing() {
+        use std::thread::{current, ThreadId};
+        let me = current().id();
+        let ids = |items: usize, workers: usize| -> Vec<ThreadId> {
+            // Every item blocks until all workers hold one, so each worker
+            // (the caller included) is forced to take exactly one.
+            let barrier = std::sync::Barrier::new(workers.min(items));
+            parallel_map_with_workers(vec![(); items], workers, |()| {
+                barrier.wait();
+                current().id()
+            })
+        };
+        assert_eq!(ids(1, 1), [me]);
+        assert_eq!(ids(1, 4), [me], "one item never needs a thread");
+        let three = ids(3, 3);
+        assert_eq!(three.iter().filter(|&&id| id == me).count(), 1);
+        let distinct: std::collections::HashSet<_> = three.iter().collect();
+        assert_eq!(distinct.len(), 3, "three workers, two of them spawned");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::schedule::{Coschedule, Schedule};
 use crate::telemetry::{Telemetry, TelemetryObserver};
 use crate::ws::{weighted_speedup, SoloRates};
 use serde::{Deserialize, Serialize};
-use smtsim::fastsim::{tuple_key, FastSim, FastSimCounters, FastSimPolicy};
+use smtsim::fastsim::{FastSim, FastSimCounters, FastSimPolicy};
 use smtsim::{MachineConfig, Processor, TimesliceStats};
 
 /// Everything measured while running one full rotation of a schedule.
@@ -99,6 +99,25 @@ impl RotationStats {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
+    /// Committed instructions per pool thread, and total cycles, summed over
+    /// several rotations (what a multi-rotation sample or symbios phase
+    /// feeds [`weighted_speedup`]).
+    ///
+    /// # Panics
+    /// As [`Self::committed_per_thread`].
+    pub fn totals(rotations: &[RotationStats], num_threads: usize) -> (Vec<u64>, u64) {
+        let mut committed = vec![0u64; num_threads];
+        for rot in rotations {
+            for (sum, c) in committed
+                .iter_mut()
+                .zip(rot.committed_per_thread(num_threads))
+            {
+                *sum += c;
+            }
+        }
+        (committed, rotations.iter().map(Self::cycles).sum())
+    }
+
     /// `WS(t)` of the rotation given solo rates.
     pub fn weighted_speedup(&self, solo: &SoloRates) -> f64 {
         let committed = self.committed_per_thread(solo.len());
@@ -159,45 +178,25 @@ impl Runner {
         self.processor.contexts()
     }
 
-    /// Runs one coschedule for `cycles` cycles (through the fast-sim
-    /// extrapolator when one is set and the tuple's phase is locked).
+    /// Runs one coschedule for `cycles` cycles (through
+    /// [`FastSim::run_slice`] when fast-sim is on, so a locked phase is
+    /// extrapolated rather than executed).
     ///
     /// # Panics
     /// Panics if the tuple is larger than the number of hardware contexts.
     pub fn run_tuple(&mut self, tuple: &Coschedule, cycles: u64) -> TimesliceStats {
-        if self.fastsim.is_some() {
-            return self.run_tuple_fast(tuple, cycles);
-        }
-        self.run_tuple_detailed(tuple, cycles)
+        let Some(fs) = &mut self.fastsim else {
+            return self.run_tuple_detailed(tuple, cycles);
+        };
+        let mut refs = self.pool.select_dyn(tuple.threads());
+        fs.run_slice(&mut self.processor, &mut refs, cycles).stats
     }
 
-    /// One detailed timeslice of the pipeline model.
+    /// One detailed timeslice of the pipeline model, whatever the fast-sim
+    /// setting.
     fn run_tuple_detailed(&mut self, tuple: &Coschedule, cycles: u64) -> TimesliceStats {
         let mut refs = self.pool.select_dyn(tuple.threads());
         self.processor.run_timeslice(&mut refs, cycles)
-    }
-
-    /// The fast-sim slice protocol: extrapolate a locked phase (and skip
-    /// the streams past the credited work), otherwise run detailed and feed
-    /// the phase detector.
-    fn run_tuple_fast(&mut self, tuple: &Coschedule, cycles: u64) -> TimesliceStats {
-        let key = tuple_key(tuple.threads().iter().map(|&t| t as u64));
-        let fs = self.fastsim.as_mut().expect("fast path requires fastsim");
-        if let Some(stats) = fs.try_extrapolate(&key, cycles) {
-            for r in self.pool.select_dyn(tuple.threads()) {
-                if let Some(ts) = stats.thread(r.id()) {
-                    r.skip_instructions(ts.committed);
-                }
-            }
-            return stats;
-        }
-        let stats = self.run_tuple_detailed(tuple, cycles);
-        let _ = self
-            .fastsim
-            .as_mut()
-            .expect("fast path requires fastsim")
-            .observe_detailed(&key, &stats);
-        stats
     }
 
     /// Runs one full rotation of `schedule` (each slice one timeslice long).
@@ -275,12 +274,6 @@ impl Runner {
             self.processor
                 .set_observer(Box::new(TelemetryObserver::new(tel.clone())));
         }
-    }
-
-    /// Consumes the runner, returning the pool (e.g. to rebuild with a
-    /// different machine).
-    pub fn into_pool(self) -> JobPool {
-        self.pool
     }
 }
 

@@ -5,7 +5,7 @@
 //! the hardware counters into the predictor inputs of the paper's Table 3:
 //! IPC, AllConf, Dcache, FQ, FP, Sum2, Diversity, and Balance.
 
-use crate::runner::{RotationStats, Runner};
+use crate::runner::RotationStats;
 use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
 
@@ -89,23 +89,6 @@ impl ScheduleSample {
     }
 }
 
-/// Runs the sample phase: each candidate schedule is profiled for
-/// `rotations_per_schedule` rotations, in candidate order (the jobs keep
-/// making progress throughout — sampling is overhead-free).
-pub fn sample_schedules(
-    runner: &mut Runner,
-    candidates: &[Schedule],
-    rotations_per_schedule: usize,
-) -> Vec<ScheduleSample> {
-    candidates
-        .iter()
-        .map(|s| {
-            let rots = runner.run_schedule(s, rotations_per_schedule.max(1));
-            ScheduleSample::from_rotations(s, &rots)
-        })
-        .collect()
-}
-
 fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
@@ -126,6 +109,7 @@ fn stddev(xs: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::job::JobPool;
+    use crate::runner::Runner;
     use smtsim::MachineConfig;
     use workloads::{Benchmark, JobSpec};
 
@@ -159,32 +143,20 @@ mod tests {
     }
 
     #[test]
-    fn sampling_covers_all_candidates() {
-        let mut r = runner();
-        let candidates = vec![
-            Schedule::new(vec![0, 1, 2, 3], 2, 2),
-            Schedule::new(vec![0, 2, 1, 3], 2, 2),
-            Schedule::new(vec![0, 3, 1, 2], 2, 2),
-        ];
-        let samples = sample_schedules(&mut r, &candidates, 1);
-        assert_eq!(samples.len(), 3);
-        let notations: Vec<&str> = samples.iter().map(|s| s.notation.as_str()).collect();
-        assert_eq!(notations, vec!["01_23", "02_13", "03_12"]);
-    }
-
-    #[test]
     fn mixed_fp_int_pairing_beats_fp_pairing_on_fq() {
         // Schedule 01_23 pairs the two FP codes (FP+MG) and the two integer
         // codes (GCC+GO); 02_13 mixes. The mixed schedule must conflict less
         // on FP resources.
         let mut r = runner();
         let _ = r.calibrate_solo(30_000, 10_000); // warm caches a bit
-        let paired = Schedule::new(vec![0, 1, 2, 3], 2, 2);
-        let mixed = Schedule::new(vec![0, 2, 1, 3], 2, 2);
-        let samples = sample_schedules(&mut r, &[paired, mixed], 3);
+        let mut sample = |order| {
+            let s = Schedule::new(order, 2, 2);
+            ScheduleSample::from_rotations(&s, &r.run_schedule(&s, 3))
+        };
+        let (paired, mixed) = (sample(vec![0, 1, 2, 3]), sample(vec![0, 2, 1, 3]));
         assert!(
-            samples[1].sum2 < samples[0].sum2,
-            "mixing FP and integer jobs should lower FP conflicts: {samples:#?}"
+            mixed.sum2 < paired.sum2,
+            "mixing FP and integer jobs should lower FP conflicts: {paired:#?} {mixed:#?}"
         );
     }
 

@@ -130,11 +130,6 @@ impl Schedule {
         self.y.min(self.order.len())
     }
 
-    /// Threads swapped per timeslice `z`.
-    pub fn swap_count(&self) -> usize {
-        self.z
-    }
-
     /// The circular thread order.
     pub fn order(&self) -> &[usize] {
         &self.order

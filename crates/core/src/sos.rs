@@ -18,7 +18,7 @@ use crate::job::JobPool;
 use crate::learn::{self, LearnConfig, Learner};
 use crate::predictor::PredictorKind;
 use crate::runner::{RotationStats, Runner};
-use crate::sample::{sample_schedules, ScheduleSample};
+use crate::sample::ScheduleSample;
 use crate::schedule::Schedule;
 use crate::telemetry::{Attr, Telemetry};
 use crate::ws::SoloRates;
@@ -156,36 +156,6 @@ impl SosScheduler {
         )
     }
 
-    /// Runs the sample phase over the given candidates.
-    pub fn sample_phase(
-        runner: &mut Runner,
-        candidates: &[Schedule],
-        cfg: &SosConfig,
-    ) -> Vec<ScheduleSample> {
-        sample_schedules(runner, candidates, cfg.rotations_per_sample)
-    }
-
-    /// Runs a symbios phase of at least `cycles` cycles on `schedule`,
-    /// returning the measured weighted speedup.
-    pub fn symbios_phase(
-        runner: &mut Runner,
-        schedule: &Schedule,
-        cycles: u64,
-        solo: &SoloRates,
-    ) -> f64 {
-        let rotation_cycles = schedule.slices_per_rotation() as u64 * runner.timeslice();
-        let rotations = (cycles / rotation_cycles).max(1) as usize;
-        let rots = runner.run_schedule(schedule, rotations);
-        let total_cycles: u64 = rots.iter().map(|r| r.cycles()).sum();
-        let mut committed = vec![0u64; solo.len()];
-        for rot in &rots {
-            for (t, c) in rot.committed_per_thread(solo.len()).iter().enumerate() {
-                committed[t] += c;
-            }
-        }
-        crate::ws::weighted_speedup(&committed, total_cycles, solo)
-    }
-
     /// A fresh runner for one pure evaluation stage: new pool, new
     /// processor, reporting to `tel`. Every stage of
     /// [`Self::evaluate_experiment`] starts from this state, which is what
@@ -296,13 +266,7 @@ impl SosScheduler {
             let rotation_cycles = schedule.slices_per_rotation() as u64 * runner.timeslice();
             let rotations = (cycles / rotation_cycles).max(1) as usize;
             let rots = runner.run_schedule(schedule, rotations);
-            let total_cycles: u64 = rots.iter().map(RotationStats::cycles).sum();
-            let mut committed = vec![0u64; threads];
-            for rot in &rots {
-                for (t, c) in rot.committed_per_thread(threads).iter().enumerate() {
-                    committed[t] += c;
-                }
-            }
+            let (committed, total_cycles) = RotationStats::totals(&rots, threads);
             SymbiosEval {
                 committed,
                 cycles: total_cycles,
@@ -359,9 +323,7 @@ impl SosScheduler {
         let workers = if tel.events_on() {
             1
         } else if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
+            crate::par::available_workers()
         } else {
             workers
         };
@@ -383,13 +345,7 @@ impl SosScheduler {
                 samples.push(crate::sample::ScheduleSample::from_rotations(
                     schedule, rots,
                 ));
-                let cycles: u64 = rots.iter().map(RotationStats::cycles).sum();
-                let mut committed = vec![0u64; solo.len()];
-                for rot in rots {
-                    for (t, c) in rot.committed_per_thread(solo.len()).iter().enumerate() {
-                        committed[t] += c;
-                    }
-                }
+                let (committed, cycles) = RotationStats::totals(rots, solo.len());
                 let ws = crate::ws::weighted_speedup(&committed, cycles, &solo);
                 tel.instant("scheduler", "sos.sample_result", || {
                     vec![

@@ -44,7 +44,9 @@
 //! never calls into this module).
 
 use crate::counters::ConflictCounters;
+use crate::processor::Processor;
 use crate::stats::{ThreadStats, TimesliceStats};
+use crate::trace::InstructionSource;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -198,7 +200,8 @@ impl PhaseSignature {
     }
 }
 
-/// What a call to [`FastSim::observe_detailed`] concluded (telemetry hooks).
+/// What the phase detector concluded from one detailed slice (telemetry
+/// hooks; see [`FastSlice::event`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FastSimEvent {
     /// The tuple's signature held stable across the window: phase locked,
@@ -308,23 +311,29 @@ impl TupleState {
 /// Bound on distinct tuples tracked. Rotations over a live set of `x` jobs
 /// produce at most `x` distinct windows between mix changes, so production
 /// engines sit far below this; the cap only guards against a pathological
-/// driver never calling [`FastSim::invalidate`].
+/// driver never calling [`FastSim::revalidate`].
 const MAX_TRACKED_TUPLES: usize = 4096;
+
+/// One timeslice as [`FastSim::run_slice`] ran it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FastSlice {
+    /// The slice's hardware counters — synthesized when `extrapolated`,
+    /// measured otherwise.
+    pub stats: TimesliceStats,
+    /// Whether the slice was synthesized instead of run on the processor.
+    pub extrapolated: bool,
+    /// The phase-state transition a detailed slice caused, if any (always
+    /// `None` for an extrapolated slice).
+    pub event: Option<FastSimEvent>,
+}
 
 /// The phase detector + extrapolator (one per engine / runner).
 ///
-/// Protocol per timeslice, for tuple key `k` (the sorted stream ids of the
-/// coschedule):
-///
-/// 1. [`try_extrapolate`](Self::try_extrapolate) — `Some(stats)` means the
-///    slice was synthesized; advance streams by the per-thread committed
-///    counts and skip the detailed model.
-/// 2. On `None`, run the detailed model and feed the result to
-///    [`observe_detailed`](Self::observe_detailed).
-///
-/// Call [`invalidate`](Self::invalidate) on every mix change (arrival,
-/// departure, migration): phase behaviour is a property of the *machine
-/// state*, and a new mix shifts the shared caches under every tuple.
+/// Every timeslice that may be extrapolated goes through
+/// [`run_slice`](Self::run_slice). Call [`revalidate`](Self::revalidate) on
+/// every mix change (arrival, departure, migration): phase behaviour is a
+/// property of the *machine state*, and a new mix shifts the shared caches
+/// under every tuple.
 pub struct FastSim {
     policy: FastSimPolicy,
     tuples: HashMap<Vec<u64>, TupleState>,
@@ -356,6 +365,45 @@ impl FastSim {
         &self.counters
     }
 
+    /// Runs one `cycles`-long timeslice of `sources` — the fast-sim slice
+    /// protocol, spelled out once for every driver. The tuple key is the
+    /// sorted stream ids of `sources`. If that tuple's phase is locked and
+    /// its confidence allows another extrapolated slice, the counters are
+    /// synthesized and each stream skips past the commits it was credited
+    /// with; otherwise the slice runs on `cpu` in full detail and feeds the
+    /// phase detector.
+    ///
+    /// # Panics
+    /// As [`Processor::run_timeslice`] when the slice runs detailed
+    /// (`sources` empty or longer than the number of contexts).
+    pub fn run_slice(
+        &mut self,
+        cpu: &mut Processor,
+        sources: &mut [&mut dyn InstructionSource],
+        cycles: u64,
+    ) -> FastSlice {
+        let key = tuple_key(sources.iter().map(|s| s.id().0));
+        if let Some(stats) = self.try_extrapolate(&key, cycles) {
+            for s in sources.iter_mut() {
+                if let Some(ts) = stats.thread(s.id()) {
+                    s.skip_instructions(ts.committed);
+                }
+            }
+            return FastSlice {
+                stats,
+                extrapolated: true,
+                event: None,
+            };
+        }
+        let stats = cpu.run_timeslice(sources, cycles);
+        let event = self.observe_detailed(&key, &stats);
+        FastSlice {
+            stats,
+            extrapolated: false,
+            event,
+        }
+    }
+
     /// Synthesizes a `cycles`-long slice for tuple `key` if its phase is
     /// locked and its confidence allows another extrapolated slice.
     /// Returns `None` when the slice must run detailed (unknown tuple,
@@ -366,7 +414,7 @@ impl FastSim {
     /// conservation inequalities (`committed ≤ fetched`,
     /// `misses ≤ refs`, `conflict ≤ cycles`) survive scaling and the
     /// result is byte-deterministic.
-    pub fn try_extrapolate(&mut self, key: &[u64], cycles: u64) -> Option<TimesliceStats> {
+    fn try_extrapolate(&mut self, key: &[u64], cycles: u64) -> Option<TimesliceStats> {
         let st = self.tuples.get_mut(key)?;
         if !st.locked || st.resampling || st.window.is_empty() || cycles == 0 {
             return None;
@@ -389,11 +437,7 @@ impl FastSim {
     /// Feeds one detailed slice of tuple `key` into the detector and
     /// advances the phase state machine. Returns the transition event, if
     /// any (for telemetry).
-    pub fn observe_detailed(
-        &mut self,
-        key: &[u64],
-        stats: &TimesliceStats,
-    ) -> Option<FastSimEvent> {
+    fn observe_detailed(&mut self, key: &[u64], stats: &TimesliceStats) -> Option<FastSimEvent> {
         self.counters.detailed_slices += 1;
         self.counters.detailed_cycles += stats.cycles;
         if stats.cycles == 0 {
@@ -486,19 +530,13 @@ impl FastSim {
         None
     }
 
-    /// Drops all tuple state (the heavy hammer — every phase must re-lock
-    /// from scratch).
-    pub fn invalidate(&mut self) {
-        self.tuples.clear();
-    }
-
     /// The measured response to a mix change (arrival, departure,
     /// migration): the shared machine state shifts under every tracked
     /// phase, but a locked phase usually survives it — same tuple, slightly
     /// different cache pressure. Every locked tuple must re-prove itself
     /// through a fresh re-sample window (warm-up + judged slice) before it
     /// may extrapolate again, so the judge resyncs or falls back on
-    /// evidence instead of [`invalidate`] presuming the worst; unlocked
+    /// evidence instead of a full relock presuming the worst; unlocked
     /// partial windows are dropped (they would mix pre- and post-change
     /// slices into one reference).
     pub fn revalidate(&mut self) {
@@ -619,7 +657,7 @@ fn synthesize(window: &[TimesliceStats], cycles: u64) -> TimesliceStats {
 }
 
 /// The canonical tuple key: sorted stream ids of a coschedule.
-pub fn tuple_key<I: IntoIterator<Item = u64>>(ids: I) -> Vec<u64> {
+fn tuple_key<I: IntoIterator<Item = u64>>(ids: I) -> Vec<u64> {
     let mut k: Vec<u64> = ids.into_iter().collect();
     k.sort_unstable();
     k
@@ -777,15 +815,29 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_drops_all_phases() {
+    fn revalidate_pauses_locked_phases_and_drops_partial_windows() {
         let mut fs = FastSim::new(stable_policy());
-        let key = tuple_key([7u64]);
+        let (locked, partial) = (tuple_key([7u64]), tuple_key([8u64]));
         for _ in 0..4 {
-            fs.observe_detailed(&key, &slice(1_500, 20));
+            fs.observe_detailed(&locked, &slice(1_500, 20));
         }
-        assert!(fs.try_extrapolate(&key, 1_000).is_some());
-        fs.invalidate();
-        assert!(fs.try_extrapolate(&key, 1_000).is_none());
+        for _ in 0..3 {
+            fs.observe_detailed(&partial, &slice(1_500, 20));
+        }
+        assert!(fs.try_extrapolate(&locked, 1_000).is_some());
+        fs.revalidate();
+        // The locked phase owes a fresh warm-up + judged slice ...
+        assert!(fs.try_extrapolate(&locked, 1_000).is_none());
+        assert_eq!(fs.observe_detailed(&locked, &slice(1_500, 20)), None);
+        let ev = fs.observe_detailed(&locked, &slice(1_500, 20));
+        assert!(
+            matches!(ev, Some(FastSimEvent::ResampleOk { .. })),
+            "{ev:?}"
+        );
+        assert!(fs.try_extrapolate(&locked, 1_000).is_some());
+        // ... and the 3-slice window restarts instead of locking on its 4th.
+        assert_eq!(fs.observe_detailed(&partial, &slice(1_500, 20)), None);
+        assert_eq!(fs.counters().phase_locks, 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! * per thread: `committed <= fetched`, class counts sum to `committed`,
 //!   `dl1_misses <= dl1_refs`, `il1_misses <= il1_refs`;
-//! * per-thread cache counters sum to the global [`CacheStats`] totals
+//! * per-thread cache counters sum to the global [`CacheStats`](crate::cache::CacheStats) totals
 //!   (`dl1_refs`, `dl1_misses`, `il1_refs`, `il1_misses`);
 //! * per resource: conflict cycle-counts never exceed the slice's cycles;
 //! * hierarchy: misses never exceed references at every level, and L2

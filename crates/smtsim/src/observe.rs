@@ -61,7 +61,11 @@ impl StageOccupancy {
 /// All methods default to no-ops. Implementations should be cheap: probes
 /// run inside the cycle loop (conflict events) or at sampled cycles
 /// (occupancy), and a slow observer slows the simulation accordingly.
-pub trait Observer {
+///
+/// `Send` is a supertrait so that a [`crate::Processor`] — and every engine
+/// that owns one — can be moved to, or stepped on, another thread with its
+/// observer attached.
+pub trait Observer: Send {
     /// A timeslice is starting: `threads` instruction streams will run for
     /// `cycles` cycles on a cold pipeline.
     fn timeslice_start(&mut self, threads: usize, cycles: u64) {

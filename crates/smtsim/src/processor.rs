@@ -145,8 +145,7 @@ mod tests {
     fn observer_sees_consistent_event_stream() {
         use crate::counters::Resource;
         use crate::observe::{Observer, StageOccupancy};
-        use std::cell::RefCell;
-        use std::rc::Rc;
+        use std::sync::{Arc, Mutex};
 
         #[derive(Default)]
         struct Record {
@@ -157,38 +156,38 @@ mod tests {
             max_inflight: usize,
         }
 
-        struct Probe(Rc<RefCell<Record>>);
+        struct Probe(Arc<Mutex<Record>>);
         impl Observer for Probe {
             fn timeslice_start(&mut self, threads: usize, cycles: u64) {
                 assert_eq!(threads, 1);
                 assert_eq!(cycles, 2_000);
-                self.0.borrow_mut().starts += 1;
+                self.0.lock().unwrap().starts += 1;
             }
             fn timeslice_end(&mut self, stats: &TimesliceStats) {
                 assert_eq!(stats.cycles, 2_000);
-                self.0.borrow_mut().ends += 1;
+                self.0.lock().unwrap().ends += 1;
             }
             fn conflict_cycle(&mut self, cycle: u64, _resource: Resource) {
                 assert!(cycle < 2_000);
-                self.0.borrow_mut().conflict_events += 1;
+                self.0.lock().unwrap().conflict_events += 1;
             }
             fn stage_occupancy(&mut self, occ: &StageOccupancy) {
-                let mut r = self.0.borrow_mut();
+                let mut r = self.0.lock().unwrap();
                 r.occupancy_samples += 1;
                 r.max_inflight = r.max_inflight.max(occ.inflight);
             }
         }
 
-        let record = Rc::new(RefCell::new(Record::default()));
+        let record = Arc::new(Mutex::new(Record::default()));
         let mut p = Processor::new(MachineConfig::alpha21264_like(2));
-        p.set_observer(Box::new(Probe(Rc::clone(&record))));
+        p.set_observer(Box::new(Probe(Arc::clone(&record))));
         p.set_occupancy_interval(100);
         assert!(p.has_observer());
 
         let mut job = Alu { pc: 0 };
         let stats = p.run_timeslice(&mut [&mut job], 2_000);
 
-        let r = record.borrow();
+        let r = record.lock().unwrap();
         assert_eq!(r.starts, 1);
         assert_eq!(r.ends, 1);
         // One conflict event per (cycle, resource) flag: totals must agree
@@ -206,7 +205,11 @@ mod tests {
         let mut job = Alu { pc: 0 };
         let stats = p.run_timeslice(&mut [&mut job], 2_000);
         assert!(stats.total_committed() > 0);
-        assert_eq!(record.borrow().starts, 1, "cleared observer got events");
+        assert_eq!(
+            record.lock().unwrap().starts,
+            1,
+            "cleared observer got events"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// no references (a stream that never touched the cache never missed).
 ///
 /// The one source of truth for hit-rate arithmetic — [`ThreadStats`] and
-/// [`CacheStats`](crate::cache::CacheStats) both delegate here.
+/// [`CacheStats`] both delegate here.
 pub fn hit_pct(refs: u64, misses: u64) -> f64 {
     debug_assert!(misses <= refs, "misses ({misses}) exceed refs ({refs})");
     if refs == 0 {

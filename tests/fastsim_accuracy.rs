@@ -16,10 +16,10 @@
 //!    scenario changes weighted speedup and mean response time by at most
 //!    ±2% relative to the full-detail run it extrapolates.
 
-use smtsim::fastsim::{tuple_key, FastSim, FastSimPolicy};
+use smtsim::fastsim::{FastSim, FastSimPolicy};
 use smtsim::{MachineConfig, Processor};
 use sos_core::job::JobPool;
-use sos_core::online::{OnlineEngine, SchedulerKind};
+use sos_core::online::{replay, OnlineEngine, SchedulerKind};
 use sos_core::opensys::{
     arrival_trace, calibrate_benchmarks, run_open_system_on_trace, OpenSystemConfig,
 };
@@ -99,13 +99,13 @@ fn fast_runs_are_deterministic_across_runs_and_worker_counts() {
 
 #[test]
 fn abrupt_workload_change_forces_fallback() {
-    // Drive the detector through the Runner slice protocol by hand: lock a
-    // phase on an FP-heavy pair, then swap in an integer/memory-bound pair
-    // *under the same tuple key* — the judged re-sample slice must see the
-    // signature break (fp_share alone collapses) and fall back to detail.
+    // Drive the fast-sim slice protocol directly: lock a phase on an
+    // FP-heavy pair, then swap in an integer/memory-bound pair *under the
+    // same tuple key* (both pools number their streams 0 and 1) — the judged
+    // re-sample slice must see the signature break (fp_share alone
+    // collapses) and fall back to detail.
     let mut cpu = Processor::new(MachineConfig::alpha21264_like(2));
     let mut fs = FastSim::new(FastSimPolicy::default());
-    let key = tuple_key([0u64, 1]);
     let mut fp_pool = JobPool::from_specs(
         &[
             JobSpec::single(Benchmark::Fp),
@@ -122,17 +122,7 @@ fn abrupt_workload_change_forces_fallback() {
     );
 
     let slice = |pool: &mut JobPool, cpu: &mut Processor, fs: &mut FastSim| {
-        if let Some(stats) = fs.try_extrapolate(&key, TIMESLICE) {
-            for r in pool.select_dyn(&[0, 1]) {
-                if let Some(ts) = stats.thread(r.id()) {
-                    r.skip_instructions(ts.committed);
-                }
-            }
-        } else {
-            let mut refs = pool.select_dyn(&[0, 1]);
-            let stats = cpu.run_timeslice(&mut refs, TIMESLICE);
-            let _ = fs.observe_detailed(&key, &stats);
-        }
+        fs.run_slice(cpu, &mut pool.select_dyn(&[0, 1]), TIMESLICE);
     };
 
     for _ in 0..40 {
@@ -279,7 +269,7 @@ fn fast_mode_cluster_metrics_within_two_percent_of_detail() {
     // The sharded cluster runs one fast-sim detector per shard engine; the
     // same ±2% bound must hold for the cluster-wide response metric on an
     // identical trace and shard layout.
-    use sos_core::cluster::{run_cluster_on_trace, ClusterConfig, ClusterEngine, DispatchPolicy};
+    use sos_core::cluster::{ClusterConfig, ClusterEngine, DispatchPolicy};
 
     let detail_cfg = open_config();
     let solo = calibrate_benchmarks(
@@ -299,7 +289,7 @@ fn fast_mode_cluster_metrics_within_two_percent_of_detail() {
             cfg.online(),
         );
         let mut engine = ClusterEngine::new(&ccfg);
-        let done = run_cluster_on_trace(&mut engine, &trace, u64::MAX);
+        let done = replay(&mut engine, &trace);
         let mean = done.iter().map(|j| j.response() as f64).sum::<f64>() / done.len().max(1) as f64;
         (done.len(), mean)
     };
@@ -324,19 +314,7 @@ fn open_system_fast_engine_reports_policy_and_counters() {
     let solo = calibrate_benchmarks(cfg.smt, cfg.calibration_cycles, cfg.seed);
     let trace = arrival_trace(&cfg, &solo);
     let mut engine = OnlineEngine::new(SchedulerKind::Sos, &cfg.online());
-    let mut done = 0usize;
-    let mut next = 0usize;
-    while done < trace.len() {
-        while next < trace.len() && trace[next].arrival <= engine.now() {
-            engine.submit(trace[next].clone());
-            next += 1;
-        }
-        if engine.live_count() == 0 {
-            engine.jump_to(trace[next].arrival);
-            continue;
-        }
-        done += engine.step().len();
-    }
+    assert_eq!(replay(&mut engine, &trace).len(), trace.len());
     let policy = engine.fastsim_policy().expect("policy echoed");
     assert_eq!(policy, &FastSimPolicy::default());
     let counters = engine.fastsim_counters().expect("counters exposed");

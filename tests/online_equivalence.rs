@@ -23,6 +23,9 @@ fn small_config() -> OpenSystemConfig {
     cfg
 }
 
+/// The open-system loop spelled out by hand. This is the one copy kept
+/// outside `sos_core::online::replay` (which the batch driver runs): the
+/// reference `replay` is checked against.
 fn drive_engine(kind: SchedulerKind, cfg: &OpenSystemConfig) -> Vec<JobRecord> {
     let solo = calibrate_benchmarks(cfg.smt, cfg.calibration_cycles, cfg.seed);
     let trace = arrival_trace(cfg, &solo);
