@@ -28,6 +28,9 @@
 //! retry so overload shows up as a rejected count instead — either way the
 //! retry count and the total wall time spent backing off appear in the
 //! final report, so queueing delay absorbed by the generator is visible.
+//! The report also carries what this client saw on the wire: wall-clock
+//! round-trip percentiles over every `submit` request, accepted and refused
+//! alike (`submit rtt ms  p50 … p95 … p99 …  (n requests)`).
 //! By default the daemon is told to `shutdown` after the drain; pass
 //! `--no-shutdown` to leave it running for another client.
 //!
@@ -36,6 +39,7 @@
 
 use sos_bench::serve::{Client, Request};
 use sos_core::opensys::{ArrivalTrace, ArrivalTraceSpec};
+use sos_core::report::percentiles;
 use std::time::{Duration, Instant};
 
 struct Args {
@@ -168,6 +172,7 @@ fn main() {
     let mut rejected = 0usize;
     let mut retries = 0usize;
     let mut retry_wait = Duration::ZERO;
+    let mut submit_rtt_ms = Vec::new();
     let mut prev_arrival = 0u64;
     for job in &trace.jobs {
         let gap_cycles = job.arrival.saturating_sub(prev_arrival);
@@ -177,7 +182,10 @@ fn main() {
         prev_arrival = job.arrival;
         let req = Request::submit_cycles(job.benchmark.name(), job.instructions, job.phased);
         loop {
-            match client.request(&req) {
+            let sent = Instant::now();
+            let reply = client.request(&req);
+            submit_rtt_ms.push(sent.elapsed().as_secs_f64() * 1e3);
+            match reply {
                 Ok(resp) if resp.ok => {
                     accepted += 1;
                     break;
@@ -218,6 +226,14 @@ fn main() {
         "# backpressure: {} retries, {:.1} ms total retry wait",
         retries,
         retry_wait.as_secs_f64() * 1e3
+    );
+    let rtt = percentiles(&submit_rtt_ms);
+    println!(
+        "submit rtt ms     p50 {:.3}  p95 {:.3}  p99 {:.3}  ({} requests)",
+        rtt.p50,
+        rtt.p95,
+        rtt.p99,
+        submit_rtt_ms.len()
     );
 
     // Drain: blocks until every in-flight job has departed.

@@ -8,9 +8,16 @@
 //! `fig6`): same engine, driven by wire events instead of a pre-generated
 //! trace.
 //!
+//! Threads: connection threads read, validate, admit and answer every verb
+//! themselves; the scheduler (main) thread only simulates and publishes.
+//! They meet at one mutex-guarded front desk ([`Front`]) and one condvar, so
+//! no request waits out the timeslice in flight (DESIGN.md §9).
+//!
 //! Service behaviour:
 //! * **Admission control** — at most `--queue-cap` jobs in the system;
-//!   excess submissions get an explicit `backpressure` error reply.
+//!   excess submissions get an explicit `backpressure` error reply. An
+//!   accepted job enters the machine at the first timeslice boundary after
+//!   its acknowledgement.
 //! * **Graceful drain** — `drain`/`shutdown` stop admission and complete
 //!   every in-flight job before replying / exiting 0.
 //! * **Snapshot/restore** — scheduler accounting is written atomically to
@@ -56,17 +63,16 @@ use smtsim::FastSimPolicy;
 use sos_bench::serve::{
     CompletedJob, MetricsReply, Request, Response, Snapshot, StatsReply, StatusReply,
 };
-use sos_core::online::{OnlineConfig, OnlineEngine, SchedulerKind};
+use sos_core::online::{JobRecord, OnlineConfig, OnlineEngine, SchedulerKind};
 use sos_core::opensys::{calibrate_benchmarks, JobArrival, JOB_KINDS};
 use sos_core::report::{percentiles, Percentiles};
 use sos_core::telemetry::{Counter, Gauge, Telemetry};
 use sos_core::PredictorKind;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use workloads::spec::Benchmark;
 
@@ -74,6 +80,10 @@ use workloads::spec::Benchmark;
 const VERBS: [&str; 7] = [
     "submit", "status", "stats", "metrics", "fastsim", "drain", "shutdown",
 ];
+
+/// Longest request line the daemon buffers; a longer one is refused and
+/// skipped to its newline.
+const MAX_LINE: usize = 64 * 1024;
 
 struct Args {
     port: u16,
@@ -203,15 +213,13 @@ fn num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad value {s:?} for {flag}"))
 }
 
-/// One request routed from a connection thread to the scheduler thread.
-struct Msg {
-    req: Request,
-    reply: mpsc::Sender<Response>,
-}
-
-/// Counter/gauge handles for the serve loop, resolved once at startup so
-/// the per-request and per-departure cost is a relaxed atomic write.
+/// Counter/gauge handles and series names for the serve loop, resolved once
+/// at startup so the per-request and per-departure cost is a relaxed atomic
+/// write.
 struct ServeMetrics {
+    /// Per verb, in [`VERBS`] order: the `serve.requests.*` counter and the
+    /// `serve.request_us.*` histogram name.
+    verbs: [(Arc<Counter>, String); 7],
     submitted: Arc<Counter>,
     completed: Arc<Counter>,
     rejected: Arc<Counter>,
@@ -228,8 +236,14 @@ struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    fn register(tel: &Telemetry) -> Self {
+    fn register(tel: &Telemetry, metrics_window: u64) -> Self {
         ServeMetrics {
+            // Created at zero so the exposition lists every verb from the start.
+            verbs: VERBS.map(|verb| {
+                let request_us = format!("serve.request_us.{verb}");
+                tel.register_histogram(&request_us, metrics_window, 8);
+                (tel.counter(&format!("serve.requests.{verb}")), request_us)
+            }),
             submitted: tel.counter("serve.submitted"),
             completed: tel.counter("serve.completed"),
             rejected: tel.counter("serve.rejected"),
@@ -261,178 +275,251 @@ impl ServeMetrics {
     }
 }
 
-/// The scheduler thread's full state.
-struct Daemon {
-    engine: OnlineEngine,
-    solo: HashMap<Benchmark, f64>,
-    tel: Telemetry,
-    sm: ServeMetrics,
-    queue_cap: usize,
+/// The front desk: the daemon's only shared mutable state, behind
+/// [`Shared::front`]. Connection threads own admission; the scheduler
+/// thread publishes the machine's state after every timeslice. Nobody
+/// holds the lock across a timeslice, a snapshot store, serde or a socket.
+#[derive(Default)]
+struct Front {
+    // -- admission, written by connection threads --
+    /// The engine key of the next admitted job (dense, in admission order).
+    next_key: usize,
+    /// Jobs in the system: admitted − departed. Raised at admission,
+    /// lowered only when the scheduler thread publishes a departure.
+    live: usize,
+    rejected: u64,
     draining: bool,
     shutdown: bool,
-    drain_waiters: Vec<mpsc::Sender<Response>>,
+    /// Acknowledged jobs the engine has not taken in yet, in key order.
+    admitted: Vec<JobArrival>,
+    /// A `fastsim` verb waiting for the scheduler thread to apply it.
+    fastsim_request: Option<Option<FastSimPolicy>>,
+    /// `drain`/`shutdown` replies not on their sockets yet; the process
+    /// does not exit under them.
+    unflushed: usize,
+    // -- the machine as of the last timeslice, written by the scheduler --
+    now_cycles: u64,
     completed: Vec<CompletedJob>,
-    restored: u64,
-    rejected: u64,
-    /// Jobs accounted in the restored snapshot but not resubmitted to this
-    /// process's engine (so `submitted_base + engine.submitted()` is the
-    /// lifetime total across restarts).
-    submitted_base: u64,
-    snapshot_dir: PathBuf,
-    snapshot_every: u64,
-    since_snapshot: u64,
+    resamples: u64,
+    fastsim: Option<String>,
+    extrapolated_slices: Option<u64>,
     last_snapshot_cycles: u64,
-    metrics: Option<PathBuf>,
-    trace: Option<PathBuf>,
 }
 
-impl Daemon {
-    fn policy(&self) -> &'static str {
-        self.engine.kind().name()
+impl Front {
+    /// Hands the scheduler thread the acknowledged jobs and the key of the
+    /// first of them.
+    fn take_admitted(&mut self) -> (usize, Vec<JobArrival>) {
+        let jobs = std::mem::take(&mut self.admitted);
+        (self.next_key - jobs.len(), jobs)
+    }
+
+    /// Publishes what `status`/`stats` echo of the engine's progress.
+    fn reflect(&mut self, engine: &OnlineEngine) {
+        self.now_cycles = engine.now();
+        self.resamples = engine.resamples();
+        self.extrapolated_slices = engine.fastsim_counters().map(|c| c.extrapolated_slices);
+    }
+
+    /// Publishes the engine's fast-sim policy (it changes only at start-up
+    /// and on a `fastsim` verb, so no timeslice pays for the string).
+    fn reflect_policy(&mut self, engine: &OnlineEngine) {
+        self.fastsim = engine.fastsim_policy().map(|p| p.describe());
+        self.reflect(engine);
+    }
+}
+
+const POISONED: &str = "a thread panicked holding the front desk";
+
+/// What every thread of the daemon sees: immutable facts, thread-safe
+/// telemetry handles, and the front desk under the one lock.
+struct Shared {
+    solo: HashMap<Benchmark, f64>,
+    policy: &'static str,
+    smt: u64,
+    queue_cap: usize,
+    /// Jobs accounted in the restored snapshot but not resubmitted to this
+    /// process's engine (so `submitted_base + next_key` is the lifetime
+    /// total across restarts).
+    submitted_base: u64,
+    restored: u64,
+    tel: Telemetry,
+    sm: ServeMetrics,
+    front: Mutex<Front>,
+    /// Signalled on every change a thread may be waiting for: work for an
+    /// idle scheduler, an applied `fastsim`, a departure, a flushed reply.
+    changed: Condvar,
+}
+
+impl Shared {
+    fn front(&self) -> MutexGuard<'_, Front> {
+        self.front.lock().expect(POISONED)
+    }
+
+    /// Sleeps on [`changed`](Self::changed) while `busy` holds.
+    fn wait_while<'a>(
+        &self,
+        front: MutexGuard<'a, Front>,
+        busy: impl FnMut(&mut Front) -> bool,
+    ) -> MutexGuard<'a, Front> {
+        self.changed.wait_while(front, busy).expect(POISONED)
     }
 
     fn solo_ipc(&self, bench: Benchmark) -> f64 {
         self.solo.get(&bench).copied().unwrap_or(1.0).max(1e-6)
     }
 
-    fn handle(&mut self, msg: Msg) {
+    // -- connection threads --------------------------------------------------
+
+    /// Answers one well-formed request on the calling connection thread.
+    fn handle(&self, req: &Request) -> Response {
         let start = Instant::now();
-        let verb = VERBS
-            .iter()
-            .copied()
-            .find(|v| *v == msg.req.cmd)
-            .unwrap_or("unknown");
-        self.tel.counter_add(&format!("serve.requests.{verb}"), 1);
-        let reply = match msg.req.cmd.as_str() {
-            "submit" => Some(self.handle_submit(&msg.req)),
-            "status" => Some(self.handle_status()),
-            "stats" => Some(self.handle_stats()),
-            "metrics" => Some(self.handle_metrics()),
-            "fastsim" => Some(self.handle_fastsim(&msg.req)),
-            "drain" | "shutdown" => {
-                self.draining = true;
-                if msg.req.cmd == "shutdown" {
-                    self.shutdown = true;
-                }
-                if self.engine.live_count() == 0 {
-                    Some(Response::ok())
-                } else {
-                    // Deferred: answered when the last in-flight job departs.
-                    self.drain_waiters.push(msg.reply.clone());
-                    None
-                }
-            }
+        let verb = VERBS.iter().position(|v| *v == req.cmd);
+        let verb = verb.map(|v| &self.sm.verbs[v]);
+        match verb {
+            Some((requests, _)) => requests.inc(),
+            None => self.tel.counter_add("serve.requests.unknown", 1),
+        }
+        let reply = match req.cmd.as_str() {
+            "submit" => self.handle_submit(req),
+            "status" => self.handle_status(),
+            "stats" => self.handle_stats(),
+            "metrics" => self.handle_metrics(),
+            "fastsim" => self.handle_fastsim(req),
+            "drain" => self.handle_drain(false),
+            "shutdown" => self.handle_drain(true),
             other => {
                 self.sm.err_unknown_cmd.inc();
-                Some(Response::err(format!(
+                Response::err(format!(
                     "unknown cmd {other:?} (submit|status|stats|metrics|fastsim|drain|shutdown)"
-                )))
+                ))
             }
         };
-        if verb != "unknown" {
-            self.tel.histogram_record(
-                &format!("serve.request_us.{verb}"),
-                self.engine.now(),
-                start.elapsed().as_micros() as u64,
-            );
+        if let Some((_, request_us)) = verb {
+            let now = self.front().now_cycles;
+            let us = start.elapsed().as_micros() as u64;
+            self.tel.histogram_record(request_us, now, us);
         }
-        if let Some(reply) = reply {
-            let _ = msg.reply.send(reply);
-        }
+        reply
     }
 
-    fn handle_submit(&mut self, req: &Request) -> Response {
-        if self.draining {
+    /// Checks a submit's fields (no lock: nothing here depends on the
+    /// queue, so a request that can never succeed is never told to retry).
+    fn validate(&self, req: &Request) -> Result<JobArrival, String> {
+        let name = req
+            .bench
+            .as_deref()
+            .ok_or("submit requires a bench field")?;
+        let benchmark = JOB_KINDS
+            .iter()
+            .copied()
+            .find(|b| b.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                let known: Vec<&str> = JOB_KINDS.iter().map(|b| b.name()).collect();
+                format!("unknown bench {name:?} (one of {known:?})")
+            })?;
+        let instructions = match (req.instructions, req.cycles) {
+            (Some(i), _) => i,
+            (None, Some(c)) => ((c as f64 * self.solo_ipc(benchmark)) as u64).max(1_000),
+            (None, None) => return Err("submit requires cycles or instructions".into()),
+        };
+        if instructions == 0 {
+            return Err("job length must be positive".into());
+        }
+        Ok(JobArrival {
+            arrival: 0, // stamped with the engine clock when the job enters
+            benchmark,
+            instructions,
+            phased: req.phased.unwrap_or(false),
+        })
+    }
+
+    /// The one admission path: nothing behind a drain, never more than
+    /// `queue_cap` jobs in the system, keys dense in acknowledgement order.
+    fn handle_submit(&self, req: &Request) -> Response {
+        let job = match self.validate(req) {
+            Ok(job) => job,
+            Err(e) => {
+                self.sm.err_bad_submit.inc();
+                return Response::err(e);
+            }
+        };
+        let mut front = self.front();
+        if front.draining {
             self.sm.err_draining.inc();
             return Response::err("draining");
         }
-        if self.engine.live_count() >= self.queue_cap {
-            self.rejected += 1;
+        if front.live >= self.queue_cap {
+            front.rejected += 1;
             self.sm.rejected.inc();
             self.sm.err_backpressure.inc();
             return Response::err("backpressure");
         }
-        let Some(name) = req.bench.as_deref() else {
-            self.sm.err_bad_submit.inc();
-            return Response::err("submit requires a bench field");
-        };
-        let Some(benchmark) = JOB_KINDS
-            .iter()
-            .copied()
-            .find(|b| b.name().eq_ignore_ascii_case(name))
-        else {
-            self.sm.err_bad_submit.inc();
-            let known: Vec<&str> = JOB_KINDS.iter().map(|b| b.name()).collect();
-            return Response::err(format!("unknown bench {name:?} (one of {known:?})"));
-        };
-        let instructions = match (req.instructions, req.cycles) {
-            (Some(i), _) => i,
-            (None, Some(c)) => ((c as f64 * self.solo_ipc(benchmark)) as u64).max(1_000),
-            (None, None) => {
-                self.sm.err_bad_submit.inc();
-                return Response::err("submit requires cycles or instructions");
-            }
-        };
-        if instructions == 0 {
-            self.sm.err_bad_submit.inc();
-            return Response::err("job length must be positive");
-        }
-        let arrival = JobArrival {
-            arrival: self.engine.now(),
-            benchmark,
-            instructions,
-            phased: req.phased.unwrap_or(false),
-        };
-        let key = self.engine.submit(arrival);
+        let key = front.next_key;
+        front.next_key += 1;
+        front.live += 1;
+        front.admitted.push(job);
+        self.sm.queue_depth.set(front.live as f64);
+        drop(front);
+        self.changed.notify_all();
         self.sm.submitted.inc();
-        self.sm.queue_depth.set(self.engine.live_count() as f64);
         let mut r = Response::ok();
         r.id = Some(self.submitted_base + key as u64);
         r
     }
 
-    fn handle_status(&mut self) -> Response {
-        let mut r = Response::ok();
-        r.status = Some(StatusReply {
-            policy: self.policy().to_string(),
-            smt: self.engine.config().smt as u64,
-            live: self.engine.live_count() as u64,
+    /// One consistent cut of the front desk: every field is read under the
+    /// same lock acquisition.
+    fn handle_status(&self) -> Response {
+        let front = self.front();
+        let status = StatusReply {
+            policy: self.policy.to_string(),
+            smt: self.smt,
+            live: front.live as u64,
             queue_cap: self.queue_cap as u64,
-            submitted: self.submitted_base + self.engine.submitted() as u64,
-            completed: self.completed.len() as u64,
-            rejected: self.rejected,
-            now_cycles: self.engine.now(),
-            draining: self.draining,
+            submitted: self.submitted_base + front.next_key as u64,
+            completed: front.completed.len() as u64,
+            rejected: front.rejected,
+            now_cycles: front.now_cycles,
+            draining: front.draining,
             restored: self.restored,
-            fastsim: self.engine.fastsim_policy().map(|p| p.describe()),
-            extrapolated_slices: self
-                .engine
-                .fastsim_counters()
-                .map(|c| c.extrapolated_slices),
-        });
+            fastsim: front.fastsim.clone(),
+            extrapolated_slices: front.extrapolated_slices,
+        };
+        drop(front);
+        let mut r = Response::ok();
+        r.status = Some(status);
         r
     }
 
-    /// Answers the `fastsim` verb: switches phase-aware sampled fast
-    /// simulation on or off at runtime and echoes the new status. Detailed
-    /// re-sampling restarts from scratch after every toggle (phase state is
-    /// rebuilt, never carried across policies).
-    fn handle_fastsim(&mut self, req: &Request) -> Response {
+    /// Answers the `fastsim` verb: asks the scheduler thread to switch
+    /// phase-aware sampled fast simulation on or off, waits until it has,
+    /// and echoes the new status. Detailed re-sampling restarts from scratch
+    /// after every toggle (phase state is rebuilt, never carried across
+    /// policies).
+    fn handle_fastsim(&self, req: &Request) -> Response {
         // An explicit `fast: false` switches off whatever else is sent.
         let policy = match req.fast {
             Some(false) => Ok(None),
             _ => sos_bench::fastsim_policy(true, req.fast_threshold),
         };
-        match policy {
-            Ok(policy) => self.engine.set_fastsim(policy),
+        let policy = match policy {
+            Ok(policy) => policy,
             Err(e) => return Response::err(e),
-        }
+        };
+        let mut front = self.front();
+        front.fastsim_request = Some(policy);
+        self.changed.notify_all();
+        drop(self.wait_while(front, |f| f.fastsim_request.is_some()));
         self.handle_status()
     }
 
-    fn handle_stats(&mut self) -> Response {
-        let responses: Vec<f64> = self.completed.iter().map(|c| c.response as f64).collect();
-        let slowdowns: Vec<f64> = self.completed.iter().map(|c| c.slowdown).collect();
+    fn handle_stats(&self) -> Response {
+        let front = self.front();
+        let (completed, resamples) = (front.completed.clone(), front.resamples);
+        drop(front);
+        let responses: Vec<f64> = completed.iter().map(|c| c.response as f64).collect();
+        let slowdowns: Vec<f64> = completed.iter().map(|c| c.slowdown).collect();
         let mean = |v: &[f64]| {
             if v.is_empty() {
                 f64::NAN
@@ -451,13 +538,13 @@ impl Daemon {
         let cache = sos_core::cache::stats();
         let mut r = Response::ok();
         r.stats = Some(StatsReply {
-            completed: self.completed.len() as u64,
+            completed: completed.len() as u64,
             mean_response: mean(&responses),
             response: percentiles(&responses),
             mean_slowdown: mean(&slowdowns),
             slowdown: percentiles(&slowdowns),
             response_approx,
-            resamples: self.engine.resamples(),
+            resamples,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
             errors: Some(self.sm.error_classes()),
@@ -466,10 +553,9 @@ impl Daemon {
     }
 
     /// Answers the `metrics` verb: refresh the point-in-time gauges, then
-    /// snapshot the hub as versioned JSON plus a Prometheus exposition.
-    fn handle_metrics(&mut self) -> Response {
-        self.refresh_gauges();
-        let snapshot = self.tel.snapshot(self.engine.now());
+    /// snapshot the registry as versioned JSON plus a Prometheus exposition.
+    fn handle_metrics(&self) -> Response {
+        let snapshot = self.tel.snapshot(self.refresh_gauges());
         let prometheus = snapshot.prometheus_text();
         let mut r = Response::ok();
         r.metrics = Some(Box::new(MetricsReply {
@@ -479,85 +565,178 @@ impl Daemon {
         r
     }
 
-    /// Updates gauges that are sampled (not event-driven): queue depth,
-    /// snapshot age, evaluation-cache hit/miss totals.
-    fn refresh_gauges(&self) {
-        self.sm.queue_depth.set(self.engine.live_count() as f64);
+    /// Updates the gauges that are sampled rather than event-driven
+    /// (snapshot age, evaluation-cache hit/miss totals; queue depth is set
+    /// wherever `live` changes) and returns the published clock.
+    fn refresh_gauges(&self) -> u64 {
+        let front = self.front();
+        let (now, snapshot_at) = (front.now_cycles, front.last_snapshot_cycles);
+        drop(front);
         self.sm
             .snapshot_age
-            .set(self.engine.now().saturating_sub(self.last_snapshot_cycles) as f64);
+            .set(now.saturating_sub(snapshot_at) as f64);
         let cache = sos_core::cache::stats();
         self.sm.cache_hits.set(cache.hits as f64);
         self.sm.cache_misses.set(cache.misses as f64);
+        now
     }
 
-    /// Books a batch of departures: SLO accounting, hub metrics, periodic
-    /// snapshot, drain notifications.
-    fn after_step(&mut self, departed: Vec<sos_core::online::JobRecord>) {
-        let n = departed.len() as u64;
+    /// Answers `drain` and `shutdown`: closes admission and returns once the
+    /// scheduler thread has published an empty system. The caller reports
+    /// the reply written with [`reply_flushed`](Self::reply_flushed).
+    fn handle_drain(&self, shutdown: bool) -> Response {
+        let mut front = self.front();
+        front.draining = true;
+        front.shutdown |= shutdown;
+        front.unflushed += 1;
+        self.changed.notify_all();
+        drop(self.wait_while(front, |f| f.live > 0));
+        Response::ok()
+    }
+
+    /// A `drain`/`shutdown` reply has left for its socket.
+    fn reply_flushed(&self) {
+        self.front().unflushed -= 1;
+        self.changed.notify_all();
+    }
+
+    // -- the scheduler thread ------------------------------------------------
+
+    /// Blocks until there is something to simulate or a `fastsim` request to
+    /// apply; `None` once `shutdown` is up and the system is empty.
+    fn wait_for_work(&self) -> Option<MutexGuard<'_, Front>> {
+        let work = |f: &Front| f.live > 0 || f.fastsim_request.is_some();
+        let front = self.wait_while(self.front(), |f| !work(f) && !f.shutdown);
+        work(&front).then_some(front)
+    }
+
+    /// Publishes the machine's state after a timeslice: the clock, the
+    /// counters `status`/`stats` echo, and the departures — `live` falls in
+    /// the same critical section their records appear in.
+    fn publish(&self, engine: &OnlineEngine, departed: Vec<CompletedJob>) {
+        let any_departed = !departed.is_empty();
+        let mut front = self.front();
+        front.reflect(engine);
+        front.live -= departed.len();
+        front.completed.extend(departed);
+        self.sm.queue_depth.set(front.live as f64);
+        drop(front);
+        if any_departed {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Everything acknowledged so far as a snapshot: the jobs the engine
+    /// holds plus those it has not taken in yet, which would enter now.
+    fn snapshot(&self, engine: &OnlineEngine) -> Snapshot {
+        let (now_cycles, mut inflight) = (engine.now(), engine.live_arrivals());
+        let learner = engine.learner().cloned();
+        let front = self.front();
+        inflight.extend(front.admitted.iter().map(|job| JobArrival {
+            arrival: now_cycles,
+            ..job.clone()
+        }));
+        Snapshot {
+            version: sos_bench::serve::SNAPSHOT_VERSION,
+            policy: self.policy.to_string(),
+            smt: self.smt,
+            seed: engine.config().seed,
+            now_cycles,
+            submitted: self.submitted_base + front.next_key as u64,
+            rejected: front.rejected,
+            completed: front.completed.clone(),
+            inflight,
+            learner,
+        }
+    }
+}
+
+/// The scheduler thread's private state: the engine and where its
+/// accounting is persisted.
+struct Daemon {
+    engine: OnlineEngine,
+    shared: Arc<Shared>,
+    args: Args,
+    since_snapshot: u64,
+}
+
+impl Daemon {
+    /// The scheduler loop: take in what was admitted, run one timeslice,
+    /// publish; sleep while the system is empty; return on shutdown.
+    fn run(&mut self) {
+        let shared = self.shared.clone();
+        while let Some(mut front) = shared.wait_for_work() {
+            if let Some(policy) = front.fastsim_request.take() {
+                // Applied and published in one critical section, so a
+                // waiter that sees the request gone also sees its effect.
+                self.engine.set_fastsim(policy);
+                front.reflect_policy(&self.engine);
+                shared.changed.notify_all();
+            }
+            let (first_key, jobs) = front.take_admitted();
+            drop(front);
+            for (i, job) in jobs.into_iter().enumerate() {
+                let arrival = self.engine.now();
+                let key = self.engine.submit(JobArrival { arrival, ..job });
+                assert_eq!(key, first_key + i, "engine keys follow admission order");
+            }
+            let departed = self.engine.step();
+            self.since_snapshot += departed.len() as u64;
+            let departed = self.book_departures(departed);
+            shared.publish(&self.engine, departed);
+            if self.since_snapshot >= self.args.snapshot_every.max(1) {
+                self.write_snapshot();
+            }
+        }
+    }
+
+    /// Books a timeslice's departures — SLO accounting and registry series —
+    /// and returns their records for publication.
+    fn book_departures(&self, departed: Vec<JobRecord>) -> Vec<CompletedJob> {
+        let (tel, sm) = (&self.shared.tel, &self.shared.sm);
         let now = self.engine.now();
-        for rec in departed {
-            let response = rec.response();
-            let service = rec.arrival.instructions as f64 / self.solo_ipc(rec.arrival.benchmark);
-            let slowdown = if service > 0.0 {
-                response as f64 / service
-            } else {
-                f64::NAN
-            };
-            self.sm.completed.inc();
-            self.tel
-                .histogram_record("serve.response_cycles", now, response);
-            self.tel.observe_slo("serve.response_cycles", response);
-            if slowdown.is_finite() {
-                let x100 = (slowdown * 100.0) as u64;
-                self.tel.histogram_record("serve.slowdown_x100", now, x100);
-                self.tel.observe_slo("serve.slowdown_x100", x100);
-            }
-            self.completed.push(CompletedJob {
-                arrival: rec.arrival.arrival,
-                response,
-                slowdown,
-            });
-        }
-        if n == 0 {
-            return;
-        }
-        self.sm.queue_depth.set(self.engine.live_count() as f64);
-        self.since_snapshot += n;
-        if self.since_snapshot >= self.snapshot_every {
-            self.write_snapshot();
-        }
-        if self.engine.live_count() == 0 && self.draining {
-            for w in self.drain_waiters.drain(..) {
-                let _ = w.send(Response::ok());
-            }
-        }
+        departed
+            .into_iter()
+            .map(|rec| {
+                let response = rec.response();
+                let service =
+                    rec.arrival.instructions as f64 / self.shared.solo_ipc(rec.arrival.benchmark);
+                let slowdown = if service > 0.0 {
+                    response as f64 / service
+                } else {
+                    f64::NAN
+                };
+                sm.completed.inc();
+                tel.histogram_record("serve.response_cycles", now, response);
+                tel.observe_slo("serve.response_cycles", response);
+                if slowdown.is_finite() {
+                    let x100 = (slowdown * 100.0) as u64;
+                    tel.histogram_record("serve.slowdown_x100", now, x100);
+                    tel.observe_slo("serve.slowdown_x100", x100);
+                }
+                CompletedJob {
+                    arrival: rec.arrival.arrival,
+                    response,
+                    slowdown,
+                }
+            })
+            .collect()
     }
 
     fn write_snapshot(&mut self) {
         self.since_snapshot = 0;
         let started = Instant::now();
-        let snap = Snapshot {
-            version: sos_bench::serve::SNAPSHOT_VERSION,
-            policy: self.policy().to_string(),
-            smt: self.engine.config().smt as u64,
-            seed: self.engine.config().seed,
-            now_cycles: self.engine.now(),
-            submitted: self.submitted_base + self.engine.submitted() as u64,
-            rejected: self.rejected,
-            completed: self.completed.clone(),
-            inflight: self.engine.live_arrivals(),
-            learner: self.engine.learner().cloned(),
-        };
-        if let Err(e) = snap.store(&self.snapshot_dir) {
+        let snap = self.shared.snapshot(&self.engine);
+        if let Err(e) = snap.store(&self.args.snapshot_dir) {
             eprintln!(
                 "sos-serve: snapshot to {} failed: {e} (continuing without persistence)",
-                self.snapshot_dir.display()
+                self.args.snapshot_dir.display()
             );
         } else {
-            self.last_snapshot_cycles = self.engine.now();
-            self.sm.snapshot_age.set(0.0);
-            self.sm
+            self.shared.front().last_snapshot_cycles = snap.now_cycles;
+            self.shared.sm.snapshot_age.set(0.0);
+            self.shared
+                .sm
                 .snapshot_write_us
                 .set(started.elapsed().as_micros() as f64);
         }
@@ -566,19 +745,20 @@ impl Daemon {
     /// Writes end-of-life telemetry from one drained snapshot: the Chrome
     /// trace of request spans to `--trace`, and the events plus every metric
     /// row as JSONL appended to `--metrics`.
-    fn export_telemetry(&mut self) {
-        if self.metrics.is_none() && self.trace.is_none() {
+    fn export_telemetry(&self) {
+        if self.args.metrics.is_none() && self.args.trace.is_none() {
             return;
         }
-        self.refresh_gauges();
-        self.tel.set_clock(self.engine.now());
-        let snap = self.tel.drain();
-        if let Some(path) = &self.trace {
+        let tel = &self.shared.tel;
+        self.shared.refresh_gauges();
+        tel.set_clock(self.engine.now());
+        let snap = tel.drain();
+        if let Some(path) = &self.args.trace {
             if let Err(e) = std::fs::write(path, snap.chrome_trace_json()) {
                 eprintln!("sos-serve: trace export to {} failed: {e}", path.display());
             }
         }
-        if let Some(path) = &self.metrics {
+        if let Some(path) = &self.args.metrics {
             let out = snap.events_jsonl() + &snap.metrics_jsonl();
             let res = std::fs::OpenOptions::new()
                 .create(true)
@@ -618,11 +798,6 @@ fn main() {
     } else {
         Telemetry::metrics()
     };
-    for verb in VERBS {
-        // Created at zero so the exposition lists every verb from the start.
-        tel.counter(&format!("serve.requests.{verb}"));
-        tel.register_histogram(&format!("serve.request_us.{verb}"), args.metrics_window, 8);
-    }
     tel.register_histogram("serve.response_cycles", args.metrics_window, 8);
     tel.register_histogram("serve.slowdown_x100", args.metrics_window, 8);
     tel.register_slo(
@@ -635,7 +810,7 @@ fn main() {
         (args.slo_slowdown * 100.0).round() as u64,
         args.slo_objective,
     );
-    let sm = ServeMetrics::register(&tel);
+    let sm = ServeMetrics::register(&tel, args.metrics_window);
 
     let cfg = OnlineConfig {
         smt: args.smt,
@@ -645,7 +820,7 @@ fn main() {
         drift_threshold: Some(0.35),
         base_interval: args.base_interval,
         seed: args.seed,
-        fastsim: args.fastsim,
+        fastsim: args.fastsim.clone(),
         learn: None,
     };
     if let Some(p) = &cfg.fastsim {
@@ -661,17 +836,16 @@ fn main() {
     }
 
     // Restore the latest snapshot, if one matches this configuration.
-    let mut daemon_completed = Vec::new();
+    let mut front = Front::default();
     let mut restored = 0u64;
-    let mut rejected = 0u64;
     let mut submitted_base = 0u64;
     if let Some(snap) = Snapshot::load(&args.snapshot_dir) {
         if snap.policy == args.policy.name() && snap.smt == args.smt as u64 {
             engine.jump_to(snap.now_cycles);
             restored = snap.completed.len() as u64;
-            rejected = snap.rejected;
+            front.rejected = snap.rejected;
             submitted_base = snap.submitted.saturating_sub(snap.inflight.len() as u64);
-            daemon_completed = snap.completed;
+            front.completed = snap.completed;
             let inflight = snap.inflight.len();
             for job in snap.inflight {
                 engine.submit(job);
@@ -699,28 +873,24 @@ fn main() {
             );
         }
     }
+    // Re-queued jobs are in the system, under the engine keys they just took.
+    front.next_key = engine.submitted();
+    front.live = engine.live_count();
+    front.reflect_policy(&engine);
+    sm.queue_depth.set(front.live as f64);
 
-    let err_unparsable = sm.err_unparsable.clone();
-    let mut daemon = Daemon {
-        engine,
+    let shared = Arc::new(Shared {
         solo,
+        policy: args.policy.name(),
+        smt: args.smt as u64,
+        queue_cap: args.queue_cap,
+        submitted_base,
+        restored,
         tel,
         sm,
-        queue_cap: args.queue_cap,
-        draining: false,
-        shutdown: false,
-        drain_waiters: Vec::new(),
-        completed: daemon_completed,
-        restored,
-        rejected,
-        submitted_base,
-        snapshot_dir: args.snapshot_dir.clone(),
-        snapshot_every: args.snapshot_every.max(1),
-        since_snapshot: 0,
-        last_snapshot_cycles: 0,
-        metrics: args.metrics.clone(),
-        trace: args.trace.clone(),
-    };
+        front: Mutex::new(front),
+        changed: Condvar::new(),
+    });
 
     let listener = match TcpListener::bind(("127.0.0.1", args.port)) {
         Ok(l) => l,
@@ -733,68 +903,80 @@ fn main() {
     println!("sos-serve listening on {addr}");
     let _ = std::io::stdout().flush();
 
-    let (tx, rx) = mpsc::channel::<Msg>();
+    let for_connections = shared.clone();
     std::thread::spawn(move || {
         for conn in listener.incoming() {
             match conn {
                 Ok(stream) => {
-                    let tx = tx.clone();
-                    let unparsable = err_unparsable.clone();
-                    std::thread::spawn(move || serve_connection(stream, tx, unparsable));
+                    let shared = for_connections.clone();
+                    std::thread::spawn(move || serve_connection(stream, &shared));
                 }
                 Err(e) => eprintln!("sos-serve: accept failed: {e}"),
             }
         }
     });
 
-    // The scheduler loop: drain control messages, then either run one
-    // timeslice or block briefly waiting for work.
-    loop {
-        loop {
-            match rx.try_recv() {
-                Ok(msg) => daemon.handle(msg),
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => break,
-            }
-        }
-        if daemon.shutdown && daemon.engine.live_count() == 0 {
-            break;
-        }
-        if daemon.engine.live_count() > 0 {
-            let departed = daemon.engine.step();
-            daemon.after_step(departed);
-        } else {
-            match rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(msg) => daemon.handle(msg),
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-    }
+    let mut daemon = Daemon {
+        engine,
+        shared: shared.clone(),
+        args,
+        since_snapshot: 0,
+    };
+    daemon.run();
 
     daemon.write_snapshot();
     daemon.export_telemetry();
     sos_bench::print_cache_stats();
+    let completed = shared.front().completed.len();
     eprintln!(
-        "# sos-serve: shutdown after {} completed jobs at cycle {}",
-        daemon.completed.len(),
+        "# sos-serve: shutdown after {completed} completed jobs at cycle {}",
         daemon.engine.now()
     );
-    // Give connection threads a beat to flush the shutdown reply before the
-    // process (and its sockets) go away.
-    std::thread::sleep(Duration::from_millis(200));
+    // Connection threads die with the process: wait (bounded) until the
+    // `drain`/`shutdown` replies that announce the exit are on their sockets.
+    let _ = shared
+        .changed
+        .wait_timeout_while(shared.front(), Duration::from_secs(1), |f| f.unflushed > 0);
     std::process::exit(0);
 }
 
-/// Reads JSON-line requests off one connection, routing well-formed ones to
-/// the scheduler thread and answering malformed ones directly with a
-/// diagnostic error reply (counted under `serve.errors.unparsable`).
-fn serve_connection(stream: TcpStream, tx: mpsc::Sender<Msg>, unparsable: Arc<Counter>) {
+/// Reads one request line of at most [`MAX_LINE`] bytes into `buf`:
+/// `Ok(None)` at the end of the stream, `Some(Err(diagnostic))` for an
+/// oversized or non-UTF-8 line, which is skipped to its newline. A last line
+/// the peer did not terminate is returned as it stands.
+fn read_request<'a>(
+    reader: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+) -> std::io::Result<Option<Result<&'a str, &'static str>>> {
+    let mut too_long = false;
+    loop {
+        buf.clear();
+        let n = reader
+            .by_ref()
+            .take(MAX_LINE as u64 + 1)
+            .read_until(b'\n', buf)?;
+        // Cut short by the cap rather than by a newline or the stream's end.
+        if n > MAX_LINE && buf.last() != Some(&b'\n') {
+            too_long = true;
+            continue;
+        }
+        return Ok(match (too_long, n) {
+            (true, _) => Some(Err("request line too long")),
+            (false, 0) => None,
+            (false, _) => Some(std::str::from_utf8(buf).map_err(|_| "request is not UTF-8")),
+        });
+    }
+}
+
+/// Serves one connection: reads JSON-line requests, answers malformed ones
+/// with a diagnostic error reply (counted under `serve.errors.unparsable`)
+/// and every well-formed one through [`Shared::handle`], on this thread.
+fn serve_connection(stream: TcpStream, shared: &Shared) {
     let peer = stream
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "?".into());
-    let reader = BufReader::new(match stream.try_clone() {
+    let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(e) => {
             eprintln!("sos-serve: cannot clone stream for {peer}: {e}");
@@ -807,28 +989,23 @@ fn serve_connection(stream: TcpStream, tx: mpsc::Sender<Msg>, unparsable: Arc<Co
         eprintln!("sos-serve: cannot set TCP_NODELAY for {peer}: {e}");
     }
     let mut writer = stream;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break, // client went away
-        };
-        if line.trim().is_empty() {
+    let mut line = Vec::new();
+    // Ends when the client goes away.
+    while let Ok(Some(request)) = read_request(&mut reader, &mut line) {
+        if request.is_ok_and(|text| text.trim().is_empty()) {
             continue;
         }
-        let response = match serde_json::from_str::<Request>(&line) {
-            Err(e) => {
-                unparsable.inc();
-                Response::err(format!("unparsable request: {e}"))
-            }
-            Ok(req) => {
-                let (rtx, rrx) = mpsc::channel();
-                if tx.send(Msg { req, reply: rtx }).is_err() {
-                    break; // scheduler is gone; daemon is exiting
-                }
-                match rrx.recv() {
-                    Ok(r) => r,
-                    Err(_) => break,
-                }
+        let parsed = request.map_err(str::to_string).and_then(|text| {
+            serde_json::from_str::<Request>(text).map_err(|e| format!("unparsable request: {e}"))
+        });
+        let (response, closing) = match parsed {
+            Ok(req) => (
+                shared.handle(&req),
+                matches!(req.cmd.as_str(), "drain" | "shutdown"),
+            ),
+            Err(diagnostic) => {
+                shared.sm.err_unparsable.inc();
+                (Response::err(diagnostic), false)
             }
         };
         let mut json = match serde_json::to_string(&response) {
@@ -836,11 +1013,13 @@ fn serve_connection(stream: TcpStream, tx: mpsc::Sender<Msg>, unparsable: Arc<Co
             Err(e) => format!("{{\"ok\":false,\"error\":\"reply serialization: {e}\"}}"),
         };
         json.push('\n');
-        if writer
+        let written = writer
             .write_all(json.as_bytes())
-            .and_then(|_| writer.flush())
-            .is_err()
-        {
+            .and_then(|_| writer.flush());
+        if closing {
+            shared.reply_flushed();
+        }
+        if written.is_err() {
             break;
         }
     }
@@ -877,5 +1056,197 @@ mod tests {
         let default = parse(&["--fast"]).unwrap();
         assert_eq!(default.fastsim, Some(FastSimPolicy::default()));
         assert!(parse(&[]).unwrap().fastsim.is_none());
+    }
+
+    /// A front desk with nobody behind it yet: no restored state, an empty
+    /// solo table (unit IPC).
+    fn desk(queue_cap: usize, submitted_base: u64) -> Shared {
+        let tel = Telemetry::metrics();
+        Shared {
+            solo: HashMap::new(),
+            policy: "naive",
+            smt: 2,
+            queue_cap,
+            submitted_base,
+            restored: 0,
+            sm: ServeMetrics::register(&tel, 1_000_000),
+            tel,
+            front: Mutex::default(),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn engine() -> OnlineEngine {
+        let cfg = OnlineConfig {
+            smt: 2,
+            timeslice: 5_000,
+            sample_schedules: 2,
+            predictor: PredictorKind::Ipc,
+            drift_threshold: None,
+            base_interval: 500_000,
+            seed: 1,
+            fastsim: None,
+            learn: None,
+        };
+        OnlineEngine::new(SchedulerKind::Naive, &cfg)
+    }
+
+    /// The front desk as a state machine under threads, no socket and no
+    /// simulation: submitters race a stand-in scheduler that retires one job
+    /// per turn, and a drain lands while every submitter is still going.
+    #[test]
+    fn front_desk_keeps_its_cap_its_key_order_and_its_drain_promise() {
+        const SUBMITTERS: usize = 4;
+        const WARM_UP: usize = 50;
+        const CAP: usize = 3;
+        let shared = desk(CAP, 0);
+        let submit = Request::submit_cycles("gcc", 10_000, false);
+        // Submitters and the drainer meet here once each submitter has had
+        // WARM_UP jobs accepted; they then go on until refused `draining`.
+        let warmed_up = std::sync::Barrier::new(SUBMITTERS + 1);
+
+        let (ids, attempted, refused, keys_at_drain) = std::thread::scope(|s| {
+            let scheduler = s.spawn(|| {
+                let engine = engine(); // never stepped: only read by `publish`
+                let (mut next_key, mut resident) = (0, Vec::new());
+                while let Some(mut front) = shared.wait_for_work() {
+                    assert!(front.live <= CAP, "live {} over cap", front.live);
+                    let (first, jobs) = front.take_admitted();
+                    drop(front);
+                    assert_eq!(first, next_key, "keys reach the scheduler in order");
+                    next_key += jobs.len();
+                    resident.extend(jobs);
+                    let departed = resident.pop().map(|job| CompletedJob {
+                        arrival: 0,
+                        response: job.instructions,
+                        slowdown: 1.0,
+                    });
+                    shared.publish(&engine, departed.into_iter().collect());
+                }
+                assert!(resident.is_empty(), "left with jobs in the system");
+            });
+            let submitters: Vec<_> = (0..SUBMITTERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let (mut ids, mut refused) = (Vec::new(), 0usize);
+                        for attempt in 0usize.. {
+                            let reply = shared.handle(&submit);
+                            assert!(shared.front().live <= CAP);
+                            match (reply.id, reply.error.as_deref()) {
+                                (Some(id), None) => {
+                                    ids.push(id);
+                                    if ids.len() == WARM_UP {
+                                        warmed_up.wait();
+                                    }
+                                }
+                                (None, Some("backpressure")) => refused += 1,
+                                (None, Some("draining")) => return (ids, attempt + 1, refused + 1),
+                                other => panic!("unexpected submit reply {other:?}"),
+                            }
+                        }
+                        unreachable!()
+                    })
+                })
+                .collect();
+            warmed_up.wait();
+            assert!(shared.handle(&Request::verb("drain")).ok);
+            // The drain reply implies the published view is empty.
+            let front = shared.front();
+            assert_eq!(front.live, 0, "drain returned with jobs in the system");
+            assert_eq!(front.completed.len(), front.next_key);
+            let keys_at_drain = front.next_key;
+            drop(front);
+
+            let (mut ids, mut attempted, mut refused) = (Vec::new(), 0, 0);
+            for submitter in submitters {
+                let (i, a, r) = submitter.join().expect("submitter panicked");
+                ids.extend(i);
+                attempted += a;
+                refused += r;
+            }
+            assert!(shared.handle(&Request::verb("shutdown")).ok);
+            scheduler.join().expect("stand-in scheduler panicked");
+            (ids, attempted, refused, keys_at_drain)
+        });
+
+        assert_eq!(ids.len() + refused, attempted);
+        let front = shared.front();
+        assert_eq!(front.next_key, keys_at_drain, "admitted behind a drain");
+        assert_eq!(front.completed.len(), ids.len());
+        let mut sorted = ids;
+        sorted.sort_unstable();
+        let dense: Vec<u64> = (0..sorted.len() as u64).collect();
+        assert_eq!(sorted, dense, "ids must be dense and unique");
+        let errors = shared.sm.error_classes();
+        assert_eq!(errors["backpressure"], front.rejected);
+        assert_eq!(errors["draining"], SUBMITTERS as u64);
+        assert_eq!(errors["backpressure"] + errors["draining"], refused as u64);
+    }
+
+    /// A snapshot carries everything acknowledged: jobs the engine has not
+    /// taken in yet are in `inflight`, stamped with the boundary they would
+    /// enter at, and count in `submitted`.
+    #[test]
+    fn snapshot_lists_acknowledged_jobs_the_engine_has_not_taken_in() {
+        let shared = desk(8, 5);
+        let mut engine = engine();
+        engine.jump_to(777);
+        let submit = Request {
+            instructions: Some(4_000),
+            ..Request::submit_cycles("mg", 0, false)
+        };
+        let ids: Vec<_> = (0..3).map(|_| shared.handle(&submit).id).collect();
+        assert_eq!(ids, [Some(5), Some(6), Some(7)]);
+        let (first_key, mut jobs) = shared.front().take_admitted();
+        assert_eq!((first_key, jobs.len()), (0, 3));
+        // The engine has the first job; the other two are still at the desk.
+        let waiting = jobs.split_off(1);
+        shared.front().admitted = waiting;
+        engine.submit(JobArrival {
+            arrival: 700,
+            ..jobs.remove(0)
+        });
+
+        let snap = shared.snapshot(&engine);
+        assert_eq!(snap.submitted, 8, "submitted_base + every acknowledged job");
+        assert_eq!(snap.now_cycles, 777);
+        let arrivals: Vec<u64> = snap.inflight.iter().map(|j| j.arrival).collect();
+        assert_eq!(arrivals, [700, 777, 777]);
+        assert!(snap.inflight.iter().all(|j| j.instructions == 4_000));
+        assert!(snap.completed.is_empty());
+    }
+
+    #[test]
+    fn request_lines_are_capped_and_skipped_to_their_newline() {
+        let exact = "x".repeat(MAX_LINE); // the cap counts the line, not its newline
+        let mut input = Vec::new();
+        for line in [exact.as_str(), &"y".repeat(MAX_LINE + 1), "short"] {
+            input.extend_from_slice(line.as_bytes());
+            input.push(b'\n');
+        }
+        input.extend_from_slice(&vec![b'z'; 3 * MAX_LINE]); // oversized, then cut
+        let mut reader = std::io::Cursor::new(input);
+        let mut buf = Vec::new();
+        let mut next = || {
+            read_request(&mut reader, &mut buf)
+                .expect("cursor reads cannot fail")
+                .map(|line| line.map(|text| text.trim_end().len()))
+        };
+        assert_eq!(next(), Some(Ok(MAX_LINE)));
+        assert_eq!(next(), Some(Err("request line too long")));
+        assert_eq!(next(), Some(Ok("short".len())));
+        assert_eq!(next(), Some(Err("request line too long")));
+        assert_eq!(next(), None);
+
+        let mut cut = std::io::Cursor::new(b"{\"cmd\":\"sta".to_vec());
+        let tail = read_request(&mut cut, &mut buf).unwrap();
+        assert_eq!(
+            tail,
+            Some(Ok("{\"cmd\":\"sta")),
+            "an unterminated last line"
+        );
+        let mut bad = std::io::Cursor::new(b"\xff\xfe{}\n".to_vec());
+        let line = read_request(&mut bad, &mut buf).unwrap();
+        assert_eq!(line, Some(Err("request is not UTF-8")));
     }
 }

@@ -1,14 +1,23 @@
 //! The `sos-serve` wire protocol, snapshot format, and client helper.
 //!
 //! `sos-serve` speaks JSON lines over a local TCP socket: each request is
-//! one JSON object on one line, answered by exactly one JSON object on one
-//! line. Verbs are carried in the `cmd` field:
+//! one JSON object on one line (at most 64 KiB), answered by exactly one
+//! JSON object on one line. Every verb is answered by the connection's own
+//! thread from the daemon's front desk — no reply waits for the timeslice
+//! the simulator is running. The seven verbs are carried in the `cmd` field:
 //!
 //! * `submit` — admit a job (`bench`, plus `cycles` of solo work *or*
-//!   explicit `instructions`, and optional `phased`). Replies with the job
-//!   id, or `ok:false` with `error:"backpressure"` when the system is at
-//!   its admission cap, or `error:"draining"` once a drain has started.
-//! * `status` — queue depth, counters, simulated clock.
+//!   explicit `instructions`, and optional `phased`). The fields are checked
+//!   first (a malformed submit gets its own diagnostic whatever the queue
+//!   holds); then the reply is `ok:false` with `error:"draining"` once a
+//!   drain has started, `error:"backpressure"` when the system is at its
+//!   admission cap, or the job id. Ids are dense in acknowledgement order;
+//!   an acknowledged job is in every later `status`, is carried by every
+//!   later snapshot, and enters the machine (its `arrival` stamp) at the
+//!   first timeslice boundary after the acknowledgement.
+//! * `status` — queue depth, counters, simulated clock: one consistent cut
+//!   (`live == submitted − completed`), with the clock and completions as
+//!   of the last timeslice boundary.
 //! * `stats` — per-job latency summary: mean/p50/p95/p99 response time and
 //!   slowdown, exact (from completed-job records) and approximate (from the
 //!   live log2-bucket histograms), plus per-class protocol error counts.
@@ -17,15 +26,21 @@
 //!   histograms with p50/p95/p99/p999, SLO attainment and burn rate) plus a
 //!   Prometheus-style text exposition. Polled by `sos-top`.
 //! * `fastsim` — toggle phase-aware sampled fast simulation at runtime
-//!   (`fast` plus optional `fast_threshold`); replies with the active
-//!   policy echoed in `status`.
+//!   (`fast` plus optional `fast_threshold`); replies, once the scheduler
+//!   thread has switched, with the active policy echoed in `status`.
 //! * `drain` — stop admitting; the reply is deferred until every in-flight
-//!   job has completed.
-//! * `shutdown` — drain, snapshot, reply, and exit 0.
+//!   job has completed, so a `status`/`stats` sent after it sees `live == 0`
+//!   and `submitted == completed`.
+//! * `shutdown` — drain, reply, snapshot, and exit 0 (the process waits for
+//!   the reply to reach its socket).
 //!
 //! Any unparsable or unknown request gets `ok:false` with a diagnostic
-//! `error`; the connection stays usable. All numbers are simulated cycles —
-//! the daemon runs the machine as fast as the host allows.
+//! `error`; the connection stays usable. That includes a line over 64 KiB
+//! (`request line too long`; it is skipped to its newline, never buffered
+//! whole) and one that is not UTF-8 (`request is not UTF-8`). A key given
+//! twice in one object keeps its *first* value — what the vendored
+//! `serde_json` does; upstream would refuse the object. All numbers are
+//! simulated cycles — the daemon runs the machine as fast as the host allows.
 //!
 //! The snapshot (written atomically to `<dir>/snapshot.json`) carries the
 //! daemon's accounting across restarts: completed-job records are restored
@@ -49,8 +64,8 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// One request line.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Request {
-    /// The verb: `submit`, `status`, `stats`, `metrics`, `drain`, or
-    /// `shutdown`.
+    /// The verb: `submit`, `status`, `stats`, `metrics`, `fastsim`, `drain`,
+    /// or `shutdown`.
     pub cmd: String,
     /// Benchmark name for `submit` (see `workloads::spec::Benchmark::name`).
     pub bench: Option<String>,
