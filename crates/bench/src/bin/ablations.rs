@@ -28,6 +28,7 @@ fn run(cfg: MachineConfig, benches: &[Benchmark], cycles: u64) -> (f64, u64, f64
 }
 
 fn main() {
+    sos_bench::cli::parse_or_exit("ablations", "", |_| Ok(()));
     use Benchmark::*;
     const CYCLES: u64 = 150_000;
     println!("Design-choice ablations (mixed 3-thread coschedule FP+MG+GO unless noted)");

@@ -3,6 +3,7 @@ use smtsim::{MachineConfig, Processor, StreamId};
 use workloads::spec::Benchmark;
 
 fn main() {
+    sos_bench::cli::parse_or_exit("calibrate", "", |_| Ok(()));
     println!(
         "{:<8} {:>6} {:>7} {:>7} {:>8} {:>7}",
         "bench", "IPC", "dl1%", "br-mis%", "l2miss", "fp%"

@@ -31,10 +31,13 @@
 //! [--assert-raw-speedup X]`
 
 use smtsim::{FastSimPolicy, MachineConfig};
+use sos_bench::cli::{self, Flags};
 use sos_core::job::JobPool;
 use sos_core::online::{replay, OnlineEngine, SchedulerKind};
-use sos_core::opensys::{arrival_trace, calibrate_benchmarks, JobArrival, OpenSystemConfig};
-use sos_core::report::{percentiles, Percentiles};
+use sos_core::opensys::{
+    arrival_trace, calibrate_benchmarks, ArrivalTraceSpec, JobArrival, OpenSystemConfig,
+};
+use sos_core::report::JobSummary;
 use sos_core::runner::Runner;
 use sos_core::schedule::Schedule;
 use std::collections::HashMap;
@@ -44,13 +47,10 @@ use workloads::JobSpec;
 
 struct Args {
     smt: usize,
-    jobs: usize,
-    mean_interarrival: u64,
-    mean_length: u64,
-    phased_fraction: f64,
     timeslice: u64,
-    seed: u64,
-    seeds: usize,
+    /// The first scenario's arrival process; scenario `i` reseeds it.
+    trace: ArrivalTraceSpec,
+    seeds: u64,
     /// One fast-mode policy per `--thresholds` entry.
     policies: Vec<FastSimPolicy>,
     raw_rotations: usize,
@@ -61,78 +61,23 @@ struct Args {
     assert_raw_speedup: Option<f64>,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            smt: 4,
-            jobs: 120,
-            mean_interarrival: 400_000,
-            mean_length: 1_200_000,
-            phased_fraction: 0.25,
-            timeslice: 5_000,
-            seed: 42,
-            seeds: 1,
-            policies: policies("0.05,0.10,0.20").expect("valid defaults"),
-            raw_rotations: 400,
-            assert_ws_error: None,
-            assert_response_error: None,
-            assert_slowdown_error: None,
-            assert_speedup: None,
-            assert_raw_speedup: None,
-        }
-    }
-}
-
-fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args::default();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--smt" => args.smt = num(&value("--smt")?, "--smt")?,
-            "--jobs" => args.jobs = num(&value("--jobs")?, "--jobs")?,
-            "--mean-interarrival" => {
-                args.mean_interarrival = num(&value("--mean-interarrival")?, "--mean-interarrival")?
-            }
-            "--mean-length" => args.mean_length = num(&value("--mean-length")?, "--mean-length")?,
-            "--phased-fraction" => {
-                args.phased_fraction = num(&value("--phased-fraction")?, "--phased-fraction")?
-            }
-            "--timeslice" => args.timeslice = num(&value("--timeslice")?, "--timeslice")?,
-            "--seed" => args.seed = num(&value("--seed")?, "--seed")?,
-            "--seeds" => args.seeds = num(&value("--seeds")?, "--seeds")?,
-            "--thresholds" => args.policies = policies(&value("--thresholds")?)?,
-            "--raw-rotations" => {
-                args.raw_rotations = num(&value("--raw-rotations")?, "--raw-rotations")?
-            }
-            "--assert-ws-error" => {
-                args.assert_ws_error = Some(num(&value("--assert-ws-error")?, "--assert-ws-error")?)
-            }
-            "--assert-response-error" => {
-                args.assert_response_error = Some(num(
-                    &value("--assert-response-error")?,
-                    "--assert-response-error",
-                )?)
-            }
-            "--assert-slowdown-error" => {
-                args.assert_slowdown_error = Some(num(
-                    &value("--assert-slowdown-error")?,
-                    "--assert-slowdown-error",
-                )?)
-            }
-            "--assert-speedup" => {
-                args.assert_speedup = Some(num(&value("--assert-speedup")?, "--assert-speedup")?)
-            }
-            "--assert-raw-speedup" => {
-                args.assert_raw_speedup = Some(num(
-                    &value("--assert-raw-speedup")?,
-                    "--assert-raw-speedup",
-                )?)
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if args.jobs == 0 || args.seeds == 0 || args.policies.is_empty() {
-        return Err("--jobs, --seeds and --thresholds must be non-zero".into());
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let thresholds = flags.value("--thresholds", "0.05,0.10,0.20".to_string())?;
+    let args = Args {
+        smt: flags.value("--smt", 4)?,
+        timeslice: flags.value("--timeslice", 5_000)?,
+        trace: cli::trace_flags(flags, 120)?,
+        seeds: flags.value("--seeds", 1)?,
+        policies: policies(&thresholds)?,
+        raw_rotations: flags.value("--raw-rotations", 400)?,
+        assert_ws_error: flags.opt("--assert-ws-error")?,
+        assert_response_error: flags.opt("--assert-response-error")?,
+        assert_slowdown_error: flags.opt("--assert-slowdown-error")?,
+        assert_speedup: flags.opt("--assert-speedup")?,
+        assert_raw_speedup: flags.opt("--assert-raw-speedup")?,
+    };
+    if args.smt == 0 || args.timeslice == 0 || args.seeds == 0 {
+        return Err("--smt, --timeslice and --seeds must be positive".into());
     }
     Ok(args)
 }
@@ -142,20 +87,20 @@ fn policies(thresholds: &str) -> Result<Vec<FastSimPolicy>, String> {
     thresholds
         .split(',')
         .map(|t| {
-            let t = num(t.trim(), "--thresholds")?;
-            Ok(sos_bench::fastsim_policy(true, Some(t))?.expect("fast mode is on"))
+            let t = t.trim();
+            let threshold = t
+                .parse()
+                .map_err(|_| format!("bad value {t:?} for --thresholds"))?;
+            Ok(cli::fastsim_policy(true, Some(threshold))?.expect("fast mode is on"))
         })
         .collect()
 }
 
-fn num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("bad value {s:?} for {flag}"))
-}
-
-/// One open-system run's summary: everything the comparison table needs.
-/// Raw per-job vectors are kept so multi-seed runs can pool them before
-/// taking percentiles (percentiles of the pooled population are what
-/// fig5/fig6 report, and pooling is what makes tail comparisons stable).
+/// One open-system run (or, after [`pool`], one mode's runs over every
+/// seed): everything the comparison table needs. The job summary keeps the
+/// per-job samples, so multi-seed runs pool them before taking percentiles
+/// (percentiles of the pooled population are what fig5/fig6 report, and
+/// pooling is what makes tail comparisons stable).
 struct RunSummary {
     wall_secs: f64,
     /// Makespan in simulated cycles (identical across modes when the
@@ -165,44 +110,22 @@ struct RunSummary {
     busy_cycles: u64,
     extrapolated_slices: u64,
     timeslices: u64,
-    /// Solo-equivalent cycles of all completed jobs (WS numerator).
-    solo_cycles: f64,
-    responses: Vec<f64>,
-    slowdowns: Vec<f64>,
+    jobs: JobSummary,
 }
 
 /// Pools per-seed runs of one mode into the aggregate the table compares.
-struct Pooled {
-    wall_secs: f64,
-    sim_cycles: u64,
-    extrapolated_slices: u64,
-    timeslices: u64,
-    ws: f64,
-    mean_response: f64,
-    response: Percentiles,
-    slowdown: Percentiles,
-}
-
-fn pool(runs: &[RunSummary]) -> Pooled {
-    let busy: u64 = runs.iter().map(|r| r.busy_cycles).sum();
-    let responses: Vec<f64> = runs
-        .iter()
-        .flat_map(|r| r.responses.iter().copied())
-        .collect();
-    let slowdowns: Vec<f64> = runs
-        .iter()
-        .flat_map(|r| r.slowdowns.iter().copied())
-        .collect();
-    Pooled {
-        wall_secs: runs.iter().map(|r| r.wall_secs).sum(),
-        sim_cycles: runs.iter().map(|r| r.sim_cycles).sum(),
-        extrapolated_slices: runs.iter().map(|r| r.extrapolated_slices).sum(),
-        timeslices: runs.iter().map(|r| r.timeslices).sum(),
-        ws: runs.iter().map(|r| r.solo_cycles).sum::<f64>() / busy.max(1) as f64,
-        mean_response: responses.iter().sum::<f64>() / responses.len().max(1) as f64,
-        response: percentiles(&responses),
-        slowdown: percentiles(&slowdowns),
+fn pool(runs: Vec<RunSummary>) -> RunSummary {
+    let mut runs = runs.into_iter();
+    let mut pooled = runs.next().expect("at least one seed");
+    for run in runs {
+        pooled.wall_secs += run.wall_secs;
+        pooled.sim_cycles += run.sim_cycles;
+        pooled.busy_cycles += run.busy_cycles;
+        pooled.extrapolated_slices += run.extrapolated_slices;
+        pooled.timeslices += run.timeslices;
+        pooled.jobs.merge(&run.jobs);
     }
+    pooled
 }
 
 /// Replays the trace through one engine and summarizes the run.
@@ -218,32 +141,15 @@ fn run_scenario(
     let started = Instant::now();
     let completed = replay(&mut engine, trace);
     let wall_secs = started.elapsed().as_secs_f64();
-
-    let solo_ipc = |b: Benchmark| solo.get(&b).copied().unwrap_or(1.0).max(1e-9);
-    let responses: Vec<f64> = completed.iter().map(|r| r.response() as f64).collect();
-    let slowdowns: Vec<f64> = completed
-        .iter()
-        .map(|r| {
-            r.response() as f64 / (r.arrival.instructions as f64 / solo_ipc(r.arrival.benchmark))
-        })
-        .collect();
-    let solo_total: f64 = completed
-        .iter()
-        .map(|r| r.arrival.instructions as f64 / solo_ipc(r.arrival.benchmark))
-        .sum();
-    let busy_cycles = engine.timeslices() * online.timeslice;
     RunSummary {
         wall_secs,
         sim_cycles: engine.now(),
-        busy_cycles,
+        busy_cycles: engine.timeslices() * online.timeslice,
         extrapolated_slices: engine
             .fastsim_counters()
-            .map(|c| c.extrapolated_slices)
-            .unwrap_or(0),
+            .map_or(0, |c| c.extrapolated_slices),
         timeslices: engine.timeslices(),
-        solo_cycles: solo_total,
-        responses,
-        slowdowns,
+        jobs: JobSummary::of(&completed, solo),
     }
 }
 
@@ -314,27 +220,18 @@ fn raw_throughput(smt: usize, timeslice: u64, rotations: usize, seed: u64) -> (f
 }
 
 fn main() {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("fastsim-compare: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = cli::parse_or_exit("fastsim-compare", "", parse_args);
     sos_bench::init_cache();
 
     // One scenario per seed: same shape, independent arrival traces. The
     // table compares the pooled populations.
     let mut scenarios = Vec::new();
     for i in 0..args.seeds {
-        let mut cfg = OpenSystemConfig::scaled(args.smt);
-        cfg.mean_job_cycles = args.mean_length;
-        cfg.mean_interarrival = args.mean_interarrival;
+        let mut spec = args.trace.clone();
+        spec.seed += 9973 * i;
+        let mut cfg = OpenSystemConfig::scaled(args.smt).with_trace(&spec);
         cfg.timeslice = args.timeslice;
-        cfg.num_jobs = args.jobs;
-        cfg.phased_fraction = args.phased_fraction;
         cfg.predictor = sos_core::PredictorKind::Ipc;
-        cfg.seed = args.seed + 9973 * i as u64;
         let solo = calibrate_benchmarks(cfg.smt, cfg.calibration_cycles, cfg.seed);
         let trace = arrival_trace(&cfg, &solo);
         scenarios.push((cfg, trace, solo));
@@ -343,21 +240,28 @@ fn main() {
 
     eprintln!(
         "# fastsim-compare: SMT {}, {} jobs over {} seed(s) from {}: full detail first ...",
-        args.smt, total_jobs, args.seeds, args.seed
+        args.smt, total_jobs, args.seeds, args.trace.seed
     );
-    let detail_runs: Vec<RunSummary> = scenarios
-        .iter()
-        .map(|(cfg, trace, solo)| run_scenario(cfg, trace, solo, None))
-        .collect();
-    let detail = pool(&detail_runs);
+    let run_all = |policy: Option<&FastSimPolicy>| {
+        let runs = scenarios
+            .iter()
+            .map(|(cfg, trace, solo)| run_scenario(cfg, trace, solo, policy.cloned()));
+        pool(runs.collect())
+    };
+    let detail = run_all(None);
+    let (detail_ws, detail_rt, detail_sd) = (
+        detail.jobs.weighted_speedup(detail.busy_cycles),
+        detail.jobs.response(),
+        detail.jobs.slowdown(),
+    );
     println!(
         "full detail: wall {:.2}s  {:.2}M sim-cycles/s  WS {:.4}  mean response {:.0}  p99 {:.0}  slowdown p99 {:.3}",
         detail.wall_secs,
         detail.sim_cycles as f64 / detail.wall_secs.max(1e-9) / 1e6,
-        detail.ws,
-        detail.mean_response,
-        detail.response.p99,
-        detail.slowdown.p99
+        detail_ws,
+        detail.jobs.mean_response(),
+        detail_rt.p99,
+        detail_sd.p99
     );
     println!();
     println!(
@@ -377,19 +281,16 @@ fn main() {
     let mut failures = Vec::new();
     for policy in &args.policies {
         let threshold = policy.stability_threshold;
-        let fast_runs: Vec<RunSummary> = scenarios
-            .iter()
-            .map(|(cfg, trace, solo)| run_scenario(cfg, trace, solo, Some(policy.clone())))
-            .collect();
-        let fast = pool(&fast_runs);
+        let fast = run_all(Some(policy));
+        let (fast_rt, fast_sd) = (fast.jobs.response(), fast.jobs.slowdown());
         let speedup = detail.wall_secs / fast.wall_secs.max(1e-9);
         let extrap_pct = 100.0 * fast.extrapolated_slices as f64 / fast.timeslices.max(1) as f64;
-        let ws_err = rel_err(fast.ws, detail.ws);
-        let mean_rt_err = rel_err(fast.mean_response, detail.mean_response);
-        let p95_rt_err = rel_err(fast.response.p95, detail.response.p95);
-        let p99_rt_err = rel_err(fast.response.p99, detail.response.p99);
-        let p95_sd_err = rel_err(fast.slowdown.p95, detail.slowdown.p95);
-        let p99_sd_err = rel_err(fast.slowdown.p99, detail.slowdown.p99);
+        let ws_err = rel_err(fast.jobs.weighted_speedup(fast.busy_cycles), detail_ws);
+        let mean_rt_err = rel_err(fast.jobs.mean_response(), detail.jobs.mean_response());
+        let p95_rt_err = rel_err(fast_rt.p95, detail_rt.p95);
+        let p99_rt_err = rel_err(fast_rt.p99, detail_rt.p99);
+        let p95_sd_err = rel_err(fast_sd.p95, detail_sd.p95);
+        let p99_sd_err = rel_err(fast_sd.p99, detail_sd.p99);
         let cycle_err = rel_err(fast.sim_cycles as f64, detail.sim_cycles as f64);
         println!(
             "{:>9.3} {:>7.2}x {:>7.1}% {:>8.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.4}",
@@ -429,8 +330,12 @@ fn main() {
     }
 
     println!();
-    let (detail_cps, fast_cps, extrap) =
-        raw_throughput(args.smt, args.timeslice, args.raw_rotations, args.seed);
+    let (detail_cps, fast_cps, extrap) = raw_throughput(
+        args.smt,
+        args.timeslice,
+        args.raw_rotations,
+        args.trace.seed,
+    );
     let raw_speedup = fast_cps / detail_cps.max(1e-9);
     println!(
         "raw runner throughput: detailed {:.2}M cycles/s  fast {:.2}M cycles/s  speedup {:.1}x  ({:.1}% slices extrapolated)",
@@ -462,7 +367,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Args, String> {
-        parse_args(args.iter().map(|a| a.to_string()))
+        Flags::parse(args.iter().map(|a| a.to_string()), parse_args)
     }
 
     #[test]

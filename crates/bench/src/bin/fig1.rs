@@ -4,18 +4,18 @@
 //!
 //! Usage: `cargo run --release -p sos-bench --bin fig1 [cycle_scale]`
 
+use sos_core::par::parallel_map;
 use sos_core::sos::SosScheduler;
 use sos_core::ExperimentSpec;
 
 fn main() {
-    let scale = sos_bench::scale_from_args();
+    let scale = sos_bench::cli::scale_or_exit("fig1");
     let cfg = sos_bench::config(scale);
     sos_bench::init_cache();
     eprintln!("# running 13 experiments at 1/{scale} paper scale ...");
 
     let specs = ExperimentSpec::all_paper_experiments();
-    let reports =
-        sos_bench::parallel_map(specs, |spec| SosScheduler::evaluate_experiment(&spec, &cfg));
+    let reports = parallel_map(specs, |spec| SosScheduler::evaluate_experiment(&spec, &cfg));
 
     println!("Figure 1 — worst and best weighted speedup per experiment");
     let mut spreads = Vec::new();

@@ -7,7 +7,7 @@ use sos_core::sos::SosScheduler;
 use sos_core::ExperimentSpec;
 
 fn main() {
-    let scale = sos_bench::scale_from_args();
+    let scale = sos_bench::cli::scale_or_exit("fig2");
     let cfg = sos_bench::config(scale);
     let spec: ExperimentSpec = "Jsb(6,3,3)".parse().expect("valid label");
     sos_bench::init_cache();

@@ -5,14 +5,15 @@
 //! Usage: `cargo run --release -p sos-bench --bin fig4 [cycle_scale]`
 
 use sos_core::hier::evaluate_hierarchical;
+use sos_core::par::parallel_map;
 
 fn main() {
-    let scale = sos_bench::scale_from_args();
+    let scale = sos_bench::cli::scale_or_exit("fig4");
     let cfg = sos_bench::config(scale);
     eprintln!("# running hierarchical symbiosis at SMT levels 2, 3, 4, 6 (1/{scale} scale) ...");
 
     let levels = vec![2usize, 3, 4, 6];
-    let reports = sos_bench::parallel_map(levels, |level| evaluate_hierarchical(level, 4, &cfg));
+    let reports = parallel_map(levels, |level| evaluate_hierarchical(level, 4, &cfg));
 
     println!("Figure 4 — hierarchical symbiosis: % WS improvement of the predicted");
     println!("(allocation, schedule) pair over the average and worst alternatives");

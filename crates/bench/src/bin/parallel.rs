@@ -58,7 +58,7 @@ fn report_one(label: &str, cfg: &sos_core::SosConfig) {
 }
 
 fn main() {
-    let scale = sos_bench::scale_from_args();
+    let scale = sos_bench::cli::scale_or_exit("parallel");
     let cfg = sos_bench::config(scale);
     eprintln!("# running Jpb(10,2,2) and J2pb(10,2,2) at 1/{scale} paper scale ...");
     println!("§6 — parallel workload scheduling");

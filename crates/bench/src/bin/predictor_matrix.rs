@@ -18,6 +18,7 @@
 //! `predictor_matrix [--learned] [--bandit] [--grid small|wide]
 //!  [--scale N] [--seeds S1,S2,...] [--out-dir DIR]`
 
+use sos_bench::cli::{self, Flags};
 use sos_bench::learn_eval::{self, LearnEvalOptions};
 use sos_core::report::{format_league_table, league_table};
 use sos_core::sos::SosScheduler;
@@ -44,69 +45,34 @@ fn parse_seed(s: &str) -> Result<u64, String> {
     parsed.map_err(|_| format!("bad seed {s:?}"))
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        scale: 1000,
-        json_path: None,
-        learned: false,
-        grid: "wide".to_string(),
-        seeds: learn_eval::DEFAULT_SEEDS.to_vec(),
-        out_dir: PathBuf::from("results/learn"),
-    };
-    let mut positional = 0usize;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match arg.as_str() {
-            "--learned" | "--bandit" => args.learned = true,
-            "--grid" => {
-                let v = value("--grid")?;
-                if learn_eval::grid(&v).is_none() {
-                    return Err(format!("unknown grid {v:?} (small|wide)"));
-                }
-                args.grid = v;
-            }
-            "--scale" => {
-                args.scale = value("--scale")?
-                    .parse()
-                    .map_err(|_| "bad value for --scale".to_string())?;
-            }
-            "--seeds" => {
-                args.seeds = value("--seeds")?
-                    .split(',')
-                    .map(parse_seed)
-                    .collect::<Result<_, _>>()?;
-                if args.seeds.is_empty() {
-                    return Err("--seeds needs at least one seed".to_string());
-                }
-            }
-            "--out-dir" => args.out_dir = PathBuf::from(value("--out-dir")?),
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
-            other => {
-                match positional {
-                    0 => {
-                        args.scale = other
-                            .parse()
-                            .map_err(|_| format!("bad cycle_scale {other:?}"))?
-                    }
-                    1 => args.json_path = Some(other.to_string()),
-                    _ => return Err(format!("unexpected argument {other:?}")),
-                }
-                positional += 1;
-            }
-        }
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let learned = flags.switch("--learned") | flags.switch("--bandit");
+    let grid = flags.value("--grid", "wide".to_string())?;
+    if learn_eval::grid(&grid).is_none() {
+        return Err(format!("unknown grid {grid:?} (small|wide)"));
     }
-    Ok(args)
+    let seeds = match flags.opt::<String>("--seeds")? {
+        Some(list) => list.split(',').map(parse_seed).collect::<Result<_, _>>()?,
+        None => learn_eval::DEFAULT_SEEDS.to_vec(),
+    };
+    let out_dir = flags.value("--out-dir", PathBuf::from("results/learn"))?;
+    // `--scale N` and the classic positional `[cycle_scale]` set the same
+    // thing; the positional wins.
+    let scale = flags.value("--scale", 1000)?;
+    Ok(Args {
+        scale: flags.count("cycle_scale", scale)?,
+        json_path: flags.positional("json_path")?,
+        learned,
+        grid,
+        seeds,
+        out_dir,
+    })
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("predictor_matrix: {e}");
-            std::process::exit(2);
-        }
-    };
+    let usage = "[cycle_scale] [json_path] | [--learned] [--bandit] [--grid small|wide] \
+                 [--scale N] [--seeds S1,S2,...] [--out-dir DIR]";
+    let args = cli::parse_or_exit("predictor_matrix", usage, parse_args);
     sos_bench::init_cache();
 
     if args.learned {
@@ -121,7 +87,7 @@ fn main() {
     );
     let specs = ExperimentSpec::all_paper_experiments();
     let reports =
-        sos_bench::parallel_map(specs, |spec| SosScheduler::evaluate_experiment(&spec, &cfg));
+        sos_core::par::parallel_map(specs, |spec| SosScheduler::evaluate_experiment(&spec, &cfg));
     sos_bench::print_cache_stats();
 
     println!(

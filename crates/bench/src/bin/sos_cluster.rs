@@ -14,6 +14,7 @@
 //! [--predictor NAME] [--jobs N] [--mean-interarrival CYCLES]
 //! [--mean-length CYCLES]
 //! [--phased-fraction F] [--seed S] [--smt N] [--timeslice CYCLES]
+//! [--sample-schedules N] [--base-interval CYCLES] [--calibration-cycles CYCLES]
 //! [--slices-per-round N] [--rebalance-every N] [--steal-threshold N]
 //! [--fast] [--fast-threshold F]
 //! [--report-out FILE] [--prom-out FILE]`
@@ -29,184 +30,58 @@
 //! of the cluster's telemetry handle (per-shard engine series and
 //! queue/clock gauges, migration counters, response/slowdown histograms).
 
-use smtsim::FastSimPolicy;
+use sos_bench::cli::{self, Flags};
 use sos_core::cluster::{ClusterConfig, ClusterEngine, DispatchPolicy};
-use sos_core::online::{replay, OnlineConfig, SchedulerKind};
+use sos_core::online::{replay, SchedulerKind};
 use sos_core::opensys::{calibrate_benchmarks, ArrivalTrace, ArrivalTraceSpec};
-use sos_core::predictor::PredictorKind;
 use sos_core::telemetry::Telemetry;
 use std::path::PathBuf;
 use std::time::Instant;
 
 struct Args {
-    shards: usize,
-    dispatch: DispatchPolicy,
-    policy: SchedulerKind,
-    jobs: usize,
-    mean_interarrival: u64,
-    mean_length: u64,
-    phased_fraction: f64,
-    seed: u64,
-    smt: usize,
-    timeslice: u64,
-    predictor: PredictorKind,
-    sample_schedules: usize,
-    base_interval: u64,
+    trace: ArrivalTraceSpec,
+    cluster: ClusterConfig,
     calibration_cycles: u64,
-    slices_per_round: u64,
-    rebalance_every: u64,
-    steal_threshold: usize,
-    fastsim: Option<FastSimPolicy>,
     report_out: Option<PathBuf>,
     prom_out: Option<PathBuf>,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            shards: 4,
-            dispatch: DispatchPolicy::Symbiosis,
-            policy: SchedulerKind::Sos,
-            jobs: 60,
-            mean_interarrival: 400_000,
-            mean_length: 1_200_000,
-            phased_fraction: 0.25,
-            seed: 42,
-            smt: 4,
-            timeslice: 5_000,
-            predictor: PredictorKind::Ipc,
-            sample_schedules: 6,
-            base_interval: 500_000,
-            calibration_cycles: 60_000,
-            slices_per_round: 8,
-            rebalance_every: 8,
-            steal_threshold: 4,
-            fastsim: None,
-            report_out: None,
-            prom_out: None,
-        }
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let dispatch = flags.opt_with("--dispatch", DispatchPolicy::parse)?;
+    let policy = flags.opt_with("--policy", SchedulerKind::parse)?;
+    let mut cluster = ClusterConfig::new(
+        flags.value("--shards", 4)?,
+        dispatch.unwrap_or(DispatchPolicy::Symbiosis),
+        policy.unwrap_or(SchedulerKind::Sos),
+        cli::engine_flags(flags, 42)?,
+    );
+    cluster.slices_per_round = flags.value("--slices-per-round", 8)?;
+    cluster.rebalance_every = flags.value("--rebalance-every", 8)?;
+    cluster.steal_threshold = flags.value("--steal-threshold", 4)?;
+    let calibration_cycles = flags.value("--calibration-cycles", 60_000)?;
+    if cluster.shards == 0 || cluster.slices_per_round == 0 || calibration_cycles == 0 {
+        return Err(
+            "--shards, --slices-per-round and --calibration-cycles must be positive".into(),
+        );
     }
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let (mut fast, mut fast_threshold) = (false, None);
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--shards" => args.shards = num(&value("--shards")?, "--shards")?,
-            "--dispatch" => {
-                let v = value("--dispatch")?;
-                args.dispatch = DispatchPolicy::parse(&v)
-                    .ok_or_else(|| format!("bad dispatch policy {v:?}"))?;
-            }
-            "--policy" => {
-                let v = value("--policy")?;
-                args.policy =
-                    SchedulerKind::parse(&v).ok_or_else(|| format!("bad policy {v:?}"))?;
-            }
-            "--jobs" => args.jobs = num(&value("--jobs")?, "--jobs")?,
-            "--mean-interarrival" => {
-                args.mean_interarrival = num(&value("--mean-interarrival")?, "--mean-interarrival")?
-            }
-            "--mean-length" => args.mean_length = num(&value("--mean-length")?, "--mean-length")?,
-            "--phased-fraction" => {
-                args.phased_fraction = num(&value("--phased-fraction")?, "--phased-fraction")?
-            }
-            "--seed" => args.seed = num(&value("--seed")?, "--seed")?,
-            "--smt" => args.smt = num(&value("--smt")?, "--smt")?,
-            "--timeslice" => args.timeslice = num(&value("--timeslice")?, "--timeslice")?,
-            "--predictor" => {
-                let v = value("--predictor")?;
-                args.predictor = PredictorKind::parse(&v).ok_or_else(|| {
-                    format!(
-                        "unknown predictor {v:?} (one of {})",
-                        PredictorKind::names()
-                    )
-                })?;
-            }
-            "--sample-schedules" => {
-                args.sample_schedules = num(&value("--sample-schedules")?, "--sample-schedules")?
-            }
-            "--base-interval" => {
-                args.base_interval = num(&value("--base-interval")?, "--base-interval")?
-            }
-            "--calibration-cycles" => {
-                args.calibration_cycles =
-                    num(&value("--calibration-cycles")?, "--calibration-cycles")?
-            }
-            "--slices-per-round" => {
-                args.slices_per_round = num(&value("--slices-per-round")?, "--slices-per-round")?
-            }
-            "--rebalance-every" => {
-                args.rebalance_every = num(&value("--rebalance-every")?, "--rebalance-every")?
-            }
-            "--steal-threshold" => {
-                args.steal_threshold = num(&value("--steal-threshold")?, "--steal-threshold")?
-            }
-            "--fast" => fast = true,
-            "--fast-threshold" => {
-                fast_threshold = Some(num(&value("--fast-threshold")?, "--fast-threshold")?)
-            }
-            "--report-out" => args.report_out = Some(PathBuf::from(value("--report-out")?)),
-            "--prom-out" => args.prom_out = Some(PathBuf::from(value("--prom-out")?)),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if args.shards == 0 || args.jobs == 0 {
-        return Err("--shards and --jobs must be positive".into());
-    }
-    if args.mean_interarrival == 0 || args.mean_length == 0 {
-        return Err("--mean-interarrival and --mean-length must be positive".into());
-    }
-    args.fastsim = sos_bench::fastsim_policy(fast, fast_threshold)?;
-    Ok(args)
-}
-
-fn num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("bad value {s:?} for {flag}"))
+    Ok(Args {
+        trace: cli::trace_flags(flags, 60)?,
+        cluster,
+        calibration_cycles,
+        report_out: flags.opt("--report-out")?,
+        prom_out: flags.opt("--prom-out")?,
+    })
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("sos-cluster: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = cli::parse_or_exit("sos-cluster", "", parse_args);
+    let cfg = args.cluster;
 
     // Calibrate solo IPC once (shared cache makes this cheap across runs)
     // and generate the arrival trace — a pure function of the seed, so
     // every shard count sees the identical offered workload.
-    let solo = calibrate_benchmarks(args.smt, args.calibration_cycles, args.seed);
-    let trace = ArrivalTrace::generate(
-        &ArrivalTraceSpec {
-            mean_interarrival: args.mean_interarrival,
-            mean_job_cycles: args.mean_length,
-            num_jobs: args.jobs,
-            phased_fraction: args.phased_fraction,
-            seed: args.seed,
-        },
-        &solo,
-    );
-
-    let shard = OnlineConfig {
-        smt: args.smt,
-        timeslice: args.timeslice,
-        sample_schedules: args.sample_schedules,
-        predictor: args.predictor,
-        drift_threshold: Some(0.35),
-        base_interval: args.base_interval,
-        seed: args.seed,
-        fastsim: args.fastsim,
-        learn: None,
-    };
-    let mut cfg = ClusterConfig::new(args.shards, args.dispatch, args.policy, shard);
-    cfg.slices_per_round = args.slices_per_round;
-    cfg.rebalance_every = args.rebalance_every;
-    cfg.steal_threshold = args.steal_threshold;
+    let solo = calibrate_benchmarks(cfg.shard.smt, args.calibration_cycles, cfg.shard.seed);
+    let trace = ArrivalTrace::generate(&args.trace, &solo);
 
     let tel = Telemetry::metrics();
     let mut engine = ClusterEngine::with_telemetry(&cfg, &tel);
@@ -214,11 +89,11 @@ fn main() {
 
     println!(
         "# sos-cluster: {} shard(s), dispatch {}, policy {}, {} jobs, seed {}",
-        args.shards,
-        args.dispatch.name(),
-        args.policy.name(),
-        args.jobs,
-        args.seed
+        cfg.shards,
+        cfg.dispatch.name(),
+        cfg.scheduler.name(),
+        args.trace.num_jobs,
+        args.trace.seed
     );
     if let Some(p) = &cfg.shard.fastsim {
         println!("# fastsim: {}", p.describe());
@@ -238,7 +113,7 @@ fn main() {
     }
 
     // shards × makespan: every shard clock advanced to `now`.
-    let sim_cycles = args.shards as u64 * report.now_cycles;
+    let sim_cycles = cfg.shards as u64 * report.now_cycles;
     println!(
         "completed {}  migrations {}  makespan {} cycles",
         report.completed, report.migrations, report.now_cycles
@@ -255,7 +130,7 @@ fn main() {
         "wall {:.2}s  sim {:.1}M cycles ({} shards)  {:.2}M sim-cycles/s",
         wall_secs,
         sim_cycles as f64 / 1e6,
-        args.shards,
+        cfg.shards,
         sim_cycles as f64 / wall_secs.max(1e-9) / 1e6
     );
     if report.fastsim.is_some() {

@@ -12,13 +12,8 @@
 //!
 //! Usage: `sos-loadgen [--addr HOST:PORT] [--jobs N]
 //! [--mean-interarrival CYCLES] [--mean-length CYCLES]
-//! [--phased-fraction F] [--seed S] [--pace CYCLES_PER_MS] [--no-shutdown]
-//! [--fast] [--fast-threshold F]`
-//!
-//! `--fast` asks the daemon (via the `fastsim` verb) to run under
-//! phase-aware sampled fast simulation before offering load;
-//! `--fast-threshold` sets the phase-stability threshold and implies
-//! `--fast`. The daemon echoes its active policy.
+//! [--phased-fraction F] [--seed S] [--pace CYCLES_PER_MS] [--retry-ms MS]
+//! [--no-shutdown]`
 //!
 //! Job lengths are submitted in solo *cycles*; the daemon converts them to
 //! instructions with its own calibrated solo IPC. `--pace` maps trace
@@ -37,6 +32,7 @@
 //! This is a functional driver, not a benchmark: serving-layer throughput
 //! and latency are measured by `benchmark/run --workload serve_loop`.
 
+use sos_bench::cli::{self, Flags};
 use sos_bench::serve::{Client, Request};
 use sos_core::opensys::{ArrivalTrace, ArrivalTraceSpec};
 use sos_core::report::percentiles;
@@ -44,96 +40,28 @@ use std::time::{Duration, Instant};
 
 struct Args {
     addr: String,
-    jobs: usize,
-    mean_interarrival: u64,
-    mean_length: u64,
-    phased_fraction: f64,
-    seed: u64,
+    trace: ArrivalTraceSpec,
     pace: u64,
     retry_ms: u64,
     shutdown: bool,
-    fast: bool,
-    fast_threshold: Option<f64>,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            addr: "127.0.0.1:7077".to_string(),
-            jobs: 200,
-            mean_interarrival: 400_000,
-            mean_length: 1_200_000,
-            phased_fraction: 0.25,
-            seed: 42,
-            pace: 0,
-            retry_ms: 2,
-            shutdown: true,
-            fast: false,
-            fast_threshold: None,
-        }
-    }
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--jobs" => args.jobs = num(&value("--jobs")?, "--jobs")?,
-            "--mean-interarrival" => {
-                args.mean_interarrival = num(&value("--mean-interarrival")?, "--mean-interarrival")?
-            }
-            "--mean-length" => args.mean_length = num(&value("--mean-length")?, "--mean-length")?,
-            "--phased-fraction" => {
-                args.phased_fraction = num(&value("--phased-fraction")?, "--phased-fraction")?
-            }
-            "--seed" => args.seed = num(&value("--seed")?, "--seed")?,
-            "--pace" => args.pace = num(&value("--pace")?, "--pace")?,
-            "--retry-ms" => args.retry_ms = num(&value("--retry-ms")?, "--retry-ms")?,
-            "--no-shutdown" => args.shutdown = false,
-            "--fast" => args.fast = true,
-            "--fast-threshold" => {
-                args.fast_threshold = Some(num(&value("--fast-threshold")?, "--fast-threshold")?)
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if args.jobs == 0 {
-        return Err("--jobs must be positive".into());
-    }
-    if args.mean_interarrival == 0 || args.mean_length == 0 {
-        return Err("--mean-interarrival and --mean-length must be positive".into());
-    }
-    // The daemon builds the policy; check the flags here so a bad threshold
-    // is refused before anything connects.
-    args.fast = sos_bench::fastsim_policy(args.fast, args.fast_threshold)?.is_some();
-    Ok(args)
-}
-
-fn num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("bad value {s:?} for {flag}"))
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    Ok(Args {
+        addr: flags.value("--addr", "127.0.0.1:7077".to_string())?,
+        trace: cli::trace_flags(flags, 200)?,
+        pace: flags.value("--pace", 0)?,
+        retry_ms: flags.value("--retry-ms", 2)?,
+        shutdown: !flags.switch("--no-shutdown"),
+    })
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("sos-loadgen: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = cli::parse_or_exit("sos-loadgen", "", parse_args);
 
     // Job lengths stay in solo cycles (unit IPC): the daemon owns the
     // cycles→instructions conversion via its calibrated solo IPC table.
-    let trace = ArrivalTrace::generate_in_cycles(&ArrivalTraceSpec {
-        mean_interarrival: args.mean_interarrival,
-        mean_job_cycles: args.mean_length,
-        num_jobs: args.jobs,
-        phased_fraction: args.phased_fraction,
-        seed: args.seed,
-    });
+    let trace = ArrivalTrace::generate_in_cycles(&args.trace);
 
     let mut client = match Client::connect(&args.addr) {
         Ok(c) => c,
@@ -142,31 +70,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-
-    // Ask the daemon to switch into fast simulation before offering load;
-    // the echoed status confirms the active policy.
-    if args.fast {
-        match client.request(&Request::fastsim(true, args.fast_threshold)) {
-            Ok(resp) if resp.ok => {
-                let fastsim_policy = resp.status.and_then(|s| s.fastsim);
-                println!(
-                    "# fastsim on: {}",
-                    fastsim_policy.as_deref().unwrap_or("(default policy)")
-                );
-            }
-            Ok(resp) => {
-                eprintln!(
-                    "sos-loadgen: fastsim refused: {}",
-                    resp.error.as_deref().unwrap_or("unknown error")
-                );
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("sos-loadgen: fastsim failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 
     let mut accepted = 0usize;
     let mut rejected = 0usize;
@@ -218,7 +121,7 @@ fn main() {
     println!(
         "# offered {} jobs (seed {}): {} accepted, {} rejected",
         trace.jobs.len(),
-        args.seed,
+        args.trace.seed,
         accepted,
         rejected,
     );

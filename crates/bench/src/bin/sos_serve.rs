@@ -39,9 +39,9 @@
 //!   plus metric rows (`--metrics`) at shutdown.
 //!
 //! * **Fast simulation** — `--fast` (optionally `--fast-threshold F`)
-//!   starts the engine with phase-aware sampled fast simulation; the
-//!   `fastsim` verb toggles it at runtime, and `status` echoes the active
-//!   policy plus the extrapolated-timeslice count.
+//!   runs the engine under phase-aware sampled fast simulation for the
+//!   daemon's whole life; `status` echoes the policy plus the
+//!   extrapolated-timeslice count.
 //!
 //! * **Learned prediction** — `--predictor learned|bandit` (any
 //!   `PredictorKind` name is accepted) runs the SOS optimize phase on the
@@ -50,7 +50,8 @@
 //!   under `learn.*` in the `metrics` verb.
 //!
 //! Usage: `sos-serve [--port P] [--policy sos|naive] [--smt N]
-//! [--queue-cap N] [--timeslice C] [--predictor NAME] [--snapshot-dir DIR]
+//! [--queue-cap N] [--timeslice C] [--predictor NAME] [--sample-schedules N]
+//! [--base-interval C] [--calibration-cycles C] [--snapshot-dir DIR]
 //! [--snapshot-every N] [--seed S] [--fast] [--fast-threshold F]
 //! [--metrics FILE] [--trace FILE]
 //! [--slo-response CYCLES] [--slo-slowdown X] [--slo-objective F]
@@ -59,15 +60,14 @@
 //! The daemon prints `sos-serve listening on ADDR` once ready (with
 //! `--port 0` the OS picks the port; parse it from this line).
 
-use smtsim::FastSimPolicy;
+use sos_bench::cli::{self, Flags};
 use sos_bench::serve::{
     CompletedJob, MetricsReply, Request, Response, Snapshot, StatsReply, StatusReply,
 };
 use sos_core::online::{JobRecord, OnlineConfig, OnlineEngine, SchedulerKind};
 use sos_core::opensys::{calibrate_benchmarks, JobArrival, JOB_KINDS};
-use sos_core::report::{percentiles, Percentiles};
+use sos_core::report::{self, JobSummary, Percentiles};
 use sos_core::telemetry::{Counter, Gauge, Telemetry};
-use sos_core::PredictorKind;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -77,9 +77,7 @@ use std::time::{Duration, Instant};
 use workloads::spec::Benchmark;
 
 /// The protocol verbs with per-verb request counters and latency series.
-const VERBS: [&str; 7] = [
-    "submit", "status", "stats", "metrics", "fastsim", "drain", "shutdown",
-];
+const VERBS: [&str; 6] = ["submit", "status", "stats", "metrics", "drain", "shutdown"];
 
 /// Longest request line the daemon buffers; a longer one is refused and
 /// skipped to its newline.
@@ -88,15 +86,9 @@ const MAX_LINE: usize = 64 * 1024;
 struct Args {
     port: u16,
     policy: SchedulerKind,
-    smt: usize,
-    timeslice: u64,
+    engine: OnlineConfig,
     queue_cap: usize,
-    predictor: PredictorKind,
-    sample_schedules: usize,
-    base_interval: u64,
     calibration_cycles: u64,
-    seed: u64,
-    fastsim: Option<FastSimPolicy>,
     snapshot_dir: PathBuf,
     snapshot_every: u64,
     metrics: Option<PathBuf>,
@@ -107,94 +99,25 @@ struct Args {
     metrics_window: u64,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            port: 7077,
-            policy: SchedulerKind::Sos,
-            smt: 4,
-            timeslice: 5_000,
-            queue_cap: 64,
-            predictor: PredictorKind::Ipc,
-            sample_schedules: 6,
-            base_interval: 500_000,
-            calibration_cycles: 60_000,
-            seed: 0x5E54E,
-            fastsim: None,
-            snapshot_dir: PathBuf::from("results/serve"),
-            snapshot_every: 16,
-            metrics: None,
-            trace: None,
-            slo_response: 2_000_000,
-            slo_slowdown: 8.0,
-            slo_objective: 0.95,
-            metrics_window: 1_000_000,
-        }
-    }
-}
-
-fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut args = Args::default();
-    let (mut fast, mut fast_threshold) = (false, None);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--port" => args.port = num(&value("--port")?, "--port")?,
-            "--policy" => {
-                let v = value("--policy")?;
-                args.policy = SchedulerKind::parse(&v)
-                    .ok_or_else(|| format!("unknown policy {v:?} (naive|sos)"))?;
-            }
-            "--smt" => args.smt = num(&value("--smt")?, "--smt")?,
-            "--timeslice" => args.timeslice = num(&value("--timeslice")?, "--timeslice")?,
-            "--queue-cap" => args.queue_cap = num(&value("--queue-cap")?, "--queue-cap")?,
-            "--predictor" => {
-                let v = value("--predictor")?;
-                args.predictor = PredictorKind::parse(&v).ok_or_else(|| {
-                    format!(
-                        "unknown predictor {v:?} (one of {})",
-                        PredictorKind::names()
-                    )
-                })?;
-            }
-            "--sample-schedules" => {
-                args.sample_schedules = num(&value("--sample-schedules")?, "--sample-schedules")?
-            }
-            "--base-interval" => {
-                args.base_interval = num(&value("--base-interval")?, "--base-interval")?
-            }
-            "--calibration-cycles" => {
-                args.calibration_cycles =
-                    num(&value("--calibration-cycles")?, "--calibration-cycles")?
-            }
-            "--seed" => args.seed = num(&value("--seed")?, "--seed")?,
-            "--fast" => fast = true,
-            "--fast-threshold" => {
-                fast_threshold = Some(num(&value("--fast-threshold")?, "--fast-threshold")?)
-            }
-            "--snapshot-dir" => args.snapshot_dir = PathBuf::from(value("--snapshot-dir")?),
-            "--snapshot-every" => {
-                args.snapshot_every = num(&value("--snapshot-every")?, "--snapshot-every")?
-            }
-            "--metrics" => args.metrics = Some(PathBuf::from(value("--metrics")?)),
-            "--trace" => args.trace = Some(PathBuf::from(value("--trace")?)),
-            "--slo-response" => {
-                args.slo_response = num(&value("--slo-response")?, "--slo-response")?
-            }
-            "--slo-slowdown" => {
-                args.slo_slowdown = num(&value("--slo-slowdown")?, "--slo-slowdown")?
-            }
-            "--slo-objective" => {
-                args.slo_objective = num(&value("--slo-objective")?, "--slo-objective")?
-            }
-            "--metrics-window" => {
-                args.metrics_window = num(&value("--metrics-window")?, "--metrics-window")?
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if args.smt == 0 || args.timeslice == 0 || args.queue_cap == 0 {
-        return Err("--smt, --timeslice, and --queue-cap must be positive".into());
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let policy = flags.opt_with("--policy", SchedulerKind::parse)?;
+    let args = Args {
+        port: flags.value("--port", 7077)?,
+        policy: policy.unwrap_or(SchedulerKind::Sos),
+        engine: cli::engine_flags(flags, 0x5E54E)?,
+        queue_cap: flags.value("--queue-cap", 64)?,
+        calibration_cycles: flags.value("--calibration-cycles", 60_000)?,
+        snapshot_dir: flags.value("--snapshot-dir", PathBuf::from("results/serve"))?,
+        snapshot_every: flags.value("--snapshot-every", 16)?,
+        metrics: flags.opt("--metrics")?,
+        trace: flags.opt("--trace")?,
+        slo_response: flags.value("--slo-response", 2_000_000)?,
+        slo_slowdown: flags.value("--slo-slowdown", 8.0)?,
+        slo_objective: flags.value("--slo-objective", 0.95)?,
+        metrics_window: flags.value("--metrics-window", 1_000_000)?,
+    };
+    if args.queue_cap == 0 {
+        return Err("--queue-cap must be positive".into());
     }
     // Each `_ok` is false for NaN too, which `<=`-style rejections let through.
     let objective_ok = args.slo_objective > 0.0 && args.slo_objective <= 1.0;
@@ -205,12 +128,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     if !slowdown_ok || args.slo_response == 0 || args.metrics_window == 0 {
         return Err("--slo-response, --slo-slowdown, and --metrics-window must be positive".into());
     }
-    args.fastsim = sos_bench::fastsim_policy(fast, fast_threshold)?;
     Ok(args)
-}
-
-fn num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("bad value {s:?} for {flag}"))
 }
 
 /// Counter/gauge handles and series names for the serve loop, resolved once
@@ -219,7 +137,7 @@ fn num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
 struct ServeMetrics {
     /// Per verb, in [`VERBS`] order: the `serve.requests.*` counter and the
     /// `serve.request_us.*` histogram name.
-    verbs: [(Arc<Counter>, String); 7],
+    verbs: [(Arc<Counter>, String); 6],
     submitted: Arc<Counter>,
     completed: Arc<Counter>,
     rejected: Arc<Counter>,
@@ -292,8 +210,6 @@ struct Front {
     shutdown: bool,
     /// Acknowledged jobs the engine has not taken in yet, in key order.
     admitted: Vec<JobArrival>,
-    /// A `fastsim` verb waiting for the scheduler thread to apply it.
-    fastsim_request: Option<Option<FastSimPolicy>>,
     /// `drain`/`shutdown` replies not on their sockets yet; the process
     /// does not exit under them.
     unflushed: usize,
@@ -301,7 +217,6 @@ struct Front {
     now_cycles: u64,
     completed: Vec<CompletedJob>,
     resamples: u64,
-    fastsim: Option<String>,
     extrapolated_slices: Option<u64>,
     last_snapshot_cycles: u64,
 }
@@ -320,13 +235,6 @@ impl Front {
         self.resamples = engine.resamples();
         self.extrapolated_slices = engine.fastsim_counters().map(|c| c.extrapolated_slices);
     }
-
-    /// Publishes the engine's fast-sim policy (it changes only at start-up
-    /// and on a `fastsim` verb, so no timeslice pays for the string).
-    fn reflect_policy(&mut self, engine: &OnlineEngine) {
-        self.fastsim = engine.fastsim_policy().map(|p| p.describe());
-        self.reflect(engine);
-    }
 }
 
 const POISONED: &str = "a thread panicked holding the front desk";
@@ -337,6 +245,8 @@ struct Shared {
     solo: HashMap<Benchmark, f64>,
     policy: &'static str,
     smt: u64,
+    /// The fast-sim policy the engine was built with, as `status` echoes it.
+    fastsim: Option<String>,
     queue_cap: usize,
     /// Jobs accounted in the restored snapshot but not resubmitted to this
     /// process's engine (so `submitted_base + next_key` is the lifetime
@@ -347,7 +257,7 @@ struct Shared {
     sm: ServeMetrics,
     front: Mutex<Front>,
     /// Signalled on every change a thread may be waiting for: work for an
-    /// idle scheduler, an applied `fastsim`, a departure, a flushed reply.
+    /// idle scheduler, a departure, a flushed reply.
     changed: Condvar,
 }
 
@@ -363,10 +273,6 @@ impl Shared {
         busy: impl FnMut(&mut Front) -> bool,
     ) -> MutexGuard<'a, Front> {
         self.changed.wait_while(front, busy).expect(POISONED)
-    }
-
-    fn solo_ipc(&self, bench: Benchmark) -> f64 {
-        self.solo.get(&bench).copied().unwrap_or(1.0).max(1e-6)
     }
 
     // -- connection threads --------------------------------------------------
@@ -385,13 +291,12 @@ impl Shared {
             "status" => self.handle_status(),
             "stats" => self.handle_stats(),
             "metrics" => self.handle_metrics(),
-            "fastsim" => self.handle_fastsim(req),
             "drain" => self.handle_drain(false),
             "shutdown" => self.handle_drain(true),
             other => {
                 self.sm.err_unknown_cmd.inc();
                 Response::err(format!(
-                    "unknown cmd {other:?} (submit|status|stats|metrics|fastsim|drain|shutdown)"
+                    "unknown cmd {other:?} (submit|status|stats|metrics|drain|shutdown)"
                 ))
             }
         };
@@ -420,7 +325,10 @@ impl Shared {
             })?;
         let instructions = match (req.instructions, req.cycles) {
             (Some(i), _) => i,
-            (None, Some(c)) => ((c as f64 * self.solo_ipc(benchmark)) as u64).max(1_000),
+            (None, Some(c)) => {
+                let ipc = self.solo.get(&benchmark).copied().unwrap_or(1.0);
+                ((c as f64 * ipc) as u64).max(1_000)
+            }
             (None, None) => return Err("submit requires cycles or instructions".into()),
         };
         if instructions == 0 {
@@ -483,7 +391,7 @@ impl Shared {
             now_cycles: front.now_cycles,
             draining: front.draining,
             restored: self.restored,
-            fastsim: front.fastsim.clone(),
+            fastsim: self.fastsim.clone(),
             extrapolated_slices: front.extrapolated_slices,
         };
         drop(front);
@@ -492,41 +400,14 @@ impl Shared {
         r
     }
 
-    /// Answers the `fastsim` verb: asks the scheduler thread to switch
-    /// phase-aware sampled fast simulation on or off, waits until it has,
-    /// and echoes the new status. Detailed re-sampling restarts from scratch
-    /// after every toggle (phase state is rebuilt, never carried across
-    /// policies).
-    fn handle_fastsim(&self, req: &Request) -> Response {
-        // An explicit `fast: false` switches off whatever else is sent.
-        let policy = match req.fast {
-            Some(false) => Ok(None),
-            _ => sos_bench::fastsim_policy(true, req.fast_threshold),
-        };
-        let policy = match policy {
-            Ok(policy) => policy,
-            Err(e) => return Response::err(e),
-        };
-        let mut front = self.front();
-        front.fastsim_request = Some(policy);
-        self.changed.notify_all();
-        drop(self.wait_while(front, |f| f.fastsim_request.is_some()));
-        self.handle_status()
-    }
-
     fn handle_stats(&self) -> Response {
         let front = self.front();
         let (completed, resamples) = (front.completed.clone(), front.resamples);
         drop(front);
-        let responses: Vec<f64> = completed.iter().map(|c| c.response as f64).collect();
-        let slowdowns: Vec<f64> = completed.iter().map(|c| c.slowdown).collect();
-        let mean = |v: &[f64]| {
-            if v.is_empty() {
-                f64::NAN
-            } else {
-                v.iter().sum::<f64>() / v.len() as f64
-            }
-        };
+        let jobs = JobSummary::from_samples(
+            completed.iter().map(|c| c.response as f64).collect(),
+            completed.iter().map(|c| c.slowdown).collect(),
+        );
         let response_approx = self
             .tel
             .with_histogram("serve.response_cycles", |h| h.merged().percentile_summary())
@@ -538,11 +419,11 @@ impl Shared {
         let cache = sos_core::cache::stats();
         let mut r = Response::ok();
         r.stats = Some(StatsReply {
-            completed: completed.len() as u64,
-            mean_response: mean(&responses),
-            response: percentiles(&responses),
-            mean_slowdown: mean(&slowdowns),
-            slowdown: percentiles(&slowdowns),
+            completed: jobs.count() as u64,
+            mean_response: jobs.mean_response(),
+            response: jobs.response(),
+            mean_slowdown: jobs.mean_slowdown(),
+            slowdown: jobs.slowdown(),
             response_approx,
             resamples,
             cache_hits: cache.hits,
@@ -602,12 +483,11 @@ impl Shared {
 
     // -- the scheduler thread ------------------------------------------------
 
-    /// Blocks until there is something to simulate or a `fastsim` request to
-    /// apply; `None` once `shutdown` is up and the system is empty.
+    /// Blocks until there is something to simulate; `None` once `shutdown`
+    /// is up and the system is empty.
     fn wait_for_work(&self) -> Option<MutexGuard<'_, Front>> {
-        let work = |f: &Front| f.live > 0 || f.fastsim_request.is_some();
-        let front = self.wait_while(self.front(), |f| !work(f) && !f.shutdown);
-        work(&front).then_some(front)
+        let front = self.wait_while(self.front(), |f| f.live == 0 && !f.shutdown);
+        (front.live > 0).then_some(front)
     }
 
     /// Publishes the machine's state after a timeslice: the clock, the
@@ -666,13 +546,6 @@ impl Daemon {
     fn run(&mut self) {
         let shared = self.shared.clone();
         while let Some(mut front) = shared.wait_for_work() {
-            if let Some(policy) = front.fastsim_request.take() {
-                // Applied and published in one critical section, so a
-                // waiter that sees the request gone also sees its effect.
-                self.engine.set_fastsim(policy);
-                front.reflect_policy(&self.engine);
-                shared.changed.notify_all();
-            }
             let (first_key, jobs) = front.take_admitted();
             drop(front);
             for (i, job) in jobs.into_iter().enumerate() {
@@ -699,21 +572,13 @@ impl Daemon {
             .into_iter()
             .map(|rec| {
                 let response = rec.response();
-                let service =
-                    rec.arrival.instructions as f64 / self.shared.solo_ipc(rec.arrival.benchmark);
-                let slowdown = if service > 0.0 {
-                    response as f64 / service
-                } else {
-                    f64::NAN
-                };
+                let slowdown = report::slowdown(&self.shared.solo, &rec);
                 sm.completed.inc();
                 tel.histogram_record("serve.response_cycles", now, response);
                 tel.observe_slo("serve.response_cycles", response);
-                if slowdown.is_finite() {
-                    let x100 = (slowdown * 100.0) as u64;
-                    tel.histogram_record("serve.slowdown_x100", now, x100);
-                    tel.observe_slo("serve.slowdown_x100", x100);
-                }
+                let x100 = (slowdown * 100.0) as u64;
+                tel.histogram_record("serve.slowdown_x100", now, x100);
+                tel.observe_slo("serve.slowdown_x100", x100);
                 CompletedJob {
                     arrival: rec.arrival.arrival,
                     response,
@@ -776,20 +641,15 @@ impl Daemon {
 }
 
 fn main() {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("sos-serve: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = cli::parse_or_exit("sos-serve", "", parse_args);
+    let cfg = args.engine.clone();
     sos_bench::init_cache();
     eprintln!(
         "# sos-serve: calibrating {} benchmarks at SMT {} ...",
         JOB_KINDS.len(),
-        args.smt
+        cfg.smt
     );
-    let solo = calibrate_benchmarks(args.smt, args.calibration_cycles, args.seed);
+    let solo = calibrate_benchmarks(cfg.smt, args.calibration_cycles, cfg.seed);
 
     // The daemon always serves metrics; an export file additionally turns
     // on the event stream it is written from.
@@ -812,17 +672,6 @@ fn main() {
     );
     let sm = ServeMetrics::register(&tel, args.metrics_window);
 
-    let cfg = OnlineConfig {
-        smt: args.smt,
-        timeslice: args.timeslice,
-        sample_schedules: args.sample_schedules,
-        predictor: args.predictor,
-        drift_threshold: Some(0.35),
-        base_interval: args.base_interval,
-        seed: args.seed,
-        fastsim: args.fastsim.clone(),
-        learn: None,
-    };
     if let Some(p) = &cfg.fastsim {
         eprintln!("# sos-serve: fastsim on ({})", p.describe());
     }
@@ -831,7 +680,7 @@ fn main() {
     if cfg.effective_learn().is_some() {
         eprintln!(
             "# sos-serve: learned prediction on ({})",
-            args.predictor.name()
+            cfg.predictor.name()
         );
     }
 
@@ -840,7 +689,7 @@ fn main() {
     let mut restored = 0u64;
     let mut submitted_base = 0u64;
     if let Some(snap) = Snapshot::load(&args.snapshot_dir) {
-        if snap.policy == args.policy.name() && snap.smt == args.smt as u64 {
+        if snap.policy == args.policy.name() && snap.smt == cfg.smt as u64 {
             engine.jump_to(snap.now_cycles);
             restored = snap.completed.len() as u64;
             front.rejected = snap.rejected;
@@ -869,20 +718,21 @@ fn main() {
                 snap.policy,
                 snap.smt,
                 args.policy.name(),
-                args.smt
+                cfg.smt
             );
         }
     }
     // Re-queued jobs are in the system, under the engine keys they just took.
     front.next_key = engine.submitted();
     front.live = engine.live_count();
-    front.reflect_policy(&engine);
+    front.reflect(&engine);
     sm.queue_depth.set(front.live as f64);
 
     let shared = Arc::new(Shared {
         solo,
         policy: args.policy.name(),
-        smt: args.smt as u64,
+        smt: cfg.smt as u64,
+        fastsim: cfg.fastsim.as_ref().map(|p| p.describe()),
         queue_cap: args.queue_cap,
         submitted_base,
         restored,
@@ -1028,9 +878,10 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smtsim::FastSimPolicy;
 
     fn parse(args: &[&str]) -> Result<Args, String> {
-        parse_args(args.iter().map(|a| a.to_string()))
+        Flags::parse(args.iter().map(|a| a.to_string()), parse_args)
     }
 
     #[test]
@@ -1052,10 +903,10 @@ mod tests {
         }
         assert!(parse(&["--fast", "--fast-threshold"]).is_err(), "no value");
         let ok = parse(&["--fast-threshold", "0.1"]).unwrap();
-        assert_eq!(ok.fastsim, Some(FastSimPolicy::with_threshold(0.1)));
+        assert_eq!(ok.engine.fastsim, Some(FastSimPolicy::with_threshold(0.1)));
         let default = parse(&["--fast"]).unwrap();
-        assert_eq!(default.fastsim, Some(FastSimPolicy::default()));
-        assert!(parse(&[]).unwrap().fastsim.is_none());
+        assert_eq!(default.engine.fastsim, Some(FastSimPolicy::default()));
+        assert!(parse(&[]).unwrap().engine.fastsim.is_none());
     }
 
     /// A front desk with nobody behind it yet: no restored state, an empty
@@ -1066,6 +917,7 @@ mod tests {
             solo: HashMap::new(),
             policy: "naive",
             smt: 2,
+            fastsim: None,
             queue_cap,
             submitted_base,
             restored: 0,
@@ -1077,18 +929,8 @@ mod tests {
     }
 
     fn engine() -> OnlineEngine {
-        let cfg = OnlineConfig {
-            smt: 2,
-            timeslice: 5_000,
-            sample_schedules: 2,
-            predictor: PredictorKind::Ipc,
-            drift_threshold: None,
-            base_interval: 500_000,
-            seed: 1,
-            fastsim: None,
-            learn: None,
-        };
-        OnlineEngine::new(SchedulerKind::Naive, &cfg)
+        let cfg = parse(&["--smt", "2", "--seed", "1"]).expect("valid flags");
+        OnlineEngine::new(SchedulerKind::Naive, &cfg.engine)
     }
 
     /// The front desk as a state machine under threads, no socket and no

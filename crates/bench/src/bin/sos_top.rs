@@ -16,6 +16,7 @@
 //! * Otherwise the dashboard refreshes every `--interval-ms` (default
 //!   1000) until interrupted or the daemon goes away.
 
+use sos_bench::cli::{self, Flags};
 use sos_bench::serve::{Client, Request};
 use sos_core::telemetry::Snapshot;
 use std::time::{Duration, Instant};
@@ -27,38 +28,17 @@ struct Args {
     prom: bool,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            addr: "127.0.0.1:7077".to_string(),
-            interval_ms: 1_000,
-            once: false,
-            prom: false,
-        }
-    }
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--interval-ms" => args.interval_ms = num(&value("--interval-ms")?, "--interval-ms")?,
-            "--once" => args.once = true,
-            "--prom" => args.prom = true,
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let args = Args {
+        addr: flags.value("--addr", "127.0.0.1:7077".to_string())?,
+        interval_ms: flags.value("--interval-ms", 1_000)?,
+        once: flags.switch("--once"),
+        prom: flags.switch("--prom"),
+    };
     if args.interval_ms == 0 {
         return Err("--interval-ms must be positive".into());
     }
     Ok(args)
-}
-
-fn num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("bad value {s:?} for {flag}"))
 }
 
 fn fetch(client: &mut Client) -> Result<(Snapshot, String), String> {
@@ -78,13 +58,7 @@ fn fetch(client: &mut Client) -> Result<(Snapshot, String), String> {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("sos-top: {e}");
-            std::process::exit(2);
-        }
-    };
+    let args = cli::parse_or_exit("sos-top", "", parse_args);
     let mut client = match Client::connect(&args.addr) {
         Ok(c) => c,
         Err(e) => {

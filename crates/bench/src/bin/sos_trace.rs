@@ -15,6 +15,7 @@
 //! cycles (smaller = faster, noisier). With no output flags the run still
 //! executes and prints a summary, which is handy for smoke-testing.
 
+use sos_bench::cli::{self, Flags};
 use sos_core::sos::SosScheduler;
 use sos_core::telemetry::Telemetry;
 use sos_core::ExperimentSpec;
@@ -29,67 +30,26 @@ struct Args {
     events_path: Option<String>,
 }
 
-const USAGE: &str = "usage: sos-trace [--scale N] [--calibration CYCLES] [--trace out.json] \
+const USAGE: &str = "[--scale N] [--calibration CYCLES] [--trace out.json] \
                      [--metrics out.jsonl] [--events out.jsonl] [EXPERIMENT]\n\
                      EXPERIMENT is paper notation like 'Jsb(6,3,3)' (default)";
 
-fn usage() -> ExitCode {
-    eprintln!("{USAGE}");
-    ExitCode::from(2)
-}
-
-fn parse_args() -> Result<Args, ExitCode> {
-    let mut args = Args {
-        spec: "Jsb(6,3,3)".parse().expect("default spec parses"),
-        scale: 1000,
-        calibration: None,
-        trace_path: None,
-        metrics_path: None,
-        events_path: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut flag_value = |name: &str| {
-            it.next().ok_or_else(|| {
-                eprintln!("sos-trace: {name} needs a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--scale" => {
-                let v = flag_value("--scale")?;
-                args.scale = v.parse().map_err(|_| {
-                    eprintln!("sos-trace: bad --scale '{v}'");
-                    usage()
-                })?;
-            }
-            "--calibration" => {
-                let v = flag_value("--calibration")?;
-                args.calibration = Some(v.parse().map_err(|_| {
-                    eprintln!("sos-trace: bad --calibration '{v}'");
-                    usage()
-                })?);
-            }
-            "--trace" => args.trace_path = Some(flag_value("--trace")?),
-            "--metrics" => args.metrics_path = Some(flag_value("--metrics")?),
-            "--events" => args.events_path = Some(flag_value("--events")?),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Err(ExitCode::SUCCESS);
-            }
-            spec if !spec.starts_with('-') => {
-                args.spec = spec.parse().map_err(|e| {
-                    eprintln!("sos-trace: bad experiment '{spec}': {e}");
-                    usage()
-                })?;
-            }
-            other => {
-                eprintln!("sos-trace: unknown flag '{other}'");
-                return Err(usage());
-            }
-        }
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    if flags.switch("--help") | flags.switch("-h") {
+        println!("usage: sos-trace {USAGE}");
+        std::process::exit(0);
     }
-    Ok(args)
+    Ok(Args {
+        scale: flags.value("--scale", 1000)?,
+        calibration: flags.opt("--calibration")?,
+        trace_path: flags.opt("--trace")?,
+        metrics_path: flags.opt("--metrics")?,
+        events_path: flags.opt("--events")?,
+        spec: match flags.positional("EXPERIMENT")? {
+            Some(spec) => spec,
+            None => "Jsb(6,3,3)".parse().expect("default spec parses"),
+        },
+    })
 }
 
 fn write_file(path: &str, contents: &str) -> Result<(), ExitCode> {
@@ -100,10 +60,7 @@ fn write_file(path: &str, contents: &str) -> Result<(), ExitCode> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(code) => return code,
-    };
+    let args = cli::parse_or_exit("sos-trace", USAGE, parse_args);
 
     let mut cfg = sos_bench::config(args.scale);
     if let Some(calibration) = args.calibration {

@@ -7,6 +7,7 @@
 use sos_core::ExperimentSpec;
 
 fn main() {
+    sos_bench::cli::parse_or_exit("table2", "", |_| Ok(()));
     println!("Table 2 — distinct schedules and sample-phase cycles");
     println!(
         "{:<14} {:>18} {:>22}",

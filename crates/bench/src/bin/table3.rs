@@ -5,18 +5,12 @@
 //! (default scale 1000; use 1 for full paper scale).
 
 use sos_core::sos::SosScheduler;
-use sos_core::{ExperimentSpec, SosConfig};
+use sos_core::ExperimentSpec;
 
 fn main() {
-    let scale: u64 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(1000);
+    let scale = sos_bench::cli::scale_or_exit("table3");
     let spec: ExperimentSpec = "Jsb(6,3,3)".parse().expect("valid label");
-    let cfg = SosConfig {
-        cycle_scale: scale,
-        ..SosConfig::default()
-    };
+    let cfg = sos_bench::config(scale);
 
     sos_bench::init_cache();
     eprintln!("# running {spec} at 1/{scale} paper scale ...");

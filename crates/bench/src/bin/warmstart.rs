@@ -8,11 +8,12 @@
 //!
 //! Usage: `cargo run --release -p sos-bench --bin warmstart [cycle_scale]`
 
+use sos_core::par::parallel_map;
 use sos_core::sos::SosScheduler;
 use sos_core::ExperimentSpec;
 
 fn main() {
-    let scale = sos_bench::scale_from_args();
+    let scale = sos_bench::cli::scale_or_exit("warmstart");
     let cfg = sos_bench::config(scale);
     sos_bench::init_cache();
     eprintln!("# running warmstart comparisons at 1/{scale} paper scale ...");
@@ -32,7 +33,7 @@ fn main() {
             labels.push((*c).into());
         }
     }
-    let reports = sos_bench::parallel_map(labels.clone(), |label| {
+    let reports = parallel_map(labels.clone(), |label| {
         let spec: ExperimentSpec = label.parse().expect("valid label");
         SosScheduler::evaluate_experiment(&spec, &cfg)
     });

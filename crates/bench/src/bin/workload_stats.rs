@@ -9,6 +9,7 @@ use workloads::spec::Benchmark;
 use workloads::synth::SyntheticStream;
 
 fn main() {
+    sos_bench::cli::parse_or_exit("workload_stats", "", |_| Ok(()));
     const N: usize = 300_000;
     println!(
         "{:<8} {:>8} {:>8}   {:>8} {:>8}   {:>8} {:>8}   {:>8} {:>8}",

@@ -1,23 +1,21 @@
 //! Shared helpers for the experiment-reproduction binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index). They all accept an optional first
-//! argument: the cycle scale divisor (default 1000; 1 = full paper scale).
+//! (see DESIGN.md §4 for the index). Every one parses its command line
+//! through [`cli`]: the closed-system figures take an optional first
+//! argument, the cycle scale divisor (default 1000; 1 = full paper scale),
+//! and the open-system front ends share [`cli`]'s two flag groups, the one
+//! job summary (`sos_core::report::JobSummary`) and, for Figures 5 and 6,
+//! the matched-pair seed loop below ([`OpenSweep`]).
 
-use smtsim::FastSimPolicy;
+use sos_core::opensys::{calibrate_benchmarks, matched_pair, measure_capacity, OpenSystemConfig};
+use sos_core::report::{JobSummary, Percentiles};
 use sos_core::sos::ExperimentReport;
 use sos_core::{PredictorKind, SosConfig};
 
+pub mod cli;
 pub mod learn_eval;
 pub mod serve;
-
-/// Parses the common `[cycle_scale]` argument.
-pub fn scale_from_args() -> u64 {
-    std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(1000)
-}
 
 /// The default harness configuration at the given scale.
 pub fn config(scale: u64) -> SosConfig {
@@ -27,54 +25,7 @@ pub fn config(scale: u64) -> SosConfig {
     }
 }
 
-/// The one rule behind `--fast [--fast-threshold F]` on every binary that
-/// takes the pair, `fastsim-compare --thresholds`, and the serve protocol's
-/// `fastsim` verb: a threshold implies fast mode and must be a finite number
-/// above zero; fast mode without one runs [`FastSimPolicy::default`]; neither
-/// is full detail (`None`).
-pub fn fastsim_policy(fast: bool, threshold: Option<f64>) -> Result<Option<FastSimPolicy>, String> {
-    match threshold {
-        Some(t) if t.is_finite() && t > 0.0 => Ok(Some(FastSimPolicy::with_threshold(t))),
-        Some(t) => Err(format!(
-            "the fast-sim threshold must be a finite number above 0, got {t}"
-        )),
-        None => Ok(fast.then(FastSimPolicy::default)),
-    }
-}
-
-/// Splits `--fast` / `--fast-threshold F` out of a command line whose other
-/// arguments are positional (fig5, fig6), so the flags may sit anywhere
-/// among them. Returns the policy ([`fastsim_policy`]) and the positionals.
-pub fn take_fast_flags(
-    mut args: impl Iterator<Item = String>,
-) -> Result<(Option<FastSimPolicy>, Vec<String>), String> {
-    let (mut fast, mut threshold, mut positional) = (false, None, Vec::new());
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--fast" => fast = true,
-            "--fast-threshold" => {
-                let v = args.next().ok_or("missing value for --fast-threshold")?;
-                let t: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad value {v:?} for --fast-threshold"))?;
-                threshold = Some(t);
-            }
-            _ => positional.push(a),
-        }
-    }
-    Ok((fastsim_policy(fast, threshold)?, positional))
-}
-
-/// Percent by which `a` exceeds `b`; NaN when either input is non-finite or
-/// the baseline is zero (the same guard as `sos_core::report::pct_over`, so
-/// a degenerate run prints `NaN` instead of `±inf`).
-pub fn pct_over(a: f64, b: f64) -> f64 {
-    if !a.is_finite() || !b.is_finite() || b == 0.0 {
-        f64::NAN
-    } else {
-        100.0 * (a / b - 1.0)
-    }
-}
+pub use sos_core::report::pct_over;
 
 /// Formats one experiment's best/worst/average WS as the rows of Figure 1.
 pub fn print_experiment_summary(report: &ExperimentReport) {
@@ -109,10 +60,129 @@ pub fn print_predictor_bars(report: &ExperimentReport) {
     );
 }
 
-// The parallel-map helpers moved into `sos_core` (the scheduler itself now
-// evaluates candidates concurrently); re-exported here so the binaries keep
-// their old import paths.
-pub use sos_core::par::{parallel_map, parallel_map_with_workers};
+/// The command line and seed loop Figures 5 and 6 share: `[cycle_scale]
+/// [num_jobs] [seeds] [--fast] [--fast-threshold F]`, and one sweep point =
+/// `seeds` matched pairs (naive and SOS on the identical trace).
+pub struct OpenSweep {
+    /// Cycle-scale divisor (open-system runs are long, so the default, 6000,
+    /// is a smaller scale than the closed-system experiments').
+    pub scale: u64,
+    /// Jobs per arrival trace.
+    pub num_jobs: u64,
+    /// Matched pairs averaged per point.
+    pub seeds: u64,
+    /// `--fast [--fast-threshold F]`: run both schedulers under fast-sim.
+    pub fastsim: Option<smtsim::FastSimPolicy>,
+}
+
+/// One sweep point: means of the per-seed means, percentiles of the jobs
+/// pooled across seeds.
+pub struct OpenSweepPoint {
+    /// Mean naive response time (cycles).
+    pub naive_mean: f64,
+    /// Mean SOS response time (cycles).
+    pub sos_mean: f64,
+    /// Mean resident population under the naive scheduler.
+    pub population: f64,
+    /// Mean interarrival time used (cycles).
+    pub lambda: u64,
+    /// Naive response-time percentiles.
+    pub naive: Percentiles,
+    /// SOS response-time percentiles.
+    pub sos: Percentiles,
+}
+
+impl OpenSweep {
+    /// Parses the process's command line (exit 2 with usage on an error),
+    /// attaches the cache and announces a fast-sim policy on stderr.
+    pub fn from_args(bin: &str) -> Self {
+        let usage = "[cycle_scale] [num_jobs] [seeds] [--fast] [--fast-threshold F]";
+        let sweep = cli::parse_or_exit(bin, usage, |flags| {
+            Ok(OpenSweep {
+                fastsim: flags.fastsim()?,
+                scale: flags.count("cycle_scale", 6000)?,
+                num_jobs: flags.count("num_jobs", 120)?,
+                seeds: flags.count("seeds", 3)?,
+            })
+        });
+        init_cache();
+        if let Some(p) = &sweep.fastsim {
+            eprintln!("# fastsim: {}", p.describe());
+        }
+        sweep
+    }
+
+    /// Runs one point: at SMT level `smt`, offering `rho` times the capacity
+    /// each seed's job population actually sustains (λ = T / (ρ · capacity),
+    /// self-calibrated by a saturated pilot run), with seed `i` of the sweep
+    /// being `seed_base + seed_stride · i`.
+    pub fn point(&self, smt: usize, rho: f64, seed_base: u64, seed_stride: u64) -> OpenSweepPoint {
+        let (mut naive_total, mut sos_total, mut population, mut lambda) = (0.0, 0.0, 0.0, 0);
+        let (mut naive_jobs, mut sos_jobs) = (JobSummary::default(), JobSummary::default());
+        for seed in 0..self.seeds {
+            let mut cfg = OpenSystemConfig::scaled(smt);
+            cfg.mean_job_cycles = 2_000_000_000 / self.scale;
+            // The timeslice needs to amortize pipeline fill and give the sample
+            // phase usable counter windows, so it scales less aggressively
+            // than job lengths (T/timeslice ≈ 130 vs the paper's 400).
+            cfg.timeslice = 2_500;
+            cfg.num_jobs = self.num_jobs as usize;
+            // IPC is the strongest predictor on this substrate (see
+            // EXPERIMENTS.md); the paper likewise ran SOS with its best.
+            cfg.predictor = PredictorKind::Ipc;
+            cfg.seed = seed_base + seed_stride * seed;
+            cfg.fastsim = self.fastsim.clone();
+            let solo = calibrate_benchmarks(cfg.smt, cfg.calibration_cycles, cfg.seed);
+            // Over the finite trace the resident population ramps into the
+            // paper's N ≈ 2·SMT regime (steady-state critical queueing would
+            // need unaffordable horizons), and the response-time gap
+            // directly reflects scheduler throughput.
+            let capacity = measure_capacity(&cfg, &solo);
+            cfg.mean_interarrival = (cfg.mean_job_cycles as f64 / (rho * capacity)) as u64;
+            lambda += cfg.mean_interarrival / self.seeds;
+            let (naive, sos) = matched_pair(&cfg, &solo);
+            population += naive.mean_population;
+            let naive = JobSummary::of(&naive.completed, &solo);
+            let sos = JobSummary::of(&sos.completed, &solo);
+            naive_total += naive.mean_response();
+            sos_total += sos.mean_response();
+            naive_jobs.merge(&naive);
+            sos_jobs.merge(&sos);
+        }
+        OpenSweepPoint {
+            naive_mean: naive_total / self.seeds as f64,
+            sos_mean: sos_total / self.seeds as f64,
+            population: population / self.seeds as f64,
+            lambda,
+            naive: naive_jobs.response(),
+            sos: sos_jobs.response(),
+        }
+    }
+}
+
+impl OpenSweepPoint {
+    /// Percent by which SOS's mean response time undercuts the naive one.
+    pub fn improvement(&self) -> f64 {
+        100.0 * (self.naive_mean - self.sos_mean) / self.naive_mean
+    }
+}
+
+/// Prints the percentile table that closes Figures 5 and 6: one row per
+/// sweep point under its pre-formatted label.
+pub fn print_response_percentiles(label_header: &str, rows: &[(String, OpenSweepPoint)]) {
+    println!();
+    println!("response-time percentiles (cycles, jobs pooled across seeds)");
+    println!(
+        "{label_header} {:>12} {:>12} {:>12}   {:>12} {:>12} {:>12}",
+        "naive p50", "naive p95", "naive p99", "SOS p50", "SOS p95", "SOS p99"
+    );
+    for (label, p) in rows {
+        println!(
+            "{label} {:>12.0} {:>12.0} {:>12.0}   {:>12.0} {:>12.0} {:>12.0}",
+            p.naive.p50, p.naive.p95, p.naive.p99, p.sos.p50, p.sos.p95, p.sos.p99
+        );
+    }
+}
 
 /// Enables the process-wide evaluation cache for an experiment binary and
 /// attaches the on-disk store.
@@ -152,58 +222,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pct_over_math() {
-        assert!((pct_over(1.1, 1.0) - 10.0).abs() < 1e-9);
-        assert!((pct_over(0.9, 1.0) + 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pct_over_guards_degenerate_baselines() {
-        // A worst-case WS of 0 used to print as +inf; it must be NaN, like
-        // the report module's pct_over.
-        assert!(pct_over(1.0, 0.0).is_nan());
-        assert!(pct_over(f64::NAN, 1.0).is_nan());
-        assert!(pct_over(1.0, f64::NEG_INFINITY).is_nan());
-    }
-
-    #[test]
-    fn fast_flags_follow_the_one_rule() {
-        let take = |args: &[&str]| take_fast_flags(args.iter().map(|a| a.to_string()));
-        for bad in ["NaN", "inf", "0", "-1", "abc"] {
-            let refused = take(&["6000", "--fast-threshold", bad]);
-            assert!(refused.is_err(), "accepted {bad}");
-        }
-        assert!(take(&["--fast", "--fast-threshold"])
-            .unwrap_err()
-            .contains("missing value"));
-        // A threshold implies --fast; --fast alone is the default policy;
-        // the flags may sit anywhere among the positionals.
-        let (policy, rest) = take(&["6000", "--fast-threshold", "0.1", "40"]).unwrap();
-        assert_eq!(policy, Some(FastSimPolicy::with_threshold(0.1)));
-        assert_eq!(rest, ["6000", "40"]);
-        let (policy, rest) = take(&["--fast", "6000"]).unwrap();
-        assert_eq!(policy, Some(FastSimPolicy::default()));
-        assert_eq!(rest, ["6000"]);
-        assert_eq!(take(&["6000"]).unwrap(), (None, vec!["6000".to_string()]));
-        // The protocol form: an explicit `fast: false` with no threshold is off.
-        assert_eq!(fastsim_policy(false, None), Ok(None));
-        assert!(fastsim_policy(true, Some(f64::INFINITY)).is_err());
-    }
-
-    #[test]
     fn default_config_uses_requested_scale() {
         let cfg = config(500);
         assert_eq!(cfg.cycle_scale, 500);
         assert_eq!(cfg.predictor, PredictorKind::Score);
-    }
-
-    #[test]
-    fn parallel_map_reexport_preserves_order() {
-        // The implementation (and its full test suite) lives in
-        // `sos_core::par`; this pins the re-exported path binaries use.
-        let out = parallel_map(vec![3u64, 1, 4, 1, 5], |x| x * 2);
-        assert_eq!(out, vec![6, 2, 8, 2, 10]);
-        let serial = parallel_map_with_workers(vec![1u64, 2, 3], 1, |x| x + 7);
-        assert_eq!(serial, vec![8, 9, 10]);
     }
 }

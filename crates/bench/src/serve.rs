@@ -4,7 +4,7 @@
 //! one JSON object on one line (at most 64 KiB), answered by exactly one
 //! JSON object on one line. Every verb is answered by the connection's own
 //! thread from the daemon's front desk — no reply waits for the timeslice
-//! the simulator is running. The seven verbs are carried in the `cmd` field:
+//! the simulator is running. The six verbs are carried in the `cmd` field:
 //!
 //! * `submit` — admit a job (`bench`, plus `cycles` of solo work *or*
 //!   explicit `instructions`, and optional `phased`). The fields are checked
@@ -17,7 +17,9 @@
 //!   first timeslice boundary after the acknowledgement.
 //! * `status` — queue depth, counters, simulated clock: one consistent cut
 //!   (`live == submitted − completed`), with the clock and completions as
-//!   of the last timeslice boundary.
+//!   of the last timeslice boundary. It also echoes the fast-sim policy the
+//!   daemon was started with (`sos-serve --fast`; there is no run-time
+//!   toggle) and the extrapolated-timeslice count.
 //! * `stats` — per-job latency summary: mean/p50/p95/p99 response time and
 //!   slowdown, exact (from completed-job records) and approximate (from the
 //!   live log2-bucket histograms), plus per-class protocol error counts.
@@ -25,9 +27,6 @@
 //!   `sos_core::telemetry::Snapshot` (counters, gauges, windowed
 //!   histograms with p50/p95/p99/p999, SLO attainment and burn rate) plus a
 //!   Prometheus-style text exposition. Polled by `sos-top`.
-//! * `fastsim` — toggle phase-aware sampled fast simulation at runtime
-//!   (`fast` plus optional `fast_threshold`); replies, once the scheduler
-//!   thread has switched, with the active policy echoed in `status`.
 //! * `drain` — stop admitting; the reply is deferred until every in-flight
 //!   job has completed, so a `status`/`stats` sent after it sees `live == 0`
 //!   and `submitted == completed`.
@@ -64,8 +63,8 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// One request line.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Request {
-    /// The verb: `submit`, `status`, `stats`, `metrics`, `fastsim`, `drain`,
-    /// or `shutdown`.
+    /// The verb: `submit`, `status`, `stats`, `metrics`, `drain`, or
+    /// `shutdown`.
     pub cmd: String,
     /// Benchmark name for `submit` (see `workloads::spec::Benchmark::name`).
     pub bench: Option<String>,
@@ -76,14 +75,6 @@ pub struct Request {
     pub instructions: Option<u64>,
     /// Whether the job is strongly phased.
     pub phased: Option<bool>,
-    /// For the `fastsim` verb: enable (`true`) or disable (`false`)
-    /// phase-aware sampled fast simulation. Absent in older clients.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub fast: Option<bool>,
-    /// For the `fastsim` verb: phase-stability threshold (relative counter
-    /// deviation); defaults to the engine's built-in policy when absent.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub fast_threshold: Option<f64>,
 }
 
 impl Request {
@@ -95,18 +86,6 @@ impl Request {
             cycles: None,
             instructions: None,
             phased: None,
-            fast: None,
-            fast_threshold: None,
-        }
-    }
-
-    /// A `fastsim` request enabling or disabling fast simulation, with an
-    /// optional stability threshold.
-    pub fn fastsim(fast: bool, threshold: Option<f64>) -> Self {
-        Request {
-            fast: Some(fast),
-            fast_threshold: threshold,
-            ..Request::verb("fastsim")
         }
     }
 
@@ -118,8 +97,6 @@ impl Request {
             cycles: Some(cycles),
             instructions: None,
             phased: Some(phased),
-            fast: None,
-            fast_threshold: None,
         }
     }
 }

@@ -7,7 +7,7 @@
 //! some experiment state leaked across threads (global state, iteration
 //! order, or a wall-clock dependence).
 
-use sos_bench::parallel_map_with_workers;
+use sos_core::par::parallel_map_with_workers;
 use sos_core::sos::ExperimentReport;
 use sos_core::{ExperimentSpec, SosConfig, SosScheduler};
 

@@ -38,6 +38,15 @@ fn metrics_verb_reports_live_series_and_exposition() {
     assert_eq!(snap.counters["serve.submitted"], 4);
     assert_eq!(snap.counters["serve.completed"], 4);
     assert_eq!(snap.counters["serve.requests.drain"], 1);
+    // One request series per verb, listed from the start (no verb has been
+    // unknown yet, so that lazily created series is absent).
+    let verbs: Vec<&str> = snap
+        .counters
+        .keys()
+        .filter_map(|k| k.strip_prefix("serve.requests."))
+        .collect();
+    let six = ["drain", "metrics", "shutdown", "stats", "status", "submit"];
+    assert_eq!(verbs, six);
     assert!(snap.counters["engine.timeslices"] > 0);
     assert_eq!(snap.gauges["serve.queue_depth"], 0.0);
 
@@ -92,6 +101,13 @@ fn protocol_errors_are_counted_by_class() {
             .expect("reply")
             .ok
     );
+    // The retired run-time `fastsim` toggle is an unknown cmd like any
+    // other, whatever fields an old client sends along.
+    let retired = client
+        .send_line(r#"{"cmd":"fastsim","fast":true,"fast_threshold":0.1}"#)
+        .expect("reply");
+    let diagnostic = retired.error.unwrap_or_default();
+    assert!(diagnostic.contains("unknown cmd"), "{diagnostic:?}");
     assert!(!client.request(&Request::verb("submit")).expect("reply").ok);
     assert!(
         !client
@@ -114,7 +130,7 @@ fn protocol_errors_are_counted_by_class() {
         .expect("stats payload");
     let errors = stats.errors.expect("error classes in stats");
     assert_eq!(errors["unparsable"], 1);
-    assert_eq!(errors["unknown_cmd"], 1);
+    assert_eq!(errors["unknown_cmd"], 2, "frobnicate + fastsim");
     assert_eq!(errors["bad_submit"], 2, "missing bench + unknown bench");
     assert_eq!(errors["draining"], 1);
     assert_eq!(errors["backpressure"], 0);
@@ -126,10 +142,11 @@ fn protocol_errors_are_counted_by_class() {
         .metrics
         .expect("metrics payload");
     assert_eq!(m.snapshot.counters["serve.errors.unparsable"], 1);
-    assert_eq!(m.snapshot.counters["serve.errors.unknown_cmd"], 1);
+    assert_eq!(m.snapshot.counters["serve.errors.unknown_cmd"], 2);
     assert_eq!(m.snapshot.counters["serve.errors.bad_submit"], 2);
     assert_eq!(m.snapshot.counters["serve.errors.draining"], 1);
-    assert_eq!(m.snapshot.counters["serve.requests.unknown"], 1);
+    assert_eq!(m.snapshot.counters["serve.requests.unknown"], 2);
+    assert!(!m.snapshot.counters.contains_key("serve.requests.fastsim"));
 
     let resp = client.request(&Request::verb("shutdown")).expect("reply");
     assert!(resp.ok);

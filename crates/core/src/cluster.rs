@@ -43,7 +43,7 @@
 use crate::arrivals::JobArrival;
 use crate::learn::LearnSummary;
 use crate::online::{JobRecord, OnlineConfig, OnlineEngine, Scheduler, SchedulerKind};
-use crate::report::{percentiles, Percentiles};
+use crate::report::{self, JobSummary, Percentiles};
 use crate::telemetry::{Attr, Counter, Gauge, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -365,8 +365,6 @@ pub struct ClusterEngine {
     submitted: usize,
     migrations: u64,
     rr_next: usize,
-    /// Completed-job samples for the report: (response, slowdown).
-    samples: Vec<(u64, f64)>,
     /// Solo IPC per benchmark (for slowdown and weighted-speedup
     /// accounting; unknown benchmarks fall back to IPC 1.0).
     solo_ipc: HashMap<Benchmark, f64>,
@@ -419,7 +417,6 @@ impl ClusterEngine {
             submitted: 0,
             migrations: 0,
             rr_next: 0,
-            samples: Vec::new(),
             solo_ipc: HashMap::new(),
             tel: tel.clone(),
             metrics,
@@ -546,11 +543,9 @@ impl ClusterEngine {
         }
         self.now = target;
         self.rounds += 1;
-        for rec in &departed {
-            let solo = self.solo_cycles(&rec.arrival);
-            let slowdown = rec.response() as f64 / solo.max(1.0);
-            self.samples.push((rec.response(), slowdown));
-            if let Some(cm) = &self.metrics {
+        if let Some(cm) = &self.metrics {
+            for rec in &departed {
+                let slowdown = report::slowdown(&self.solo_ipc, rec);
                 cm.completed.inc();
                 self.tel
                     .histogram_record(ClusterMetrics::RESPONSE, self.now, rec.response());
@@ -560,10 +555,8 @@ impl ClusterEngine {
                     (slowdown * 100.0).round() as u64,
                 );
             }
-        }
-        if let Some(cm) = &self.metrics {
             cm.rounds.inc();
-            if !self.samples.is_empty() {
+            if self.completed() > 0 {
                 cm.aggregate_ws.set(self.aggregate_ws());
             }
         }
@@ -578,16 +571,6 @@ impl ClusterEngine {
     /// to the calling one.
     fn each_shard<R: Send>(&mut self, f: impl Fn(&mut Shard) -> R + Sync) -> Vec<R> {
         crate::par::parallel_map_with_workers(self.shards.iter_mut().collect(), self.workers, f)
-    }
-
-    /// Solo-execution cycles of a job at its benchmark's solo IPC.
-    fn solo_cycles(&self, arrival: &JobArrival) -> f64 {
-        let ipc = self
-            .solo_ipc
-            .get(&arrival.benchmark)
-            .copied()
-            .unwrap_or(1.0);
-        arrival.instructions as f64 / ipc.max(1e-9)
     }
 
     /// Migrates queued-but-not-started jobs from the deepest to the
@@ -671,25 +654,25 @@ impl ClusterEngine {
         departed
     }
 
+    /// The summary of every completed job, shard by shard and in departure
+    /// order within a shard (the order fixes the sums' bits).
+    fn summary(&self) -> JobSummary {
+        JobSummary::of(
+            self.shards.iter().flat_map(|sh| &sh.records),
+            &self.solo_ipc,
+        )
+    }
+
+    /// Machine cycles the shards spent simulating (idle jumps excluded).
+    fn busy_cycles(&self) -> u64 {
+        let slices: u64 = self.shards.iter().map(|sh| sh.engine.timeslices()).sum();
+        slices * self.cfg.shard.timeslice
+    }
+
     /// Cluster-wide weighted speedup so far: solo-equivalent cycles of
     /// completed work per busy machine cycle across all shards.
     pub fn aggregate_ws(&self) -> f64 {
-        let solo_total: f64 = self
-            .shards
-            .iter()
-            .flat_map(|sh| sh.records.iter())
-            .map(|r| self.solo_cycles(&r.arrival))
-            .sum();
-        let busy: u64 = self
-            .shards
-            .iter()
-            .map(|sh| sh.engine.timeslices() * self.cfg.shard.timeslice)
-            .sum();
-        if busy == 0 {
-            0.0
-        } else {
-            solo_total / busy as f64
-        }
+        self.summary().weighted_speedup(self.busy_cycles())
     }
 
     /// Builds the deterministic cluster report (the engine remains usable
@@ -718,8 +701,7 @@ impl ClusterEngine {
                 learn: sh.engine.learn_summary(),
             })
             .collect();
-        let responses: Vec<f64> = self.samples.iter().map(|(r, _)| *r as f64).collect();
-        let slowdowns: Vec<f64> = self.samples.iter().map(|(_, s)| *s).collect();
+        let summary = self.summary();
         ClusterReport {
             shards: self.cfg.shards,
             dispatch: self.cfg.dispatch.name().to_string(),
@@ -732,9 +714,9 @@ impl ClusterEngine {
             timeslices: per_shard.iter().map(|p| p.timeslices).sum(),
             extrapolated_slices: per_shard.iter().map(|p| p.extrapolated_slices).sum(),
             fastsim: self.cfg.shard.fastsim.as_ref().map(|p| p.describe()),
-            aggregate_ws: self.aggregate_ws(),
-            response: percentiles(&responses),
-            slowdown: percentiles(&slowdowns),
+            aggregate_ws: summary.weighted_speedup(self.busy_cycles()),
+            response: summary.response(),
+            slowdown: summary.slowdown(),
             per_shard,
         }
     }

@@ -457,20 +457,8 @@ impl OnlineEngine {
         }
     }
 
-    /// Replaces the fast-sim policy at runtime (the serve daemon's `fastsim`
-    /// verb). Any tracked phase state is dropped; `None` returns the engine
-    /// to full detail.
-    pub fn set_fastsim(&mut self, policy: Option<FastSimPolicy>) {
-        self.cfg.fastsim = policy.clone();
-        self.fastsim = policy.map(FastSim::new);
-    }
-
-    /// The active fast-sim policy, if any.
-    pub fn fastsim_policy(&self) -> Option<&FastSimPolicy> {
-        self.fastsim.as_ref().map(|f| f.policy())
-    }
-
-    /// Lifetime extrapolated-vs-detailed counters, when fast-sim is on.
+    /// Lifetime extrapolated-vs-detailed counters, when fast-sim is on (the
+    /// policy itself is `config().fastsim`, fixed at construction).
     pub fn fastsim_counters(&self) -> Option<&FastSimCounters> {
         self.fastsim.as_ref().map(|f| f.counters())
     }

@@ -10,7 +10,8 @@
 //! little above `T / WS` and the resident population hovers around the
 //! paper's `N ≈ 2 × SMT-level` under queueing fluctuations.
 //!
-//! Two schedulers are compared on *identical* arrival traces:
+//! Two schedulers are compared on *identical* arrival traces
+//! ([`matched_pair`]):
 //!
 //! * the **naive** control, which "simply coschedules jobs together in
 //!   tuples equal to the SMT level in the order in which they arrive", and
@@ -18,15 +19,15 @@
 //!   symbiosis timer (with exponential backoff when the prediction repeats),
 //!   and runs the Score-predicted schedule in between.
 //!
-//! This module is the *batch* front end: configuration, solo-IPC
-//! calibration, and a run that generates a seeded
-//! [`crate::arrivals::ArrivalTrace`] and [`replay`]s it through the
-//! event-driven [`crate::online::OnlineEngine`], which holds the actual
-//! scheduler state machine (the `sos-serve` daemon drives the same engine
-//! from live TCP submissions).
+//! This module is the *batch* front end: configuration, calibration, and
+//! one run that [`replay`]s a seeded [`crate::arrivals::ArrivalTrace`]
+//! through the event-driven [`crate::online::OnlineEngine`], which holds the
+//! actual scheduler state machine (the `sos-serve` daemon drives the same
+//! engine from live TCP submissions). [`crate::report::JobSummary`] says
+//! what a run's completed jobs amount to.
 
 use crate::online::{replay, OnlineConfig, OnlineEngine};
-use crate::telemetry::{Attr, Telemetry};
+use crate::report::solo_cycles;
 use serde::{Deserialize, Serialize};
 use smtsim::trace::StreamId;
 use smtsim::{MachineConfig, Processor};
@@ -132,6 +133,19 @@ impl OpenSystemConfig {
         }
     }
 
+    /// This configuration with its arrival process replaced by `spec` (the
+    /// inverse of [`trace_spec`](Self::trace_spec)).
+    pub fn with_trace(self, spec: &ArrivalTraceSpec) -> Self {
+        OpenSystemConfig {
+            mean_interarrival: spec.mean_interarrival,
+            mean_job_cycles: spec.mean_job_cycles,
+            num_jobs: spec.num_jobs,
+            phased_fraction: spec.phased_fraction,
+            seed: spec.seed,
+            ..self
+        }
+    }
+
     /// The scheduler-facing subset of this configuration (what
     /// [`OnlineEngine`] consumes). The symbiosis base interval is the mean
     /// interarrival time, as §9 prescribes.
@@ -155,7 +169,7 @@ impl OpenSystemConfig {
 pub struct OpenSystemResult {
     /// Which scheduler ran.
     pub scheduler: SchedulerKind,
-    /// Completed jobs.
+    /// Completed jobs, in departure order.
     pub completed: Vec<JobRecord>,
     /// Total cycles simulated.
     pub cycles: u64,
@@ -163,26 +177,6 @@ pub struct OpenSystemResult {
     pub mean_population: f64,
     /// Sample phases entered (SOS only; 0 for the naive scheduler).
     pub resamples: u64,
-}
-
-impl OpenSystemResult {
-    /// Mean response time in cycles.
-    pub fn mean_response(&self) -> f64 {
-        if self.completed.is_empty() {
-            return 0.0;
-        }
-        self.completed
-            .iter()
-            .map(|j| j.response() as f64)
-            .sum::<f64>()
-            / self.completed.len() as f64
-    }
-
-    /// The response times of the completed jobs, in completion order (for
-    /// percentile reporting; see [`crate::report::percentiles`]).
-    pub fn response_times(&self) -> Vec<f64> {
-        self.completed.iter().map(|j| j.response() as f64).collect()
-    }
 }
 
 /// Generates the arrival trace for a configuration: a pure function of the
@@ -224,71 +218,34 @@ pub fn calibrate_benchmarks(smt: usize, cycles: u64, seed: u64) -> HashMap<Bench
 }
 
 /// Measures the machine's sustained open-system capacity for this
-/// configuration: runs a saturated batch (every job present from cycle 0)
-/// under the naive scheduler and returns delivered solo-work per cycle —
+/// configuration: runs a saturated pilot batch (24 jobs, all present from
+/// cycle 0) under the naive scheduler and returns delivered solo-work per cycle —
 /// the weighted-speedup throughput the open system can actually sustain.
 ///
 /// Use it to place arrival rates relative to true capacity:
 /// `λ = T / (ρ · capacity)`.
-pub fn measure_capacity(
-    cfg: &OpenSystemConfig,
-    solo: &HashMap<Benchmark, f64>,
-    pilot_jobs: usize,
-) -> f64 {
+pub fn measure_capacity(cfg: &OpenSystemConfig, solo: &HashMap<Benchmark, f64>) -> f64 {
     let mut pilot = cfg.clone();
-    pilot.num_jobs = pilot_jobs.max(4);
+    pilot.num_jobs = 24;
     let mut trace = arrival_trace(&pilot, solo);
-    let mut solo_cycles = 0.0;
     for a in &mut trace {
         a.arrival = 0;
-        let ipc = solo.get(&a.benchmark).copied().unwrap_or(1.0).max(1e-6);
-        solo_cycles += a.instructions as f64 / ipc;
     }
+    // Summed over the offered trace, in trace order: every job completes,
+    // and the order fixes the bits the arrival rates are derived from.
+    let offered: f64 = trace.iter().map(|a| solo_cycles(solo, a)).sum();
     let res = run_open_system_on_trace(SchedulerKind::Naive, &pilot, &trace);
-    (solo_cycles / res.cycles.max(1) as f64).max(0.1)
+    (offered / res.cycles.max(1) as f64).max(0.1)
 }
 
-/// Runs the open system with the given scheduler.
-///
-/// # Panics
-/// Panics if `cfg.smt == 0`, `cfg.timeslice == 0`, `cfg.num_jobs == 0`, or
-/// `cfg.calibration_cycles == 0`.
-pub fn run_open_system(kind: SchedulerKind, cfg: &OpenSystemConfig) -> OpenSystemResult {
-    assert!(
-        cfg.smt > 0 && cfg.timeslice > 0 && cfg.num_jobs > 0 && cfg.calibration_cycles > 0,
-        "bad configuration"
-    );
-    let solo = calibrate_benchmarks(cfg.smt, cfg.calibration_cycles, cfg.seed);
-    let trace = arrival_trace(cfg, &solo);
-    run_open_system_on_trace(kind, cfg, &trace)
-}
-
-/// Runs the open system on a pre-generated arrival trace (so both schedulers
-/// can share one trace): [`replay`]s it through a fresh [`OnlineEngine`].
+/// Runs the open system on an arrival trace: [`replay`]s it through a fresh
+/// [`OnlineEngine`] (and panics where [`OnlineEngine::new`] does).
 pub fn run_open_system_on_trace(
     kind: SchedulerKind,
     cfg: &OpenSystemConfig,
     trace: &[JobArrival],
 ) -> OpenSystemResult {
-    run_open_system_traced(kind, cfg, trace, &Telemetry::off())
-}
-
-/// [`run_open_system_on_trace`] with the engine reporting to `tel`, inside
-/// one `opensys.run` span.
-pub fn run_open_system_traced(
-    kind: SchedulerKind,
-    cfg: &OpenSystemConfig,
-    trace: &[JobArrival],
-    tel: &Telemetry,
-) -> OpenSystemResult {
     let mut engine = OnlineEngine::new(kind, &cfg.online());
-    engine.set_telemetry(tel.clone());
-    let _run_span = tel.span("opensys", "opensys.run", || {
-        vec![
-            Attr::text("scheduler", format!("{kind:?}")),
-            Attr::num("jobs", trace.len() as f64),
-        ]
-    });
     let completed = replay(&mut engine, trace);
     OpenSystemResult {
         scheduler: kind,
@@ -299,9 +256,27 @@ pub fn run_open_system_traced(
     }
 }
 
+/// The matched pair every §9 comparison is made of: `cfg`'s arrival trace
+/// under the naive control and under SOS, returned as `(naive, sos)`.
+pub fn matched_pair(
+    cfg: &OpenSystemConfig,
+    solo: &HashMap<Benchmark, f64>,
+) -> (OpenSystemResult, OpenSystemResult) {
+    let trace = arrival_trace(cfg, solo);
+    let run = |kind| run_open_system_on_trace(kind, cfg, &trace);
+    (run(SchedulerKind::Naive), run(SchedulerKind::Sos))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::JobSummary;
+
+    /// Calibrates, generates `cfg`'s trace and runs it under `kind`.
+    fn run(kind: SchedulerKind, cfg: &OpenSystemConfig) -> OpenSystemResult {
+        let solo = calibrate_benchmarks(cfg.smt, cfg.calibration_cycles, cfg.seed);
+        run_open_system_on_trace(kind, cfg, &arrival_trace(cfg, &solo))
+    }
 
     fn tiny_cfg() -> OpenSystemConfig {
         OpenSystemConfig {
@@ -331,37 +306,24 @@ mod tests {
     }
 
     #[test]
-    fn naive_system_completes_all_jobs() {
-        let cfg = tiny_cfg();
-        let res = run_open_system(SchedulerKind::Naive, &cfg);
-        assert_eq!(res.completed.len(), cfg.num_jobs);
-        assert!(res.mean_response() > 0.0);
-        for j in &res.completed {
-            assert!(j.departure >= j.arrival.arrival);
-        }
-        assert!(res.mean_population > 0.0);
-    }
-
-    #[test]
-    fn sos_system_completes_all_jobs() {
-        let cfg = tiny_cfg();
-        let res = run_open_system(SchedulerKind::Sos, &cfg);
-        assert_eq!(res.completed.len(), cfg.num_jobs);
-        assert!(res.mean_response() > 0.0);
-    }
-
-    #[test]
-    fn shared_trace_runs_identical_workload() {
+    fn matched_pair_completes_the_identical_workload_under_both_schedulers() {
         let cfg = tiny_cfg();
         let solo = calibrate_benchmarks(cfg.smt, 10_000, cfg.seed);
+        let (naive, sos) = matched_pair(&cfg, &solo);
+        assert_eq!(naive.scheduler, SchedulerKind::Naive);
+        assert_eq!(sos.scheduler, SchedulerKind::Sos);
         let trace = arrival_trace(&cfg, &solo);
-        let a = run_open_system_on_trace(SchedulerKind::Naive, &cfg, &trace);
-        let b = run_open_system_on_trace(SchedulerKind::Sos, &cfg, &trace);
-        let mut ka: Vec<u64> = a.completed.iter().map(|j| j.arrival.arrival).collect();
-        let mut kb: Vec<u64> = b.completed.iter().map(|j| j.arrival.arrival).collect();
-        ka.sort_unstable();
-        kb.sort_unstable();
-        assert_eq!(ka, kb);
+        for res in [&naive, &sos] {
+            let mut jobs: Vec<_> = res.completed.iter().map(|j| j.arrival.clone()).collect();
+            jobs.sort_by_key(|a| (a.arrival, a.instructions));
+            assert_eq!(jobs, trace, "{:?} ran another workload", res.scheduler);
+            assert!(res
+                .completed
+                .iter()
+                .all(|j| j.departure >= j.arrival.arrival));
+            assert!(res.mean_population > 0.0);
+            assert!(JobSummary::of(&res.completed, &solo).mean_response() > 0.0);
+        }
     }
 
     #[test]
@@ -374,9 +336,9 @@ mod tests {
     #[test]
     fn sos_counts_resamples_and_naive_does_not() {
         let cfg = tiny_cfg();
-        let naive = run_open_system(SchedulerKind::Naive, &cfg);
+        let naive = run(SchedulerKind::Naive, &cfg);
         assert_eq!(naive.resamples, 0);
-        let sos = run_open_system(SchedulerKind::Sos, &cfg);
+        let sos = run(SchedulerKind::Sos, &cfg);
         assert!(
             sos.resamples > 0,
             "SOS must enter at least one sample phase"
@@ -387,10 +349,10 @@ mod tests {
     fn drift_trigger_increases_sampling_frequency() {
         let mut base = tiny_cfg();
         base.num_jobs = 10;
-        let without = run_open_system(SchedulerKind::Sos, &base);
+        let without = run(SchedulerKind::Sos, &base);
         let mut twitchy = base.clone();
         twitchy.drift_threshold = Some(0.01); // hair trigger
-        let with = run_open_system(SchedulerKind::Sos, &twitchy);
+        let with = run(SchedulerKind::Sos, &twitchy);
         assert!(
             with.resamples >= without.resamples,
             "a hair-trigger drift threshold cannot reduce resampling: {} vs {}",
@@ -403,7 +365,7 @@ mod tests {
     fn phased_jobs_flow_through_the_system() {
         let mut cfg = tiny_cfg();
         cfg.phased_fraction = 1.0;
-        let res = run_open_system(SchedulerKind::Sos, &cfg);
+        let res = run(SchedulerKind::Sos, &cfg);
         assert_eq!(res.completed.len(), cfg.num_jobs);
         assert!(res.completed.iter().all(|j| j.arrival.phased));
     }
@@ -432,5 +394,9 @@ mod tests {
         let spec = cfg.trace_spec();
         assert_eq!(spec.num_jobs, cfg.num_jobs);
         assert_eq!(spec.mean_job_cycles, cfg.mean_job_cycles);
+        assert_eq!(
+            OpenSystemConfig::scaled(2).with_trace(&spec).trace_spec(),
+            spec
+        );
     }
 }

@@ -1,16 +1,23 @@
-//! Aggregate reporting across experiments: the predictor league table and
-//! latency-percentile helpers.
+//! Aggregate reporting: the predictor league table across experiments, and
+//! the one summary of completed open-system jobs.
 //!
 //! Given the [`ExperimentReport`]s of several experiments, ranks every
 //! predictor (plus the sampled-WS oracle and the best-possible schedule) by
 //! the mean percent gain of its pick over the random-scheduler expectation.
-//! The percentile helpers serve the open-system and serving paths: response
-//! times in a queueing system are heavy-tailed, so figures and the
-//! `sos-serve` stats verb report p50/p95/p99 alongside the mean.
+//!
+//! [`JobSummary`] is what every open-system front end reports from — fig5,
+//! fig6, `sos opensys`, `fastsim-compare`, the cluster report and the
+//! `sos-serve` stats verb: response times in a queueing system are
+//! heavy-tailed, so it gives p50/p95/p99 alongside the mean, plus slowdown
+//! against each job's [`solo_cycles`] and the weighted speedup.
 
+use crate::arrivals::JobArrival;
+use crate::online::JobRecord;
 use crate::predictor::PredictorKind;
 use crate::sos::ExperimentReport;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use workloads::spec::Benchmark;
 
 /// The p50/p95/p99 summary of a latency-like distribution.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -52,6 +59,104 @@ pub fn percentiles(values: &[f64]) -> Percentiles {
     }
 }
 
+/// Solo-execution cycles of a job: its instructions at its benchmark's solo
+/// IPC from `solo` (IPC 1.0 for a benchmark the table lacks), and never less
+/// than one cycle — the guard that keeps the slowdown of a zero-instruction
+/// job finite.
+pub fn solo_cycles(solo: &HashMap<Benchmark, f64>, job: &JobArrival) -> f64 {
+    let ipc = solo.get(&job.benchmark).copied().unwrap_or(1.0);
+    (job.instructions as f64 / ipc).max(1.0)
+}
+
+/// A job's slowdown: its response time over its [`solo_cycles`].
+pub fn slowdown(solo: &HashMap<Benchmark, f64>, record: &JobRecord) -> f64 {
+    record.response() as f64 / solo_cycles(solo, &record.arrival)
+}
+
+/// The summary of a set of completed jobs: count, mean and percentile
+/// response time and slowdown, and weighted speedup. It keeps the per-job
+/// samples, so summaries of several runs [`merge`](Self::merge) into the
+/// summary of the pooled population. Means of an empty set are `NaN`, like
+/// its percentiles.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct JobSummary {
+    responses: Vec<f64>,
+    slowdowns: Vec<f64>,
+    solo_cycles: f64,
+}
+
+impl JobSummary {
+    /// Summarizes `records` against the solo-IPC table `solo`. Sums run in
+    /// iteration order, so a caller that fixes the order fixes the bits.
+    pub fn of<'a>(
+        records: impl IntoIterator<Item = &'a JobRecord>,
+        solo: &HashMap<Benchmark, f64>,
+    ) -> Self {
+        let mut summary = JobSummary::default();
+        for record in records {
+            let (response, solo_cycles) =
+                (record.response() as f64, solo_cycles(solo, &record.arrival));
+            summary.responses.push(response);
+            summary.slowdowns.push(response / solo_cycles);
+            summary.solo_cycles += solo_cycles;
+        }
+        summary
+    }
+
+    /// A summary of jobs known only by their response times and slowdowns
+    /// (what `sos-serve` persists); it carries no solo work.
+    pub fn from_samples(responses: Vec<f64>, slowdowns: Vec<f64>) -> Self {
+        JobSummary {
+            responses,
+            slowdowns,
+            solo_cycles: 0.0,
+        }
+    }
+
+    /// Pools another run's jobs into this summary.
+    pub fn merge(&mut self, other: &JobSummary) {
+        self.responses.extend_from_slice(&other.responses);
+        self.slowdowns.extend_from_slice(&other.slowdowns);
+        self.solo_cycles += other.solo_cycles;
+    }
+
+    /// Jobs summarized.
+    pub fn count(&self) -> usize {
+        self.responses.len()
+    }
+
+    /// Mean response time in cycles.
+    pub fn mean_response(&self) -> f64 {
+        self.responses.iter().sum::<f64>() / self.count() as f64
+    }
+
+    /// Mean slowdown.
+    pub fn mean_slowdown(&self) -> f64 {
+        self.slowdowns.iter().sum::<f64>() / self.count() as f64
+    }
+
+    /// Response-time percentiles (cycles).
+    pub fn response(&self) -> Percentiles {
+        percentiles(&self.responses)
+    }
+
+    /// Slowdown percentiles.
+    pub fn slowdown(&self) -> Percentiles {
+        percentiles(&self.slowdowns)
+    }
+
+    /// Weighted speedup: solo-equivalent cycles of the completed work per
+    /// busy machine cycle, `Σ solo_cycles / busy_cycles` (0 when nothing
+    /// ran). Above 1.0 means SMT coscheduling is paying for itself.
+    pub fn weighted_speedup(&self, busy_cycles: u64) -> f64 {
+        if busy_cycles == 0 {
+            0.0
+        } else {
+            self.solo_cycles / busy_cycles as f64
+        }
+    }
+}
+
 /// One row of the league table.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LeagueRow {
@@ -68,8 +173,8 @@ pub struct LeagueRow {
 /// Percent gain of `a` over baseline `b`, or `NaN` when the comparison is
 /// meaningless (zero or non-finite baseline, non-finite value). `NaN`
 /// serializes as JSON `null`, so degenerate experiments surface as missing
-/// data instead of `inf` percentages.
-fn pct_over(a: f64, b: f64) -> f64 {
+/// data instead of `inf` percentages (and print as `NaN`).
+pub fn pct_over(a: f64, b: f64) -> f64 {
     if !a.is_finite() || !b.is_finite() || b == 0.0 {
         f64::NAN
     } else {
@@ -208,6 +313,59 @@ mod tests {
         assert!(json.contains("\"p50\":null"), "{json}");
     }
 
+    #[test]
+    fn job_summary_of_a_hand_computed_record_set() {
+        let empty = JobSummary::of(&[], &HashMap::new());
+        assert_eq!(empty.count(), 0);
+        assert!(empty.mean_response().is_nan() && empty.mean_slowdown().is_nan());
+        assert!(empty.response().p50.is_nan() && empty.slowdown().p99.is_nan());
+        assert_eq!(empty.weighted_speedup(1_000), 0.0);
+
+        let record = |arrival, benchmark, instructions, departure| JobRecord {
+            arrival: JobArrival {
+                arrival,
+                benchmark,
+                instructions,
+                phased: false,
+            },
+            departure,
+        };
+        let solo = HashMap::from([(Benchmark::Gcc, 2.0)]);
+        let records = [
+            // 4000 instructions at IPC 2 = 2000 solo cycles; response 4000.
+            record(1_000, Benchmark::Gcc, 4_000, 5_000),
+            // Missing from the solo table: IPC 1.0, 1000 solo cycles; response 3000.
+            record(0, Benchmark::Mg, 1_000, 3_000),
+            // Zero instructions: one solo cycle, not a division by zero; response 10.
+            record(90, Benchmark::Gcc, 0, 100),
+        ];
+        assert_eq!(solo_cycles(&solo, &records[0].arrival), 2_000.0);
+        assert_eq!(solo_cycles(&solo, &records[1].arrival), 1_000.0);
+        assert_eq!(solo_cycles(&solo, &records[2].arrival), 1.0);
+        assert_eq!(slowdown(&solo, &records[0]), 2.0);
+
+        let summary = JobSummary::of(&records, &solo);
+        assert_eq!(summary.count(), 3);
+        assert_eq!(summary.mean_response(), (4_000.0 + 3_000.0 + 10.0) / 3.0);
+        assert_eq!(summary.mean_slowdown(), (2.0 + 3.0 + 10.0) / 3.0);
+        assert_eq!(summary.response().p50, 3_000.0);
+        assert_eq!(summary.response().p99, 4_000.0);
+        assert_eq!(summary.slowdown().p50, 3.0);
+        assert_eq!(summary.slowdown().p99, 10.0);
+        assert_eq!(summary.weighted_speedup(6_002), 3_001.0 / 6_002.0);
+        assert_eq!(summary.weighted_speedup(0), 0.0);
+
+        // Pooling two runs is summarizing their jobs together; samples
+        // without records carry no solo work.
+        let mut pooled = JobSummary::of(&records[..1], &solo);
+        pooled.merge(&JobSummary::of(&records[1..], &solo));
+        assert_eq!(pooled, summary);
+        let samples = JobSummary::from_samples(vec![4_000.0, 3_000.0, 10.0], vec![2.0, 3.0, 10.0]);
+        assert_eq!(samples.response(), summary.response());
+        assert_eq!(samples.mean_slowdown(), summary.mean_slowdown());
+        assert_eq!(samples.weighted_speedup(6_002), 0.0);
+    }
+
     /// A fabricated report where candidate 0 is best and every predictor
     /// picked a known index.
     fn fake_report(ws: Vec<f64>, picks_idx: usize, oracle_idx: usize) -> ExperimentReport {
@@ -289,6 +447,10 @@ mod tests {
 
     #[test]
     fn zero_baseline_yields_nan_not_inf() {
+        assert!((pct_over(1.1, 1.0) - 10.0).abs() < 1e-9);
+        assert!((pct_over(0.9, 1.0) + 10.0).abs() < 1e-9);
+        assert!(pct_over(1.0, 0.0).is_nan() && pct_over(f64::NAN, 1.0).is_nan());
+        assert!(pct_over(1.0, f64::NEG_INFINITY).is_nan());
         // All-zero symbios WS: average_ws() == 0, so every gain is 0/0.
         let reports = vec![fake_report(vec![0.0, 0.0], 0, 0)];
         let rows = league_table(&reports);

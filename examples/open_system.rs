@@ -5,8 +5,9 @@
 //! Run with: `cargo run --release --example open_system`
 
 use smt_symbiosis::sos::opensys::{
-    arrival_trace, calibrate_benchmarks, run_open_system_on_trace, OpenSystemConfig, SchedulerKind,
+    arrival_trace, calibrate_benchmarks, matched_pair, OpenSystemConfig,
 };
+use smt_symbiosis::sos::report::JobSummary;
 
 fn main() {
     let mut cfg = OpenSystemConfig::scaled(3); // SMT level 3
@@ -29,14 +30,14 @@ fn main() {
         );
     }
 
-    let naive = run_open_system_on_trace(SchedulerKind::Naive, &cfg, &trace);
-    let sos = run_open_system_on_trace(SchedulerKind::Sos, &cfg, &trace);
+    // The same trace (it is a pure function of the configuration) through
+    // both schedulers.
+    let (naive, sos) = matched_pair(&cfg, &solo);
+    let naive = JobSummary::of(&naive.completed, &solo).mean_response();
+    let sos = JobSummary::of(&sos.completed, &solo).mean_response();
 
     println!("\nmean response time:");
-    println!("  naive {:>12.0} cycles", naive.mean_response());
-    println!("  SOS   {:>12.0} cycles", sos.mean_response());
-    println!(
-        "  improvement: {:.1}%",
-        100.0 * (naive.mean_response() - sos.mean_response()) / naive.mean_response()
-    );
+    println!("  naive {naive:>12.0} cycles");
+    println!("  SOS   {sos:>12.0} cycles");
+    println!("  improvement: {:.1}%", 100.0 * (naive - sos) / naive);
 }

@@ -12,6 +12,7 @@
 use smt_symbiosis::sos::opensys::{
     arrival_trace, calibrate_benchmarks, run_open_system_on_trace, OpenSystemConfig, SchedulerKind,
 };
+use smt_symbiosis::sos::report::JobSummary;
 use smt_symbiosis::workloads::phased::fp_int_alternator;
 use smtsim::{MachineConfig, Processor, StreamId};
 
@@ -50,12 +51,12 @@ fn main() {
     println!("\nopen system, 50% phased jobs, SMT 3:");
     println!(
         "  timer-only resampling: mean response {:>10.0} cycles ({} resamples)",
-        timer_only.mean_response(),
+        JobSummary::of(&timer_only.completed, &solo).mean_response(),
         timer_only.resamples
     );
     println!(
         "  with drift trigger:    mean response {:>10.0} cycles ({} resamples)",
-        with_drift.mean_response(),
+        JobSummary::of(&with_drift.completed, &solo).mean_response(),
         with_drift.resamples
     );
 }

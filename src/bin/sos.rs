@@ -8,9 +8,8 @@
 //! ```
 
 use smt_symbiosis::sos::enumerate::{count_distinct, enumerate_all};
-use smt_symbiosis::sos::opensys::{
-    arrival_trace, calibrate_benchmarks, run_open_system_on_trace, OpenSystemConfig, SchedulerKind,
-};
+use smt_symbiosis::sos::opensys::{calibrate_benchmarks, matched_pair, OpenSystemConfig};
+use smt_symbiosis::sos::report::JobSummary;
 use smt_symbiosis::sos::sos::{SosConfig, SosScheduler};
 use smt_symbiosis::sos::{ExperimentSpec, PredictorKind};
 use smt_symbiosis::workloads::Benchmark;
@@ -49,6 +48,23 @@ fn parse<T: std::str::FromStr>(args: &[String], i: usize, what: &str) -> Result<
         .ok_or_else(|| format!("missing {what}"))?
         .parse()
         .map_err(|_| format!("bad {what}: {}", args[i]))
+}
+
+/// An optional positive count at position `i`: `default` when absent, an
+/// error — never the default — when unparsable or zero.
+fn count(args: &[String], i: usize, what: &str, default: u64) -> Result<u64, String> {
+    if i >= args.len() {
+        return Ok(default);
+    }
+    let n = parse::<std::num::NonZeroU64>(args, i, what)?;
+    Ok(n.get())
+}
+
+/// Prints a bad-argument error with the usage and returns exit code 2.
+fn refuse(e: String) -> i32 {
+    eprintln!("{e}");
+    usage();
+    2
 }
 
 fn cmd_schedules(args: &[String]) -> i32 {
@@ -91,7 +107,10 @@ fn cmd_run(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let scale: u64 = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(1000);
+    let scale = match count(args, 1, "cycle_scale", 1000) {
+        Ok(scale) => scale,
+        Err(e) => return refuse(e),
+    };
     let predictor = args
         .get(2)
         .map(|p| PredictorKind::parse(p).unwrap_or(PredictorKind::Score))
@@ -127,7 +146,10 @@ fn cmd_run(args: &[String]) -> i32 {
 }
 
 fn cmd_solo(args: &[String]) -> i32 {
-    let smt: usize = args.first().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let smt = match count(args, 0, "smt level", 1) {
+        Ok(smt) => smt as usize,
+        Err(e) => return refuse(e),
+    };
     println!("{:<8} {:>6} {:>8} {:>9}", "bench", "IPC", "dl1%", "br-mis%");
     for b in Benchmark::ALL {
         let mut cpu = Processor::new(MachineConfig::alpha21264_like(smt));
@@ -146,41 +168,37 @@ fn cmd_solo(args: &[String]) -> i32 {
 }
 
 fn cmd_opensys(args: &[String]) -> i32 {
-    let smt: usize = match parse(args, 0, "smt level") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
+    let parsed = parse::<std::num::NonZeroUsize>(args, 0, "smt level").and_then(|smt| {
+        let num_jobs = count(args, 1, "num_jobs", 40)?;
+        Ok((smt.get(), num_jobs, count(args, 2, "cycle_scale", 4000)?))
+    });
+    let (smt, num_jobs, scale) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => return refuse(e),
     };
-    let num_jobs: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(40);
-    let scale: u64 = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(4000);
     let mut cfg = OpenSystemConfig::scaled(smt);
-    cfg.mean_job_cycles = 2_000_000_000 / scale.max(1);
+    cfg.mean_job_cycles = 2_000_000_000 / scale;
     cfg.mean_interarrival =
         (cfg.mean_job_cycles as f64 / (0.90 * OpenSystemConfig::estimated_ws(smt))) as u64;
-    cfg.timeslice = 5_000_000 / scale.max(1);
-    cfg.num_jobs = num_jobs;
+    cfg.timeslice = 5_000_000 / scale;
+    cfg.num_jobs = num_jobs as usize;
 
     eprintln!("open system: SMT {smt}, {num_jobs} jobs, 1/{scale} scale ...");
     let solo = calibrate_benchmarks(smt, 10 * cfg.timeslice, cfg.seed);
-    let trace = arrival_trace(&cfg, &solo);
-    let naive = run_open_system_on_trace(SchedulerKind::Naive, &cfg, &trace);
-    let sos = run_open_system_on_trace(SchedulerKind::Sos, &cfg, &trace);
+    let (naive, sos) = matched_pair(&cfg, &solo);
+    let naive_mean = JobSummary::of(&naive.completed, &solo).mean_response();
+    let sos_mean = JobSummary::of(&sos.completed, &solo).mean_response();
     println!(
         "naive: mean response {:>12.0} cycles (N≈{:.1})",
-        naive.mean_response(),
-        naive.mean_population
+        naive_mean, naive.mean_population
     );
     println!(
         "SOS:   mean response {:>12.0} cycles (N≈{:.1}, {} resamples)",
-        sos.mean_response(),
-        sos.mean_population,
-        sos.resamples
+        sos_mean, sos.mean_population, sos.resamples
     );
     println!(
         "improvement: {:.1}%",
-        100.0 * (naive.mean_response() - sos.mean_response()) / naive.mean_response()
+        100.0 * (naive_mean - sos_mean) / naive_mean
     );
     0
 }

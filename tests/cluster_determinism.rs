@@ -14,6 +14,7 @@ use proptest::prelude::*;
 use sos_core::cluster::{ClusterConfig, ClusterEngine, DispatchPolicy};
 use sos_core::online::{replay, JobRecord, OnlineEngine, SchedulerKind};
 use sos_core::opensys::{arrival_trace, calibrate_benchmarks, JobArrival, OpenSystemConfig};
+use sos_core::report::JobSummary;
 use sos_core::telemetry::{EventPhase, Snapshot, Telemetry};
 use workloads::spec::Benchmark;
 
@@ -132,7 +133,8 @@ fn one_shard_cluster_is_bit_exact_with_plain_engine() {
         cfg.seed = s.seed;
         cfg.phased_fraction = s.phased_fraction;
         cfg.fastsim = s.fast.then(smtsim::FastSimPolicy::default);
-        let trace = small_trace(&cfg);
+        let solo = calibrate_benchmarks(cfg.smt, cfg.calibration_cycles, cfg.seed);
+        let trace = arrival_trace(&cfg, &solo);
 
         let mut engine = OnlineEngine::new(s.kind, &cfg.online());
         let plain = replay(&mut engine, &trace);
@@ -144,6 +146,7 @@ fn one_shard_cluster_is_bit_exact_with_plain_engine() {
         let mut ccfg = ClusterConfig::new(1, DispatchPolicy::Symbiosis, s.kind, cfg.online());
         ccfg.slices_per_round = 1;
         let mut cluster = ClusterEngine::new(&ccfg);
+        cluster.set_solo_ipc(solo.clone());
         let clustered = replay(&mut cluster, &trace);
 
         assert_eq!(plain.len(), s.jobs, "{s:?}");
@@ -152,6 +155,14 @@ fn one_shard_cluster_is_bit_exact_with_plain_engine() {
             "1-shard cluster diverged from the plain engine on {s:?}"
         );
         assert_eq!(cluster.migrations(), 0);
+
+        // The cluster report is the one job summary over the same records.
+        let summary = JobSummary::of(&plain, &solo);
+        let busy = engine.timeslices() * cfg.timeslice;
+        let report = cluster.report();
+        assert_eq!(report.aggregate_ws, summary.weighted_speedup(busy), "{s:?}");
+        assert_eq!(report.response, summary.response(), "{s:?}");
+        assert_eq!(report.slowdown, summary.slowdown(), "{s:?}");
     }
 }
 

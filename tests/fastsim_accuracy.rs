@@ -24,6 +24,7 @@ use sos_core::opensys::{
     arrival_trace, calibrate_benchmarks, run_open_system_on_trace, OpenSystemConfig,
 };
 use sos_core::par::parallel_map_with_workers;
+use sos_core::report::JobSummary;
 use sos_core::runner::Runner;
 use sos_core::schedule::Schedule;
 use sos_core::ws::weighted_speedup;
@@ -229,20 +230,12 @@ fn fast_mode_open_system_metrics_within_two_percent_of_detail() {
     let mut fast_cfg = detail_cfg.clone();
     fast_cfg.fastsim = Some(FastSimPolicy::with_threshold(0.05));
 
+    // Delivered solo-work over the makespan.
     let ws_of = |res: &sos_core::opensys::OpenSystemResult| {
-        let solo_cycles: f64 = res
-            .completed
-            .iter()
-            .map(|j| {
-                let ipc = solo
-                    .get(&j.arrival.benchmark)
-                    .copied()
-                    .unwrap_or(1.0)
-                    .max(1e-6);
-                j.arrival.instructions as f64 / ipc
-            })
-            .sum();
-        solo_cycles / res.cycles.max(1) as f64
+        JobSummary::of(&res.completed, &solo).weighted_speedup(res.cycles)
+    };
+    let mean_rt = |res: &sos_core::opensys::OpenSystemResult| {
+        JobSummary::of(&res.completed, &solo).mean_response()
     };
 
     for kind in [SchedulerKind::Naive, SchedulerKind::Sos] {
@@ -250,7 +243,7 @@ fn fast_mode_open_system_metrics_within_two_percent_of_detail() {
         let fast = run_open_system_on_trace(kind, &fast_cfg, &trace);
         assert_eq!(detail.completed.len(), fast.completed.len(), "{kind:?}");
         let ws_err = rel_err(ws_of(&fast), ws_of(&detail));
-        let rt_err = rel_err(fast.mean_response(), detail.mean_response());
+        let rt_err = rel_err(mean_rt(&fast), mean_rt(&detail));
         assert!(
             ws_err <= 0.02,
             "{kind:?}: fast WS off by {:.2}% (> 2%)",
@@ -315,7 +308,7 @@ fn open_system_fast_engine_reports_policy_and_counters() {
     let trace = arrival_trace(&cfg, &solo);
     let mut engine = OnlineEngine::new(SchedulerKind::Sos, &cfg.online());
     assert_eq!(replay(&mut engine, &trace).len(), trace.len());
-    let policy = engine.fastsim_policy().expect("policy echoed");
+    let policy = engine.config().fastsim.as_ref().expect("policy echoed");
     assert_eq!(policy, &FastSimPolicy::default());
     let counters = engine.fastsim_counters().expect("counters exposed");
     assert!(
