@@ -108,7 +108,6 @@ fn run_learned(args: &Args) {
         grid: args.grid.clone(),
         seeds: args.seeds.clone(),
         scale: args.scale,
-        ..LearnEvalOptions::new(&args.grid, args.scale)
     };
     eprintln!(
         "# learned sweep: grid {} × {} seed(s) at 1/{} paper scale ...",

@@ -677,7 +677,7 @@ fn main() {
     }
     let mut engine = OnlineEngine::new(args.policy, &cfg);
     engine.set_telemetry(tel.clone());
-    if cfg.effective_learn().is_some() {
+    if cfg.predictor.is_learned() {
         eprintln!(
             "# sos-serve: learned prediction on ({})",
             cfg.predictor.name()
@@ -700,10 +700,9 @@ fn main() {
                 engine.submit(job);
             }
             // Restore the model only when this run is actually learning —
-            // a fixed-predictor restart ignores a stale learner rather
-            // than silently turning shadow training back on.
+            // a fixed-predictor restart has no learner to restore into.
             let learned = match snap.learner {
-                Some(learner) if cfg.effective_learn().is_some() => {
+                Some(learner) if cfg.predictor.is_learned() => {
                     engine.restore_learner(learner);
                     ", learner restored"
                 }

@@ -189,7 +189,6 @@ pub fn engine_flags(flags: &mut Flags, default_seed: u64) -> Result<OnlineConfig
         base_interval: flags.value("--base-interval", 500_000)?,
         seed: flags.value("--seed", default_seed)?,
         fastsim: flags.fastsim()?,
-        learn: None,
     };
     if cfg.smt == 0 || cfg.timeslice == 0 || cfg.sample_schedules == 0 || cfg.base_interval == 0 {
         return Err(

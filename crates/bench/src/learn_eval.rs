@@ -15,7 +15,7 @@
 //! determinism gate `cmp`s exactly this artifact).
 
 use serde::{Deserialize, Serialize};
-use sos_core::learn::{LearnConfig, LearnSummary, Learner};
+use sos_core::learn::{LearnSummary, Learner};
 use sos_core::sos::{ExperimentReport, SosConfig, SosScheduler};
 use sos_core::{ExperimentSpec, PredictorKind};
 
@@ -51,20 +51,6 @@ pub struct LearnEvalOptions {
     pub seeds: Vec<u64>,
     /// Cycle-scale divisor for every experiment.
     pub scale: u64,
-    /// Learner configuration (defaults match `LearnConfig::default()`).
-    pub learn: LearnConfig,
-}
-
-impl LearnEvalOptions {
-    /// A sweep of `grid` at `scale` with the default seeds and learner.
-    pub fn new(grid: &str, scale: u64) -> Self {
-        LearnEvalOptions {
-            grid: grid.to_string(),
-            seeds: DEFAULT_SEEDS.to_vec(),
-            scale,
-            learn: LearnConfig::default(),
-        }
-    }
 }
 
 /// One predictor's pooled result over the sweep.
@@ -155,7 +141,7 @@ pub fn run(opts: &LearnEvalOptions) -> (Vec<ExperimentReport>, LearnEvalSummary)
     let specs =
         grid(&opts.grid).unwrap_or_else(|| panic!("unknown grid {:?} (small|wide)", opts.grid));
     assert!(!opts.seeds.is_empty(), "the sweep needs at least one seed");
-    let mut learner = Learner::new(opts.learn);
+    let mut learner = Learner::new(Default::default());
     let mut reports = Vec::with_capacity(specs.len() * opts.seeds.len());
     let mut per_experiment = Vec::with_capacity(reports.capacity());
     for &seed in &opts.seeds {
@@ -254,7 +240,6 @@ mod tests {
             grid: "small".to_string(),
             seeds: vec![7, 8],
             scale: 50_000,
-            learn: LearnConfig::default(),
         };
         let (reports, summary) = run(&opts);
         assert_eq!(reports.len(), 6);

@@ -447,8 +447,36 @@ mod tests {
         std::fs::write(Snapshot::path_in(&dir), stripped).unwrap();
         let old = Snapshot::load(&dir).expect("old-format snapshot loads");
         assert!(old.learner.is_none());
+        // So does one from before the exploration dials were deleted: the
+        // derive reads fields by name, so the version stays 1.
+        let parent = format!(
+            r#"{{"version":1,"policy":"sos","smt":2,"seed":7,"now_cycles":90000,"submitted":3,"rejected":0,"completed":[{{"arrival":5,"response":100,"slowdown":1.5}},{{"arrival":9,"response":250,"slowdown":2.0}}],"inflight":[],"learner":{PARENT_LEARNER}}}"#
+        );
+        for gone in [
+            "\"policy\":\"Ucb1\"",
+            "\"epsilon\"",
+            "\"seed\":7844",
+            "\"rng\"",
+        ] {
+            assert!(parent.contains(gone), "fixture lost {gone}");
+        }
+        std::fs::write(Snapshot::path_in(&dir), parent).unwrap();
+        let back = Snapshot::load(&dir).expect("a parent-format snapshot loads");
+        assert_eq!(back.completed.len(), 2);
+        assert_eq!(back.completed[1].response, 250);
+        assert_eq!(
+            serde_json::to_string(&back.learner.expect("the learner came along").summary())
+                .unwrap(),
+            PARENT_LEARNER_SUMMARY
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// A learner as the build before `BanditPolicy`/`SplitMix64` were deleted
+    /// serialized it (three settled pulls, six training updates): `cfg` and
+    /// `bandit` still carry `policy`, `epsilon`, `seed` and `rng`.
+    const PARENT_LEARNER: &str = r#"{"cfg":{"policy":"Ucb1","epsilon":0.1,"ucb_c":0.5,"lambda":1.0,"ewma_alpha":0.1,"min_train":8,"seed":7844},"regressor":{"lambda":1.0,"n":6,"xtx":[6.0,10.5,3.0,5.7,0.42,0.21,0.6299999999999999,1.2,1.5,10.5,18.75,5.25,9.974999999999998,0.78,0.39,1.17,2.1000000000000005,2.7,3.0,5.25,1.5,2.85,0.21,0.105,0.31499999999999995,0.6,0.75,5.7,9.974999999999998,2.85,5.415,0.39899999999999997,0.19949999999999998,0.5985,1.14,1.4249999999999998,0.42,0.78,0.21,0.39899999999999997,0.034800000000000005,0.017400000000000002,0.052199999999999996,0.08400000000000002,0.11400000000000002,0.21,0.39,0.105,0.19949999999999998,0.017400000000000002,0.008700000000000001,0.026099999999999998,0.04200000000000001,0.05700000000000001,0.6299999999999999,1.17,0.31499999999999995,0.5985,0.052199999999999996,0.026099999999999998,0.0783,0.126,0.17099999999999999,1.2,2.1000000000000005,0.6,1.14,0.08400000000000002,0.04200000000000001,0.126,0.24000000000000005,0.30000000000000004,1.5,2.7,0.75,1.4249999999999998,0.11400000000000002,0.05700000000000001,0.17099999999999999,0.30000000000000004,0.39],"xty":[6.0,10.875,3.0,5.699999999999999,0.4650000000000001,0.23250000000000004,0.6975,1.2000000000000002,1.5750000000000002],"err_ewma":0.07026032436570988,"ewma_alpha":0.1},"bandit":{"policy":"Ucb1","epsilon":0.1,"ucb_c":0.5,"rng":{"state":7844},"contexts":{"F1I1M0":[{"pulls":1,"reward_sum":0.5,"regret_sum":0.5},{"pulls":1,"reward_sum":0.75,"regret_sum":0.25},{"pulls":1,"reward_sum":1.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0}]},"global":[{"pulls":1,"reward_sum":0.5,"regret_sum":0.5},{"pulls":1,"reward_sum":0.75,"regret_sum":0.25},{"pulls":1,"reward_sum":1.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0},{"pulls":0,"reward_sum":0.0,"regret_sum":0.0}],"total_pulls":3,"total_regret":0.75,"full_info":false},"predictions":3}"#;
+    const PARENT_LEARNER_SUMMARY: &str = r#"{"train_updates":6,"predictions":3,"err_ewma":0.07026032436570988,"bandit_pulls":3,"bandit_regret":0.75,"contexts":1,"arms":[["IPC",1,0.5],["AllConf",1,0.75],["Dcache",1,1.0],["FQ",0,0.0],["FP",0,0.0],["Sum2",0,0.0],["Diversity",0,0.0],["Balance",0,0.0],["Composite",0,0.0],["Score",0,0.0],["Learned",0,0.0]]}"#;
 
     #[test]
     fn snapshot_version_mismatch_is_ignored() {

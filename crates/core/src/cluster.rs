@@ -20,8 +20,12 @@
 //!   progress is lost), with every migration recorded in telemetry and the
 //!   cluster metrics;
 //! * each shard reports through its own child [`Telemetry`] handle
-//!   (`cluster.shard<i>`: own clock, own event buffer), so a traced cluster
-//!   run is as reproducible as an untraced one.
+//!   (`cluster.shard<i>`: own clock, own event buffer, and the shard
+//!   engine's own series — `cluster.shard<i>.queue_depth` included), so a
+//!   traced cluster run is as reproducible as an untraced one; the
+//!   dispatcher's own series (`cluster.submitted`, `.completed`,
+//!   `.migrations`, `.rounds`, `.aggregate_ws`, the shard clocks) are
+//!   written by one `publish` from the counts it keeps anyway.
 //!
 //! # Lockstep clocks and determinism
 //!
@@ -41,7 +45,7 @@
 //! same event sequence).
 
 use crate::arrivals::JobArrival;
-use crate::learn::LearnSummary;
+use crate::learn::{LearnSummary, Learner};
 use crate::online::{JobRecord, OnlineConfig, OnlineEngine, Scheduler, SchedulerKind};
 use crate::report::{self, JobSummary, Percentiles};
 use crate::telemetry::{Attr, Counter, Gauge, Telemetry};
@@ -309,10 +313,12 @@ fn symbiosis_score(job: &JobArrival, resident: &[JobArrival]) -> f64 {
 // Cluster metrics
 // ---------------------------------------------------------------------------
 
-/// Cluster-level metric handles (per-shard gauges + cluster counters),
-/// resolved once from the cluster's [`Telemetry`] handle.
+/// Cluster-level metric handles (cluster counters + per-shard clocks),
+/// resolved once from the cluster's [`Telemetry`] handle and written by
+/// [`ClusterEngine::publish`]. A shard's other series — its
+/// `cluster.shard<i>.queue_depth` included — are its own engine's, published
+/// through the child handle.
 struct ClusterMetrics {
-    shard_depth: Vec<Arc<Gauge>>,
     shard_now: Vec<Arc<Gauge>>,
     submitted: Arc<Counter>,
     completed: Arc<Counter>,
@@ -328,14 +334,10 @@ impl ClusterMetrics {
     fn register(tel: &Telemetry, shards: usize, window_cycles: u64) -> Self {
         tel.register_histogram(Self::RESPONSE, window_cycles, 8);
         tel.register_histogram(Self::SLOWDOWN, window_cycles, 8);
-        let per_shard = |series: &str| -> Vec<Arc<Gauge>> {
-            (0..shards)
-                .map(|s| tel.gauge(&format!("cluster.shard{s}.{series}")))
-                .collect()
-        };
         ClusterMetrics {
-            shard_depth: per_shard("queue_depth"),
-            shard_now: per_shard("now_cycles"),
+            shard_now: (0..shards)
+                .map(|s| tel.gauge(&format!("cluster.shard{s}.now_cycles")))
+                .collect(),
             submitted: tel.counter("cluster.submitted"),
             completed: tel.counter("cluster.completed"),
             migrations: tel.counter("cluster.migrations"),
@@ -463,19 +465,29 @@ impl ClusterEngine {
     pub fn submit(&mut self, arrival: JobArrival) -> usize {
         let shard = self.pick_shard(&arrival);
         self.submitted += 1;
-        self.dispatch_to(shard, arrival);
-        if let Some(m) = &self.metrics {
-            m.submitted.inc();
-        }
+        self.shards[shard].engine.submit(arrival);
+        self.publish();
         shard
     }
 
-    /// Hands `arrival` to `shard`'s engine.
-    fn dispatch_to(&mut self, shard: usize, arrival: JobArrival) {
-        let engine = &mut self.shards[shard].engine;
-        engine.submit(arrival);
-        if let Some(cm) = &self.metrics {
-            cm.shard_depth[shard].set(engine.live_count() as f64);
+    /// Copies the dispatcher's books to the registry: the one place the
+    /// cluster writes a counter or a gauge, run at the end of every call
+    /// that moves them (`submit`, `step`, `jump_to`) while a handle is
+    /// attached. Absolute writes, as in [`OnlineEngine`]'s own `publish`.
+    fn publish(&self) {
+        let Some(cm) = &self.metrics else {
+            return;
+        };
+        let completed = self.completed();
+        cm.submitted.raise_to(self.submitted as u64);
+        cm.completed.raise_to(completed);
+        cm.migrations.raise_to(self.migrations);
+        cm.rounds.raise_to(self.rounds);
+        for (gauge, sh) in cm.shard_now.iter().zip(&self.shards) {
+            gauge.set(sh.engine.now() as f64);
+        }
+        if completed > 0 {
+            cm.aggregate_ws.set(self.aggregate_ws());
         }
     }
 
@@ -535,18 +547,11 @@ impl ClusterEngine {
             .into_iter()
             .flatten()
             .collect();
-        if let Some(cm) = &self.metrics {
-            for (s, sh) in self.shards.iter().enumerate() {
-                cm.shard_depth[s].set(sh.engine.live_count() as f64);
-                cm.shard_now[s].set(sh.engine.now() as f64);
-            }
-        }
         self.now = target;
         self.rounds += 1;
-        if let Some(cm) = &self.metrics {
+        if self.tel.is_on() {
             for rec in &departed {
                 let slowdown = report::slowdown(&self.solo_ipc, rec);
-                cm.completed.inc();
                 self.tel
                     .histogram_record(ClusterMetrics::RESPONSE, self.now, rec.response());
                 self.tel.histogram_record(
@@ -555,14 +560,11 @@ impl ClusterEngine {
                     (slowdown * 100.0).round() as u64,
                 );
             }
-            cm.rounds.inc();
-            if self.completed() > 0 {
-                cm.aggregate_ws.set(self.aggregate_ws());
-            }
         }
         if self.cfg.rebalance_every > 0 && self.rounds.is_multiple_of(self.cfg.rebalance_every) {
             self.rebalance();
         }
+        self.publish();
         departed
     }
 
@@ -607,14 +609,8 @@ impl ClusterEngine {
                     Attr::text("benchmark", format!("{:?}", arrival.benchmark)),
                 ]
             });
-            self.dispatch_to(dest, arrival);
+            self.shards[dest].engine.submit(arrival);
             self.migrations += 1;
-            if let Some(cm) = &self.metrics {
-                cm.migrations.inc();
-            }
-        }
-        if let Some(cm) = &self.metrics {
-            cm.shard_depth[deep].set(self.shards[deep].engine.live_count() as f64);
         }
     }
 
@@ -633,12 +629,10 @@ impl ClusterEngine {
             return;
         }
         self.now = t;
-        for (s, sh) in self.shards.iter_mut().enumerate() {
+        for sh in &mut self.shards {
             sh.engine.jump_to(t);
-            if let Some(cm) = &self.metrics {
-                cm.shard_now[s].set(t as f64);
-            }
         }
+        self.publish();
     }
 
     /// Steps until every submitted job has completed (or `max_rounds` is
@@ -698,7 +692,7 @@ impl ClusterEngine {
                 now_cycles: sh.engine.now(),
                 final_queue_depth: sh.engine.live_count(),
                 records: sh.records.clone(),
-                learn: sh.engine.learn_summary(),
+                learn: sh.engine.learner().map(Learner::summary),
             })
             .collect();
         let summary = self.summary();
@@ -755,7 +749,6 @@ mod tests {
             base_interval: 30_000,
             seed,
             fastsim: None,
-            learn: None,
         }
     }
 
@@ -992,10 +985,7 @@ mod tests {
     #[should_panic(expected = "bad fast-sim policy")]
     fn unbuildable_shard_config_panics_in_the_caller_with_fastsims_message() {
         let mut shard = shard_cfg(1);
-        shard.fastsim = Some(smtsim::FastSimPolicy {
-            stability_threshold: 0.0,
-            ..Default::default()
-        });
+        shard.fastsim = Some(smtsim::FastSimPolicy::with_threshold(0.0));
         let _ = ClusterEngine::new(&ClusterConfig::new(
             2,
             DispatchPolicy::RoundRobin,
@@ -1011,15 +1001,35 @@ mod tests {
             ClusterConfig::new(2, DispatchPolicy::RoundRobin, SchedulerKind::Naive, shard);
         cfg.rebalance_every = 1;
         cfg.steal_threshold = 2;
-        let mut c = ClusterEngine::new(&cfg);
-        // Pile every job onto shard 0 by hand to force an imbalance.
-        for i in 0..8 {
+        let tel = Telemetry::metrics();
+        let mut c = ClusterEngine::with_telemetry(&cfg, &tel);
+        // A shard's `queue_depth` series is its own engine's, whoever moved
+        // the jobs: dispatch, a steal, or a round's departures.
+        let depth_series_match = |c: &ClusterEngine| {
+            for (s, depth) in c.shard_depths().into_iter().enumerate() {
+                let series = format!("cluster.shard{s}.queue_depth");
+                assert_eq!(tel.gauge(&series).get(), depth as f64, "{series}");
+            }
+        };
+        c.submit(job(0, Benchmark::Gcc, 50_000));
+        c.submit(job(0, Benchmark::Gcc, 51_000));
+        // Pile the rest onto shard 0 by hand to force an imbalance.
+        for i in 2..8 {
             c.submitted += 1;
-            c.dispatch_to(0, job(0, Benchmark::Gcc, 50_000 + i * 1_000));
+            c.shards[0]
+                .engine
+                .submit(job(0, Benchmark::Gcc, 50_000 + i * 1_000));
         }
+        depth_series_match(&c);
+        c.step();
+        assert!(c.migrations() > 0, "imbalance must trigger stealing");
+        depth_series_match(&c);
+        assert_eq!(tel.counter("cluster.migrations").get(), c.migrations());
+        assert_eq!(tel.counter("cluster.rounds").get(), 1);
         let done = c.drain(1_000_000);
         assert_eq!(done.len(), 8, "every job completes despite migration");
-        assert!(c.migrations() > 0, "imbalance must trigger stealing");
+        depth_series_match(&c);
+        assert_eq!(tel.counter("cluster.completed").get(), 8);
         let report = c.report();
         let migrated_out: usize = report.per_shard.iter().map(|p| p.migrated_out).sum();
         let migrated_in: usize = report.per_shard.iter().map(|p| p.migrated_in).sum();

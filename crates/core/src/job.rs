@@ -79,11 +79,6 @@ impl JobPool {
         &self.labels[i]
     }
 
-    /// Thread indices of job `g`.
-    pub fn group(&self, g: usize) -> &[usize] {
-        &self.groups[g]
-    }
-
     /// All job groups.
     pub fn groups(&self) -> &[Vec<usize>] {
         &self.groups
@@ -94,22 +89,12 @@ impl JobPool {
         &self.specs
     }
 
-    /// The job group containing thread `i`.
-    pub fn group_of(&self, i: usize) -> &[usize] {
-        self.groups
-            .iter()
-            .find(|g| g.contains(&i))
-            .map(Vec::as_slice)
-            .expect("every thread belongs to a group")
-    }
-
     /// Mutable access to a set of distinct threads, in the order given, as
     /// the trait objects [`smtsim::Processor::run_timeslice`] consumes.
     ///
     /// This is the [`crate::runner::Runner`] hot path (one call per
     /// timeslice): it builds exactly one intermediate `Vec` and restores the
-    /// caller's order with an in-place sort, where [`Self::select_mut`]
-    /// allocates four (sorted copy, picked, placement slots, output).
+    /// caller's order with an in-place sort.
     ///
     /// # Panics
     /// Panics if `indices` contains duplicates or out-of-range values.
@@ -129,36 +114,6 @@ impl JobPool {
         // cheaper than building a lookup table.
         picked.sort_by_key(|p| indices.iter().position(|&x| x == p.0).expect("present"));
         picked.into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// Mutable access to a set of distinct threads, in the order given.
-    ///
-    /// # Panics
-    /// Panics if `indices` contains duplicates or out-of-range values.
-    pub fn select_mut(&mut self, indices: &[usize]) -> Vec<&mut (dyn InstructionSource + Send)> {
-        let mut sorted = indices.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), indices.len(), "duplicate thread indices");
-        // Walk the pool once, collecting mutable borrows of the selected
-        // threads, then restore the caller's order.
-        let mut picked: Vec<(usize, &mut (dyn InstructionSource + Send))> = self
-            .threads
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| sorted.binary_search(i).is_ok())
-            .map(|(i, b)| (i, b.as_mut()))
-            .collect();
-        assert_eq!(picked.len(), indices.len(), "thread index out of range");
-        let mut out: Vec<Option<&mut (dyn InstructionSource + Send)>> =
-            (0..indices.len()).map(|_| None).collect();
-        for (i, r) in picked.drain(..) {
-            let pos = indices.iter().position(|&x| x == i).expect("index present");
-            out[pos] = Some(r);
-        }
-        out.into_iter()
-            .map(|o| o.expect("all positions filled"))
-            .collect()
     }
 }
 
@@ -194,8 +149,7 @@ mod tests {
         let p = pool();
         assert_eq!(p.len(), 4);
         assert_eq!(p.num_jobs(), 3);
-        assert_eq!(p.group(1), &[1, 2]);
-        assert_eq!(p.group_of(2), &[1, 2]);
+        assert_eq!(p.groups()[1], [1, 2]);
         assert_eq!(p.label(0), "FP");
         assert_eq!(p.label(1), "mt_ARRAY(2)#0");
     }
@@ -204,23 +158,23 @@ mod tests {
     fn streams_are_tagged_by_index() {
         let mut p = pool();
         for i in 0..4 {
-            let refs = p.select_mut(&[i]);
+            let refs = p.select_dyn(&[i]);
             assert_eq!(refs[0].id(), StreamId(i as u64));
         }
     }
 
     #[test]
-    fn select_mut_preserves_order() {
+    fn select_dyn_preserves_order() {
         let mut p = pool();
-        let refs = p.select_mut(&[3, 0]);
+        let refs = p.select_dyn(&[3, 0]);
         assert_eq!(refs[0].id(), StreamId(3));
         assert_eq!(refs[1].id(), StreamId(0));
     }
 
     #[test]
-    fn select_mut_streams_work() {
+    fn select_dyn_streams_work() {
         let mut p = pool();
-        let mut refs = p.select_mut(&[0, 3]);
+        let mut refs = p.select_dyn(&[0, 3]);
         for r in refs.iter_mut() {
             assert!(matches!(r.next_instr(), Fetch::Instr(_)));
         }
@@ -228,24 +182,24 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "duplicate thread indices")]
-    fn select_mut_rejects_duplicates() {
+    fn select_dyn_rejects_duplicates() {
         let mut p = pool();
-        let _ = p.select_mut(&[1, 1]);
+        let _ = p.select_dyn(&[1, 1]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn select_mut_rejects_out_of_range() {
+    fn select_dyn_rejects_out_of_range() {
         let mut p = pool();
-        let _ = p.select_mut(&[9]);
+        let _ = p.select_dyn(&[9]);
     }
 
     #[test]
     fn deterministic_across_builds() {
         let mut a = pool();
         let mut b = pool();
-        let ia = a.select_mut(&[0])[0].next_instr();
-        let ib = b.select_mut(&[0])[0].next_instr();
+        let ia = a.select_dyn(&[0])[0].next_instr();
+        let ib = b.select_dyn(&[0])[0].next_instr();
         assert_eq!(ia.instr(), ib.instr());
     }
 }

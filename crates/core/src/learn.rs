@@ -12,20 +12,28 @@
 //!   so one training update is O(D²) and one prediction is O(D) after an
 //!   O(D³) solve per dirty model. Exposed as
 //!   [`crate::predictor::PredictorKind::Learned`].
-//! * [`BanditState`] — a contextual bandit (epsilon-greedy or UCB1) over
-//!   eleven arms: the ten paper predictors plus the learned model. Context
-//!   is a coarse jobmix class histogram ([`context_of`]), so the bandit can
-//!   learn that, say, `Fq` wins on FP-heavy mixes while `Dcache` wins on
-//!   memory-bound ones. Per-arm pulls, mean reward, and regret are
-//!   accounted per context and globally. Exposed as
-//!   [`crate::predictor::PredictorKind::Bandit`].
+//! * [`BanditState`] — a contextual bandit over eleven arms: the ten paper
+//!   predictors plus the learned model. It runs UCB1 while feedback is
+//!   partial (the online engine: only the chosen schedule's reward is ever
+//!   seen) and follows the leader once feedback is full-information (the
+//!   batch protocol: every arm's pick is measured). Context is a coarse
+//!   jobmix class histogram ([`context_of`]), so the bandit can learn that,
+//!   say, `Fq` wins on FP-heavy mixes while `Dcache` wins on memory-bound
+//!   ones. Per-arm pulls, mean reward, and regret are accounted per context
+//!   and globally. Exposed as [`crate::predictor::PredictorKind::Bandit`].
+//!
+//! The engine's whole *optimize* stage for a learned predictor is
+//! [`Learner::optimize`]: choose with the model as it stands, train on the
+//! sample phase just measured, and — for the bandit — open a [`Pull`] that
+//! rides with the symbios phase the choice started, collects that phase's
+//! realized IPC, and is booked by [`Learner::settle`] when the phase ends.
 //!
 //! Determinism rules (the same contract as the rest of the engine):
 //!
 //! 1. All state is plain `f64`/`u64` updated in a fixed sequential order —
 //!    no wall clock, no `HashMap` iteration, no platform-dependent math.
-//! 2. The only randomness is epsilon-greedy exploration, drawn from an
-//!    embedded [`SplitMix64`] whose state is part of the serialized model.
+//! 2. The learner draws no random numbers: both selection rules are
+//!    deterministic functions of the statistics.
 //! 3. Serialization round-trips exactly: `serde_json` prints `f64` via
 //!    shortest-round-trip formatting, so a restored [`Learner`] continues
 //!    byte-identically with the original.
@@ -67,97 +75,31 @@ pub fn features(s: &ScheduleSample) -> [f64; NUM_FEATURES] {
     ]
 }
 
-/// Which exploration policy the bandit runs.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BanditPolicy {
-    /// With probability epsilon pick a uniform arm, otherwise the best
-    /// empirical mean in the current context.
-    EpsilonGreedy,
-    /// Deterministic optimism: mean + `c·√(2·ln N / n)` per context.
-    Ucb1,
-}
-
-impl BanditPolicy {
-    /// Parses a policy name (`"epsilon-greedy"` / `"ucb1"`,
-    /// case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "epsilon-greedy" | "epsilon" | "egreedy" => Some(BanditPolicy::EpsilonGreedy),
-            "ucb1" | "ucb" => Some(BanditPolicy::Ucb1),
-            _ => None,
-        }
-    }
-
-    /// The lowercase policy name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BanditPolicy::EpsilonGreedy => "epsilon-greedy",
-            BanditPolicy::Ucb1 => "ucb1",
-        }
-    }
-}
-
-/// Configuration of the learned-prediction subsystem.
+/// The learner's tuning. No run varies it, so there is nothing to set: the
+/// one public constructor is [`Default`], and the struct exists so a
+/// serialized [`Learner`] records the constants it was trained under.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LearnConfig {
-    /// Bandit exploration policy.
-    pub policy: BanditPolicy,
-    /// Exploration probability for epsilon-greedy.
-    pub epsilon: f64,
     /// Exploration coefficient for UCB1.
-    pub ucb_c: f64,
+    ucb_c: f64,
     /// Ridge penalty λ on the normal equations.
-    pub lambda: f64,
+    lambda: f64,
     /// EWMA smoothing for the prediction-error gauge.
-    pub ewma_alpha: f64,
+    ewma_alpha: f64,
     /// Training observations before the regressor's ranking is trusted;
     /// until then [`Learner::choose_learned`] falls back to the paper's
     /// best fixed predictor (`Score`).
-    pub min_train: u64,
-    /// Seed of the embedded exploration RNG.
-    pub seed: u64,
+    min_train: u64,
 }
 
 impl Default for LearnConfig {
     fn default() -> Self {
         LearnConfig {
-            policy: BanditPolicy::Ucb1,
-            epsilon: 0.1,
             ucb_c: 0.5,
             lambda: 1.0,
             ewma_alpha: 0.1,
             min_train: 8,
-            seed: 0x1ea4,
         }
-    }
-}
-
-/// A tiny deterministic, serializable PRNG (Sebastiano Vigna's SplitMix64).
-/// `rand::SmallRng` is not serializable, and the exploration stream must
-/// survive a snapshot/restore byte-identically.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// A generator seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// The next 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    /// A draw in `[0, 1)` (53-bit mantissa).
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 
@@ -326,10 +268,7 @@ impl ArmStats {
 /// deterministic.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BanditState {
-    policy: BanditPolicy,
-    epsilon: f64,
     ucb_c: f64,
-    rng: SplitMix64,
     contexts: BTreeMap<String, Vec<ArmStats>>,
     global: Vec<ArmStats>,
     total_pulls: u64,
@@ -350,10 +289,7 @@ impl BanditState {
     /// A fresh bandit under `cfg`.
     pub fn new(cfg: &LearnConfig) -> Self {
         BanditState {
-            policy: cfg.policy,
-            epsilon: cfg.epsilon.clamp(0.0, 1.0),
             ucb_c: cfg.ucb_c.max(0.0),
-            rng: SplitMix64::new(cfg.seed),
             contexts: BTreeMap::new(),
             global: vec![ArmStats::default(); NUM_ARMS],
             total_pulls: 0,
@@ -390,24 +326,14 @@ impl BanditState {
             let scores: Vec<f64> = (0..NUM_ARMS).map(mean_eff).collect();
             return crate::predictor::argmax(&scores);
         }
-        match self.policy {
-            BanditPolicy::EpsilonGreedy => {
-                if self.rng.next_f64() < self.epsilon {
-                    (self.rng.next_u64() % NUM_ARMS as u64) as usize
-                } else {
-                    let scores: Vec<f64> = (0..NUM_ARMS).map(mean_eff).collect();
-                    crate::predictor::argmax(&scores)
-                }
-            }
-            BanditPolicy::Ucb1 => {
-                let ln_n = (self.total_pulls.max(1) as f64).ln();
-                let c = self.ucb_c;
-                let scores: Vec<f64> = (0..NUM_ARMS)
-                    .map(|i| mean_eff(i) + c * (2.0 * ln_n / (stats[i].pulls as f64 + tau)).sqrt())
-                    .collect();
-                crate::predictor::argmax(&scores)
-            }
-        }
+        // Partial feedback: UCB1, deterministic optimism —
+        // mean + `c·√(2·ln N / n)` per context.
+        let ln_n = (self.total_pulls.max(1) as f64).ln();
+        let c = self.ucb_c;
+        let scores: Vec<f64> = (0..NUM_ARMS)
+            .map(|i| mean_eff(i) + c * (2.0 * ln_n / (stats[i].pulls as f64 + tau)).sqrt())
+            .collect();
+        crate::predictor::argmax(&scores)
     }
 
     /// Books one pull of `arm` in `context` with realized `reward`, against
@@ -518,9 +444,9 @@ pub fn class_of(b: Benchmark) -> char {
 /// The coarse jobmix-class-histogram context string of a set of live
 /// benchmarks, e.g. `"F2I3M1"`. Counts saturate at 9 to bound context
 /// cardinality (and keep the string fixed-width).
-pub fn context_of(benchmarks: &[Benchmark]) -> String {
+pub fn context_of(benchmarks: impl IntoIterator<Item = Benchmark>) -> String {
     let (mut f, mut i, mut m) = (0usize, 0usize, 0usize);
-    for &b in benchmarks {
+    for b in benchmarks {
         match class_of(b) {
             'F' => f += 1,
             'M' => m += 1,
@@ -528,6 +454,57 @@ pub fn context_of(benchmarks: &[Benchmark]) -> String {
         }
     }
     format!("F{}I{}M{}", f.min(9), i.min(9), m.min(9))
+}
+
+/// An open bandit pull: the arm [`Learner::optimize`] pulled has chosen a
+/// symbios schedule, and its realized reward is only known once that phase
+/// ends. The pull rides with the phase — the engine feeds it each symbios
+/// slice's IPC through [`observe`](Self::observe) — and
+/// [`Learner::settle`] books it against the sample-phase baseline.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Pull {
+    /// The pulled arm index (in [`arms`] order).
+    arm: usize,
+    /// Bandit context at pull time.
+    context: String,
+    /// Mean sampled IPC across the candidates (the oblivious baseline).
+    baseline: f64,
+    /// Best sampled IPC among the candidates (the best-arm proxy).
+    best_proxy: f64,
+    /// Sum of symbios-slice total IPCs since the pull.
+    ipc_sum: f64,
+    /// Symbios slices accumulated.
+    slices: u64,
+}
+
+impl Pull {
+    fn open(arm: usize, context: String, samples: &[ScheduleSample]) -> Pull {
+        let ipcs = || samples.iter().map(|s| s.ipc);
+        Pull {
+            arm,
+            context,
+            baseline: ipcs().sum::<f64>() / samples.len() as f64,
+            best_proxy: ipcs().fold(f64::NEG_INFINITY, f64::max),
+            ipc_sum: 0.0,
+            slices: 0,
+        }
+    }
+
+    /// Folds in one symbios slice's total IPC.
+    pub fn observe(&mut self, ipc: f64) {
+        self.ipc_sum += ipc;
+        self.slices += 1;
+    }
+
+    /// The predictor whose arm was pulled.
+    pub fn arm(&self) -> PredictorKind {
+        arms()[self.arm]
+    }
+
+    /// The bandit context the pull was made in.
+    pub fn context(&self) -> &str {
+        &self.context
+    }
 }
 
 /// A serializable summary of a learner's state, carried by cluster shard
@@ -555,7 +532,7 @@ pub struct LearnSummary {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Learner {
     /// The configuration the learner was built under.
-    pub cfg: LearnConfig,
+    cfg: LearnConfig,
     regressor: RidgeRegressor,
     bandit: BanditState,
     predictions: u64,
@@ -603,8 +580,9 @@ impl Learner {
 
     /// The bandit's decision for one sample phase: selects an arm for
     /// `context`, then the candidate that arm picks. Returns
-    /// `(arm index, candidate index)`; settle the pull later with
-    /// [`reward_arm`](Self::reward_arm).
+    /// `(arm index, candidate index)`; the outcome is booked by
+    /// [`settle`](Self::settle) online or [`reward_all`](Self::reward_all)
+    /// in the batch protocol.
     pub fn choose_bandit(&mut self, samples: &[ScheduleSample], context: &str) -> (usize, usize) {
         self.predictions += 1;
         let arm = self.bandit.select(context);
@@ -634,11 +612,46 @@ impl Learner {
         }
     }
 
-    /// Books the realized reward of a bandit pull (see
-    /// [`BanditState::reward`]) — the partial-feedback path used by the
-    /// online engine, where only the chosen schedule runs to completion.
-    pub fn reward_arm(&mut self, arm: usize, context: &str, reward: f64, best: f64) {
-        self.bandit.reward(context, arm, reward, best);
+    /// The online engine's optimize stage (§5) for the learned predictor
+    /// `kind`, over the live jobs' `benchmarks`. Prequential: the pick is
+    /// made with the model as it stands, *then* the regressor trains on
+    /// this sample phase. Targets are per-candidate sampled IPC — the
+    /// engine has no solo rates, so realized WS is not observable online
+    /// (DESIGN.md §12 documents the proxy). Returns the picked candidate
+    /// and, for `Bandit`, the pull that pick opened.
+    pub fn optimize(
+        &mut self,
+        kind: PredictorKind,
+        samples: &[ScheduleSample],
+        benchmarks: impl IntoIterator<Item = Benchmark>,
+    ) -> (usize, Option<Pull>) {
+        debug_assert!(kind.is_learned(), "{kind:?} needs no learner");
+        let (pick, pull) = if kind == PredictorKind::Bandit {
+            let context = context_of(benchmarks);
+            let (arm, pick) = self.choose_bandit(samples, &context);
+            (pick, Some(Pull::open(arm, context, samples)))
+        } else {
+            (self.choose_learned(samples), None)
+        };
+        let targets: Vec<f64> = samples.iter().map(|s| s.ipc).collect();
+        self.train(samples, &targets);
+        (pick, pull)
+    }
+
+    /// Books a pull whose symbios phase has ended — the partial-feedback
+    /// path, where only the chosen schedule runs on. Reward = realized mean
+    /// symbios IPC over the sample-phase mean (the oblivious baseline);
+    /// best = the best sampled IPC over the same baseline (an observable
+    /// proxy for the best arm). Returns `(reward, regret)`, or `None` —
+    /// booking nothing — for a pull that saw no slice or has no baseline.
+    pub fn settle(&mut self, pull: &Pull) -> Option<(f64, f64)> {
+        if pull.slices == 0 || pull.baseline <= 0.0 {
+            return None;
+        }
+        let reward = pull.ipc_sum / pull.slices as f64 / pull.baseline;
+        let best = pull.best_proxy / pull.baseline;
+        self.bandit.reward(&pull.context, pull.arm, reward, best);
+        Some((reward, (best - reward).max(0.0)))
     }
 
     /// Books one decision with every arm's realized reward (see
@@ -690,6 +703,7 @@ impl Learner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     fn sample(ipc: f64, fq: f64, balance: f64) -> ScheduleSample {
         ScheduleSample {
@@ -706,26 +720,14 @@ mod tests {
     }
 
     #[test]
-    fn splitmix_is_deterministic_and_uniformish() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        let mut r = SplitMix64::new(7);
-        let mean: f64 = (0..10_000).map(|_| r.next_f64()).sum::<f64>() / 10_000.0;
-        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
     fn ridge_converges_on_synthetic_linear_workload() {
         // y = 2·ipc − 5·(fq/100) + 0.3, exactly linear in the features.
         let mut r = RidgeRegressor::new(1e-6, 0.1);
-        let mut rng = SplitMix64::new(9);
+        let mut rng = SmallRng::seed_from_u64(9);
         for _ in 0..500 {
-            let ipc = 1.0 + 2.0 * rng.next_f64();
-            let fq = 40.0 * rng.next_f64();
-            let s = sample(ipc, fq, rng.next_f64());
+            let ipc = 1.0 + 2.0 * rng.gen::<f64>();
+            let fq = 40.0 * rng.gen::<f64>();
+            let s = sample(ipc, fq, rng.gen::<f64>());
             let y = 2.0 * ipc - 5.0 * (fq / 100.0) + 0.3;
             r.observe(&features(&s), y);
         }
@@ -739,12 +741,16 @@ mod tests {
     #[test]
     fn ridge_is_order_deterministic_and_serializable() {
         let mut a = RidgeRegressor::new(0.5, 0.2);
-        let mut rng = SplitMix64::new(3);
+        let mut rng = SmallRng::seed_from_u64(3);
         let data: Vec<(ScheduleSample, f64)> = (0..50)
             .map(|_| {
                 (
-                    sample(rng.next_f64() * 3.0, rng.next_f64() * 30.0, rng.next_f64()),
-                    rng.next_f64() * 2.0,
+                    sample(
+                        rng.gen::<f64>() * 3.0,
+                        rng.gen::<f64>() * 30.0,
+                        rng.gen::<f64>(),
+                    ),
+                    rng.gen::<f64>() * 2.0,
                 )
             })
             .collect();
@@ -768,41 +774,26 @@ mod tests {
 
     #[test]
     fn bandit_finds_best_arm_on_stationary_rewards() {
-        // Arm 3 pays 1.0, everything else pays 0.2: after warm-up both
-        // policies must pull arm 3 at least 80% of the time.
-        for policy in [BanditPolicy::EpsilonGreedy, BanditPolicy::Ucb1] {
-            let cfg = LearnConfig {
-                policy,
-                epsilon: 0.05,
-                ..LearnConfig::default()
-            };
-            let mut b = BanditState::new(&cfg);
-            let rounds = 600;
-            let mut best_pulls = 0;
-            for _ in 0..rounds {
-                let arm = b.select("ctx");
-                if arm == 3 {
-                    best_pulls += 1;
-                }
-                let r = if arm == 3 { 1.0 } else { 0.2 };
-                b.reward("ctx", arm, r, 1.0);
+        // Arm 3 pays 1.0, everything else pays 0.2: after warm-up UCB1 must
+        // pull arm 3 at least 80% of the time.
+        let mut b = BanditState::new(&LearnConfig::default());
+        let rounds = 600;
+        let mut best_pulls = 0;
+        for _ in 0..rounds {
+            let arm = b.select("ctx");
+            if arm == 3 {
+                best_pulls += 1;
             }
-            let frac = best_pulls as f64 / rounds as f64;
-            assert!(
-                frac >= 0.8,
-                "{}: best arm pulled only {frac:.2}",
-                policy.name()
-            );
+            let r = if arm == 3 { 1.0 } else { 0.2 };
+            b.reward("ctx", arm, r, 1.0);
         }
+        let frac = best_pulls as f64 / rounds as f64;
+        assert!(frac >= 0.8, "best arm pulled only {frac:.2}");
     }
 
     #[test]
     fn bandit_contexts_specialize_despite_shared_prior() {
-        let cfg = LearnConfig {
-            policy: BanditPolicy::Ucb1,
-            ..LearnConfig::default()
-        };
-        let mut b = BanditState::new(&cfg);
+        let mut b = BanditState::new(&LearnConfig::default());
         // Context A: arm 0 best. Context B: arm 1 best. Selection shares a
         // global prior, but with enough local data each context must still
         // converge on its own best arm.
@@ -831,11 +822,7 @@ mod tests {
 
     #[test]
     fn bandit_new_context_warm_starts_from_global_prior() {
-        let cfg = LearnConfig {
-            policy: BanditPolicy::Ucb1,
-            ..LearnConfig::default()
-        };
-        let mut b = BanditState::new(&cfg);
+        let mut b = BanditState::new(&LearnConfig::default());
         // Train heavily in one context: arm 3 dominates.
         for _ in 0..100 {
             let a = b.select("seen");
@@ -876,7 +863,6 @@ mod tests {
         // full-information feedback follows the leader: the bonus would
         // only pay for information the feedback already provides.
         let mut b = BanditState::new(&LearnConfig {
-            policy: BanditPolicy::Ucb1,
             ucb_c: 100.0,
             ..LearnConfig::default()
         });
@@ -923,10 +909,10 @@ mod tests {
             ..LearnConfig::default()
         });
         // Teach it: realized WS is proportional to IPC.
-        let mut rng = SplitMix64::new(1);
+        let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..20 {
-            let s0 = sample(1.0 + rng.next_f64(), 10.0, 0.5);
-            let s1 = sample(1.0 + rng.next_f64(), 10.0, 0.5);
+            let s0 = sample(1.0 + rng.gen::<f64>(), 10.0, 0.5);
+            let s1 = sample(1.0 + rng.gen::<f64>(), 10.0, 0.5);
             let t = [s0.ipc * 0.5, s1.ipc * 0.5];
             l.train(&[s0, s1], &t);
         }
@@ -936,12 +922,15 @@ mod tests {
 
     #[test]
     fn learner_snapshot_round_trip_is_byte_identical() {
+        use workloads::Benchmark::{Fp, Gcc};
         let mut l = Learner::new(LearnConfig::default());
         let samples = vec![sample(2.0, 10.0, 0.3), sample(1.5, 4.0, 0.2)];
         for i in 0..12 {
-            let (arm, _) = l.choose_bandit(&samples, "F1I1M0");
-            l.reward_arm(arm, "F1I1M0", 0.5 + 0.01 * i as f64, 1.0);
-            l.train(&samples, &[1.1, 0.9]);
+            let (_, pull) = l.optimize(PredictorKind::Bandit, &samples, [Fp, Gcc]);
+            let mut pull = pull.expect("the bandit opens a pull");
+            assert_eq!(pull.context(), "F1I1M0");
+            pull.observe(1.0 + 0.01 * i as f64);
+            l.settle(&pull).expect("a pull with slices settles");
         }
         let json = serde_json::to_string(&l).unwrap();
         let mut back: Learner = serde_json::from_str(&json).unwrap();
@@ -958,15 +947,51 @@ mod tests {
     }
 
     #[test]
+    fn pull_settles_once_it_has_slices_and_never_poisons_an_arm() {
+        use workloads::Benchmark::{Fp, Gcc, Is};
+        let mut l = Learner::new(LearnConfig::default());
+        let samples = vec![sample(2.0, 10.0, 0.3), sample(1.0, 4.0, 0.2)];
+        // The learned kind opens no pull; the bandit does.
+        assert!(l
+            .optimize(PredictorKind::Learned, &samples, [Fp])
+            .1
+            .is_none());
+        let (pick, pull) = l.optimize(PredictorKind::Bandit, &samples, [Fp, Gcc, Is]);
+        let mut pull = pull.expect("the bandit opens a pull");
+        assert!(pick < samples.len());
+        assert_eq!((pull.arm(), pull.context()), (arms()[0], "F1I1M1"));
+        // A phase that ended before its first slice books nothing.
+        assert_eq!(l.settle(&pull), None);
+        assert_eq!(l.bandit().total_pulls(), 0);
+        // Reward and best are both over the sampled mean IPC (1.5): two
+        // slices averaging 1.8 earn 1.2 against a best-sampled 2.0 / 1.5.
+        pull.observe(1.7);
+        pull.observe(1.9);
+        let (reward, regret) = l.settle(&pull).expect("two slices settle");
+        assert!((reward - 1.2).abs() < 1e-12, "reward {reward}");
+        assert!(
+            (regret - (2.0 / 1.5 - 1.2)).abs() < 1e-12,
+            "regret {regret}"
+        );
+        assert_eq!(l.bandit().total_pulls(), 1);
+        assert_eq!(l.bandit().global_arms()[0].pulls, 1);
+        // A non-finite slice makes the reward non-finite: dropped, and the
+        // arm's statistics stay as they were.
+        let before = l.bandit().clone();
+        pull.observe(f64::NAN);
+        l.settle(&pull);
+        assert_eq!(l.bandit(), &before);
+    }
+
+    #[test]
     fn context_strings_are_stable_and_bounded() {
         use workloads::Benchmark::*;
-        let ctx = context_of(&[Fp, Mg, Gcc, Go]);
+        let ctx = context_of([Fp, Mg, Gcc, Go]);
         assert_eq!(ctx.len(), 6);
         assert!(ctx.starts_with('F'));
         // Saturation at 9.
-        let many = vec![Gcc; 30];
-        assert_eq!(context_of(&many), "F0I9M0");
-        assert_eq!(context_of(&[]), "F0I0M0");
+        assert_eq!(context_of(vec![Gcc; 30]), "F0I9M0");
+        assert_eq!(context_of([]), "F0I0M0");
         // FP codes classify as F, integer codes as I, IS (load/store bound)
         // as M.
         assert_eq!(class_of(Fp), 'F');
@@ -986,11 +1011,13 @@ mod tests {
 
     #[test]
     fn summary_reflects_state() {
+        use workloads::Benchmark::{Gcc, Go};
         let mut l = Learner::new(LearnConfig::default());
         let samples = vec![sample(2.0, 10.0, 0.3), sample(1.5, 4.0, 0.2)];
-        let (arm, _) = l.choose_bandit(&samples, "F0I2M0");
-        l.reward_arm(arm, "F0I2M0", 0.9, 1.0);
-        l.train(&samples, &[1.0, 0.8]);
+        let (_, pull) = l.optimize(PredictorKind::Bandit, &samples, [Gcc, Go]);
+        let mut pull = pull.unwrap();
+        pull.observe(1.6);
+        l.settle(&pull);
         let s = l.summary();
         assert_eq!(s.train_updates, 2);
         assert_eq!(s.predictions, 1);

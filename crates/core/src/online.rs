@@ -12,12 +12,21 @@
 //! SOS with resampling on every arrival/departure/timer expiry, exponential
 //! backoff, and optional drift-triggered resampling.
 //!
+//! The engine has one decision point, the paper's *optimize* (§5): the slice
+//! that completes a sample phase picks the symbios schedule, with the fixed
+//! predictor directly or through [`Learner::optimize`], whose bandit
+//! [`Pull`] then rides in the symbios phase it started and is settled by the
+//! replan that ends it. And it keeps one set of books: plain counters it
+//! increments whether or not anyone watches, which the accessors read and
+//! which `publish` copies to the telemetry registry — the only place a
+//! counter or gauge is written — at the end of each call that moves them.
+//!
 //! Determinism: given the same configuration and the same sequence of
 //! `submit`/`step`/`jump_to` calls, the engine's behaviour (including its
 //! RNG draws for candidate schedules) is byte-identical across runs.
 
 use crate::arrivals::JobArrival;
-use crate::learn::{self, LearnConfig, LearnSummary, Learner};
+use crate::learn::{self, Learner, Pull};
 use crate::predictor::PredictorKind;
 use crate::sample::ScheduleSample;
 use crate::schedule::Schedule;
@@ -87,7 +96,8 @@ pub struct OnlineConfig {
     pub timeslice: u64,
     /// Schedules sampled per SOS sample phase.
     pub sample_schedules: usize,
-    /// Predictor SOS uses.
+    /// Predictor SOS uses. A learned kind (`Learned`/`Bandit`) gives the
+    /// engine a [`Learner`]; a fixed one runs without.
     pub predictor: PredictorKind,
     /// Optional execution-drift trigger (see
     /// [`crate::opensys::OpenSystemConfig::drift_threshold`]).
@@ -104,12 +114,6 @@ pub struct OnlineConfig {
     /// is full detail — byte-identical with builds that predate the field.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub fastsim: Option<FastSimPolicy>,
-    /// Learned-prediction configuration ([`crate::learn`]). `None` (the
-    /// default, and what old configs deserialize to) disables learning
-    /// unless `predictor` itself is `Learned`/`Bandit`, in which case a
-    /// learner is created with defaults and a seed derived from `seed`.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub learn: Option<LearnConfig>,
 }
 
 impl OnlineConfig {
@@ -118,21 +122,6 @@ impl OnlineConfig {
             self.smt > 0 && self.timeslice > 0 && self.base_interval > 0,
             "bad online configuration"
         );
-    }
-
-    /// The effective learner configuration: `learn` when set, or — when the
-    /// predictor itself is a learned kind — defaults with a seed derived
-    /// from the engine seed (so distinct shards learn on distinct
-    /// exploration streams).
-    pub fn effective_learn(&self) -> Option<LearnConfig> {
-        match self.learn {
-            Some(lc) => Some(lc),
-            None if self.predictor.is_learned() => Some(LearnConfig {
-                seed: self.seed ^ 0x1ea51,
-                ..LearnConfig::default()
-            }),
-            None => None,
-        }
     }
 }
 
@@ -211,6 +200,9 @@ enum Mode {
         predicted_ipc: f64,
         /// Consecutive slices whose IPC deviated beyond the drift threshold.
         drift_streak: u32,
+        /// The bandit pull this phase's schedule was chosen by, collecting
+        /// the phase's realized IPC until the replan that ends it.
+        pull: Option<Pull>,
     },
 }
 
@@ -241,147 +233,55 @@ impl SchedulerState {
     }
 }
 
-/// An unsettled bandit pull: the symbios phase the pulled arm chose is
-/// still running, and its realized reward is only known once the phase
-/// ends. IPC accumulates per symbios slice; the next replan settles the
-/// pull against the sample-phase baseline.
-struct PendingLearn {
-    /// The pulled arm index (in [`learn::arms`] order).
-    arm: usize,
-    /// Bandit context at pull time.
-    context: String,
-    /// Mean sampled IPC across the candidates (the oblivious baseline).
-    baseline: f64,
-    /// Best sampled IPC among the candidates (the best-arm proxy).
-    best_proxy: f64,
-    /// Sum of symbios-slice total IPCs since the pull.
-    ipc_sum: f64,
-    /// Symbios slices accumulated.
-    slices: u64,
+/// The engine's books: lifetime counts of everything it did, kept as plain
+/// integers whether or not anyone is watching. The accessors read them, and
+/// [`OnlineEngine::publish`] copies them to the registry.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Books {
+    /// Jobs admitted; also the next submission key.
+    submitted: usize,
+    completed: u64,
+    /// Queued-but-not-started jobs handed back via
+    /// [`OnlineEngine::reclaim_unstarted`] (cluster migration).
+    reclaimed: usize,
+    /// Timeslices simulated, and how many ran in each scheduler mode.
+    timeslices: u64,
+    rotate_slices: u64,
+    sampling_slices: u64,
+    symbios_slices: u64,
+    /// Jobs coscheduled in the latest timeslice.
+    running: usize,
+    /// Σ live jobs × timeslice over every slice (Little's-law numerator).
+    population_cycles: u128,
+    /// Sample phases entered on an arrival or a timer expiry.
+    resamples: u64,
+    /// Optimize decisions, those that repeated the previous pick, and
+    /// those whose repeat doubled the symbiosis interval.
+    picks: u64,
+    repeat_picks: u64,
+    backoffs: u64,
 }
 
-/// The learner plumbing threaded through [`advance_after_slice`]: the
-/// engine's optional learner, the unsettled bandit pull, and the bandit
-/// context of the current jobmix.
-struct LearnHooks<'a> {
-    learner: Option<&'a mut Learner>,
-    pending: &'a mut Option<PendingLearn>,
-    context: &'a str,
-}
-
-/// Metric handles resolved once in [`OnlineEngine::set_telemetry`], so the
-/// per-timeslice cost of a live handle is a few relaxed atomic writes — no
-/// name formatting, map lookup or lock.
+/// Metric handles resolved once in [`OnlineEngine::set_telemetry`], so
+/// [`OnlineEngine::publish`] is a run of relaxed atomic writes — no name
+/// formatting, map lookup or lock. Which series there are, and the state
+/// each mirrors, is [`OnlineEngine::counter_series`] and
+/// [`OnlineEngine::gauge_series`]; the handles are kept in that order.
 ///
-/// Series families: under a root handle the engine books `engine.*`,
+/// Series families: under a root handle the engine publishes `engine.*`,
 /// `opensys.*` and (with a learner) `learn.*`. Under a child handle the
 /// child's prefix stands in for `engine` (`cluster.shard0.timeslices`) and
 /// scopes the other two (`cluster.shard0.opensys.*`,
 /// `cluster.shard0.learn.*`).
 struct Probes {
-    /// Timeslices simulated, and the scheduler mode each ran in.
-    timeslices: Arc<Counter>,
-    sampling_slices: Arc<Counter>,
-    symbios_slices: Arc<Counter>,
-    rotate_slices: Arc<Counter>,
-    /// Predictor decisions at sample-phase ends, and those that repeated
-    /// the previous pick.
-    predictor_picks: Arc<Counter>,
-    repeat_picks: Arc<Counter>,
-    /// Sample phases entered.
-    resamples: Arc<Counter>,
-    /// Fast-sim: slices synthesized by extrapolation, detail → extrapolation
-    /// locks, drift fallbacks, and moderate-drift resyncs (all 0 with
-    /// fast-sim off).
-    extrapolated_slices: Arc<Counter>,
-    fastsim_phase_locks: Arc<Counter>,
-    fastsim_fallbacks: Arc<Counter>,
-    fastsim_resyncs: Arc<Counter>,
-    /// Jobs in the system, and jobs coscheduled in the latest timeslice.
-    queue_depth: Arc<Gauge>,
-    running: Arc<Gauge>,
-    /// `opensys.{arrivals,departures,backoffs}`.
-    arrivals: Arc<Counter>,
-    departures: Arc<Counter>,
-    backoffs: Arc<Counter>,
+    counters: Vec<Arc<Counter>>,
+    gauges: Vec<Arc<Gauge>>,
+    /// `learn.arm.<name>.pulls`, one per arm in [`learn::arms`] order
+    /// (empty without a learner).
+    arm_pulls: Vec<Arc<Counter>>,
     /// Name of the `opensys.response_cycles` histogram. Histograms sit
     /// behind the registry lock, so it is recorded only alongside events.
     response_cycles: String,
-    learn: Option<LearnProbes>,
-}
-
-/// The `learn.*` family: regressor training/prediction counters, error EWMA,
-/// bandit regret, and one pull counter per arm in [`learn::arms`] order.
-struct LearnProbes {
-    train_updates: Arc<Counter>,
-    predictions: Arc<Counter>,
-    pred_err_ewma: Arc<Gauge>,
-    bandit_regret: Arc<Gauge>,
-    bandit_pulls: Arc<Counter>,
-    arm_pulls: Vec<Arc<Counter>>,
-}
-
-impl Probes {
-    fn resolve(tel: &Telemetry, learner: bool) -> Self {
-        let family = |name: &str| match tel.prefix() {
-            Some(p) if name == "engine" => p.to_string(),
-            Some(p) => format!("{p}.{name}"),
-            None => name.to_string(),
-        };
-        let (engine, opensys, learn) = (family("engine"), family("opensys"), family("learn"));
-        let counter = |family: &str, series: &str| tel.counter(&format!("{family}.{series}"));
-        let gauge = |family: &str, series: &str| tel.gauge(&format!("{family}.{series}"));
-        Probes {
-            timeslices: counter(&engine, "timeslices"),
-            sampling_slices: counter(&engine, "sampling_slices"),
-            symbios_slices: counter(&engine, "symbios_slices"),
-            rotate_slices: counter(&engine, "rotate_slices"),
-            predictor_picks: counter(&engine, "predictor_picks"),
-            repeat_picks: counter(&engine, "repeat_picks"),
-            resamples: counter(&engine, "resamples"),
-            extrapolated_slices: counter(&engine, "extrapolated_slices"),
-            fastsim_phase_locks: counter(&engine, "fastsim_phase_locks"),
-            fastsim_fallbacks: counter(&engine, "fastsim_fallbacks"),
-            fastsim_resyncs: counter(&engine, "fastsim_resyncs"),
-            queue_depth: gauge(&engine, "queue_depth"),
-            running: gauge(&engine, "running"),
-            arrivals: counter(&opensys, "arrivals"),
-            departures: counter(&opensys, "departures"),
-            backoffs: counter(&opensys, "backoffs"),
-            response_cycles: format!("{opensys}.response_cycles"),
-            learn: learner.then(|| LearnProbes {
-                train_updates: counter(&learn, "train_updates"),
-                predictions: counter(&learn, "predictions"),
-                pred_err_ewma: gauge(&learn, "pred_err_ewma"),
-                bandit_regret: gauge(&learn, "bandit_regret"),
-                bandit_pulls: counter(&learn, "bandit_pulls"),
-                arm_pulls: learn::arms()
-                    .iter()
-                    .map(|p| {
-                        counter(
-                            &learn,
-                            &format!("arm.{}.pulls", p.name().to_ascii_lowercase()),
-                        )
-                    })
-                    .collect(),
-            }),
-        }
-    }
-}
-
-impl LearnProbes {
-    /// Syncs the series from a learner summary (counters are raised to the
-    /// summary's absolute values, so syncing is idempotent per summary).
-    fn sync(&self, summary: &LearnSummary) {
-        self.train_updates.raise_to(summary.train_updates);
-        self.predictions.raise_to(summary.predictions);
-        self.bandit_pulls.raise_to(summary.bandit_pulls);
-        self.pred_err_ewma.set(summary.err_ewma);
-        self.bandit_regret.set(summary.bandit_regret);
-        for (handle, (_, pulls, _)) in self.arm_pulls.iter().zip(&summary.arms) {
-            handle.raise_to(*pulls);
-        }
-    }
 }
 
 /// The event-driven online scheduling engine.
@@ -398,14 +298,7 @@ pub struct OnlineEngine {
     now: u64,
     live: Vec<LiveJob>,
     state: SchedulerState,
-    next_key: usize,
-    completed: u64,
-    population_cycles: u128,
-    resamples: u64,
-    timeslices: u64,
-    /// Queued-but-not-started jobs handed back via
-    /// [`reclaim_unstarted`](Self::reclaim_unstarted) (cluster migration).
-    reclaimed: usize,
+    books: Books,
     pending_mix_change: bool,
     /// Phase detector + extrapolator (`cfg.fastsim`); `None` runs every
     /// slice through the detailed model, leaving output byte-identical with
@@ -413,15 +306,12 @@ pub struct OnlineEngine {
     fastsim: Option<FastSim>,
     /// The handle this engine reports to ([`Telemetry::off`] until
     /// [`set_telemetry`](Self::set_telemetry)), and the metric handles
-    /// resolved from it (`None` while it is off: one branch per probe).
+    /// resolved from it (`None` while it is off: `publish` returns at once).
     tel: Telemetry,
     probes: Option<Probes>,
-    /// Online learner ([`crate::learn`]): present when `cfg.learn` is set
-    /// or the predictor is `Learned`/`Bandit`. `None` (the default) keeps
-    /// every existing run byte-identical.
+    /// Online learner ([`crate::learn`]): present exactly when
+    /// `cfg.predictor` is `Learned`/`Bandit`.
     learner: Option<Learner>,
-    /// The bandit pull awaiting settlement, if any.
-    pending_learn: Option<PendingLearn>,
 }
 
 impl OnlineEngine {
@@ -442,18 +332,15 @@ impl OnlineEngine {
             now: 0,
             live: Vec::new(),
             state: SchedulerState::new(kind, cfg.base_interval),
-            next_key: 0,
-            completed: 0,
-            population_cycles: 0,
-            resamples: 0,
-            timeslices: 0,
-            reclaimed: 0,
+            books: Books::default(),
             pending_mix_change: false,
             fastsim: cfg.fastsim.clone().map(FastSim::new),
             tel: Telemetry::off(),
             probes: None,
-            learner: cfg.effective_learn().map(Learner::new),
-            pending_learn: None,
+            learner: cfg
+                .predictor
+                .is_learned()
+                .then(|| Learner::new(Default::default())),
         }
     }
 
@@ -465,13 +352,14 @@ impl OnlineEngine {
 
     /// Points the engine at the handle it reports to; the handle's state is
     /// the only observability switch. Off: nothing. Metrics: the `engine.*`,
-    /// `opensys.*` and `learn.*` series, written through handles resolved
-    /// here. Metrics+events: additionally every simulated timeslice through
-    /// the smtsim bridge, scheduler instants on the `opensys` and `fastsim`
-    /// tracks, and per-job hierarchical spans — each job gets its own
-    /// `job/<id>` track: a `job.lifetime` span wrapping `job.queue_wait`, a
-    /// `job.schedule_decision` instant, one `job.timeslice` span per slice
-    /// it runs, and a `job.complete` instant.
+    /// `opensys.*` and `learn.*` series, published through handles resolved
+    /// here — at once, so a handle attached mid-run starts from the engine's
+    /// totals. Metrics+events: additionally every simulated timeslice
+    /// through the smtsim bridge, scheduler instants on the `opensys` and
+    /// `fastsim` tracks, and per-job hierarchical spans — each job gets its
+    /// own `job/<id>` track: a `job.lifetime` span wrapping
+    /// `job.queue_wait`, a `job.schedule_decision` instant, one
+    /// `job.timeslice` span per slice it runs, and a `job.complete` instant.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         if tel.events_on() {
             self.cpu
@@ -479,47 +367,129 @@ impl OnlineEngine {
         } else {
             self.cpu.clear_observer();
         }
-        self.probes = tel
-            .is_on()
-            .then(|| Probes::resolve(&tel, self.learner.is_some()));
+        self.probes = tel.is_on().then(|| {
+            let name = |family: &str, series: &str| match tel.prefix() {
+                Some(p) if family == "engine" => format!("{p}.{series}"),
+                Some(p) => format!("{p}.{family}.{series}"),
+                None => format!("{family}.{series}"),
+            };
+            let arm = |p: PredictorKind| format!("arm.{}.pulls", p.name().to_ascii_lowercase());
+            Probes {
+                counters: self
+                    .counter_series()
+                    .map(|(family, series, _)| tel.counter(&name(family, series)))
+                    .collect(),
+                gauges: self
+                    .gauge_series()
+                    .map(|(family, series, _)| tel.gauge(&name(family, series)))
+                    .collect(),
+                arm_pulls: self
+                    .learner
+                    .iter()
+                    .flat_map(|_| learn::arms())
+                    .map(|p| tel.counter(&name("learn", &arm(p))))
+                    .collect(),
+                response_cycles: name("opensys", "response_cycles"),
+            }
+        });
         self.tel = tel;
-        if let Some(p) = &self.probes {
-            p.queue_depth.set(self.live.len() as f64);
-        }
-        self.sync_learn_probes();
+        self.publish();
     }
 
-    fn sync_learn_probes(&self) {
-        let learn = self.probes.as_ref().and_then(|p| p.learn.as_ref());
-        if let (Some(m), Some(l)) = (learn, &self.learner) {
-            m.sync(&l.summary());
+    /// Every counter series the engine publishes, as `(family, series,
+    /// the state it mirrors)`.
+    fn counter_series(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> {
+        let b = self.books;
+        // All 0 with fast-sim off.
+        let fs = self.fastsim_counters().copied().unwrap_or_default();
+        let learn = self.learner.as_ref().map(|l| {
+            [
+                ("learn", "train_updates", l.train_updates()),
+                ("learn", "predictions", l.predictions()),
+                ("learn", "bandit_pulls", l.bandit().total_pulls()),
+            ]
+        });
+        [
+            ("engine", "timeslices", b.timeslices),
+            ("engine", "rotate_slices", b.rotate_slices),
+            ("engine", "sampling_slices", b.sampling_slices),
+            ("engine", "symbios_slices", b.symbios_slices),
+            ("engine", "predictor_picks", b.picks),
+            ("engine", "repeat_picks", b.repeat_picks),
+            ("engine", "resamples", b.resamples),
+            ("engine", "extrapolated_slices", fs.extrapolated_slices),
+            ("engine", "fastsim_phase_locks", fs.phase_locks),
+            ("engine", "fastsim_fallbacks", fs.fallbacks),
+            ("engine", "fastsim_resyncs", fs.resyncs),
+            ("opensys", "arrivals", b.submitted as u64),
+            ("opensys", "departures", b.completed),
+            ("opensys", "backoffs", b.backoffs),
+        ]
+        .into_iter()
+        .chain(learn.into_iter().flatten())
+    }
+
+    /// Every gauge series, likewise.
+    fn gauge_series(&self) -> impl Iterator<Item = (&'static str, &'static str, f64)> {
+        let learn = self.learner.as_ref().map(|l| {
+            [
+                ("learn", "pred_err_ewma", l.err_ewma()),
+                ("learn", "bandit_regret", l.bandit().total_regret()),
+            ]
+        });
+        [
+            ("engine", "queue_depth", self.live.len() as f64),
+            ("engine", "running", self.books.running as f64),
+        ]
+        .into_iter()
+        .chain(learn.into_iter().flatten())
+    }
+
+    /// Copies the engine's books to the registry: the one place the engine
+    /// writes a counter or a gauge. It runs at the end of every call that
+    /// moves them (`submit`, `reclaim_unstarted`, `step`, `set_telemetry`)
+    /// and only while a handle is attached. Every write is absolute
+    /// (`raise_to` / `set`) — one engine per handle or child prefix, so
+    /// nothing else adds to these series and absolute writes cannot
+    /// under-count.
+    fn publish(&self) {
+        let Some(p) = &self.probes else {
+            return;
+        };
+        for (handle, (.., value)) in p.counters.iter().zip(self.counter_series()) {
+            handle.raise_to(value);
+        }
+        for (handle, (.., value)) in p.gauges.iter().zip(self.gauge_series()) {
+            handle.set(value);
+        }
+        let arms = self.learner.iter().flat_map(|l| l.bandit().global_arms());
+        for (handle, arm) in p.arm_pulls.iter().zip(arms) {
+            handle.raise_to(arm.pulls);
         }
     }
 
-    /// The engine's learner, if learning is enabled (serialize it into a
-    /// snapshot so a restart keeps the model).
+    /// The engine's learner, if its predictor is a learned kind (serialize
+    /// it into a snapshot so a restart keeps the model).
     pub fn learner(&self) -> Option<&Learner> {
         self.learner.as_ref()
     }
 
-    /// Restores learner state from a snapshot, replacing any current model.
-    /// Enables learning even when the configuration alone would not (the
-    /// snapshot's presence is the signal that this engine was learning).
+    /// Restores learner state from a snapshot, replacing the current model.
+    /// An engine whose predictor is fixed has no learner and ignores it.
     pub fn restore_learner(&mut self, learner: Learner) {
-        self.learner = Some(learner);
-        self.pending_learn = None;
-        // Re-resolve: an engine that had no learner has no `learn.*` probes.
-        self.set_telemetry(self.tel.clone());
-    }
-
-    /// The learner's summary, if learning is enabled.
-    pub fn learn_summary(&self) -> Option<LearnSummary> {
-        self.learner.as_ref().map(Learner::summary)
+        if let Some(own) = &mut self.learner {
+            *own = learner;
+            // A pull the replaced model opened is not the new model's to book.
+            if let Mode::Symbios { pull, .. } = &mut self.state.mode {
+                *pull = None;
+            }
+            self.publish();
+        }
     }
 
     /// Timeslices simulated over the engine's lifetime.
     pub fn timeslices(&self) -> u64 {
-        self.timeslices
+        self.books.timeslices
     }
 
     /// Which scheduler drives this engine.
@@ -544,27 +514,27 @@ impl OnlineEngine {
 
     /// Jobs submitted over the engine's lifetime.
     pub fn submitted(&self) -> usize {
-        self.next_key
+        self.books.submitted
     }
 
     /// Jobs completed over the engine's lifetime.
     pub fn completed(&self) -> u64 {
-        self.completed
+        self.books.completed
     }
 
     /// Jobs reclaimed (migrated away) over the engine's lifetime.
     pub fn reclaimed(&self) -> usize {
-        self.reclaimed
+        self.books.reclaimed
     }
 
     /// Sample phases entered (always 0 for the naive scheduler).
     pub fn resamples(&self) -> u64 {
-        self.resamples
+        self.books.resamples
     }
 
     /// Time-averaged number of jobs resident (Little's-law `N`).
     pub fn mean_population(&self) -> f64 {
-        self.population_cycles as f64 / self.now.max(1) as f64
+        self.books.population_cycles as f64 / self.now.max(1) as f64
     }
 
     /// The arrival records of the jobs currently in the system (used for
@@ -587,8 +557,8 @@ impl OnlineEngine {
     /// Scheduling reacts at the next [`step`](Self::step): the mix change is
     /// recorded and triggers a replan (for SOS, a resample) there.
     pub fn submit(&mut self, arrival: JobArrival) -> usize {
-        let key = self.next_key;
-        self.next_key += 1;
+        let key = self.books.submitted;
+        self.books.submitted += 1;
         let phased = if arrival.phased { "true" } else { "false" };
         self.tel.set_clock(self.now);
         self.tel.instant("opensys", "opensys.arrival", || {
@@ -635,11 +605,8 @@ impl OnlineEngine {
             stream,
             scheduled_once: false,
         });
-        if let Some(p) = &self.probes {
-            p.arrivals.inc();
-            p.queue_depth.set(self.live.len() as f64);
-        }
         self.pending_mix_change = true;
+        self.publish();
         key
     }
 
@@ -677,11 +644,9 @@ impl OnlineEngine {
         }
         if !taken.is_empty() {
             taken.reverse();
-            self.reclaimed += taken.len();
+            self.books.reclaimed += taken.len();
             self.pending_mix_change = true;
-            if let Some(p) = &self.probes {
-                p.queue_depth.set(self.live.len() as f64);
-            }
+            self.publish();
         }
         taken
     }
@@ -747,7 +712,6 @@ impl OnlineEngine {
         // With `fastsim: None` this is the one branch the feature costs and
         // output is byte-identical to full detail.
         let sampling = matches!(self.state.mode, Mode::Sampling { .. });
-        let mut extrapolated = false;
         let mut refs = tuple_sources(&mut self.live, &tuple_positions);
         let stats = match self.fastsim.as_mut() {
             _ if refs.is_empty() => TimesliceStats {
@@ -756,14 +720,9 @@ impl OnlineEngine {
             },
             Some(fs) if !sampling => {
                 let slice = fs.run_slice(&mut self.cpu, &mut refs, self.cfg.timeslice);
-                extrapolated = slice.extrapolated;
-                let (tel, probes) = (&self.tel, self.probes.as_ref());
                 match slice.event {
                     Some(FastSimEvent::PhaseLocked { confidence }) => {
-                        if let Some(p) = probes {
-                            p.fastsim_phase_locks.inc();
-                        }
-                        tel.instant("fastsim", "fastsim.phase_lock", || {
+                        self.tel.instant("fastsim", "fastsim.phase_lock", || {
                             vec![
                                 Attr::num("confidence", confidence),
                                 Attr::num("tuple_size", tuple_positions.len() as f64),
@@ -771,10 +730,7 @@ impl OnlineEngine {
                         });
                     }
                     Some(FastSimEvent::Fallback { deviation }) => {
-                        if let Some(p) = probes {
-                            p.fastsim_fallbacks.inc();
-                        }
-                        tel.instant("fastsim", "fastsim.fallback", || {
+                        self.tel.instant("fastsim", "fastsim.fallback", || {
                             vec![Attr::num("deviation", deviation)]
                         });
                     }
@@ -782,10 +738,7 @@ impl OnlineEngine {
                         deviation,
                         confidence,
                     }) => {
-                        if let Some(p) = probes {
-                            p.fastsim_resyncs.inc();
-                        }
-                        tel.instant("fastsim", "fastsim.resync", || {
+                        self.tel.instant("fastsim", "fastsim.resync", || {
                             vec![
                                 Attr::num("deviation", deviation),
                                 Attr::num("confidence", confidence),
@@ -798,9 +751,15 @@ impl OnlineEngine {
             }
             _ => self.cpu.run_timeslice(&mut refs, self.cfg.timeslice),
         };
-        self.population_cycles += (self.live.len() as u128) * (self.cfg.timeslice as u128);
+        self.books.population_cycles += (self.live.len() as u128) * (self.cfg.timeslice as u128);
         self.now += self.cfg.timeslice;
-        self.timeslices += 1;
+        self.books.timeslices += 1;
+        self.books.running = tuple_positions.len();
+        match self.state.mode {
+            Mode::Rotate => self.books.rotate_slices += 1,
+            Mode::Sampling { .. } => self.books.sampling_slices += 1,
+            Mode::Symbios { .. } => self.books.symbios_slices += 1,
+        }
         if tracing {
             self.tel.set_clock(self.now);
             for &pos in &tuple_positions {
@@ -808,38 +767,7 @@ impl OnlineEngine {
                     .span_end(&job_track(self.live[pos].key), "job.timeslice");
             }
         }
-        if let Some(p) = &self.probes {
-            if extrapolated {
-                p.extrapolated_slices.inc();
-            }
-            p.timeslices.inc();
-            p.running.set(tuple_positions.len() as f64);
-            match self.state.mode {
-                Mode::Rotate => p.rotate_slices.inc(),
-                Mode::Sampling { .. } => p.sampling_slices.inc(),
-                Mode::Symbios { .. } => p.symbios_slices.inc(),
-            }
-        }
-        let learn_context = if self.learner.is_some() {
-            let benches: Vec<workloads::Benchmark> =
-                self.live.iter().map(|j| j.arrival.benchmark).collect();
-            learn::context_of(&benches)
-        } else {
-            String::new()
-        };
-        advance_after_slice(
-            &mut self.state,
-            &self.cfg,
-            &stats,
-            self.now,
-            &self.tel,
-            self.probes.as_ref(),
-            LearnHooks {
-                learner: self.learner.as_mut(),
-                pending: &mut self.pending_learn,
-                context: &learn_context,
-            },
-        );
+        self.advance_after_slice(&stats);
 
         // Departures.
         let now = self.now;
@@ -856,9 +784,6 @@ impl OnlineEngine {
                     Attr::num("response_cycles", response as f64),
                 ]
             });
-            if let Some(p) = probes {
-                p.departures.inc();
-            }
             if tracing {
                 if let Some(p) = probes {
                     tel.histogram_record(&p.response_cycles, now, response);
@@ -876,10 +801,7 @@ impl OnlineEngine {
             false
         });
         if !departed.is_empty() {
-            self.completed += departed.len() as u64;
-            if let Some(p) = &self.probes {
-                p.queue_depth.set(self.live.len() as f64);
-            }
+            self.books.completed += departed.len() as u64;
             if !self.live.is_empty() {
                 self.replan(false);
                 // Traced but not counted: `resamples` has only ever counted
@@ -887,6 +809,7 @@ impl OnlineEngine {
                 self.note_sample_phase("departure", false);
             }
         }
+        self.publish();
         departed
     }
 
@@ -897,10 +820,7 @@ impl OnlineEngine {
             return;
         }
         if counted {
-            self.resamples += 1;
-            if let Some(p) = &self.probes {
-                p.resamples.inc();
-            }
+            self.books.resamples += 1;
         }
         self.tel.instant("opensys", "opensys.resample", || {
             vec![
@@ -910,41 +830,24 @@ impl OnlineEngine {
         });
     }
 
-    /// Settles the outstanding bandit pull, if any: reward = realized mean
-    /// symbios IPC over the sample-phase mean (the oblivious baseline);
-    /// best = the best sampled IPC over the same baseline (an observable
-    /// proxy for the best arm — the engine has no solo rates, so true WS is
-    /// not measurable online; see DESIGN.md §13).
-    fn settle_learn(&mut self) {
-        let Some(p) = self.pending_learn.take() else {
-            return;
-        };
-        let Some(l) = self.learner.as_mut() else {
-            return;
-        };
-        if p.slices == 0 || p.baseline <= 0.0 {
-            return;
-        }
-        let realized = p.ipc_sum / p.slices as f64;
-        let reward = realized / p.baseline;
-        let best = p.best_proxy / p.baseline;
-        l.reward_arm(p.arm, &p.context, reward, best);
-        self.sync_learn_probes();
-        self.tel.instant("opensys", "learn.settle", || {
-            vec![
-                Attr::text("context", p.context),
-                Attr::text("arm", learn::arms()[p.arm].name()),
-                Attr::num("reward", reward),
-                Attr::num("regret", (best - reward).max(0.0)),
-            ]
-        });
-    }
-
     /// Re-plans after an arrival, a departure, or a symbiosis-timer expiry.
     fn replan(&mut self, timer: bool) {
-        // A replan ends any running symbios phase, so the outstanding
-        // bandit pull (if any) has seen all the slices it will get.
-        self.settle_learn();
+        // A replan ends the running phase (back to rotation until it decides
+        // otherwise below). If that was a symbios phase a bandit pull chose,
+        // the pull has now seen every slice it will get: settle it.
+        let ended = std::mem::replace(&mut self.state.mode, Mode::Rotate);
+        if let (Mode::Symbios { pull: Some(p), .. }, Some(l)) = (ended, &mut self.learner) {
+            if let Some((reward, regret)) = l.settle(&p) {
+                self.tel.instant("opensys", "learn.settle", || {
+                    vec![
+                        Attr::text("context", p.context()),
+                        Attr::text("arm", p.arm().name()),
+                        Attr::num("reward", reward),
+                        Attr::num("regret", regret),
+                    ]
+                });
+            }
+        }
         if let Some(fs) = &mut self.fastsim {
             // Every replan marks a mix change (or a fresh sampling pass):
             // the shared cache/predictor state shifts under every tracked
@@ -965,35 +868,131 @@ impl OnlineEngine {
             state.interval = cfg.base_interval;
             state.last_pick = None;
         }
-        match state.kind {
-            SchedulerKind::Naive => {
-                state.mode = Mode::Rotate;
+        let keys: Vec<usize> = self.live.iter().map(|j| j.key).collect();
+        if state.kind == SchedulerKind::Naive || keys.len() <= cfg.smt {
+            return; // rotation: the naive control, or SOS when every job fits
+        }
+        // Draw distinct candidate circular orders.
+        let mut candidates: Vec<Vec<usize>> = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        let budget = cfg.sample_schedules.max(1);
+        let mut attempts = 0;
+        while candidates.len() < budget && attempts < budget * 30 {
+            attempts += 1;
+            let mut order = keys.clone();
+            order.shuffle(&mut self.rng);
+            if seen.insert(schedule_of(&order, cfg.smt).canonical_key()) {
+                candidates.push(order);
             }
-            SchedulerKind::Sos => {
-                let keys: Vec<usize> = self.live.iter().map(|j| j.key).collect();
-                if keys.len() <= cfg.smt {
-                    state.mode = Mode::Rotate;
-                    return;
+        }
+        let n = candidates.len();
+        state.mode = Mode::Sampling {
+            candidates,
+            current: 0,
+            slice_in_rotation: 0,
+            collected: vec![Vec::new(); n],
+        };
+    }
+
+    /// Books the finished slice and advances the scheduler state machine.
+    /// The slice that completes a sample phase runs the *optimize* stage:
+    /// predict the best sampled candidate and enter its symbios phase.
+    fn advance_after_slice(&mut self, stats: &TimesliceStats) {
+        let (state, cfg) = (&mut self.state, &self.cfg);
+        state.slice += 1;
+        match &mut state.mode {
+            Mode::Rotate => {}
+            Mode::Symbios {
+                until,
+                predicted_ipc,
+                drift_streak,
+                pull,
+                ..
+            } => {
+                let observed = stats.total_ipc();
+                if let Some(p) = pull {
+                    p.observe(observed);
                 }
-                // Draw distinct candidate circular orders.
-                let mut candidates: Vec<Vec<usize>> = Vec::new();
-                let mut seen = std::collections::HashSet::new();
-                let budget = cfg.sample_schedules.max(1);
-                let mut attempts = 0;
-                while candidates.len() < budget && attempts < budget * 30 {
-                    attempts += 1;
-                    let mut order = keys.clone();
-                    order.shuffle(&mut self.rng);
-                    if seen.insert(schedule_of(&order, cfg.smt).canonical_key()) {
-                        candidates.push(order);
+                // Drift detection (§9 extension): if the running schedule
+                // stops behaving like its sample, force an early resample by
+                // expiring the timer.
+                let Some(threshold) = cfg.drift_threshold else {
+                    return;
+                };
+                if *predicted_ipc > 0.0 {
+                    let deviation = (observed - *predicted_ipc).abs() / *predicted_ipc;
+                    if deviation > threshold {
+                        *drift_streak += 1;
+                        if *drift_streak >= 3 {
+                            *until = self.now; // resample at the next scheduling point
+                            state.last_pick = None; // do not back off after a drift
+                        }
+                    } else {
+                        *drift_streak = 0;
                     }
                 }
-                let n = candidates.len();
-                state.mode = Mode::Sampling {
-                    candidates,
-                    current: 0,
-                    slice_in_rotation: 0,
-                    collected: vec![Vec::new(); n],
+            }
+            Mode::Sampling {
+                candidates,
+                current,
+                slice_in_rotation,
+                collected,
+            } => {
+                collected[*current].push(stats.clone());
+                *slice_in_rotation += 1;
+                // One *full* rotation: the schedule's complete tuple set
+                // ("the minimum time required to evaluate the schedule",
+                // §5.2). Sampling fewer windows would leave most of the
+                // symbios-phase tuples unseen.
+                let x = candidates[*current].len();
+                let y = cfg.smt.min(x).max(1);
+                if *slice_in_rotation < slices_for(x, y) {
+                    return;
+                }
+                *slice_in_rotation = 0;
+                *current += 1;
+                if *current < candidates.len() {
+                    return;
+                }
+                // Optimize: predict and enter symbios.
+                let samples: Vec<ScheduleSample> = candidates
+                    .iter()
+                    .zip(collected.iter())
+                    .filter(|(_, sl)| !sl.is_empty())
+                    .map(|(ord, slices)| condense(ord, cfg.smt, slices))
+                    .collect();
+                let (pick, pull) = match &mut self.learner {
+                    _ if samples.is_empty() => (0, None),
+                    Some(l) => {
+                        let live = self.live.iter().map(|j| j.arrival.benchmark);
+                        l.optimize(cfg.predictor, &samples, live)
+                    }
+                    None => (cfg.predictor.choose(&samples), None),
+                };
+                let order = candidates.get(pick).cloned().unwrap_or_default();
+                let repeat = state.last_pick.as_deref() == Some(&order[..]);
+                self.books.picks += 1;
+                self.books.repeat_picks += repeat as u64;
+                // Exponential backoff: if a timer-triggered resample repeats
+                // the previous prediction, double the symbiosis interval.
+                state.interval = if state.timer_triggered && repeat {
+                    let doubled = state.interval.saturating_mul(2);
+                    self.tel.instant("opensys", "opensys.backoff", || {
+                        vec![Attr::num("interval", doubled as f64)]
+                    });
+                    self.books.backoffs += 1;
+                    doubled
+                } else {
+                    cfg.base_interval
+                };
+                state.last_pick = Some(order.clone());
+                state.slice = 0;
+                state.mode = Mode::Symbios {
+                    order,
+                    until: self.now + state.interval,
+                    predicted_ipc: samples.get(pick).map_or(0.0, |s| s.ipc),
+                    drift_streak: 0,
+                    pull,
                 };
             }
         }
@@ -1121,157 +1120,6 @@ fn job_track(key: usize) -> String {
     format!("job/{key}")
 }
 
-/// Books the finished slice and advances the scheduler state machine.
-fn advance_after_slice(
-    state: &mut SchedulerState,
-    cfg: &OnlineConfig,
-    stats: &TimesliceStats,
-    now: u64,
-    tel: &Telemetry,
-    probes: Option<&Probes>,
-    mut hooks: LearnHooks<'_>,
-) {
-    state.slice += 1;
-    // Accumulate the running symbios phase's realized IPC toward the
-    // outstanding bandit pull (settled at the next replan).
-    if matches!(state.mode, Mode::Symbios { .. }) {
-        if let Some(p) = hooks.pending.as_mut() {
-            p.ipc_sum += stats.total_ipc();
-            p.slices += 1;
-        }
-    }
-    // Drift detection (§9 extension): if the running schedule stops behaving
-    // like its sample, force an early resample by expiring the timer.
-    if let (
-        Mode::Symbios {
-            until,
-            predicted_ipc,
-            drift_streak,
-            ..
-        },
-        Some(threshold),
-    ) = (&mut state.mode, cfg.drift_threshold)
-    {
-        if *predicted_ipc > 0.0 {
-            let observed = stats.total_ipc();
-            let deviation = (observed - *predicted_ipc).abs() / *predicted_ipc;
-            if deviation > threshold {
-                *drift_streak += 1;
-                if *drift_streak >= 3 {
-                    *until = now; // resample at the next scheduling point
-                    state.last_pick = None; // do not back off after a drift
-                }
-            } else {
-                *drift_streak = 0;
-            }
-        }
-    }
-    let timer_triggered = state.timer_triggered;
-    let prev_pick = state.last_pick.clone();
-    let interval = state.interval;
-    if let Mode::Sampling {
-        candidates,
-        current,
-        slice_in_rotation,
-        collected,
-    } = &mut state.mode
-    {
-        collected[*current].push(stats.clone());
-        *slice_in_rotation += 1;
-        // One *full* rotation: the schedule's complete tuple set ("the
-        // minimum time required to evaluate the schedule", §5.2). Sampling
-        // fewer windows would leave most of the symbios-phase tuples unseen.
-        let x = candidates[*current].len();
-        let y = cfg.smt.min(x).max(1);
-        let slices_per_rotation = slices_for(x, y);
-        if *slice_in_rotation >= slices_per_rotation {
-            *slice_in_rotation = 0;
-            *current += 1;
-            if *current >= candidates.len() {
-                // Predict and enter symbios.
-                let samples: Vec<ScheduleSample> = candidates
-                    .iter()
-                    .zip(collected.iter())
-                    .filter(|(_, sl)| !sl.is_empty())
-                    .map(|(ord, slices)| condense(ord, cfg.smt, slices))
-                    .collect();
-                let pick = if samples.is_empty() {
-                    0
-                } else if let Some(l) = hooks.learner.as_deref_mut() {
-                    // Prequential: pick with the model as-is, then train on
-                    // this sample phase. Targets are per-candidate sampled
-                    // IPC — the engine has no solo rates, so realized WS is
-                    // not observable online (DESIGN.md §13 documents the
-                    // proxy).
-                    let chosen = match cfg.predictor {
-                        PredictorKind::Learned => l.choose_learned(&samples),
-                        PredictorKind::Bandit => {
-                            let (arm, p) = l.choose_bandit(&samples, hooks.context);
-                            let n = samples.len() as f64;
-                            let baseline = samples.iter().map(|s| s.ipc).sum::<f64>() / n;
-                            let best_proxy = samples
-                                .iter()
-                                .map(|s| s.ipc)
-                                .fold(f64::NEG_INFINITY, f64::max);
-                            *hooks.pending = Some(PendingLearn {
-                                arm,
-                                context: hooks.context.to_string(),
-                                baseline,
-                                best_proxy,
-                                ipc_sum: 0.0,
-                                slices: 0,
-                            });
-                            p
-                        }
-                        // Fixed predictor with a learner attached: shadow
-                        // training only.
-                        _ => cfg.predictor.choose(&samples),
-                    };
-                    let targets: Vec<f64> = samples.iter().map(|s| s.ipc).collect();
-                    l.train(&samples, &targets);
-                    if let Some(m) = probes.and_then(|p| p.learn.as_ref()) {
-                        m.sync(&l.summary());
-                    }
-                    chosen
-                } else {
-                    cfg.predictor.choose(&samples)
-                };
-                let order = candidates.get(pick).cloned().unwrap_or_default();
-                if let Some(p) = probes {
-                    p.predictor_picks.inc();
-                    if prev_pick.as_deref() == Some(&order[..]) {
-                        p.repeat_picks.inc();
-                    }
-                }
-                // Exponential backoff: if a timer-triggered resample repeats
-                // the previous prediction, double the symbiosis interval.
-                let new_interval = if timer_triggered && prev_pick.as_deref() == Some(&order[..]) {
-                    let doubled = interval.saturating_mul(2);
-                    tel.instant("opensys", "opensys.backoff", || {
-                        vec![Attr::num("interval", doubled as f64)]
-                    });
-                    if let Some(p) = probes {
-                        p.backoffs.inc();
-                    }
-                    doubled
-                } else {
-                    cfg.base_interval
-                };
-                let predicted_ipc = samples.get(pick).map(|s| s.ipc).unwrap_or(0.0);
-                state.interval = new_interval;
-                state.last_pick = Some(order.clone());
-                state.slice = 0;
-                state.mode = Mode::Symbios {
-                    order,
-                    until: now + new_interval,
-                    predicted_ipc,
-                    drift_streak: 0,
-                };
-            }
-        }
-    }
-}
-
 /// Timeslices in one full rotation of `x` jobs through windows of `y`
 /// advancing by `y` (the swap-all discipline): `x / gcd(x, y)`.
 fn slices_for(x: usize, y: usize) -> usize {
@@ -1333,7 +1181,6 @@ mod tests {
             base_interval: 30_000,
             seed: 77,
             fastsim: None,
-            learn: None,
         }
     }
 
@@ -1357,13 +1204,7 @@ mod tests {
     fn single_job_runs_to_completion() {
         let mut e = OnlineEngine::new(SchedulerKind::Naive, &cfg());
         e.submit(job(0, 5_000));
-        let mut done = Vec::new();
-        for _ in 0..1_000 {
-            done.extend(e.step());
-            if e.live_count() == 0 {
-                break;
-            }
-        }
+        let done = replay(&mut e, &[]);
         assert_eq!(done.len(), 1);
         assert_eq!(e.completed(), 1);
         assert!(done[0].response() >= e.config().timeslice);
@@ -1376,12 +1217,7 @@ mod tests {
         for i in 0..4 {
             e.submit(job(0, 40_000 + i * 1_000));
         }
-        for _ in 0..2_000 {
-            e.step();
-            if e.live_count() == 0 {
-                break;
-            }
-        }
+        replay(&mut e, &[]);
         assert_eq!(e.completed(), 4);
         assert!(e.resamples() > 0, "4 jobs on SMT 2 must trigger sampling");
     }
@@ -1392,12 +1228,7 @@ mod tests {
         for i in 0..4 {
             e.submit(job(0, 20_000 + i * 1_000));
         }
-        for _ in 0..2_000 {
-            e.step();
-            if e.live_count() == 0 {
-                break;
-            }
-        }
+        replay(&mut e, &[]);
         assert_eq!(e.resamples(), 0);
     }
 
@@ -1427,7 +1258,7 @@ mod tests {
         // so the 2^32-th job replayed job 0's instruction stream.
         let mut e = OnlineEngine::new(SchedulerKind::Naive, &cfg());
         let big = (1usize << 32) + 5;
-        e.next_key = big;
+        e.books.submitted = big;
         let key = e.submit(job(0, 1_000));
         assert_eq!(key, big);
         assert_eq!(e.live[0].stream.id(), StreamId(big as u64));
@@ -1458,10 +1289,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_without_learn_config_has_no_learner() {
-        let e = OnlineEngine::new(SchedulerKind::Sos, &cfg());
+    fn fixed_predictor_means_no_learner() {
+        let mut e = OnlineEngine::new(SchedulerKind::Sos, &cfg());
         assert!(e.learner().is_none());
-        assert!(e.learn_summary().is_none());
+        // ... and a snapshot's learner does not conjure one.
+        e.restore_learner(Learner::new(Default::default()));
+        assert!(e.learner().is_none());
     }
 
     fn run_learned(predictor: PredictorKind) -> (u64, String) {
@@ -1471,12 +1304,7 @@ mod tests {
         for i in 0..5 {
             e.submit(job(0, 60_000 + i * 2_000));
         }
-        for _ in 0..3_000 {
-            e.step();
-            if e.live_count() == 0 {
-                break;
-            }
-        }
+        replay(&mut e, &[]);
         let l = e.learner().expect("learned predictor implies a learner");
         (e.completed(), serde_json::to_string(l).unwrap())
     }
@@ -1505,19 +1333,9 @@ mod tests {
 
     #[test]
     fn restored_learner_continues_from_snapshot_state() {
+        let (_, saved) = run_learned(PredictorKind::Bandit);
         let mut c = cfg();
         c.predictor = PredictorKind::Bandit;
-        let mut e = OnlineEngine::new(SchedulerKind::Sos, &c);
-        for i in 0..5 {
-            e.submit(job(0, 60_000 + i * 2_000));
-        }
-        for _ in 0..3_000 {
-            e.step();
-            if e.live_count() == 0 {
-                break;
-            }
-        }
-        let saved = serde_json::to_string(e.learner().unwrap()).unwrap();
         let mut fresh = OnlineEngine::new(SchedulerKind::Sos, &c);
         fresh.restore_learner(serde_json::from_str(&saved).unwrap());
         assert_eq!(
@@ -1526,40 +1344,41 @@ mod tests {
         );
     }
 
-    #[test]
-    fn metrics_handle_books_each_engine_event_once() {
-        let mut c = cfg();
-        c.predictor = PredictorKind::Bandit;
-        let tel = Telemetry::metrics();
-        let mut e = OnlineEngine::new(SchedulerKind::Sos, &c);
-        e.set_telemetry(tel.clone());
-        for i in 0..5 {
-            e.submit(job(0, 60_000 + i * 2_000));
-        }
-        assert_eq!(tel.gauge("engine.queue_depth").get(), 5.0);
-        while e.live_count() > 0 {
-            e.step();
-        }
+    /// Every registry series that mirrors engine state equals that state.
+    fn assert_series_mirror_engine(tel: &Telemetry, e: &OnlineEngine) {
         let snap = tel.drain();
-        assert_eq!(snap.counters["engine.timeslices"], e.timeslices());
-        assert_eq!(snap.counters["engine.resamples"], e.resamples());
+        let counter = |name: &str| snap.counters[name];
+        assert_eq!(counter("engine.timeslices"), e.timeslices());
+        assert_eq!(counter("engine.resamples"), e.resamples());
         assert_eq!(
-            snap.counters["engine.timeslices"],
-            snap.counters["engine.rotate_slices"]
-                + snap.counters["engine.sampling_slices"]
-                + snap.counters["engine.symbios_slices"]
+            counter("engine.timeslices"),
+            counter("engine.rotate_slices")
+                + counter("engine.sampling_slices")
+                + counter("engine.symbios_slices")
         );
-        assert!(snap.counters["engine.predictor_picks"] > 0);
-        assert_eq!(snap.counters["opensys.arrivals"], 5);
-        assert_eq!(snap.counters["opensys.departures"], 5);
-        assert_eq!(snap.gauges["engine.queue_depth"], 0.0);
+        assert!(counter("engine.predictor_picks") >= counter("engine.repeat_picks"));
+        assert_eq!(counter("opensys.arrivals"), e.submitted() as u64);
+        assert_eq!(counter("opensys.departures"), e.completed());
+        assert_eq!(snap.gauges["engine.queue_depth"], e.live_count() as f64);
+        let fs = e.fastsim_counters().expect("fast-sim is on");
+        assert_eq!(
+            counter("engine.extrapolated_slices"),
+            fs.extrapolated_slices
+        );
+        assert_eq!(counter("engine.fastsim_phase_locks"), fs.phase_locks);
+        assert_eq!(counter("engine.fastsim_fallbacks"), fs.fallbacks);
+        assert_eq!(counter("engine.fastsim_resyncs"), fs.resyncs);
         // The learn family mirrors the learner's own summary.
-        let l = e.learn_summary().expect("bandit implies a learner");
-        assert_eq!(snap.counters["learn.train_updates"], l.train_updates);
-        assert_eq!(snap.counters["learn.bandit_pulls"], l.bandit_pulls);
-        let score = l.arms.iter().find(|a| a.0 == "Score").expect("score arm");
-        assert_eq!(snap.counters["learn.arm.score.pulls"], score.1);
+        let l = e.learner().expect("bandit implies a learner").summary();
+        assert_eq!(counter("learn.train_updates"), l.train_updates);
+        assert_eq!(counter("learn.predictions"), l.predictions);
+        assert_eq!(counter("learn.bandit_pulls"), l.bandit_pulls);
         assert_eq!(snap.gauges["learn.pred_err_ewma"], l.err_ewma);
+        assert_eq!(snap.gauges["learn.bandit_regret"], l.bandit_regret);
+        for (name, pulls, _) in &l.arms {
+            let series = format!("learn.arm.{}.pulls", name.to_ascii_lowercase());
+            assert_eq!(counter(&series), *pulls, "{series}");
+        }
         // One series per event: the second names the process-wide recorder
         // used to book are gone, and a metrics handle records no events (nor
         // the lock-guarded response histogram that rides with them).
@@ -1567,6 +1386,38 @@ mod tests {
             assert!(!snap.counters.contains_key(gone) && !snap.gauges.contains_key(gone));
         }
         assert!(snap.events.is_empty() && snap.histograms.is_empty());
+    }
+
+    #[test]
+    fn metrics_handle_books_each_engine_event_once() {
+        let mut c = cfg();
+        c.predictor = PredictorKind::Bandit;
+        c.base_interval = 400_000;
+        c.fastsim = Some(FastSimPolicy::default());
+        let tel = Telemetry::metrics();
+        let mut e = OnlineEngine::new(SchedulerKind::Sos, &c);
+        e.set_telemetry(tel.clone());
+        for i in 0..5 {
+            e.submit(job(0, 900_000 + i * 2_000));
+        }
+        assert_eq!(tel.gauge("engine.queue_depth").get(), 5.0);
+        // Long enough for symbios tuples to lock and extrapolate.
+        while e.fastsim_counters().unwrap().extrapolated_slices == 0 {
+            assert!(!e.step().is_empty() || e.live_count() > 0, "never locked");
+        }
+        assert_series_mirror_engine(&tel, &e);
+        // A handle attached mid-run starts from the totals, not from zero.
+        let late = Telemetry::metrics();
+        e.set_telemetry(late.clone());
+        assert_series_mirror_engine(&late, &e);
+        replay(&mut e, &[]);
+        assert_series_mirror_engine(&late, &e);
+        assert_eq!(late.counter("opensys.departures").get(), 5);
+        assert!(late.counter("engine.fastsim_phase_locks").get() > 0);
+        assert!(late.counter("engine.predictor_picks").get() > 0);
+        assert!(late.counter("learn.bandit_pulls").get() > 0);
+        // The first handle was left where the engine stopped writing to it.
+        assert!(tel.counter("engine.timeslices").get() < e.timeslices());
     }
 
     #[test]

@@ -159,7 +159,6 @@ impl OpenSystemConfig {
             base_interval: self.mean_interarrival,
             seed: self.seed,
             fastsim: self.fastsim.clone(),
-            learn: None,
         }
     }
 }

@@ -15,7 +15,7 @@ use crate::cache::{self, SymbiosEval};
 use crate::enumerate::sample_distinct;
 use crate::experiment::{ExperimentSpec, SAMPLE_SCHEDULES};
 use crate::job::JobPool;
-use crate::learn::{self, LearnConfig, Learner};
+use crate::learn::{self, Learner};
 use crate::predictor::PredictorKind;
 use crate::runner::{RotationStats, Runner};
 use crate::sample::ScheduleSample;
@@ -46,11 +46,6 @@ pub struct SosConfig {
     pub calibration_cycles: u64,
     /// RNG seed (schedule sampling and workload construction).
     pub seed: u64,
-    /// Learned-prediction configuration ([`crate::learn`]); `None` (the
-    /// default) disables learning entirely, leaving every existing output
-    /// byte-identical.
-    #[serde(default)]
-    pub learn: Option<LearnConfig>,
 }
 
 impl Default for SosConfig {
@@ -66,7 +61,6 @@ impl Default for SosConfig {
             cycle_scale: 1000,
             calibration_cycles: 60_000,
             seed: 0x0505,
-            learn: None,
         }
     }
 }
@@ -427,9 +421,7 @@ impl SosScheduler {
     /// The coarse jobmix-class context string of an experiment (the bandit's
     /// context; see [`learn::context_of`]).
     pub fn experiment_context(spec: &ExperimentSpec) -> String {
-        let benches: Vec<workloads::Benchmark> =
-            spec.jobmix().iter().map(|j| j.benchmark).collect();
-        learn::context_of(&benches)
+        learn::context_of(spec.jobmix().iter().map(|j| j.benchmark))
     }
 
     /// [`Self::evaluate_experiment_with_workers`] plus the learned
@@ -541,7 +533,7 @@ mod tests {
     fn learned_evaluation_appends_picks_and_trains() {
         let spec: ExperimentSpec = "Jsb(4,2,2)".parse().unwrap();
         let cfg = quick_cfg();
-        let mut learner = Learner::new(LearnConfig::default());
+        let mut learner = Learner::new(Default::default());
         let report = SosScheduler::evaluate_experiment_learned(&spec, &cfg, &mut learner, 0);
         assert_eq!(report.picks.len(), PredictorKind::ALL.len() + 2);
         let lw = report.ws_with(PredictorKind::Learned);
@@ -563,7 +555,7 @@ mod tests {
         let spec: ExperimentSpec = "Jsb(4,2,2)".parse().unwrap();
         let cfg = quick_cfg();
         let run = |workers| {
-            let mut learner = Learner::new(LearnConfig::default());
+            let mut learner = Learner::new(Default::default());
             let mut picks = Vec::new();
             for _ in 0..3 {
                 let r =

@@ -392,11 +392,6 @@ impl WindowedHistogram {
         self.total_count
     }
 
-    /// Live windows currently retained.
-    pub fn window_count(&self) -> usize {
-        self.windows.len()
-    }
-
     /// The live windows merged into one log2-bucket [`Histogram`].
     pub fn merged(&self) -> Histogram {
         let mut out = Histogram::default();
@@ -1497,10 +1492,8 @@ mod tests {
         h.record(0, 10); // window 0
         h.record(1_500, 20); // window 1
         h.record(2_100, 300); // window 2
-        assert_eq!(h.window_count(), 3);
         assert_eq!(h.count(), 3);
         h.record(3_999, 40); // window 3 evicts window 0
-        assert_eq!(h.window_count(), 3);
         assert_eq!(h.count(), 3, "value 10 aged out of the live view");
         assert_eq!(h.total_count(), 4, "lifetime count keeps evicted values");
         // The merged view no longer contains 10's bucket.
@@ -1514,7 +1507,6 @@ mod tests {
         let mut h = WindowedHistogram::new(1_000, 4);
         h.record(5_000, 1);
         h.record(100, 2); // clock went backwards: current window absorbs it
-        assert_eq!(h.window_count(), 1);
         assert_eq!(h.count(), 2);
     }
 

@@ -109,19 +109,6 @@ impl Cache {
     pub fn capacity_lines(&self) -> usize {
         self.tags.len()
     }
-
-    /// Resident lines belonging to the address-space tag `stream` (the upper
-    /// bits of the address, see [`crate::trace::StreamId::tag_addr`]). Useful
-    /// for inspecting how coscheduled jobs partition a shared cache.
-    pub fn resident_lines_of(&self, stream: u32) -> usize {
-        // Tags store `addr >> (line_shift + set_bits)`; the stream id sits at
-        // bit 40 of the address.
-        let shift = crate::trace::StreamId::ADDR_BITS - self.line_shift - self.set_bits;
-        self.tags
-            .iter()
-            .filter(|&&tag| tag != INVALID && (tag >> shift) as u32 == stream)
-            .count()
-    }
 }
 
 /// Per-level reference/miss counts for one timeslice.
@@ -373,26 +360,6 @@ mod tests {
         }
         assert!(c.resident_lines() <= c.capacity_lines());
         assert_eq!(c.capacity_lines(), 8);
-    }
-
-    #[test]
-    fn residency_by_stream() {
-        use crate::trace::StreamId;
-        let mut c = Cache::new(CacheConfig {
-            size_bytes: 64 << 10,
-            line_bytes: 64,
-            assoc: 2,
-            hit_latency: 3,
-        });
-        for i in 0..10u64 {
-            c.access(StreamId(1).tag_addr(i * 64));
-        }
-        for i in 0..4u64 {
-            c.access(StreamId(2).tag_addr(i * 64));
-        }
-        assert_eq!(c.resident_lines_of(1), 10);
-        assert_eq!(c.resident_lines_of(2), 4);
-        assert_eq!(c.resident_lines_of(3), 0);
     }
 
     #[test]

@@ -26,17 +26,6 @@ pub struct TlbStats {
     pub misses: u64,
 }
 
-impl TlbStats {
-    /// Miss rate in percent; 0 when there were no references.
-    pub fn miss_pct(&self) -> f64 {
-        if self.refs == 0 {
-            0.0
-        } else {
-            100.0 * self.misses as f64 / self.refs as f64
-        }
-    }
-}
-
 impl Tlb {
     /// Builds an empty TLB.
     ///
@@ -161,7 +150,6 @@ mod tests {
         let s = t.take_stats();
         assert_eq!(s.refs, 2);
         assert_eq!(s.misses, 1);
-        assert!((s.miss_pct() - 50.0).abs() < 1e-9);
         t.flush();
         assert_eq!(t.resident(), 0);
         assert_eq!(t.take_stats(), TlbStats::default());

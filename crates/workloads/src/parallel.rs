@@ -58,11 +58,6 @@ impl ParallelThread {
         self.index
     }
 
-    /// Instructions between barriers (0 = free-running).
-    pub fn barrier_period(&self) -> u64 {
-        self.core.period
-    }
-
     /// Whether this thread is currently held at a barrier (its next
     /// instruction is past a barrier some sibling has not reached).
     pub fn at_barrier(&self) -> bool {

@@ -111,10 +111,21 @@ fn cmd_run(args: &[String]) -> i32 {
         Ok(scale) => scale,
         Err(e) => return refuse(e),
     };
-    let predictor = args
-        .get(2)
-        .map(|p| PredictorKind::parse(p).unwrap_or(PredictorKind::Score))
-        .unwrap_or(PredictorKind::Score);
+    // The batch report evaluates the paper's ten predictors; the learned
+    // kinds need a learner this command does not run.
+    let predictor = match args.get(2) {
+        None => PredictorKind::Score,
+        Some(p) => match PredictorKind::parse(p).filter(|k| !k.is_learned()) {
+            Some(kind) => kind,
+            None => {
+                let fixed: Vec<&str> = PredictorKind::ALL.iter().map(|k| k.name()).collect();
+                return refuse(format!(
+                    "bad predictor \"{p}\" (one of {})",
+                    fixed.join(", ")
+                ));
+            }
+        },
+    };
     let cfg = SosConfig {
         cycle_scale: scale,
         predictor,

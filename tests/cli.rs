@@ -56,3 +56,30 @@ fn bad_experiment_label_rejected() {
     let out = sos(&["run", "Jxx(1,2,3)"]);
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn run_refuses_a_predictor_it_cannot_report_before_simulating() {
+    // A typo used to run under `Score`; the learned kinds used to run the
+    // whole experiment and then panic looking their pick up in the report.
+    for bad in ["scoree", "learned", "Bandit"] {
+        let out = sos(&["run", "Jsb(4,2,2)", "200000", bad]);
+        assert_eq!(out.status.code(), Some(2), "{bad}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("bad predictor \"{bad}\" (one of IPC, "))
+                && err.contains("Score)"),
+            "{err}"
+        );
+        assert!(err.contains("usage:") && !err.contains("panicked"), "{err}");
+        assert!(!err.contains("running"), "refused before simulating: {err}");
+        assert!(out.stdout.is_empty());
+    }
+}
+
+#[test]
+fn run_accepts_each_of_the_papers_predictors_by_name() {
+    let out = sos(&["run", "Jsb(4,2,2)", "200000", "dcache"]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("Dcache picks WS"), "{text}");
+}

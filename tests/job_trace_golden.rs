@@ -34,7 +34,6 @@ fn traced_run_with(mut before_step: impl FnMut()) -> String {
         base_interval: 20_000,
         seed: 7,
         fastsim: None,
-        learn: None,
     };
     let mut engine = OnlineEngine::new(SchedulerKind::Sos, &cfg);
     engine.set_telemetry(tel.clone());
