@@ -60,6 +60,9 @@ pub fn print_predictor_bars(report: &ExperimentReport) {
     );
 }
 
+/// The paper's mean job length, 2 billion cycles, before scaling.
+const MEAN_JOB_CYCLES: u64 = 2_000_000_000;
+
 /// The command line and seed loop Figures 5 and 6 share: `[cycle_scale]
 /// [num_jobs] [seeds] [--fast] [--fast-threshold F]`, and one sweep point =
 /// `seeds` matched pairs (naive and SOS on the identical trace).
@@ -98,12 +101,19 @@ impl OpenSweep {
     pub fn from_args(bin: &str) -> Self {
         let usage = "[cycle_scale] [num_jobs] [seeds] [--fast] [--fast-threshold F]";
         let sweep = cli::parse_or_exit(bin, usage, |flags| {
-            Ok(OpenSweep {
+            let sweep = OpenSweep {
                 fastsim: flags.fastsim()?,
                 scale: flags.count("cycle_scale", 6000)?,
                 num_jobs: flags.count("num_jobs", 120)?,
                 seeds: flags.count("seeds", 3)?,
-            })
+            };
+            if sweep.scale > MEAN_JOB_CYCLES {
+                return Err(format!(
+                    "cycle_scale {} exceeds {MEAN_JOB_CYCLES}: the mean job length would be 0 cycles",
+                    sweep.scale
+                ));
+            }
+            Ok(sweep)
         });
         init_cache();
         if let Some(p) = &sweep.fastsim {
@@ -121,7 +131,7 @@ impl OpenSweep {
         let (mut naive_jobs, mut sos_jobs) = (JobSummary::default(), JobSummary::default());
         for seed in 0..self.seeds {
             let mut cfg = OpenSystemConfig::scaled(smt);
-            cfg.mean_job_cycles = 2_000_000_000 / self.scale;
+            cfg.mean_job_cycles = MEAN_JOB_CYCLES / self.scale;
             // The timeslice needs to amortize pipeline fill and give the sample
             // phase usable counter windows, so it scales less aggressively
             // than job lengths (T/timeslice ≈ 130 vs the paper's 400).

@@ -15,7 +15,7 @@
 use crate::enumerate::sample_distinct;
 use crate::job::JobPool;
 use crate::predictor::PredictorKind;
-use crate::runner::Runner;
+use crate::runner::{RotationStats, Runner};
 use crate::sample::ScheduleSample;
 use crate::schedule::Schedule;
 use crate::sos::SosConfig;
@@ -204,53 +204,12 @@ pub fn evaluate_hierarchical_mix(
         for schedule in candidates {
             let rots = runner.run_schedule(&schedule, 5);
             let sample = ScheduleSample::from_rotations(&schedule, &rots);
-            // Sampled WS with the §7 per-job denominators.
-            let sample_cycles: u64 = rots.iter().map(|r| r.cycles()).sum();
-            let mut sampled_per_thread = vec![0u64; runner.pool().len()];
-            for rot in &rots {
-                for (t, c) in rot
-                    .committed_per_thread(sampled_per_thread.len())
-                    .iter()
-                    .enumerate()
-                {
-                    sampled_per_thread[t] += c;
-                }
-            }
-            let sample_ws: f64 = runner
-                .pool()
-                .groups()
-                .iter()
-                .zip(&solo_jobs)
-                .map(|(g, &solo)| {
-                    let agg: u64 = g.iter().map(|&t| sampled_per_thread[t]).sum();
-                    (agg as f64 / sample_cycles as f64) / solo
-                })
-                .sum();
+            let sample_ws = job_ws(runner.pool(), &rots, &solo_jobs);
             // Symbios phase with per-job WS accounting.
             let rotation_cycles = schedule.slices_per_rotation() as u64 * timeslice;
             let rotations = (symbios_cycles / rotation_cycles).max(1) as usize;
             let rots = runner.run_schedule(&schedule, rotations);
-            let cycles: u64 = rots.iter().map(|r| r.cycles()).sum();
-            let mut per_thread = vec![0u64; runner.pool().len()];
-            for rot in &rots {
-                for (t, c) in rot
-                    .committed_per_thread(per_thread.len())
-                    .iter()
-                    .enumerate()
-                {
-                    per_thread[t] += c;
-                }
-            }
-            let ws: f64 = runner
-                .pool()
-                .groups()
-                .iter()
-                .zip(&solo_jobs)
-                .map(|(g, &solo)| {
-                    let agg: u64 = g.iter().map(|&t| per_thread[t]).sum();
-                    (agg as f64 / cycles as f64) / solo
-                })
-                .sum();
+            let ws = job_ws(runner.pool(), &rots, &solo_jobs);
             outcomes.push(AllocationOutcome {
                 threads_per_job: alloc.clone(),
                 notation: schedule.paper_notation(),
@@ -272,6 +231,21 @@ pub fn evaluate_hierarchical_mix(
         outcomes,
         score_pick,
     }
+}
+
+/// Weighted speedup of `rots` with the §7 per-job denominators: each job's
+/// aggregate IPC (its threads' commits over the cycles) over its solo rate,
+/// summed over the pool's jobs in order.
+fn job_ws(pool: &JobPool, rots: &[RotationStats], solo_jobs: &[f64]) -> f64 {
+    let (committed, cycles) = RotationStats::totals(rots, pool.len());
+    pool.groups()
+        .iter()
+        .zip(solo_jobs)
+        .map(|(g, &solo)| {
+            let agg: u64 = g.iter().map(|&t| committed[t]).sum();
+            (agg as f64 / cycles as f64) / solo
+        })
+        .sum()
 }
 
 /// The predictor used for hierarchical choices: a Score-style vote in which

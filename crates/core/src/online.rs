@@ -30,7 +30,7 @@ use crate::learn::{self, Learner, Pull};
 use crate::predictor::PredictorKind;
 use crate::sample::ScheduleSample;
 use crate::schedule::Schedule;
-use crate::telemetry::{Attr, Counter, Gauge, Telemetry, TelemetryObserver};
+use crate::telemetry::{trace_timeslice, Attr, Counter, Gauge, Telemetry};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -186,7 +186,9 @@ enum Mode {
     Rotate,
     /// SOS sample phase: profiling candidate orders one rotation each.
     Sampling {
-        candidates: Vec<Vec<usize>>, // circular orders of live-job keys
+        /// Circular orders of live-job keys, each with its timeslices per
+        /// rotation.
+        candidates: Vec<(Vec<usize>, usize)>,
         current: usize,
         slice_in_rotation: usize,
         collected: Vec<Vec<TimesliceStats>>,
@@ -361,12 +363,7 @@ impl OnlineEngine {
     /// `job.queue_wait`, a `job.schedule_decision` instant, one
     /// `job.timeslice` span per slice it runs, and a `job.complete` instant.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
-        if tel.events_on() {
-            self.cpu
-                .set_observer(Box::new(TelemetryObserver::new(tel.clone())));
-        } else {
-            self.cpu.clear_observer();
-        }
+        self.cpu.sample_occupancy(tel.events_on());
         self.probes = tel.is_on().then(|| {
             let name = |family: &str, series: &str| match tel.prefix() {
                 Some(p) if family == "engine" => format!("{p}.{series}"),
@@ -713,44 +710,54 @@ impl OnlineEngine {
         // output is byte-identical to full detail.
         let sampling = matches!(self.state.mode, Mode::Sampling { .. });
         let mut refs = tuple_sources(&mut self.live, &tuple_positions);
-        let stats = match self.fastsim.as_mut() {
-            _ if refs.is_empty() => TimesliceStats {
-                cycles: self.cfg.timeslice,
-                ..Default::default()
-            },
+        let (stats, event) = match self.fastsim.as_mut() {
+            _ if refs.is_empty() => (
+                TimesliceStats {
+                    cycles: self.cfg.timeslice,
+                    ..Default::default()
+                },
+                None,
+            ),
             Some(fs) if !sampling => {
                 let slice = fs.run_slice(&mut self.cpu, &mut refs, self.cfg.timeslice);
-                match slice.event {
-                    Some(FastSimEvent::PhaseLocked { confidence }) => {
-                        self.tel.instant("fastsim", "fastsim.phase_lock", || {
-                            vec![
-                                Attr::num("confidence", confidence),
-                                Attr::num("tuple_size", tuple_positions.len() as f64),
-                            ]
-                        });
-                    }
-                    Some(FastSimEvent::Fallback { deviation }) => {
-                        self.tel.instant("fastsim", "fastsim.fallback", || {
-                            vec![Attr::num("deviation", deviation)]
-                        });
-                    }
-                    Some(FastSimEvent::Resync {
-                        deviation,
-                        confidence,
-                    }) => {
-                        self.tel.instant("fastsim", "fastsim.resync", || {
-                            vec![
-                                Attr::num("deviation", deviation),
-                                Attr::num("confidence", confidence),
-                            ]
-                        });
-                    }
-                    Some(FastSimEvent::ResampleOk { .. }) | None => {}
+                if !slice.extrapolated {
+                    trace_timeslice(&self.tel, &slice.stats, &self.cpu);
                 }
-                slice.stats
+                (slice.stats, slice.event)
             }
-            _ => self.cpu.run_timeslice(&mut refs, self.cfg.timeslice),
+            _ => {
+                let stats = self.cpu.run_timeslice(&mut refs, self.cfg.timeslice);
+                trace_timeslice(&self.tel, &stats, &self.cpu);
+                (stats, None)
+            }
         };
+        match event {
+            Some(FastSimEvent::PhaseLocked { confidence }) => {
+                self.tel.instant("fastsim", "fastsim.phase_lock", || {
+                    vec![
+                        Attr::num("confidence", confidence),
+                        Attr::num("tuple_size", tuple_positions.len() as f64),
+                    ]
+                });
+            }
+            Some(FastSimEvent::Fallback { deviation }) => {
+                self.tel.instant("fastsim", "fastsim.fallback", || {
+                    vec![Attr::num("deviation", deviation)]
+                });
+            }
+            Some(FastSimEvent::Resync {
+                deviation,
+                confidence,
+            }) => {
+                self.tel.instant("fastsim", "fastsim.resync", || {
+                    vec![
+                        Attr::num("deviation", deviation),
+                        Attr::num("confidence", confidence),
+                    ]
+                });
+            }
+            Some(FastSimEvent::ResampleOk { .. }) | None => {}
+        }
         self.books.population_cycles += (self.live.len() as u128) * (self.cfg.timeslice as u128);
         self.now += self.cfg.timeslice;
         self.books.timeslices += 1;
@@ -873,7 +880,7 @@ impl OnlineEngine {
             return; // rotation: the naive control, or SOS when every job fits
         }
         // Draw distinct candidate circular orders.
-        let mut candidates: Vec<Vec<usize>> = Vec::new();
+        let mut candidates = Vec::new();
         let mut seen = std::collections::HashSet::new();
         let budget = cfg.sample_schedules.max(1);
         let mut attempts = 0;
@@ -881,8 +888,9 @@ impl OnlineEngine {
             attempts += 1;
             let mut order = keys.clone();
             order.shuffle(&mut self.rng);
-            if seen.insert(schedule_of(&order, cfg.smt).canonical_key()) {
-                candidates.push(order);
+            let schedule = schedule_of(&order, cfg.smt);
+            if seen.insert(schedule.canonical_key()) {
+                candidates.push((order, schedule.slices_per_rotation()));
             }
         }
         let n = candidates.len();
@@ -944,9 +952,7 @@ impl OnlineEngine {
                 // ("the minimum time required to evaluate the schedule",
                 // §5.2). Sampling fewer windows would leave most of the
                 // symbios-phase tuples unseen.
-                let x = candidates[*current].len();
-                let y = cfg.smt.min(x).max(1);
-                if *slice_in_rotation < slices_for(x, y) {
+                if *slice_in_rotation < candidates[*current].1 {
                     return;
                 }
                 *slice_in_rotation = 0;
@@ -959,7 +965,9 @@ impl OnlineEngine {
                     .iter()
                     .zip(collected.iter())
                     .filter(|(_, sl)| !sl.is_empty())
-                    .map(|(ord, slices)| condense(ord, cfg.smt, slices))
+                    .map(|((order, _), slices)| {
+                        ScheduleSample::from_slices(format!("order{order:?}"), slices)
+                    })
                     .collect();
                 let (pick, pull) = match &mut self.learner {
                     _ if samples.is_empty() => (0, None),
@@ -969,7 +977,7 @@ impl OnlineEngine {
                     }
                     None => (cfg.predictor.choose(&samples), None),
                 };
-                let order = candidates.get(pick).cloned().unwrap_or_default();
+                let order = candidates.get(pick).map_or_else(Vec::new, |c| c.0.clone());
                 let repeat = state.last_pick.as_deref() == Some(&order[..]);
                 self.books.picks += 1;
                 self.books.repeat_picks += repeat as u64;
@@ -1101,7 +1109,7 @@ fn current_tuple(state: &SchedulerState, cfg: &OnlineConfig, live: &[LiveJob]) -
             current,
             slice_in_rotation,
             ..
-        } => window(&candidates[*current], live, cfg.smt, *slice_in_rotation),
+        } => window(&candidates[*current].0, live, cfg.smt, *slice_in_rotation),
         Mode::Symbios { order, .. } => window(order, live, cfg.smt, state.slice),
     }
 }
@@ -1118,39 +1126,6 @@ fn mode_name(mode: &Mode) -> &'static str {
 /// The telemetry track carrying one job's hierarchical spans.
 fn job_track(key: usize) -> String {
     format!("job/{key}")
-}
-
-/// Timeslices in one full rotation of `x` jobs through windows of `y`
-/// advancing by `y` (the swap-all discipline): `x / gcd(x, y)`.
-fn slices_for(x: usize, y: usize) -> usize {
-    if x <= y || y == 0 {
-        1
-    } else {
-        x / gcd(x, y)
-    }
-}
-
-fn gcd(a: usize, b: usize) -> usize {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-/// Condenses raw sample slices into a `ScheduleSample` for prediction.
-fn condense(order: &[usize], y: usize, slices: &[TimesliceStats]) -> ScheduleSample {
-    let schedule = schedule_of(order, y);
-    let rotation = crate::runner::RotationStats {
-        tuples: slices
-            .iter()
-            .map(|_| crate::schedule::Coschedule::new([0]))
-            .collect(),
-        slices: slices.to_vec(),
-    };
-    let mut s = ScheduleSample::from_rotations(&schedule, &[rotation]);
-    s.notation = format!("order{order:?}");
-    s
 }
 
 /// The instruction streams of one tuple of live jobs (by position), in

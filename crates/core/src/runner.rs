@@ -9,7 +9,7 @@
 
 use crate::job::JobPool;
 use crate::schedule::{Coschedule, Schedule};
-use crate::telemetry::{Telemetry, TelemetryObserver};
+use crate::telemetry::{trace_timeslice, Telemetry};
 use crate::ws::{weighted_speedup, SoloRates};
 use serde::{Deserialize, Serialize};
 use smtsim::fastsim::{FastSim, FastSimCounters, FastSimPolicy};
@@ -133,6 +133,8 @@ pub struct Runner {
     /// Phase-aware fast-forward simulation ([`smtsim::fastsim`]); `None`
     /// (the default) runs every slice through the detailed model.
     fastsim: Option<FastSim>,
+    /// Where detailed timeslices are traced (see [`Self::attach_telemetry`]).
+    tel: Telemetry,
 }
 
 impl Runner {
@@ -147,6 +149,7 @@ impl Runner {
             pool,
             timeslice,
             fastsim: None,
+            tel: Telemetry::off(),
         }
     }
 
@@ -175,7 +178,7 @@ impl Runner {
 
     /// The number of hardware contexts.
     pub fn contexts(&self) -> usize {
-        self.processor.contexts()
+        self.processor.config().contexts
     }
 
     /// Runs one coschedule for `cycles` cycles (through
@@ -189,14 +192,20 @@ impl Runner {
             return self.run_tuple_detailed(tuple, cycles);
         };
         let mut refs = self.pool.select_dyn(tuple.threads());
-        fs.run_slice(&mut self.processor, &mut refs, cycles).stats
+        let slice = fs.run_slice(&mut self.processor, &mut refs, cycles);
+        if !slice.extrapolated {
+            trace_timeslice(&self.tel, &slice.stats, &self.processor);
+        }
+        slice.stats
     }
 
     /// One detailed timeslice of the pipeline model, whatever the fast-sim
     /// setting.
     fn run_tuple_detailed(&mut self, tuple: &Coschedule, cycles: u64) -> TimesliceStats {
         let mut refs = self.pool.select_dyn(tuple.threads());
-        self.processor.run_timeslice(&mut refs, cycles)
+        let stats = self.processor.run_timeslice(&mut refs, cycles);
+        trace_timeslice(&self.tel, &stats, &self.processor);
+        stats
     }
 
     /// Runs one full rotation of `schedule` (each slice one timeslice long).
@@ -265,15 +274,13 @@ impl Runner {
         &mut self.processor
     }
 
-    /// Installs a [`crate::telemetry::TelemetryObserver`] reporting to `tel`
-    /// on the processor, so every timeslice this runner executes is recorded
-    /// as a span (with conflict counters and occupancy samples). A handle
-    /// that records no events leaves the processor unobserved.
+    /// Reports to `tel`: when it records events, every timeslice this runner
+    /// simulates in detail is traced through
+    /// [`crate::telemetry::trace_timeslice`] (a span with conflict counters
+    /// and occupancy samples). Other handles leave occupancy sampling off.
     pub fn attach_telemetry(&mut self, tel: &Telemetry) {
-        if tel.events_on() {
-            self.processor
-                .set_observer(Box::new(TelemetryObserver::new(tel.clone())));
-        }
+        self.processor.sample_occupancy(tel.events_on());
+        self.tel = tel.clone();
     }
 }
 
@@ -281,7 +288,7 @@ impl std::fmt::Debug for Runner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runner")
             .field("threads", &self.pool.len())
-            .field("contexts", &self.processor.contexts())
+            .field("contexts", &self.contexts())
             .field("timeslice", &self.timeslice)
             .finish()
     }

@@ -8,6 +8,7 @@
 use crate::runner::RotationStats;
 use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
+use smtsim::TimesliceStats;
 
 /// Counter-derived predictor inputs for one sampled schedule
 /// (one row of the paper's Table 3).
@@ -40,43 +41,46 @@ impl ScheduleSample {
     /// Condenses one (or more) rotations of counters into a sample.
     ///
     /// # Panics
-    /// Panics if `rotations` is empty, or if the rotations cover zero cycles
-    /// — a zero-cycle sample has no counters to condense, and quietly
-    /// reporting IPC 0 for it would poison the predictor's ranking.
+    /// Panics if `rotations` is empty, or as [`Self::from_slices`].
     pub fn from_rotations(schedule: &Schedule, rotations: &[RotationStats]) -> Self {
         assert!(!rotations.is_empty(), "need at least one sampled rotation");
+        let slices = rotations.iter().flat_map(|rot| &rot.slices);
+        Self::from_slices(schedule.paper_notation(), slices)
+    }
+
+    /// Condenses a schedule's timeslice counters, in execution order, into
+    /// a sample named `notation`.
+    ///
+    /// # Panics
+    /// Panics if the slices cover zero cycles — a zero-cycle sample has no
+    /// counters to condense, and quietly reporting IPC 0 for it would poison
+    /// the predictor's ranking.
+    pub fn from_slices<'a>(
+        notation: String,
+        slices: impl IntoIterator<Item = &'a TimesliceStats>,
+    ) -> Self {
         let mut cycles = 0u64;
         let mut committed = 0u64;
         let mut conflicts = smtsim::ConflictCounters::default();
         let mut cache = smtsim::cache::CacheStats::default();
         let mut slice_ipcs = Vec::new();
         let mut slice_div = Vec::new();
-        for rot in rotations {
-            for s in &rot.slices {
-                cycles += s.cycles;
-                committed += s.total_committed();
-                conflicts.merge(&s.conflicts);
-                cache.merge(&s.cache);
-                slice_ipcs.push(s.total_ipc());
-                let (fp_pct, int_pct) = s.fp_int_mix_pct();
-                slice_div.push((fp_pct - int_pct).abs());
-            }
+        for s in slices {
+            #[cfg(feature = "check-invariants")]
+            smtsim::invariants::assert_timeslice(s);
+            cycles += s.cycles;
+            committed += s.total_committed();
+            conflicts.merge(&s.conflicts);
+            cache.merge(&s.cache);
+            slice_ipcs.push(s.total_ipc());
+            let (fp_pct, int_pct) = s.fp_int_mix_pct();
+            slice_div.push((fp_pct - int_pct).abs());
         }
-        assert!(
-            cycles > 0,
-            "schedule {} sampled over zero cycles",
-            schedule.paper_notation()
-        );
-        #[cfg(feature = "check-invariants")]
-        for rot in rotations {
-            for s in &rot.slices {
-                smtsim::invariants::assert_timeslice(s);
-            }
-        }
+        assert!(cycles > 0, "schedule {notation} sampled over zero cycles");
         let fq = conflicts.pct(smtsim::counters::Resource::FpQueue, cycles);
         let fp = conflicts.pct(smtsim::counters::Resource::FpUnits, cycles);
         ScheduleSample {
-            notation: schedule.paper_notation(),
+            notation,
             ipc: committed as f64 / cycles as f64,
             allconf: conflicts.all_conflicts_pct(cycles),
             dcache: cache.dl1_hit_pct(),

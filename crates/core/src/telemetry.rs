@@ -44,8 +44,7 @@
 use crate::report::{percentile, Percentiles};
 use serde::{Deserialize, Serialize};
 use smtsim::counters::Resource;
-use smtsim::observe::{Observer, StageOccupancy};
-use smtsim::TimesliceStats;
+use smtsim::{Processor, TimesliceStats};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -1226,97 +1225,59 @@ pub fn chrome_trace_value(events: &[Event]) -> serde::Value {
 }
 
 // ---------------------------------------------------------------------------
-// The smtsim bridge observer
+// The smtsim bridge
 // ---------------------------------------------------------------------------
 
-/// Bridges [`smtsim::Observer`] pipeline probes into a tracing handle:
+/// Records the detailed timeslice `cpu` just ran, which started at the
+/// handle's clock, on a tracing handle:
 ///
-/// * timeslices become `smtsim.timeslice` spans and advance the handle's
-///   clock;
-/// * per-cycle conflict events are aggregated locally (no lock in the cycle
-///   loop) and flushed as `smtsim.conflict_cycles.<resource>` counters at
-///   the timeslice boundary;
-/// * sampled [`StageOccupancy`] snapshots become `C` (counter-track) events
-///   with the pipeline-structure occupancies.
+/// * an `smtsim.timeslice` span, after which the clock has advanced by the
+///   slice's cycles;
+/// * each of [`Processor::occupancy`]'s samples as an `smtsim.occupancy`
+///   `C` (counter-track) event at the sampled cycle;
+/// * the `smtsim.cycles`, `smtsim.timeslices` and `smtsim.committed`
+///   counters, the `smtsim.timeslice_committed` histogram, and the slice's
+///   non-zero conflict counters as `smtsim.conflict_cycles.<resource>`.
 ///
-/// Installed only for handles that record events (see
-/// [`crate::runner::Runner::attach_telemetry`]): the per-cycle virtual calls
-/// are a tracing cost, not a metrics one.
-pub struct TelemetryObserver {
-    tel: Telemetry,
-    /// The handle's clock at the current timeslice's cycle 0.
-    base_cycle: u64,
-    /// Conflict cycles this timeslice, indexed like [`Resource::ALL`].
-    conflict_cycles: [u64; 7],
-}
-
-impl TelemetryObserver {
-    /// A bridge observer reporting to `tel`.
-    pub fn new(tel: Telemetry) -> Self {
-        TelemetryObserver {
-            tel,
-            base_cycle: 0,
-            conflict_cycles: [0; 7],
-        }
+/// Does nothing unless the handle records events (see
+/// [`crate::runner::Runner::attach_telemetry`], which turns occupancy
+/// sampling on for such handles).
+pub fn trace_timeslice(tel: &Telemetry, stats: &TimesliceStats, cpu: &Processor) {
+    if !tel.events_on() {
+        return;
     }
-}
-
-impl Observer for TelemetryObserver {
-    fn timeslice_start(&mut self, threads: usize, cycles: u64) {
-        self.base_cycle = self.tel.clock();
-        self.conflict_cycles = [0; 7];
-        self.tel.span_start("smtsim", "smtsim.timeslice", || {
+    let base_cycle = tel.clock();
+    tel.span_start("smtsim", "smtsim.timeslice", || {
+        vec![
+            Attr::num("threads", stats.threads.len() as f64),
+            Attr::num("cycles", stats.cycles as f64),
+        ]
+    });
+    for occ in cpu.occupancy() {
+        tel.counter_sample_at(base_cycle + occ.cycle, "smtsim", "smtsim.occupancy", || {
             vec![
-                Attr::num("threads", threads as f64),
-                Attr::num("cycles", cycles as f64),
+                Attr::num("decode", occ.decode as f64),
+                Attr::num("int_queue", occ.int_queue as f64),
+                Attr::num("fp_queue", occ.fp_queue as f64),
+                Attr::num("int_regs", occ.int_regs_in_use as f64),
+                Attr::num("fp_regs", occ.fp_regs_in_use as f64),
+                Attr::num("inflight", occ.inflight as f64),
             ]
         });
     }
-
-    fn conflict_cycle(&mut self, _cycle: u64, resource: Resource) {
-        let idx = Resource::ALL
-            .iter()
-            .position(|&r| r == resource)
-            .expect("resource in ALL");
-        self.conflict_cycles[idx] += 1;
-    }
-
-    fn stage_occupancy(&mut self, occ: &StageOccupancy) {
-        self.tel.counter_sample_at(
-            self.base_cycle + occ.cycle,
-            "smtsim",
-            "smtsim.occupancy",
-            || {
-                vec![
-                    Attr::num("decode", occ.decode as f64),
-                    Attr::num("int_queue", occ.int_queue as f64),
-                    Attr::num("fp_queue", occ.fp_queue as f64),
-                    Attr::num("int_regs", occ.int_regs_in_use as f64),
-                    Attr::num("fp_regs", occ.fp_regs_in_use as f64),
-                    Attr::num("inflight", occ.inflight as f64),
-                ]
-            },
-        );
-    }
-
-    fn timeslice_end(&mut self, stats: &TimesliceStats) {
-        let tel = &self.tel;
-        tel.advance_clock(stats.cycles);
-        tel.counter_add("smtsim.cycles", stats.cycles);
-        tel.counter_add("smtsim.timeslices", 1);
-        let committed = stats.total_committed();
-        tel.counter_add("smtsim.committed", committed);
-        tel.histogram_record("smtsim.timeslice_committed", tel.clock(), committed);
-        for (i, &r) in Resource::ALL.iter().enumerate() {
-            if self.conflict_cycles[i] > 0 {
-                tel.counter_add(
-                    &format!("smtsim.conflict_cycles.{r}"),
-                    self.conflict_cycles[i],
-                );
-            }
+    tel.advance_clock(stats.cycles);
+    tel.counter_add("smtsim.cycles", stats.cycles);
+    tel.counter_add("smtsim.timeslices", 1);
+    let committed = stats.total_committed();
+    tel.counter_add("smtsim.committed", committed);
+    tel.histogram_record("smtsim.timeslice_committed", tel.clock(), committed);
+    for r in Resource::ALL {
+        let cycles = stats.conflicts.get(r);
+        if cycles > 0 {
+            tel.counter_add(&format!("smtsim.conflict_cycles.{r}"), cycles);
         }
-        tel.span_end("smtsim", "smtsim.timeslice");
     }
+    tel.span_end("smtsim", "smtsim.timeslice");
 }
 
 #[cfg(test)]
@@ -1795,8 +1756,9 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_observer_bridges_pipeline_events() {
-        use smtsim::{MachineConfig, Processor};
+    fn trace_timeslice_bridges_pipeline_counters() {
+        use smtsim::pipeline::OCCUPANCY_INTERVAL;
+        use smtsim::MachineConfig;
 
         struct Alu {
             pc: u64,
@@ -1813,11 +1775,12 @@ mod tests {
 
         let tel = Telemetry::tracing();
         let mut p = Processor::new(MachineConfig::alpha21264_like(2));
-        p.set_observer(Box::new(TelemetryObserver::new(tel.clone())));
-        p.set_occupancy_interval(500);
+        p.sample_occupancy(true);
         let mut job = Alu { pc: 0 };
-        let _ = p.run_timeslice(&mut [&mut job], 2_000);
-        let _ = p.run_timeslice(&mut [&mut job], 2_000);
+        for _ in 0..2 {
+            let stats = p.run_timeslice(&mut [&mut job], 2_000);
+            trace_timeslice(&tel, &stats, &p);
+        }
         let snap = tel.drain();
 
         assert_eq!(tel.clock(), 4_000);
@@ -1829,13 +1792,17 @@ mod tests {
             .map(|e| e.ts_cycles)
             .collect();
         assert_eq!(start_ts, vec![0, 2_000]);
-        // Occupancy counter samples: 4 per slice (cycles 0, 500, 1000, 1500).
-        let occ = snap
+        // Occupancy counter samples at cycles 0, 64, ... of each slice,
+        // stamped inside it.
+        let occ: Vec<u64> = snap
             .events
             .iter()
             .filter(|e| e.name == "smtsim.occupancy")
-            .count();
-        assert_eq!(occ, 8);
+            .map(|e| e.ts_cycles)
+            .collect();
+        let per_slice = 2_000u64.div_ceil(OCCUPANCY_INTERVAL);
+        assert_eq!(occ.len() as u64, 2 * per_slice);
+        assert_eq!(occ[per_slice as usize], 2_000);
         assert_eq!(snap.counters["smtsim.cycles"], 4_000);
     }
 }

@@ -44,7 +44,7 @@
 //! never calls into this module).
 
 use crate::counters::ConflictCounters;
-use crate::processor::Processor;
+use crate::pipeline::Processor;
 use crate::stats::{ThreadStats, TimesliceStats};
 use crate::trace::InstructionSource;
 use serde::{Deserialize, Serialize};

@@ -26,6 +26,11 @@
 //!   per-cycle conflict counters the SOS scheduler's predictors consume
 //!   ([`counters`]).
 //!
+//! The [`Processor`] takes no callbacks: each timeslice hands back its
+//! counters as a [`TimesliceStats`], and with
+//! [`Processor::sample_occupancy`] on, pipeline [`StageOccupancy`] samples
+//! as well.
+//!
 //! Threads are fed by [`trace::InstructionSource`] implementations (see the
 //! `workloads` crate). The processor persists cache, TLB, and branch-predictor
 //! state across timeslices, so cache warm-up and cold-start effects across
@@ -66,9 +71,7 @@ pub mod fastsim;
 pub mod fetch;
 pub mod fu;
 pub mod invariants;
-pub mod observe;
 pub mod pipeline;
-pub mod processor;
 pub mod queue;
 pub mod rename;
 pub mod stats;
@@ -79,7 +82,6 @@ pub use config::{BranchConfig, CacheConfig, FetchPolicy, Latencies, MachineConfi
 pub use counters::ConflictCounters;
 pub use fastsim::{FastSim, FastSimCounters, FastSimEvent, FastSimPolicy};
 pub use invariants::InvariantViolation;
-pub use observe::{NopObserver, Observer, StageOccupancy};
-pub use processor::Processor;
-pub use stats::{ThreadStats, TimesliceStats};
+pub use pipeline::Processor;
+pub use stats::{StageOccupancy, ThreadStats, TimesliceStats};
 pub use trace::{Fetch, Instr, InstrClass, InstructionSource, StreamId};

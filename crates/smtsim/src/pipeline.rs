@@ -26,10 +26,9 @@ use crate::context::{DepRing, RING};
 use crate::counters::{ConflictCounters, Resource};
 use crate::fetch::{prioritize, FetchCandidate};
 use crate::fu::{FuKind, FuPools};
-use crate::observe::{Observer, StageOccupancy};
 use crate::queue::{IssueQueue, QEntry, NO_DEP};
 use crate::rename::RegPool;
-use crate::stats::{ThreadStats, TimesliceStats};
+use crate::stats::{StageOccupancy, ThreadStats, TimesliceStats};
 use crate::tlb::Tlb;
 use crate::trace::{Fetch, Instr, InstrClass, InstructionSource};
 use std::collections::VecDeque;
@@ -37,9 +36,8 @@ use std::collections::VecDeque;
 /// Per-context decode-buffer capacity.
 const DECODE_CAP: usize = 16;
 
-/// Default cycle interval between stage-occupancy samples sent to a
-/// registered [`Observer`].
-pub const DEFAULT_OCCUPANCY_INTERVAL: u64 = 64;
+/// Cycles between stage-occupancy samples when sampling is on.
+pub const OCCUPANCY_INTERVAL: u64 = 64;
 
 #[derive(Clone)]
 struct ContextState {
@@ -166,14 +164,18 @@ impl Wheel {
     }
 }
 
-/// Indices into [`Engine::queues`].
+/// Indices into [`Processor::queues`].
 const INT_Q: usize = 0;
 const FP_Q: usize = 1;
 
-/// The cycle-level engine. Owns all microarchitectural state; the persistent
-/// structures (caches, TLBs, branch-predictor tables) survive across
-/// timeslices, so the memory system warms up across context switches.
-pub struct Engine {
+/// An SMT processor: hardware contexts plus the shared microarchitecture.
+///
+/// The processor persists its caches, TLBs, and branch-predictor tables
+/// across timeslices, so the memory system stays warm for jobs that remain
+/// resident — the effect warmstart scheduling (§8 of the paper) exploits.
+/// The pipeline itself (queues, renaming registers, in-flight windows) is
+/// drained at every timeslice boundary, modeling the context-switch flush.
+pub struct Processor {
     cfg: MachineConfig,
     caches: CacheHierarchy,
     itlb: Tlb,
@@ -198,14 +200,23 @@ pub struct Engine {
     /// Per-cycle conflict flags, indexed by `Resource as usize`.
     cycle_flags: [bool; 7],
     il1_line_shift: u32,
-    /// Optional telemetry probe; `None` costs one branch per cycle.
-    observer: Option<Box<dyn Observer>>,
-    /// Cycles between stage-occupancy samples delivered to the observer.
-    occupancy_interval: u64,
+    /// Whether the cycle loop samples [`Self::occupancy`]; off costs one
+    /// branch per cycle.
+    sample_occupancy: bool,
+    /// Occupancy samples of the latest timeslice (buffer reused).
+    occupancy: Vec<StageOccupancy>,
 }
 
-impl Engine {
-    /// Builds an engine for the given machine.
+impl std::fmt::Debug for Processor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Processor")
+            .field("contexts", &self.cfg.contexts)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Processor {
+    /// Builds a processor for the given machine.
     ///
     /// # Panics
     /// Panics if the configuration fails [`MachineConfig::validate`] or if the
@@ -218,7 +229,7 @@ impl Engine {
             cfg.max_inflight_per_thread <= RING,
             "per-thread window larger than dependence ring"
         );
-        Engine {
+        Processor {
             caches: CacheHierarchy::new(cfg.icache, cfg.dcache, cfg.l2, cfg.mem_latency),
             itlb: Tlb::new(cfg.itlb_entries, cfg.page_bytes, cfg.tlb_miss_penalty),
             dtlb: Tlb::new(cfg.dtlb_entries, cfg.page_bytes, cfg.tlb_miss_penalty),
@@ -239,38 +250,26 @@ impl Engine {
             conflict_cycles: [0; 7],
             cycle_flags: [false; 7],
             il1_line_shift: cfg.icache.line_bytes.trailing_zeros(),
-            observer: None,
-            occupancy_interval: DEFAULT_OCCUPANCY_INTERVAL,
+            sample_occupancy: false,
+            occupancy: Vec::new(),
             cfg,
         }
     }
 
-    /// Registers `observer` to receive pipeline events; replaces any
-    /// previous observer.
-    pub fn set_observer(&mut self, observer: Box<dyn Observer>) {
-        self.observer = Some(observer);
+    /// Turns stage-occupancy sampling on or off: when on, every detailed
+    /// timeslice records a [`StageOccupancy`] every [`OCCUPANCY_INTERVAL`]
+    /// cycles, read back through [`Self::occupancy`].
+    pub fn sample_occupancy(&mut self, on: bool) {
+        self.sample_occupancy = on;
     }
 
-    /// Removes and drops the current observer, if any.
-    pub fn clear_observer(&mut self) {
-        self.observer = None;
+    /// The occupancy samples of the most recent timeslice (empty when
+    /// sampling was off).
+    pub fn occupancy(&self) -> &[StageOccupancy] {
+        &self.occupancy
     }
 
-    /// Whether an observer is currently registered.
-    pub fn has_observer(&self) -> bool {
-        self.observer.is_some()
-    }
-
-    /// Sets the cycle interval between stage-occupancy samples.
-    ///
-    /// # Panics
-    /// Panics if `interval` is zero.
-    pub fn set_occupancy_interval(&mut self, interval: u64) {
-        assert!(interval > 0, "occupancy interval must be non-zero");
-        self.occupancy_interval = interval;
-    }
-
-    /// The configuration this engine models.
+    /// The configuration this processor models.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg
     }
@@ -283,9 +282,10 @@ impl Engine {
     }
 
     /// Runs one timeslice: `sources[i]` executes on hardware context `i` for
-    /// `cycles` cycles. Pipeline state is cold at entry (a context switch just
-    /// happened); caches, TLBs, and branch-predictor tables stay warm from
-    /// previous timeslices.
+    /// `cycles` cycles, and the hardware counters for the slice are returned.
+    /// Pipeline state is cold at entry (a context switch just happened);
+    /// caches, TLBs, and branch-predictor tables stay warm from previous
+    /// timeslices.
     ///
     /// # Panics
     /// Panics if more sources are supplied than the machine has contexts, or
@@ -322,13 +322,10 @@ impl Engine {
         self.wheel.clear();
         self.now = 0;
         self.conflict_cycles = [0; 7];
+        self.occupancy.clear();
         // The cursor persists across timeslices of different widths.
         let n = self.contexts.len();
         self.rr_cursor %= n;
-
-        if let Some(obs) = self.observer.as_mut() {
-            obs.timeslice_start(sources.len(), cycles);
-        }
 
         for _ in 0..cycles {
             self.cycle_flags = [false; 7];
@@ -339,8 +336,8 @@ impl Engine {
             for (count, &flag) in self.conflict_cycles.iter_mut().zip(&self.cycle_flags) {
                 *count += u64::from(flag);
             }
-            if self.observer.is_some() {
-                self.observe_cycle();
+            if self.sample_occupancy {
+                self.sample_cycle();
             }
             #[cfg(feature = "check-invariants")]
             self.check_cycle_invariants();
@@ -364,9 +361,6 @@ impl Engine {
             itlb: self.itlb.take_stats(),
             branches: self.bp.take_stats(),
         };
-        if let Some(obs) = self.observer.as_mut() {
-            obs.timeslice_end(&stats);
-        }
         #[cfg(feature = "check-invariants")]
         self.assert_timeslice_invariants(&stats);
         stats
@@ -453,16 +447,12 @@ impl Engine {
         crate::invariants::assert_timeslice(stats);
     }
 
-    /// Delivers this cycle's events to the registered observer: one
-    /// `conflict_cycle` per flagged resource, plus a [`StageOccupancy`]
-    /// snapshot on sampled cycles. Kept out of line so the common
-    /// no-observer path in the cycle loop stays a single branch.
+    /// Records a [`StageOccupancy`] on sampled cycles. Kept out of line so
+    /// the cycle loop with sampling off stays a single branch.
     #[cold]
-    fn observe_cycle(&mut self) {
-        let occupancy = self
-            .now
-            .is_multiple_of(self.occupancy_interval)
-            .then(|| StageOccupancy {
+    fn sample_cycle(&mut self) {
+        if self.now.is_multiple_of(OCCUPANCY_INTERVAL) {
+            self.occupancy.push(StageOccupancy {
                 cycle: self.now,
                 decode: self.contexts.iter().map(|c| c.decode.len()).sum(),
                 int_queue: self.queues[INT_Q].len(),
@@ -471,16 +461,6 @@ impl Engine {
                 fp_regs_in_use: self.fp_regs.in_use(),
                 inflight: self.contexts.iter().map(|c| c.inflight).sum(),
             });
-        let now = self.now;
-        let flags = self.cycle_flags;
-        let obs = self.observer.as_mut().expect("checked by caller");
-        for (i, &flag) in flags.iter().enumerate() {
-            if flag {
-                obs.conflict_cycle(now, Resource::ALL[i]);
-            }
-        }
-        if let Some(occ) = occupancy {
-            obs.stage_occupancy(&occ);
         }
     }
 
@@ -873,14 +853,19 @@ mod tests {
         }
     }
 
-    fn engine(contexts: usize) -> Engine {
-        Engine::new(MachineConfig::alpha21264_like(contexts))
+    fn engine(contexts: usize) -> Processor {
+        Processor::new(MachineConfig::alpha21264_like(contexts))
+    }
+
+    #[test]
+    fn debug_is_nonempty() {
+        assert!(format!("{:?}", engine(3)).contains("contexts: 3"));
     }
 
     /// The entry-by-entry issue scan `issue_from` replaced, as a reference
     /// model: returns the positions issued, in age order.
     fn sequential_issue(
-        e: &Engine,
+        e: &Processor,
         q: usize,
         fu: &mut FuPools,
         budget: &mut usize,
@@ -917,7 +902,7 @@ mod tests {
     /// Runs `issue_from` on queue `q` for one cycle and asserts that it issued
     /// what [`sequential_issue`] picks from the same state. Returns the
     /// positions issued and the pools that conflicted.
-    fn issue_and_compare(e: &mut Engine, q: usize, what: &str) -> (Vec<usize>, [bool; 3]) {
+    fn issue_and_compare(e: &mut Processor, q: usize, what: &str) -> (Vec<usize>, [bool; 3]) {
         let before: Vec<QEntry> = e.queues[q].entries().to_vec();
         let issued_before: u64 = e.contexts.iter().map(|c| c.issued).sum();
         let (mut ref_budget, mut ref_conflicts) = (e.cfg.issue_width, [false; 3]);
@@ -960,7 +945,7 @@ mod tests {
             cfg.issue_width = 1 + next(12) as usize;
             cfg.int_units = [1, 4, 32][next(3) as usize];
             cfg.fp_units = cfg.int_units;
-            let mut e = Engine::new(cfg);
+            let mut e = Processor::new(cfg);
             e.now = 1_000 + next(50);
             e.contexts = vec![ContextState::new(), ContextState::new()];
             let classes: &[InstrClass] = if q == FP_Q {
@@ -1026,7 +1011,7 @@ mod tests {
     fn readiness_is_sampled_before_anything_issues() {
         let mut cfg = MachineConfig::alpha21264_like(1);
         cfg.int_queue = 200;
-        let mut e = Engine::new(cfg);
+        let mut e = Processor::new(cfg);
         e.now = 1_000;
         e.contexts = vec![ContextState::new()];
         // 200..=330 wait in the queue. 200 is ready; the rest depend on their
@@ -1050,7 +1035,7 @@ mod tests {
                 mispredicted: false,
             });
         }
-        let waits = |e: &Engine| e.queues[INT_Q].entries().iter().any(|q| q.seq == young + 2);
+        let waits = |e: &Processor| e.queues[INT_Q].entries().iter().any(|q| q.seq == young + 2);
         let (picked, _) = issue_and_compare(&mut e, INT_Q, "first cycle");
         assert!(picked.contains(&0), "200 issues");
         assert!(
@@ -1134,7 +1119,7 @@ mod tests {
         let cfg = MachineConfig::alpha21264_like(1);
         let miss_latency = cfg.max_latency();
         let counts = |cycles: u64| {
-            let mut e = Engine::new(cfg.clone());
+            let mut e = Processor::new(cfg.clone());
             let stats = e.run_timeslice(&mut [&mut LoadThenAlus { n: 0 }], cycles);
             let t = &stats.threads[0];
             (
@@ -1462,13 +1447,62 @@ mod tests {
     }
 
     #[test]
+    fn flush_forces_icache_cold_start() {
+        let mut e = engine(1);
+        let alu = || AluStream {
+            pc: 0,
+            id: StreamId(0),
+        };
+        let _ = e.run_timeslice(&mut [&mut alu()], 1_000);
+        // Re-run the same small PC region: warm.
+        let warm = e.run_timeslice(&mut [&mut alu()], 1_000);
+        e.flush_memory_state();
+        let cold = e.run_timeslice(&mut [&mut alu()], 1_000);
+        assert!(cold.cache.il1_misses >= warm.cache.il1_misses);
+    }
+
+    #[test]
+    fn occupancy_samples_every_interval_without_touching_the_counters() {
+        let run = |sample: bool, cycles: u64| {
+            let mut e = engine(2);
+            e.sample_occupancy(sample);
+            let mut a = AluStream {
+                pc: 0,
+                id: StreamId(0),
+            };
+            let mut b = SerialStream {
+                pc: 0,
+                id: StreamId(1),
+            };
+            let stats = e.run_timeslice(&mut [&mut a, &mut b], cycles);
+            (stats, e.occupancy().to_vec())
+        };
+        for cycles in [2_000, 2_001, 64, 1] {
+            let (on, samples) = run(true, cycles);
+            let (off, none) = run(false, cycles);
+            assert_eq!(on, off, "sampling changed what was simulated");
+            assert!(none.is_empty());
+            let at: Vec<u64> = samples.iter().map(|s| s.cycle).collect();
+            let expected: Vec<u64> = (0..cycles.div_ceil(OCCUPANCY_INTERVAL))
+                .map(|i| i * OCCUPANCY_INTERVAL)
+                .collect();
+            assert_eq!(at, expected);
+        }
+        let (_, samples) = run(true, 2_000);
+        assert!(
+            samples.iter().any(|s| s.inflight > 0),
+            "pipeline never held an instruction"
+        );
+    }
+
+    #[test]
     fn icount_beats_round_robin_on_mixed_threads() {
         // A fast thread plus a slow serial thread: ICOUNT keeps the fast
         // thread fed, round-robin wastes fetch slots on the clogged thread.
         fn total_ipc(policy: FetchPolicy) -> f64 {
             let mut cfg = MachineConfig::alpha21264_like(2);
             cfg.fetch_policy = policy;
-            let mut e = Engine::new(cfg);
+            let mut e = Processor::new(cfg);
             let mut fast = AluStream {
                 pc: 0,
                 id: StreamId(1),
@@ -1494,7 +1528,7 @@ mod tests {
         // Shrink the FP renaming pool so two FP-heavy threads exhaust it.
         let mut cfg = MachineConfig::alpha21264_like(2);
         cfg.fp_regs = 4;
-        let mut e = Engine::new(cfg);
+        let mut e = Processor::new(cfg);
         let mut a = FpDivStream {
             pc: 0,
             id: StreamId(1),
@@ -1516,7 +1550,7 @@ mod tests {
         // A tiny integer queue forces dispatch rejections even for one thread.
         let mut cfg = MachineConfig::alpha21264_like(1);
         cfg.int_queue = 2;
-        let mut e = Engine::new(cfg);
+        let mut e = Processor::new(cfg);
         let mut a = SerialStream {
             pc: 0,
             id: StreamId(1),
@@ -1669,7 +1703,7 @@ mod tests {
     fn nonzero_icache_hit_latency_is_not_a_miss() {
         let mut cfg = MachineConfig::alpha21264_like(1);
         cfg.icache.hit_latency = 2;
-        let mut e = Engine::new(cfg);
+        let mut e = Processor::new(cfg);
         let mut s = AluStream {
             pc: 0,
             id: StreamId(1),

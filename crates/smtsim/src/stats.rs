@@ -145,6 +145,29 @@ impl TimesliceStats {
     }
 }
 
+/// A point-in-time snapshot of pipeline-stage occupancy, sampled by
+/// [`crate::Processor::sample_occupancy`].
+///
+/// All fields count instructions (or registers) resident in the structure at
+/// the sampled cycle, summed over hardware contexts where per-thread.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StageOccupancy {
+    /// Cycle (within the timeslice) at which the sample was taken.
+    pub cycle: u64,
+    /// Decoded instructions awaiting dispatch (fetch-stage output buffers).
+    pub decode: usize,
+    /// Entries in the shared integer issue queue (dispatch-stage output).
+    pub int_queue: usize,
+    /// Entries in the shared floating-point issue queue.
+    pub fp_queue: usize,
+    /// Integer renaming registers in use.
+    pub int_regs_in_use: usize,
+    /// Floating-point renaming registers in use.
+    pub fp_regs_in_use: usize,
+    /// Instructions in flight between dispatch and commit, all threads.
+    pub inflight: usize,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

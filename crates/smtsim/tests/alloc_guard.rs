@@ -1,13 +1,14 @@
 //! Allocation guard for the detailed cycle loop.
 //!
-//! The speed of `Engine::run_timeslice` rests on a steady-state simulated
+//! The speed of `Processor::run_timeslice` rests on a steady-state simulated
 //! cycle performing no heap allocation: the completion wheel, the issue
 //! queues and every per-cycle scratch buffer are owned by the engine and
 //! reused. This test counts allocations with a wrapping global allocator (in
 //! this integration-test crate, so the library keeps `forbid(unsafe_code)`)
 //! and fails if a warmed timeslice allocates anything that grows with its
 //! length — only the per-context pipeline state built at timeslice entry and
-//! the returned `TimesliceStats` may allocate.
+//! the returned `TimesliceStats` may allocate. That holds with occupancy
+//! sampling on too: the sample buffer is reused across timeslices.
 
 use rand::{rngs::SmallRng, RngCore, SeedableRng};
 use smtsim::trace::{Fetch, Instr, InstrClass, InstructionSource};
@@ -121,24 +122,31 @@ fn warmed_timeslice_allocations_do_not_grow_with_cycles() {
             pc: 0,
         })
         .collect();
-    // The first timeslice grows the wheel slots and scratch to their
-    // steady-state capacity.
-    allocations_in_timeslice(&mut cpu, &mut streams, 20_000);
-    let short: Vec<u64> = (0..3)
-        .map(|_| allocations_in_timeslice(&mut cpu, &mut streams, 1_000))
-        .collect();
-    let long: Vec<u64> = (0..3)
-        .map(|_| allocations_in_timeslice(&mut cpu, &mut streams, 30_000))
-        .collect();
-    // 30x the cycles, not one allocation more: nothing is proportional to
-    // cycles. What remains is per-context state and the returned statistics.
-    assert_eq!(
-        short, long,
-        "allocations per timeslice depend on its length"
-    );
-    let bound = 4 * CONTEXTS as u64 + 4;
-    assert!(
-        long.iter().all(|&n| n <= bound),
-        "{long:?} allocations per timeslice, expected O(contexts) <= {bound}"
-    );
+    for sample in [false, true] {
+        cpu.sample_occupancy(sample);
+        // The first timeslice grows the wheel slots, the scratch and the
+        // sample buffer to their steady-state capacity. It is shorter than
+        // the long slices below, so a reused buffer whose size follows the
+        // slice length shows up as extra allocations there.
+        allocations_in_timeslice(&mut cpu, &mut streams, 20_000);
+        let short: Vec<u64> = (0..3)
+            .map(|_| allocations_in_timeslice(&mut cpu, &mut streams, 1_000))
+            .collect();
+        let long: Vec<u64> = (0..3)
+            .map(|_| allocations_in_timeslice(&mut cpu, &mut streams, 30_000))
+            .collect();
+        // 30x the cycles, not one allocation more: nothing is proportional
+        // to cycles. What remains is per-context state and the returned
+        // statistics.
+        assert_eq!(
+            short, long,
+            "allocations per timeslice depend on its length (sampling {sample})"
+        );
+        let bound = 4 * CONTEXTS as u64 + 4;
+        assert!(
+            long.iter().all(|&n| n <= bound),
+            "{long:?} allocations per timeslice, expected O(contexts) <= {bound}"
+        );
+        assert_eq!(cpu.occupancy().len(), if sample { 469 } else { 0 });
+    }
 }

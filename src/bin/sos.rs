@@ -14,77 +14,96 @@ use smt_symbiosis::sos::sos::{SosConfig, SosScheduler};
 use smt_symbiosis::sos::{ExperimentSpec, PredictorKind};
 use smt_symbiosis::workloads::Benchmark;
 use smtsim::{MachineConfig, Processor, StreamId};
+use sos_bench::cli::{self, Flags};
+use std::num::NonZeroUsize;
+
+const USAGE: &str = "schedules <X> <Y> <Z>
+       sos run <label> [cycle_scale] [predictor]
+       sos solo [smt]
+       sos opensys <smt> [num_jobs] [cycle_scale]";
+
+/// The paper's 5M-cycle timeslice, which `sos opensys` divides by its scale.
+const TIMESLICE: u64 = 5_000_000;
+
+enum Command {
+    Help,
+    Schedules(usize, usize, usize),
+    Run(ExperimentSpec, u64, PredictorKind),
+    Solo(usize),
+    Opensys(usize, u64, u64),
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("schedules") => cmd_schedules(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("solo") => cmd_solo(&args[1..]),
-        Some("opensys") => cmd_opensys(&args[1..]),
-        Some("help") | None => {
-            usage();
-            0
-        }
-        Some(other) => {
-            eprintln!("unknown command '{other}'");
-            usage();
-            2
-        }
-    };
-    std::process::exit(code);
-}
-
-fn usage() {
-    eprintln!("usage:");
-    eprintln!("  sos schedules <X> <Y> <Z>");
-    eprintln!("  sos run <label> [cycle_scale] [predictor]");
-    eprintln!("  sos solo [smt]");
-    eprintln!("  sos opensys <smt> [num_jobs] [cycle_scale]");
-}
-
-fn parse<T: std::str::FromStr>(args: &[String], i: usize, what: &str) -> Result<T, String> {
-    args.get(i)
-        .ok_or_else(|| format!("missing {what}"))?
-        .parse()
-        .map_err(|_| format!("bad {what}: {}", args[i]))
-}
-
-/// An optional positive count at position `i`: `default` when absent, an
-/// error — never the default — when unparsable or zero.
-fn count(args: &[String], i: usize, what: &str, default: u64) -> Result<u64, String> {
-    if i >= args.len() {
-        return Ok(default);
+    match cli::parse_or_exit("sos", USAGE, parse_command) {
+        Command::Help => eprintln!("usage: sos {USAGE}"),
+        Command::Schedules(x, y, z) => cmd_schedules(x, y, z),
+        Command::Run(spec, scale, predictor) => cmd_run(&spec, scale, predictor),
+        Command::Solo(smt) => cmd_solo(smt),
+        Command::Opensys(smt, num_jobs, scale) => cmd_opensys(smt, num_jobs, scale),
     }
-    let n = parse::<std::num::NonZeroU64>(args, i, what)?;
-    Ok(n.get())
 }
 
-/// Prints a bad-argument error with the usage and returns exit code 2.
-fn refuse(e: String) -> i32 {
-    eprintln!("{e}");
-    usage();
-    2
+/// A positional argument the command cannot do without.
+fn required<T: std::str::FromStr>(flags: &mut Flags, what: &str) -> Result<T, String> {
+    flags
+        .positional(what)?
+        .ok_or_else(|| format!("missing {what}"))
 }
 
-fn cmd_schedules(args: &[String]) -> i32 {
-    let (x, y, z) = match (
-        parse::<usize>(args, 0, "X"),
-        parse::<usize>(args, 1, "Y"),
-        parse::<usize>(args, 2, "Z"),
-    ) {
-        (Ok(x), Ok(y), Ok(z)) => (x, y, z),
-        (a, b, c) => {
-            for e in [a.err(), b.err(), c.err()].into_iter().flatten() {
-                eprintln!("{e}");
+fn parse_command(flags: &mut Flags) -> Result<Command, String> {
+    let command = flags.positional::<String>("command")?;
+    Ok(match command.as_deref() {
+        None | Some("help") => Command::Help,
+        Some("schedules") => {
+            let (x, y, z) = (
+                required(flags, "X")?,
+                required(flags, "Y")?,
+                required(flags, "Z")?,
+            );
+            if !(z >= 1 && z <= y && y <= x && (z == y || z == 1)) {
+                return Err(
+                    "need 1 <= Z <= Y <= X with Z == Y (swap-all) or Z == 1 (swap-one)".into(),
+                );
             }
-            return 2;
+            Command::Schedules(x, y, z)
         }
-    };
-    if !(z >= 1 && z <= y && y <= x && (z == y || z == 1)) {
-        eprintln!("need 1 <= Z <= Y <= X with Z == Y (swap-all) or Z == 1 (swap-one)");
-        return 2;
-    }
+        Some("run") => {
+            let label: String = flags
+                .positional("experiment label")?
+                .ok_or("missing experiment label, e.g. \"Jsb(6,3,3)\"")?;
+            let spec = label.parse().map_err(|e| format!("{e}"))?;
+            let scale = flags.count("cycle_scale", 1000)?;
+            // The batch report evaluates the paper's ten predictors; the
+            // learned kinds need a learner this command does not run.
+            let predictor = match flags.positional::<String>("predictor")? {
+                None => PredictorKind::Score,
+                Some(p) => PredictorKind::parse(&p)
+                    .filter(|k| !k.is_learned())
+                    .ok_or_else(|| {
+                        let fixed: Vec<&str> =
+                            PredictorKind::ALL.iter().map(|k| k.name()).collect();
+                        format!("bad predictor \"{p}\" (one of {})", fixed.join(", "))
+                    })?,
+            };
+            Command::Run(spec, scale, predictor)
+        }
+        Some("solo") => Command::Solo(flags.count("smt level", 1)? as usize),
+        Some("opensys") => {
+            let smt = required::<NonZeroUsize>(flags, "smt level")?.get();
+            let num_jobs = flags.count("num_jobs", 40)?;
+            let scale = flags.count("cycle_scale", 4000)?;
+            if scale > TIMESLICE {
+                return Err(format!(
+                    "cycle_scale {scale} exceeds {TIMESLICE}: the timeslice would be 0 cycles"
+                ));
+            }
+            Command::Opensys(smt, num_jobs, scale)
+        }
+        Some(other) => return Err(format!("unknown command {other:?}")),
+    })
+}
+
+fn cmd_schedules(x: usize, y: usize, z: usize) {
     let n = count_distinct(x, y, z);
     println!("{n} distinct schedules for {x} jobs, {y} contexts, swap {z}");
     if n <= 36 {
@@ -92,40 +111,9 @@ fn cmd_schedules(args: &[String]) -> i32 {
             println!("  {}", s.paper_notation());
         }
     }
-    0
 }
 
-fn cmd_run(args: &[String]) -> i32 {
-    let Some(label) = args.first() else {
-        eprintln!("missing experiment label, e.g. \"Jsb(6,3,3)\"");
-        return 2;
-    };
-    let spec: ExperimentSpec = match label.parse() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let scale = match count(args, 1, "cycle_scale", 1000) {
-        Ok(scale) => scale,
-        Err(e) => return refuse(e),
-    };
-    // The batch report evaluates the paper's ten predictors; the learned
-    // kinds need a learner this command does not run.
-    let predictor = match args.get(2) {
-        None => PredictorKind::Score,
-        Some(p) => match PredictorKind::parse(p).filter(|k| !k.is_learned()) {
-            Some(kind) => kind,
-            None => {
-                let fixed: Vec<&str> = PredictorKind::ALL.iter().map(|k| k.name()).collect();
-                return refuse(format!(
-                    "bad predictor \"{p}\" (one of {})",
-                    fixed.join(", ")
-                ));
-            }
-        },
-    };
+fn cmd_run(spec: &ExperimentSpec, scale: u64, predictor: PredictorKind) {
     let cfg = SosConfig {
         cycle_scale: scale,
         predictor,
@@ -133,7 +121,7 @@ fn cmd_run(args: &[String]) -> i32 {
     };
 
     eprintln!("running {spec} at 1/{scale} paper scale ...");
-    let report = SosScheduler::evaluate_experiment(&spec, &cfg);
+    let report = SosScheduler::evaluate_experiment(spec, &cfg);
     println!(
         "{spec}: {} candidate schedules sampled",
         report.candidates.len()
@@ -153,14 +141,9 @@ fn cmd_run(args: &[String]) -> i32 {
         predictor.name(),
         100.0 * (ws / report.average_ws() - 1.0)
     );
-    0
 }
 
-fn cmd_solo(args: &[String]) -> i32 {
-    let smt = match count(args, 0, "smt level", 1) {
-        Ok(smt) => smt as usize,
-        Err(e) => return refuse(e),
-    };
+fn cmd_solo(smt: usize) {
     println!("{:<8} {:>6} {:>8} {:>9}", "bench", "IPC", "dl1%", "br-mis%");
     for b in Benchmark::ALL {
         let mut cpu = Processor::new(MachineConfig::alpha21264_like(smt));
@@ -175,23 +158,14 @@ fn cmd_solo(args: &[String]) -> i32 {
             st.branches.mispredict_pct()
         );
     }
-    0
 }
 
-fn cmd_opensys(args: &[String]) -> i32 {
-    let parsed = parse::<std::num::NonZeroUsize>(args, 0, "smt level").and_then(|smt| {
-        let num_jobs = count(args, 1, "num_jobs", 40)?;
-        Ok((smt.get(), num_jobs, count(args, 2, "cycle_scale", 4000)?))
-    });
-    let (smt, num_jobs, scale) = match parsed {
-        Ok(parsed) => parsed,
-        Err(e) => return refuse(e),
-    };
+fn cmd_opensys(smt: usize, num_jobs: u64, scale: u64) {
     let mut cfg = OpenSystemConfig::scaled(smt);
     cfg.mean_job_cycles = 2_000_000_000 / scale;
     cfg.mean_interarrival =
         (cfg.mean_job_cycles as f64 / (0.90 * OpenSystemConfig::estimated_ws(smt))) as u64;
-    cfg.timeslice = 5_000_000 / scale;
+    cfg.timeslice = TIMESLICE / scale;
     cfg.num_jobs = num_jobs as usize;
 
     eprintln!("open system: SMT {smt}, {num_jobs} jobs, 1/{scale} scale ...");
@@ -211,5 +185,4 @@ fn cmd_opensys(args: &[String]) -> i32 {
         "improvement: {:.1}%",
         100.0 * (naive_mean - sos_mean) / naive_mean
     );
-    0
 }

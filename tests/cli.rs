@@ -83,3 +83,40 @@ fn run_accepts_each_of_the_papers_predictors_by_name() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("Dcache picks WS"), "{text}");
 }
+
+#[test]
+fn arguments_nobody_asked_for_are_refused() {
+    for (args, want) in [
+        (
+            &["schedules", "4", "2", "2", "--bogus"][..],
+            "unknown flag \"--bogus\"",
+        ),
+        (&["solo", "2", "extra"], "unexpected argument \"extra\""),
+        (
+            &["run", "Jsb(4,2,2)", "200000", "dcache", "more"],
+            "unexpected argument",
+        ),
+    ] {
+        let out = sos(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(want) && err.contains("usage:"),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran");
+    }
+}
+
+#[test]
+fn opensys_refuses_a_scale_that_rounds_the_timeslice_to_zero() {
+    for scale in ["10000000", "2000000000000"] {
+        let out = sos(&["opensys", "2", "10", scale]);
+        assert_eq!(out.status.code(), Some(2), "{scale}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("cycle_scale") && !err.contains("panicked"),
+            "{err}"
+        );
+    }
+}

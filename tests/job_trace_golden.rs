@@ -8,10 +8,11 @@
 //! Every run owns its handle (buffer and clock), so the tests here run in
 //! parallel without any lock.
 
+use smtsim::FastSimPolicy;
 use sos_core::online::{OnlineConfig, OnlineEngine, SchedulerKind};
 use sos_core::opensys::JobArrival;
-use sos_core::telemetry::Telemetry;
-use sos_core::PredictorKind;
+use sos_core::telemetry::{EventPhase, Snapshot, Telemetry};
+use sos_core::{ExperimentSpec, PredictorKind, SosConfig, SosScheduler};
 use std::sync::Barrier;
 use workloads::spec::Benchmark;
 
@@ -21,10 +22,25 @@ use workloads::spec::Benchmark;
 const GOLDEN_DIGEST: u64 = 0x36db_2d57_a67e_2285;
 const GOLDEN_LEN: usize = 670_950;
 
+/// [`sos_trace`]'s `(length, digest)`, recorded on the commit before the
+/// simulator's observer callbacks were replaced by `trace_timeslice`.
+const SOS_GOLDEN: (usize, u64) = (2_569_228, 0xcd57_ba4e_2ff2_cc8a);
+
+/// The Chrome trace of [`fastsim_run`] as `(length, digest)`, recorded on
+/// the same commit.
+const FASTSIM_GOLDEN: (usize, u64) = (707_910, 0x352e_e186_5312_282f);
+
+/// FNV-1a over the trace bytes.
+fn digest(trace: &str) -> (usize, u64) {
+    let hash = trace.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (trace.len(), hash)
+}
+
 /// Runs the seeded 3-job scenario on its own tracing handle and returns the
 /// Chrome trace JSON. `before_step` runs ahead of every timeslice.
-fn traced_run_with(mut before_step: impl FnMut()) -> String {
-    let tel = Telemetry::tracing();
+fn traced_run_with(before_step: impl FnMut()) -> String {
     let cfg = OnlineConfig {
         smt: 2,
         timeslice: 2_000,
@@ -35,14 +51,27 @@ fn traced_run_with(mut before_step: impl FnMut()) -> String {
         seed: 7,
         fastsim: None,
     };
-    let mut engine = OnlineEngine::new(SchedulerKind::Sos, &cfg);
-    engine.set_telemetry(tel.clone());
     let jobs = [
         (Benchmark::Gcc, 40_000, false),
         (Benchmark::Mg, 30_000, true),
         (Benchmark::Swim, 20_000, false),
     ];
-    for (benchmark, instructions, phased) in jobs {
+    let (tel, _) = run_engine(&cfg, &jobs, before_step);
+    tel.drain().chrome_trace_json()
+}
+
+/// Runs `(benchmark, instructions, phased)` jobs, all submitted at time 0,
+/// to completion on `cfg` with a fresh tracing handle; returns the handle
+/// and the finished engine. `before_step` runs ahead of every timeslice.
+fn run_engine(
+    cfg: &OnlineConfig,
+    jobs: &[(Benchmark, u64, bool)],
+    mut before_step: impl FnMut(),
+) -> (Telemetry, OnlineEngine) {
+    let tel = Telemetry::tracing();
+    let mut engine = OnlineEngine::new(SchedulerKind::Sos, cfg);
+    engine.set_telemetry(tel.clone());
+    for &(benchmark, instructions, phased) in jobs {
         engine.submit(JobArrival {
             arrival: engine.now(),
             benchmark,
@@ -57,7 +86,42 @@ fn traced_run_with(mut before_step: impl FnMut()) -> String {
         safety += 1;
         assert!(safety < 100_000, "run did not terminate");
     }
+    (tel, engine)
+}
+
+/// The closed-system protocol on a tracing handle: every slice the
+/// `Runner` simulates (calibration, sample and symbios phases) is traced.
+fn sos_trace() -> String {
+    let tel = Telemetry::tracing();
+    let spec: ExperimentSpec = "Jsb(4,2,2)".parse().unwrap();
+    let cfg = SosConfig {
+        cycle_scale: 20_000,
+        calibration_cycles: 15_000,
+        ..SosConfig::default()
+    };
+    let _ = SosScheduler::evaluate_experiment_traced(&spec, &cfg, 0, &tel);
     tel.drain().chrome_trace_json()
+}
+
+/// An FP-heavy pair under fast simulation, long enough for its phase to
+/// lock; returns the drained handle and the finished engine.
+fn fastsim_run() -> (Snapshot, OnlineEngine) {
+    let cfg = OnlineConfig {
+        smt: 2,
+        timeslice: 2_000,
+        sample_schedules: 2,
+        predictor: PredictorKind::Ipc,
+        drift_threshold: None,
+        base_interval: 20_000,
+        seed: 7,
+        fastsim: Some(FastSimPolicy::default()),
+    };
+    let jobs = [
+        (Benchmark::Fp, 200_000, false),
+        (Benchmark::Swim, 200_000, false),
+    ];
+    let (tel, engine) = run_engine(&cfg, &jobs, || {});
+    (tel.drain(), engine)
 }
 
 fn traced_run() -> String {
@@ -78,6 +142,35 @@ fn job_span_trace_matches_the_digest_recorded_before_the_refactor() {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
     assert_eq!((trace.len(), digest), (GOLDEN_LEN, GOLDEN_DIGEST));
+}
+
+#[test]
+fn runner_trace_matches_the_recorded_digest() {
+    let trace = sos_trace();
+    if std::env::var_os("JOB_TRACE_GOLDEN_PRINT").is_some() {
+        eprintln!("sos {:?}", digest(&trace));
+    }
+    assert_eq!(digest(&trace), SOS_GOLDEN);
+}
+
+#[test]
+fn extrapolated_slices_emit_no_simulator_events() {
+    let (snap, engine) = fastsim_run();
+    let trace = snap.chrome_trace_json();
+    if std::env::var_os("JOB_TRACE_GOLDEN_PRINT").is_some() {
+        eprintln!("fastsim {:?}", digest(&trace));
+    }
+    let extrapolated = engine.fastsim_counters().unwrap().extrapolated_slices;
+    assert!(extrapolated > 0, "no phase locked");
+    // Every slice run in detail is one `smtsim.timeslice` span; the
+    // extrapolated ones are not simulated, so they are not traced either.
+    let detailed = snap
+        .events
+        .iter()
+        .filter(|e| e.name == "smtsim.timeslice" && e.phase == EventPhase::SpanStart)
+        .count() as u64;
+    assert_eq!(detailed + extrapolated, engine.timeslices());
+    assert_eq!(digest(&trace), FASTSIM_GOLDEN);
 }
 
 #[test]
