@@ -221,7 +221,6 @@ fn raw_throughput(smt: usize, timeslice: u64, rotations: usize, seed: u64) -> (f
 
 fn main() {
     let args = cli::parse_or_exit("fastsim-compare", "", parse_args);
-    sos_bench::init_cache();
 
     // One scenario per seed: same shape, independent arrival traces. The
     // table compares the pooled populations.

@@ -11,7 +11,6 @@ use sos_core::ExperimentSpec;
 fn main() {
     let scale = sos_bench::cli::scale_or_exit("fig1");
     let cfg = sos_bench::config(scale);
-    sos_bench::init_cache();
     eprintln!("# running 13 experiments at 1/{scale} paper scale ...");
 
     let specs = ExperimentSpec::all_paper_experiments();

@@ -10,10 +10,8 @@ fn main() {
     let scale = sos_bench::cli::scale_or_exit("fig2");
     let cfg = sos_bench::config(scale);
     let spec: ExperimentSpec = "Jsb(6,3,3)".parse().expect("valid label");
-    sos_bench::init_cache();
     eprintln!("# running {spec} at 1/{scale} paper scale ...");
     let report = SosScheduler::evaluate_experiment(&spec, &cfg);
-    sos_bench::print_cache_stats();
 
     println!("Figure 2 — weighted speedup with several dynamic predictors on Jsb(6,3,3)");
     println!("    {:<10} WS {:>6.3}", "Best", report.best_ws());

@@ -14,7 +14,6 @@ use sos_core::{ExperimentSpec, PredictorKind};
 fn main() {
     let scale = sos_bench::cli::scale_or_exit("fig3");
     let cfg = sos_bench::config(scale);
-    sos_bench::init_cache();
     eprintln!("# running 13 experiments at 1/{scale} paper scale ...");
 
     let specs = ExperimentSpec::all_paper_experiments();

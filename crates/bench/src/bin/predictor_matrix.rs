@@ -73,7 +73,6 @@ fn main() {
     let usage = "[cycle_scale] [json_path] | [--learned] [--bandit] [--grid small|wide] \
                  [--scale N] [--seeds S1,S2,...] [--out-dir DIR]";
     let args = cli::parse_or_exit("predictor_matrix", usage, parse_args);
-    sos_bench::init_cache();
 
     if args.learned {
         run_learned(&args);
@@ -88,7 +87,6 @@ fn main() {
     let specs = ExperimentSpec::all_paper_experiments();
     let reports =
         sos_core::par::parallel_map(specs, |spec| SosScheduler::evaluate_experiment(&spec, &cfg));
-    sos_bench::print_cache_stats();
 
     println!(
         "Predictor league table over {} experiments (% vs random expectation)",
@@ -116,7 +114,6 @@ fn run_learned(args: &Args) {
         opts.scale
     );
     let (reports, summary) = learn_eval::run(&opts);
-    sos_bench::print_cache_stats();
 
     println!(
         "Learned-predictor league table over {} experiments (% vs random expectation)",

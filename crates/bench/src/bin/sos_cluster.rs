@@ -77,9 +77,9 @@ fn main() {
     let args = cli::parse_or_exit("sos-cluster", "", parse_args);
     let cfg = args.cluster;
 
-    // Calibrate solo IPC once (shared cache makes this cheap across runs)
-    // and generate the arrival trace — a pure function of the seed, so
-    // every shard count sees the identical offered workload.
+    // Calibrate solo IPC once and generate the arrival trace — a pure
+    // function of the seed, so every shard count sees the identical offered
+    // workload.
     let solo = calibrate_benchmarks(cfg.shard.smt, args.calibration_cycles, cfg.shard.seed);
     let trace = ArrivalTrace::generate(&args.trace, &solo);
 

@@ -171,10 +171,7 @@ fn main() {
         "response approx   p50 {:.0}  p95 {:.0}  p99 {:.0}  (histogram buckets)",
         stats.response_approx.p50, stats.response_approx.p95, stats.response_approx.p99
     );
-    println!(
-        "resamples {}  cache {} hits / {} misses",
-        stats.resamples, stats.cache_hits, stats.cache_misses
-    );
+    println!("resamples {}", stats.resamples);
 
     if args.shutdown {
         match client.request(&Request::verb("shutdown")) {

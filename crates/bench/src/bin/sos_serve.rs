@@ -144,8 +144,6 @@ struct ServeMetrics {
     queue_depth: Arc<Gauge>,
     snapshot_age: Arc<Gauge>,
     snapshot_write_us: Arc<Gauge>,
-    cache_hits: Arc<Gauge>,
-    cache_misses: Arc<Gauge>,
     err_unparsable: Arc<Counter>,
     err_unknown_cmd: Arc<Counter>,
     err_bad_submit: Arc<Counter>,
@@ -168,8 +166,6 @@ impl ServeMetrics {
             queue_depth: tel.gauge("serve.queue_depth"),
             snapshot_age: tel.gauge("serve.snapshot_age_cycles"),
             snapshot_write_us: tel.gauge("serve.snapshot_write_us"),
-            cache_hits: tel.gauge("serve.cache_hits"),
-            cache_misses: tel.gauge("serve.cache_misses"),
             err_unparsable: tel.counter("serve.errors.unparsable"),
             err_unknown_cmd: tel.counter("serve.errors.unknown_cmd"),
             err_bad_submit: tel.counter("serve.errors.bad_submit"),
@@ -416,7 +412,6 @@ impl Shared {
                 p95: f64::NAN,
                 p99: f64::NAN,
             });
-        let cache = sos_core::cache::stats();
         let mut r = Response::ok();
         r.stats = Some(StatsReply {
             completed: jobs.count() as u64,
@@ -426,8 +421,6 @@ impl Shared {
             slowdown: jobs.slowdown(),
             response_approx,
             resamples,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
             errors: Some(self.sm.error_classes()),
         });
         r
@@ -446,9 +439,9 @@ impl Shared {
         r
     }
 
-    /// Updates the gauges that are sampled rather than event-driven
-    /// (snapshot age, evaluation-cache hit/miss totals; queue depth is set
-    /// wherever `live` changes) and returns the published clock.
+    /// Updates the gauge that is sampled rather than event-driven (snapshot
+    /// age; queue depth is set wherever `live` changes) and returns the
+    /// published clock.
     fn refresh_gauges(&self) -> u64 {
         let front = self.front();
         let (now, snapshot_at) = (front.now_cycles, front.last_snapshot_cycles);
@@ -456,9 +449,6 @@ impl Shared {
         self.sm
             .snapshot_age
             .set(now.saturating_sub(snapshot_at) as f64);
-        let cache = sos_core::cache::stats();
-        self.sm.cache_hits.set(cache.hits as f64);
-        self.sm.cache_misses.set(cache.misses as f64);
         now
     }
 
@@ -643,7 +633,6 @@ impl Daemon {
 fn main() {
     let args = cli::parse_or_exit("sos-serve", "", parse_args);
     let cfg = args.engine.clone();
-    sos_bench::init_cache();
     eprintln!(
         "# sos-serve: calibrating {} benchmarks at SMT {} ...",
         JOB_KINDS.len(),
@@ -775,7 +764,6 @@ fn main() {
 
     daemon.write_snapshot();
     daemon.export_telemetry();
-    sos_bench::print_cache_stats();
     let completed = shared.front().completed.len();
     eprintln!(
         "# sos-serve: shutdown after {completed} completed jobs at cycle {}",

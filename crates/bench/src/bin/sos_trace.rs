@@ -72,15 +72,9 @@ fn main() -> ExitCode {
         args.scale
     );
 
-    // In-memory cache only (no disk store): the point here is surfacing the
-    // sos.cache.hits / sos.cache.misses counters in the exported metrics
-    // without a warm disk cache eliding the simulator spans being traced.
-    sos_core::cache::enable();
-
     let tel = Telemetry::tracing();
     let report = SosScheduler::evaluate_experiment_traced(&args.spec, &cfg, 0, &tel);
     let snapshot = tel.drain();
-    sos_bench::print_cache_stats();
 
     if let Some(path) = &args.trace_path {
         if let Err(code) = write_file(path, &snapshot.chrome_trace_json()) {

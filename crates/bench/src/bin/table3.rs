@@ -12,7 +12,6 @@ fn main() {
     let spec: ExperimentSpec = "Jsb(6,3,3)".parse().expect("valid label");
     let cfg = sos_bench::config(scale);
 
-    sos_bench::init_cache();
     eprintln!("# running {spec} at 1/{scale} paper scale ...");
     let report = SosScheduler::evaluate_experiment(&spec, &cfg);
 

@@ -15,7 +15,6 @@ use sos_core::ExperimentSpec;
 fn main() {
     let scale = sos_bench::cli::scale_or_exit("warmstart");
     let cfg = sos_bench::config(scale);
-    sos_bench::init_cache();
     eprintln!("# running warmstart comparisons at 1/{scale} paper scale ...");
 
     // (swap-all baseline, swap-one big timeslice, swap-one little timeslice)

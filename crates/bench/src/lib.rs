@@ -96,8 +96,8 @@ pub struct OpenSweepPoint {
 }
 
 impl OpenSweep {
-    /// Parses the process's command line (exit 2 with usage on an error),
-    /// attaches the cache and announces a fast-sim policy on stderr.
+    /// Parses the process's command line (exit 2 with usage on an error) and
+    /// announces a fast-sim policy on stderr.
     pub fn from_args(bin: &str) -> Self {
         let usage = "[cycle_scale] [num_jobs] [seeds] [--fast] [--fast-threshold F]";
         let sweep = cli::parse_or_exit(bin, usage, |flags| {
@@ -115,7 +115,6 @@ impl OpenSweep {
             }
             Ok(sweep)
         });
-        init_cache();
         if let Some(p) = &sweep.fastsim {
             eprintln!("# fastsim: {}", p.describe());
         }
@@ -191,39 +190,6 @@ pub fn print_response_percentiles(label_header: &str, rows: &[(String, OpenSweep
             "{label} {:>12.0} {:>12.0} {:>12.0}   {:>12.0} {:>12.0} {:>12.0}",
             p.naive.p50, p.naive.p95, p.naive.p99, p.sos.p50, p.sos.p95, p.sos.p99
         );
-    }
-}
-
-/// Enables the process-wide evaluation cache for an experiment binary and
-/// attaches the on-disk store.
-///
-/// * `SOS_CACHE=off` leaves the cache disabled entirely (forces a cold run).
-/// * `SOS_CACHE_DIR=<dir>` overrides the store directory (default
-///   `results/cache/`).
-///
-/// A disk failure degrades to the in-memory layer with a note on stderr;
-/// the run itself is unaffected (caching is best-effort).
-pub fn init_cache() {
-    if std::env::var("SOS_CACHE")
-        .map(|v| v == "off")
-        .unwrap_or(false)
-    {
-        return;
-    }
-    sos_core::cache::enable();
-    let dir = std::env::var("SOS_CACHE_DIR").unwrap_or_else(|_| "results/cache".to_string());
-    match sos_core::cache::attach_disk(std::path::Path::new(&dir)) {
-        Ok(loaded) => eprintln!("# cache: {loaded} entries loaded from {dir}"),
-        Err(e) => eprintln!("# cache: disk store unavailable ({e}); in-memory only"),
-    }
-}
-
-/// Prints the process-wide cache's hit/miss totals to stderr (a no-op while
-/// the cache is disabled, so `SOS_CACHE=off` runs stay quiet).
-pub fn print_cache_stats() {
-    if sos_core::cache::is_enabled() {
-        let stats = sos_core::cache::stats();
-        eprintln!("# cache: {} hits, {} misses", stats.hits, stats.misses);
     }
 }
 

@@ -153,10 +153,6 @@ pub struct StatsReply {
     pub response_approx: Percentiles,
     /// SOS sample phases entered.
     pub resamples: u64,
-    /// Evaluation-cache hits (see `sos_core::cache`).
-    pub cache_hits: u64,
-    /// Evaluation-cache misses.
-    pub cache_misses: u64,
     /// Protocol errors by class (`unparsable`, `unknown_cmd`, `bad_submit`,
     /// `backpressure`, `draining`). Absent in replies from older daemons.
     pub errors: Option<BTreeMap<String, u64>>,

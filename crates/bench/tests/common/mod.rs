@@ -8,9 +8,8 @@ use std::time::{Duration, Instant};
 
 static SPAWNS: AtomicU64 = AtomicU64::new(0);
 
-/// Spawns `sos-serve --port 0 <extra>` with the evaluation cache disabled
-/// (tests must not read or write the repo's `results/cache/`), and returns
-/// the child plus the `host:port` it bound.
+/// Spawns `sos-serve --port 0 <extra>` and returns the child plus the
+/// `host:port` it bound.
 ///
 /// Unless `extra` already carries one, each daemon gets its own throwaway
 /// `--snapshot-dir`: the default is the repo-relative `results/serve/`,
@@ -28,7 +27,6 @@ pub fn spawn_daemon(extra: &[&str]) -> (Child, String) {
         cmd.arg("--snapshot-dir").arg(dir);
     }
     let mut child = cmd
-        .env("SOS_CACHE", "off")
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()

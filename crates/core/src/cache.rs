@@ -12,9 +12,7 @@
 //!
 //! * solo-IPC calibration ([`SoloRates`]) — [`EvalCache::solo_rates`],
 //! * per-schedule sample rotations ([`RotationStats`]) and symbios-phase
-//!   totals — [`EvalCache::sample_rotations`], [`EvalCache::symbios`],
-//! * the open system's per-benchmark IPC table —
-//!   [`EvalCache::bench_rates`].
+//!   totals — [`EvalCache::sample_rotations`], [`EvalCache::symbios`].
 //!
 //! Keys are flat strings assembled from the stable machine-config hash
 //! ([`smtsim::MachineConfig::stable_hash`]), the workload/jobmix spec label,
@@ -25,16 +23,16 @@
 //! cannot.
 //!
 //! Storage is an in-memory map plus an optional on-disk JSONL store
-//! (conventionally `results/cache/eval-cache.jsonl`, see
-//! [`EvalCache::attach_disk`]). The disk file starts with a versioned
+//! ([`EvalCache::attach_disk`]). The disk file starts with a versioned
 //! header; a header whose [`KEY_SCHEMA`] or crate version disagrees with
 //! this build invalidates the whole file, and individual entries that fail
 //! to parse or fail validation are ignored rather than trusted.
 //!
 //! The cache is **opt-in**: the process-wide instance behind the free
-//! functions ([`enable`], [`solo_rates`], ...) starts disabled, so library
-//! users and the test suite see uncached behavior unless they ask for it.
-//! The experiment binaries enable it via `sos_bench::init_cache`.
+//! functions ([`enable`], [`solo_rates`], ...) starts disabled, and no binary
+//! turns it on. Only the benchmark harness (which reads stage results back
+//! through the memo) and the cache's own tests enable it, so every number a
+//! binary prints was simulated by the process that printed it.
 
 use crate::runner::RotationStats;
 use crate::schedule::Schedule;
@@ -45,7 +43,6 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use workloads::Benchmark;
 
 /// Version of the key layout produced by the `*_key` builders *and* of the
 /// evaluation semantics behind them (e.g. how many warm-up rotations a
@@ -73,17 +70,6 @@ pub struct SymbiosEval {
     pub cycles: u64,
 }
 
-/// One benchmark's measured solo IPC (the open system's calibration table,
-/// stored as a deterministic list rather than a `HashMap` so serialized
-/// entries are byte-stable).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BenchRate {
-    /// The benchmark measured.
-    pub bench: Benchmark,
-    /// Its solo IPC on the keyed machine.
-    pub ipc: f64,
-}
-
 /// A cached value. Exactly one field is populated; which one is implied by
 /// the key prefix. (The vendored serde derives support structs but not
 /// data-carrying enums, so this is a struct of options rather than an enum.)
@@ -95,8 +81,6 @@ pub struct Payload {
     pub sample: Option<Vec<RotationStats>>,
     /// Symbios-phase totals of one candidate schedule.
     pub symbios: Option<SymbiosEval>,
-    /// The open system's per-benchmark solo-IPC table.
-    pub bench_ipc: Option<Vec<BenchRate>>,
 }
 
 /// First line of the JSONL store: identifies the key schema and crate
@@ -183,11 +167,6 @@ pub fn symbios_key(
     cycles: u64,
 ) -> String {
     format!("symbios|m{machine_hash:016x}|w{workload}|s{seed:x}|k{schedule}|t{timeslice}|y{cycles}")
-}
-
-/// Key of the open system's per-benchmark calibration table.
-pub fn bench_ipc_key(machine_hash: u64, cycles: u64, seed: u64) -> String {
-    format!("bipc|m{machine_hash:016x}|c{cycles}|s{seed:x}")
 }
 
 // ---------------------------------------------------------------------------
@@ -421,34 +400,6 @@ impl EvalCache {
         out
     }
 
-    /// Memoizes the open system's per-benchmark solo-IPC table. Cached
-    /// tables must be non-empty with positive, finite rates.
-    pub fn bench_rates(
-        &self,
-        key: &str,
-        compute: impl FnOnce() -> Vec<BenchRate>,
-    ) -> Vec<BenchRate> {
-        if !self.is_enabled() {
-            return compute();
-        }
-        if let Some(rates) = self.raw_get(key).and_then(|p| p.bench_ipc) {
-            if !rates.is_empty() && rates.iter().all(|r| r.ipc.is_finite() && r.ipc > 0.0) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return rates;
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let out = compute();
-        self.insert(
-            key,
-            Payload {
-                bench_ipc: Some(out.clone()),
-                ..Payload::default()
-            },
-        );
-        out
-    }
-
     fn raw_get(&self, key: &str) -> Option<Payload> {
         self.lock().map.get(key).cloned()
     }
@@ -483,11 +434,6 @@ pub fn disable() {
     global().disable();
 }
 
-/// Whether the process-wide cache is enabled.
-pub fn is_enabled() -> bool {
-    global().is_enabled()
-}
-
 /// Clears the process-wide cache (entries, disk attachment, counters).
 pub fn clear() {
     global().clear();
@@ -520,11 +466,6 @@ pub fn sample_rotations(
 /// [`EvalCache::symbios`] on the process-wide cache.
 pub fn symbios(key: &str, compute: impl FnOnce() -> SymbiosEval) -> SymbiosEval {
     global().symbios(key, compute)
-}
-
-/// [`EvalCache::bench_rates`] on the process-wide cache.
-pub fn bench_rates(key: &str, compute: impl FnOnce() -> Vec<BenchRate>) -> Vec<BenchRate> {
-    global().bench_rates(key, compute)
 }
 
 #[cfg(test)]
@@ -634,7 +575,6 @@ mod tests {
             sample_key(1, "Jsb(6,3,3)", 2, "012>345", 7, 6),
             sample_key(1, "Jsb(6,3,3)", 2, "012>345", 5, 7),
             symbios_key(1, "Jsb(6,3,3)", 2, "012>345", 5, 6),
-            bench_ipc_key(1, 2, 3),
         ];
         let unique: std::collections::HashSet<&String> = keys.iter().collect();
         assert_eq!(unique.len(), keys.len(), "{keys:?}");

@@ -27,9 +27,9 @@
 //!   (`PredictorKind::Learned`) and a contextual bandit over the ten paper
 //!   predictors plus the learned model (`PredictorKind::Bandit`), both
 //!   deterministic and snapshot-serializable.
-//! * [`cache`] — content-addressed memoization of deterministic evaluation
+//! * [`cache`] — opt-in, in-process memoization of deterministic evaluation
 //!   results (calibrations, per-schedule sample/symbios measurements), with
-//!   an optional on-disk JSONL store.
+//!   an optional on-disk JSONL store; no binary enables it.
 //! * [`telemetry`] — the one observability handle: an instance-scoped
 //!   registry of lock-cheap counters/gauges, sliding-window histograms and
 //!   SLO trackers, an event buffer on a simulated clock, and one snapshot

@@ -190,30 +190,18 @@ pub fn arrival_trace(cfg: &OpenSystemConfig, solo: &HashMap<Benchmark, f64>) -> 
 
 /// Measures each benchmark's solo IPC on the given machine (used for the
 /// cycles-to-instructions job-length conversion).
-///
-/// The measurement is a pure function of `(smt, cycles, seed)`, so it is
-/// memoized through the process-wide [`crate::cache`] (keyed additionally by
-/// the machine's stable hash) when that cache is enabled.
 pub fn calibrate_benchmarks(smt: usize, cycles: u64, seed: u64) -> HashMap<Benchmark, f64> {
-    let machine = MachineConfig::alpha21264_like(smt);
-    let key = crate::cache::bench_ipc_key(machine.stable_hash(), cycles, seed);
-    let rates = crate::cache::bench_rates(&key, || {
-        let mut cpu = Processor::new(machine.clone());
-        JOB_KINDS
-            .iter()
-            .map(|&b| {
-                cpu.flush_memory_state();
-                let mut s = b.stream(StreamId(0), seed ^ 0xCA11);
-                let _ = cpu.run_timeslice(&mut [&mut *s], cycles);
-                let stats = cpu.run_timeslice(&mut [&mut *s], cycles);
-                crate::cache::BenchRate {
-                    bench: b,
-                    ipc: stats.total_ipc().max(1e-3),
-                }
-            })
-            .collect()
-    });
-    rates.into_iter().map(|r| (r.bench, r.ipc)).collect()
+    let mut cpu = Processor::new(MachineConfig::alpha21264_like(smt));
+    JOB_KINDS
+        .iter()
+        .map(|&b| {
+            cpu.flush_memory_state();
+            let mut s = b.stream(StreamId(0), seed ^ 0xCA11);
+            let _ = cpu.run_timeslice(&mut [&mut *s], cycles);
+            let stats = cpu.run_timeslice(&mut [&mut *s], cycles);
+            (b, stats.total_ipc().max(1e-3))
+        })
+        .collect()
 }
 
 /// Measures the machine's sustained open-system capacity for this

@@ -306,7 +306,6 @@ impl SosScheduler {
         let _experiment_span = tel.span("scheduler", "sos.experiment", || {
             vec![Attr::text("spec", spec.to_string())]
         });
-        let stats_before = cache::stats();
         let solo = {
             let _span = tel.span("scheduler", "sos.calibrate", Vec::new);
             Self::calibrate_on(spec, cfg, tel)
@@ -395,17 +394,6 @@ impl SosScheduler {
         tel.gauge_set("sos.best_ws", {
             symbios_ws.iter().copied().fold(f64::NEG_INFINITY, f64::max)
         });
-        if cache::is_enabled() {
-            let after = cache::stats();
-            tel.counter_add(
-                "sos.cache.hits",
-                after.hits.saturating_sub(stats_before.hits),
-            );
-            tel.counter_add(
-                "sos.cache.misses",
-                after.misses.saturating_sub(stats_before.misses),
-            );
-        }
 
         ExperimentReport {
             spec: *spec,
