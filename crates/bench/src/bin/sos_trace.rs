@@ -102,6 +102,6 @@ fn main() -> ExitCode {
         snapshot.events.len(),
         snapshot.metric_rows().len()
     );
-    sos_bench::print_experiment_summary(&report);
+    print!("{}", sos_bench::experiment_summary(&report));
     ExitCode::SUCCESS
 }

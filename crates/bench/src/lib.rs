@@ -1,10 +1,11 @@
 //! Shared helpers for the experiment-reproduction binaries.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the index). Every one parses its command line
-//! through [`cli`]: the closed-system figures take an optional first
-//! argument, the cycle scale divisor (default 1000; 1 = full paper scale),
-//! and the open-system front ends share [`cli`]'s two flag groups, the one
+//! The binaries under `src/bin/` regenerate the paper's tables and figures
+//! (see DESIGN.md §4 for the index); `paper` writes all the closed-system
+//! ones from a single evaluation of the 13 experiments. Every binary parses
+//! its command line through [`cli`]: the closed-system ones take an optional
+//! first argument, the cycle scale divisor (default 1000; 1 = full paper
+//! scale), and the open-system front ends share [`cli`]'s two flag groups, the one
 //! job summary (`sos_core::report::JobSummary`) and, for Figures 5 and 6,
 //! the matched-pair seed loop below ([`OpenSweep`]).
 
@@ -14,7 +15,6 @@ use sos_core::sos::ExperimentReport;
 use sos_core::{PredictorKind, SosConfig};
 
 pub mod cli;
-pub mod learn_eval;
 pub mod serve;
 
 /// The default harness configuration at the given scale.
@@ -27,37 +27,29 @@ pub fn config(scale: u64) -> SosConfig {
 
 pub use sos_core::report::pct_over;
 
-/// Formats one experiment's best/worst/average WS as the rows of Figure 1.
-pub fn print_experiment_summary(report: &ExperimentReport) {
-    println!(
-        "{:<14} best {:>6.3}  worst {:>6.3}  avg {:>6.3}  (best/worst {:+.1}%, best/avg {:+.1}%)",
+/// One experiment's best/worst/average WS as a row of Figure 1.
+pub fn experiment_summary(report: &ExperimentReport) -> String {
+    format!(
+        "{:<14} best {:>6.3}  worst {:>6.3}  avg {:>6.3}  (best/worst {:+.1}%, best/avg {:+.1}%)\n",
         report.spec.label(),
         report.best_ws(),
         report.worst_ws(),
         report.average_ws(),
         pct_over(report.best_ws(), report.worst_ws()),
         pct_over(report.best_ws(), report.average_ws()),
-    );
+    )
 }
 
-/// Prints the per-predictor weighted speedups for one experiment
-/// (one group of Figure 2/3 bars), plus the sampling-oracle baseline.
-pub fn print_predictor_bars(report: &ExperimentReport) {
-    for p in PredictorKind::ALL {
-        let ws = report.ws_with(p);
-        println!(
-            "    {:<10} WS {:>6.3}  ({:+5.1}% vs avg)",
-            p.name(),
-            ws,
-            pct_over(ws, report.average_ws())
-        );
-    }
-    println!(
-        "    {:<10} WS {:>6.3}  ({:+5.1}% vs avg)",
-        "SampledWS",
-        report.oracle_ws(),
-        pct_over(report.oracle_ws(), report.average_ws())
-    );
+/// The per-predictor weighted speedups for one experiment (one group of
+/// Figure 2/3 bars), plus the sampling-oracle baseline, one row each.
+pub fn predictor_bars(report: &ExperimentReport) -> String {
+    let bars = PredictorKind::ALL.map(|p| (p.name(), report.ws_with(p)));
+    let oracle = ("SampledWS", report.oracle_ws());
+    let rows = bars.into_iter().chain([oracle]).map(|(name, ws)| {
+        let gain = pct_over(ws, report.average_ws());
+        format!("    {name:<10} WS {ws:>6.3}  ({gain:+5.1}% vs avg)\n")
+    });
+    rows.collect()
 }
 
 /// The paper's mean job length, 2 billion cycles, before scaling.
