@@ -4,7 +4,8 @@
 //! deterministic `learn_summary.json` under `--out-dir` (default
 //! `results/learn`).
 //!
-//! Runs the grid **sequentially** through one shared [`Learner`], so the
+//! Evaluates every experiment × seed of the grid once, in parallel, then
+//! folds one shared [`Learner`] over the reports **in sweep order**, so the
 //! online regressor and the contextual bandit are measured prequentially:
 //! every pick is made with the model state *before* that experiment's
 //! outcomes are folded in, exactly as a production scheduler would
@@ -22,6 +23,7 @@
 use serde::Serialize;
 use sos_bench::cli::{self, Flags};
 use sos_core::learn::{LearnSummary, Learner};
+use sos_core::par::parallel_map;
 use sos_core::report::{format_league_table, league_table};
 use sos_core::sos::{ExperimentReport, SosConfig, SosScheduler};
 use sos_core::{ExperimentSpec, PredictorKind};
@@ -219,28 +221,32 @@ impl LearnEvalSummary {
 /// deterministic summary artifact.
 fn run(opts: &Options) -> (Vec<ExperimentReport>, LearnEvalSummary) {
     assert!(!opts.seeds.is_empty(), "the sweep needs at least one seed");
+    let sweep: Vec<(u64, ExperimentSpec)> = (opts.seeds.iter())
+        .flat_map(|&seed| opts.specs.iter().map(move |&spec| (seed, spec)))
+        .collect();
+    let evaluated = parallel_map(sweep.clone(), |(seed, spec)| {
+        let cfg = SosConfig {
+            cycle_scale: opts.scale,
+            seed,
+            ..SosConfig::default()
+        };
+        SosScheduler::evaluate_experiment(&spec, &cfg)
+    });
     let mut learner = Learner::new(Default::default());
     let (mut reports, mut per_experiment) = (Vec::new(), Vec::new());
-    for &seed in &opts.seeds {
-        for spec in &opts.specs {
-            let cfg = SosConfig {
-                cycle_scale: opts.scale,
-                seed,
-                ..SosConfig::default()
-            };
-            let report = SosScheduler::evaluate_experiment_learned(spec, &cfg, &mut learner, 0);
-            per_experiment.push(ExperimentRow {
-                spec: spec.label(),
-                seed,
-                context: SosScheduler::experiment_context(spec),
-                avg_ws: report.average_ws(),
-                best_ws: report.best_ws(),
-                oracle_ws: report.oracle_ws(),
-                learned_ws: report.ws_with(PredictorKind::Learned),
-                bandit_ws: report.ws_with(PredictorKind::Bandit),
-            });
-            reports.push(report);
-        }
+    for ((seed, spec), report) in sweep.into_iter().zip(evaluated) {
+        let report = SosScheduler::fold_learned(report, &mut learner);
+        per_experiment.push(ExperimentRow {
+            spec: spec.label(),
+            seed,
+            context: SosScheduler::experiment_context(&spec),
+            avg_ws: report.average_ws(),
+            best_ws: report.best_ws(),
+            oracle_ws: report.oracle_ws(),
+            learned_ws: report.ws_with(PredictorKind::Learned),
+            bandit_ws: report.ws_with(PredictorKind::Bandit),
+        });
+        reports.push(report);
     }
 
     let n = reports.len() as f64;

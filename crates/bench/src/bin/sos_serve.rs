@@ -25,13 +25,16 @@
 //!   and on shutdown; on restart, completed-job accounting is restored
 //!   exactly and in-flight jobs are re-queued from their arrival records.
 //! * **Live metrics** — every request, error, departure, and engine
-//!   timeslice feeds one `sos_core::telemetry::Telemetry` handle; the `metrics` verb
+//!   timeslice feeds one `sos_core::telemetry::Telemetry` handle, whose
+//!   histograms count every value since start-up; the `metrics` verb
 //!   returns the versioned snapshot plus a Prometheus text exposition, and
-//!   the `stats` verb reports exact and histogram-approximated p50/p95/p99
-//!   along with per-class protocol error counts.
-//! * **Latency SLOs** — per-job response time and slowdown are tracked
-//!   against `--slo-response` / `--slo-slowdown` at `--slo-objective`,
-//!   with attainment and error-budget burn rate in the `metrics` snapshot.
+//!   the `stats` verb reports exact and log2-bucket p50/p95/p99 along with
+//!   per-class protocol error counts.
+//! * **Latency SLOs** — at each `metrics` request, the response times and
+//!   slowdowns of the jobs this process completed are held against
+//!   `--slo-response` / `--slo-slowdown` at `--slo-objective`; the reply
+//!   carries attainment and error-budget burn rate, and the exposition
+//!   their `_slo_*` gauges.
 //! * **Request-scoped tracing** — with `--trace FILE` or `--metrics FILE`
 //!   the handle also records events: every job's life (admit → queue wait →
 //!   schedule decision → timeslices → complete) as Perfetto-compatible
@@ -54,20 +57,19 @@
 //! [--base-interval C] [--calibration-cycles C] [--snapshot-dir DIR]
 //! [--snapshot-every N] [--seed S] [--fast] [--fast-threshold F]
 //! [--metrics FILE] [--trace FILE]
-//! [--slo-response CYCLES] [--slo-slowdown X] [--slo-objective F]
-//! [--metrics-window CYCLES]`
+//! [--slo-response CYCLES] [--slo-slowdown X] [--slo-objective F]`
 //!
 //! The daemon prints `sos-serve listening on ADDR` once ready (with
 //! `--port 0` the OS picks the port; parse it from this line).
 
 use sos_bench::cli::{self, Flags};
 use sos_bench::serve::{
-    CompletedJob, MetricsReply, Request, Response, Snapshot, StatsReply, StatusReply,
+    CompletedJob, MetricsReply, Request, Response, SloStatus, Snapshot, StatsReply, StatusReply,
 };
 use sos_core::online::{JobRecord, OnlineConfig, OnlineEngine, SchedulerKind};
 use sos_core::opensys::{calibrate_benchmarks, JobArrival, JOB_KINDS};
-use sos_core::report::{self, JobSummary, Percentiles};
-use sos_core::telemetry::{Counter, Gauge, Telemetry};
+use sos_core::report::{self, JobSummary};
+use sos_core::telemetry::{prometheus_name, Counter, Gauge, Histogram, Telemetry};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -96,7 +98,6 @@ struct Args {
     slo_response: u64,
     slo_slowdown: f64,
     slo_objective: f64,
-    metrics_window: u64,
 }
 
 fn parse_args(flags: &mut Flags) -> Result<Args, String> {
@@ -114,7 +115,6 @@ fn parse_args(flags: &mut Flags) -> Result<Args, String> {
         slo_response: flags.value("--slo-response", 2_000_000)?,
         slo_slowdown: flags.value("--slo-slowdown", 8.0)?,
         slo_objective: flags.value("--slo-objective", 0.95)?,
-        metrics_window: flags.value("--metrics-window", 1_000_000)?,
     };
     if args.queue_cap == 0 {
         return Err("--queue-cap must be positive".into());
@@ -125,8 +125,8 @@ fn parse_args(flags: &mut Flags) -> Result<Args, String> {
         return Err("--slo-objective must be in (0, 1]".into());
     }
     let slowdown_ok = args.slo_slowdown > 0.0;
-    if !slowdown_ok || args.slo_response == 0 || args.metrics_window == 0 {
-        return Err("--slo-response, --slo-slowdown, and --metrics-window must be positive".into());
+    if !slowdown_ok || args.slo_response == 0 {
+        return Err("--slo-response and --slo-slowdown must be positive".into());
     }
     Ok(args)
 }
@@ -152,12 +152,12 @@ struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    fn register(tel: &Telemetry, metrics_window: u64) -> Self {
+    fn register(tel: &Telemetry) -> Self {
         ServeMetrics {
             // Created at zero so the exposition lists every verb from the start.
             verbs: VERBS.map(|verb| {
                 let request_us = format!("serve.request_us.{verb}");
-                tel.register_histogram(&request_us, metrics_window, 8);
+                tel.register_histogram(&request_us);
                 (tel.counter(&format!("serve.requests.{verb}")), request_us)
             }),
             submitted: tel.counter("serve.submitted"),
@@ -249,6 +249,10 @@ struct Shared {
     /// total across restarts).
     submitted_base: u64,
     restored: u64,
+    /// The `serve.response_cycles` and `serve.slowdown_x100` SLO targets,
+    /// both held to `slo_objective`.
+    slo_targets: [(&'static str, u64); 2],
+    slo_objective: f64,
     tel: Telemetry,
     sm: ServeMetrics,
     front: Mutex<Front>,
@@ -297,9 +301,8 @@ impl Shared {
             }
         };
         if let Some((_, request_us)) = verb {
-            let now = self.front().now_cycles;
             let us = start.elapsed().as_micros() as u64;
-            self.tel.histogram_record(request_us, now, us);
+            self.tel.histogram_record(request_us, us);
         }
         reply
     }
@@ -404,14 +407,11 @@ impl Shared {
             completed.iter().map(|c| c.response as f64).collect(),
             completed.iter().map(|c| c.slowdown).collect(),
         );
-        let response_approx = self
-            .tel
-            .with_histogram("serve.response_cycles", |h| h.merged().percentile_summary())
-            .unwrap_or(Percentiles {
-                p50: f64::NAN,
-                p95: f64::NAN,
-                p99: f64::NAN,
-            });
+        // The jobs `serve.response_cycles` counts: this process's completions.
+        let mut approx = Histogram::default();
+        for c in &completed[self.restored as usize..] {
+            approx.record(c.response);
+        }
         let mut r = Response::ok();
         r.stats = Some(StatsReply {
             completed: jobs.count() as u64,
@@ -419,24 +419,65 @@ impl Shared {
             response: jobs.response(),
             mean_slowdown: jobs.mean_slowdown(),
             slowdown: jobs.slowdown(),
-            response_approx,
+            response_approx: approx.percentile_summary(),
             resamples,
             errors: Some(self.sm.error_classes()),
         });
         r
     }
 
-    /// Answers the `metrics` verb: refresh the point-in-time gauges, then
-    /// snapshot the registry as versioned JSON plus a Prometheus exposition.
+    /// Answers the `metrics` verb: refresh the point-in-time gauges,
+    /// snapshot the registry as versioned JSON, and hold this process's
+    /// completions against the SLOs; the Prometheus exposition carries both.
     fn handle_metrics(&self) -> Response {
+        let front = self.front();
+        let slos = self.slos(&front.completed[self.restored as usize..]);
+        drop(front);
         let snapshot = self.tel.snapshot(self.refresh_gauges());
-        let prometheus = snapshot.prometheus_text();
+        let mut prometheus = snapshot.prometheus_text();
+        for (name, s) in &slos {
+            let p = prometheus_name(name);
+            // A 100% objective burns at +Inf on any miss; nothing else is
+            // infinite or NaN.
+            let burn_rate = if s.burn_rate.is_infinite() {
+                "+Inf".to_string()
+            } else {
+                s.burn_rate.to_string()
+            };
+            for (series, value) in [
+                ("attainment", s.attainment.to_string()),
+                ("burn_rate", burn_rate),
+                ("met", u8::from(s.met).to_string()),
+            ] {
+                prometheus.push_str(&format!(
+                    "# TYPE {p}_slo_{series} gauge\n{p}_slo_{series} {value}\n"
+                ));
+            }
+        }
         let mut r = Response::ok();
         r.metrics = Some(Box::new(MetricsReply {
             snapshot,
             prometheus,
+            slos,
         }));
         r
+    }
+
+    /// The two SLO rows over `completed`, by series name.
+    fn slos(&self, completed: &[CompletedJob]) -> BTreeMap<String, SloStatus> {
+        let [(response, response_target), (slowdown, slowdown_target)] = self.slo_targets;
+        let responses = completed.iter().map(|c| c.response);
+        let slowdowns = completed.iter().map(|c| (c.slowdown * 100.0) as u64);
+        BTreeMap::from([
+            (
+                response.to_string(),
+                SloStatus::over(response_target, self.slo_objective, responses),
+            ),
+            (
+                slowdown.to_string(),
+                SloStatus::over(slowdown_target, self.slo_objective, slowdowns),
+            ),
+        ])
     }
 
     /// Updates the gauge that is sampled rather than event-driven (snapshot
@@ -553,22 +594,18 @@ impl Daemon {
         }
     }
 
-    /// Books a timeslice's departures — SLO accounting and registry series —
-    /// and returns their records for publication.
+    /// Books a timeslice's departures in the registry series and returns
+    /// their records for publication.
     fn book_departures(&self, departed: Vec<JobRecord>) -> Vec<CompletedJob> {
         let (tel, sm) = (&self.shared.tel, &self.shared.sm);
-        let now = self.engine.now();
         departed
             .into_iter()
             .map(|rec| {
                 let response = rec.response();
                 let slowdown = report::slowdown(&self.shared.solo, &rec);
                 sm.completed.inc();
-                tel.histogram_record("serve.response_cycles", now, response);
-                tel.observe_slo("serve.response_cycles", response);
-                let x100 = (slowdown * 100.0) as u64;
-                tel.histogram_record("serve.slowdown_x100", now, x100);
-                tel.observe_slo("serve.slowdown_x100", x100);
+                tel.histogram_record("serve.response_cycles", response);
+                tel.histogram_record("serve.slowdown_x100", (slowdown * 100.0) as u64);
                 CompletedJob {
                     arrival: rec.arrival.arrival,
                     response,
@@ -647,19 +684,9 @@ fn main() {
     } else {
         Telemetry::metrics()
     };
-    tel.register_histogram("serve.response_cycles", args.metrics_window, 8);
-    tel.register_histogram("serve.slowdown_x100", args.metrics_window, 8);
-    tel.register_slo(
-        "serve.response_cycles",
-        args.slo_response,
-        args.slo_objective,
-    );
-    tel.register_slo(
-        "serve.slowdown_x100",
-        (args.slo_slowdown * 100.0).round() as u64,
-        args.slo_objective,
-    );
-    let sm = ServeMetrics::register(&tel, args.metrics_window);
+    tel.register_histogram("serve.response_cycles");
+    tel.register_histogram("serve.slowdown_x100");
+    let sm = ServeMetrics::register(&tel);
 
     if let Some(p) = &cfg.fastsim {
         eprintln!("# sos-serve: fastsim on ({})", p.describe());
@@ -724,6 +751,14 @@ fn main() {
         queue_cap: args.queue_cap,
         submitted_base,
         restored,
+        slo_targets: [
+            ("serve.response_cycles", args.slo_response),
+            (
+                "serve.slowdown_x100",
+                (args.slo_slowdown * 100.0).round() as u64,
+            ),
+        ],
+        slo_objective: args.slo_objective,
         tel,
         sm,
         front: Mutex::new(front),
@@ -908,7 +943,9 @@ mod tests {
             queue_cap,
             submitted_base,
             restored: 0,
-            sm: ServeMetrics::register(&tel, 1_000_000),
+            slo_targets: [("serve.response_cycles", 1), ("serve.slowdown_x100", 1)],
+            slo_objective: 0.95,
+            sm: ServeMetrics::register(&tel),
             tel,
             front: Mutex::default(),
             changed: Condvar::new(),

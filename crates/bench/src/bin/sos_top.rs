@@ -3,9 +3,10 @@
 //! Polls the daemon's `metrics` verb and renders the snapshot as a
 //! `top`-style text dashboard: request and engine counters with rates
 //! (derived from successive snapshots — counts per wall-clock second),
-//! gauges, a percentile table for every windowed histogram
-//! (p50/p95/p99/p999, flagged `~` when the window sample cap forced the
-//! log2-bucket approximation), and SLO attainment / error-budget burn rate.
+//! gauges, a percentile table for every histogram (p50/p95/p99/p999 over
+//! every value since the daemon started, marked `~`: each is the lower bound
+//! of its log2 bucket; the `stats` verb has exact response and slowdown
+//! percentiles), and SLO attainment / error-budget burn rate.
 //!
 //! Usage: `sos-top [--addr HOST:PORT] [--interval-ms N] [--once] [--prom]`
 //!
@@ -17,8 +18,7 @@
 //!   1000) until interrupted or the daemon goes away.
 
 use sos_bench::cli::{self, Flags};
-use sos_bench::serve::{Client, Request};
-use sos_core::telemetry::Snapshot;
+use sos_bench::serve::{Client, MetricsReply, Request};
 use std::time::{Duration, Instant};
 
 struct Args {
@@ -41,7 +41,7 @@ fn parse_args(flags: &mut Flags) -> Result<Args, String> {
     Ok(args)
 }
 
-fn fetch(client: &mut Client) -> Result<(Snapshot, String), String> {
+fn fetch(client: &mut Client) -> Result<MetricsReply, String> {
     let resp = client
         .request(&Request::verb("metrics"))
         .map_err(|e| format!("metrics request failed: {e}"))?;
@@ -52,7 +52,7 @@ fn fetch(client: &mut Client) -> Result<(Snapshot, String), String> {
         ));
     }
     match resp.metrics {
-        Some(m) => Ok((m.snapshot, m.prometheus)),
+        Some(m) => Ok(*m),
         None => Err("metrics reply carried no payload (daemon too old?)".into()),
     }
 }
@@ -69,8 +69,8 @@ fn main() {
 
     if args.prom {
         match fetch(&mut client) {
-            Ok((_, prometheus)) => {
-                print!("{prometheus}");
+            Ok(m) => {
+                print!("{}", m.prometheus);
                 return;
             }
             Err(e) => {
@@ -80,9 +80,9 @@ fn main() {
         }
     }
 
-    let mut prev: Option<(Instant, Snapshot)> = None;
+    let mut prev: Option<(Instant, MetricsReply)> = None;
     loop {
-        let (snap, _) = match fetch(&mut client) {
+        let m = match fetch(&mut client) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("sos-top: {e}");
@@ -94,18 +94,19 @@ fn main() {
             // Clear screen, home cursor.
             print!("\x1b[2J\x1b[H");
         }
-        print!("{}", render(&args.addr, &snap, prev.as_ref()));
+        print!("{}", render(&args.addr, &m, prev.as_ref()));
         if args.once {
             return;
         }
-        prev = Some((taken, snap));
+        prev = Some((taken, m));
         std::thread::sleep(Duration::from_millis(args.interval_ms));
     }
 }
 
 /// Renders one dashboard frame. `prev` (when present) turns counters into
 /// per-second rates over the wall time between the two snapshots.
-fn render(addr: &str, snap: &Snapshot, prev: Option<&(Instant, Snapshot)>) -> String {
+fn render(addr: &str, m: &MetricsReply, prev: Option<&(Instant, MetricsReply)>) -> String {
+    let snap = &m.snapshot;
     let mut out = String::new();
     out.push_str(&format!(
         "sos-top — {addr}   snapshot v{}   sim clock {} cycles\n\n",
@@ -118,7 +119,8 @@ fn render(addr: &str, snap: &Snapshot, prev: Option<&(Instant, Snapshot)>) -> St
         "COUNTER", "TOTAL", "RATE/S"
     ));
     for (name, &v) in &snap.counters {
-        let rate = match (elapsed, prev.and_then(|(_, p)| p.counters.get(name))) {
+        let was = prev.and_then(|(_, p)| p.snapshot.counters.get(name));
+        let rate = match (elapsed, was) {
             (Some(secs), Some(&was)) if secs > 0.0 => {
                 format!("{:.1}", v.saturating_sub(was) as f64 / secs)
             }
@@ -134,21 +136,25 @@ fn render(addr: &str, snap: &Snapshot, prev: Option<&(Instant, Snapshot)>) -> St
 
     out.push_str(&format!(
         "\n{:<34} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
-        "HISTOGRAM (live windows)", "COUNT", "P50", "P95", "P99", "P99.9"
+        "HISTOGRAM (since start)", "COUNT", "P50", "P95", "P99", "P99.9"
     ));
     for (name, h) in &snap.histograms {
-        let approx = if h.exact { "" } else { "~" };
-        out.push_str(&format!(
-            "{name:<34} {:>8} {approx}{:>9.0} {approx}{:>9.0} {approx}{:>9.0} {approx}{:>9.0}\n",
-            h.count, h.quantiles.p50, h.quantiles.p95, h.quantiles.p99, h.quantiles.p999
-        ));
+        out.push_str(&format!("{name:<34} {:>8}", h.count));
+        for q in [0.50, 0.95, 0.99, 0.999] {
+            let v = match h.count {
+                0 => "-".to_string(),
+                _ => format!("~{}", h.approx_quantile(q)),
+            };
+            out.push_str(&format!(" {v:>10}"));
+        }
+        out.push('\n');
     }
 
     out.push_str(&format!(
         "\n{:<34} {:>8} {:>10} {:>12} {:>10} {:>6}\n",
         "SLO", "TARGET", "GOOD/TOTAL", "ATTAINMENT", "BURN", "MET"
     ));
-    for (name, s) in &snap.slos {
+    for (name, s) in &m.slos {
         out.push_str(&format!(
             "{name:<34} {:>8} {:>10} {:>11.1}% {:>10.2} {:>6}\n",
             s.target,

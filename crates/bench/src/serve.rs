@@ -21,12 +21,14 @@
 //!   daemon was started with (`sos-serve --fast`; there is no run-time
 //!   toggle) and the extrapolated-timeslice count.
 //! * `stats` — per-job latency summary: mean/p50/p95/p99 response time and
-//!   slowdown, exact (from completed-job records) and approximate (from the
-//!   live log2-bucket histograms), plus per-class protocol error counts.
+//!   slowdown, exact (from completed-job records) and log2-bucket
+//!   approximate (what the `serve.response_cycles` histogram shows), plus
+//!   per-class protocol error counts.
 //! * `metrics` — the live observability surface: a versioned
-//!   `sos_core::telemetry::Snapshot` (counters, gauges, windowed
-//!   histograms with p50/p95/p99/p999, SLO attainment and burn rate) plus a
-//!   Prometheus-style text exposition. Polled by `sos-top`.
+//!   `sos_core::telemetry::Snapshot` (counters, gauges, and log2-bucket
+//!   histograms that count every value since start-up), the latency SLO
+//!   rows ([`SloStatus`]: attainment and burn rate), and a Prometheus-style
+//!   text exposition of both. Polled by `sos-top`.
 //! * `drain` — stop admitting; the reply is deferred until every in-flight
 //!   job has completed, so a `status`/`stats` sent after it sees `live == 0`
 //!   and `submitted == completed`.
@@ -127,11 +129,11 @@ pub struct StatusReply {
     /// The active fast-sim policy (`smtsim::FastSimPolicy::describe`),
     /// `None` when every timeslice runs in full detail. Absent in replies
     /// from older daemons.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     pub fastsim: Option<String>,
     /// Timeslices synthesized by fast-sim extrapolation so far. Absent in
     /// replies from older daemons.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     pub extrapolated_slices: Option<u64>,
 }
 
@@ -148,8 +150,9 @@ pub struct StatsReply {
     pub mean_slowdown: f64,
     /// Exact slowdown percentiles.
     pub slowdown: Percentiles,
-    /// Approximate response-time percentiles from the telemetry registry's
-    /// log2-bucket histogram (what a metrics exporter would see).
+    /// Log2-bucket response-time percentiles over the jobs this process
+    /// completed: exactly what the `serve.response_cycles` histogram of the
+    /// `metrics` verb shows.
     pub response_approx: Percentiles,
     /// SOS sample phases entered.
     pub resamples: u64,
@@ -158,14 +161,77 @@ pub struct StatsReply {
     pub errors: Option<BTreeMap<String, u64>>,
 }
 
+/// One latency-style service-level objective: "`objective` of
+/// observations at or under `target`", over the jobs one daemon process
+/// completed.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct SloStatus {
+    /// Threshold an observation must not exceed to count as good.
+    pub target: u64,
+    /// Required good fraction.
+    pub objective: f64,
+    /// Good observations.
+    pub good: u64,
+    /// All observations.
+    pub total: u64,
+    /// Good fraction (1.0 before any observation: no violations).
+    pub attainment: f64,
+    /// Error-budget burn rate: observed bad fraction over allowed bad
+    /// fraction. 1.0 burns the budget exactly as fast as the objective
+    /// allows; above 1.0 the objective is missed if the rate holds. A 100%
+    /// objective has no budget, so any miss burns at infinity.
+    pub burn_rate: f64,
+    /// Whether the objective is met.
+    pub met: bool,
+}
+
+impl SloStatus {
+    /// The status of "`objective` (clamped to `[0, 1]`) of `values` ≤
+    /// `target`".
+    pub fn over(target: u64, objective: f64, values: impl IntoIterator<Item = u64>) -> Self {
+        let objective = objective.clamp(0.0, 1.0);
+        let (mut good, mut total) = (0u64, 0u64);
+        for value in values {
+            total += 1;
+            good += u64::from(value <= target);
+        }
+        let attainment = if total == 0 {
+            1.0
+        } else {
+            good as f64 / total as f64
+        };
+        let allowed = 1.0 - objective;
+        let burn_rate = if allowed > 0.0 {
+            (1.0 - attainment) / allowed
+        } else if total > good {
+            f64::INFINITY
+        } else {
+            0.0
+        };
+        SloStatus {
+            target,
+            objective,
+            good,
+            total,
+            attainment,
+            burn_rate,
+            met: attainment >= objective,
+        }
+    }
+}
+
 /// Payload of a `metrics` reply.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MetricsReply {
     /// Live metrics as a versioned document (see
     /// `sos_core::telemetry::METRICS_VERSION`).
     pub snapshot: telemetry::Snapshot,
-    /// The same snapshot rendered as Prometheus text exposition.
+    /// The snapshot and the SLO rows rendered as Prometheus text
+    /// exposition.
     pub prometheus: String,
+    /// The latency SLOs by series name (`serve.response_cycles`,
+    /// `serve.slowdown_x100`).
+    pub slos: BTreeMap<String, SloStatus>,
 }
 
 /// One reply line.
@@ -370,6 +436,27 @@ mod tests {
         let back: Request = serde_json::from_str(r#"{"cmd":"status"}"#).unwrap();
         assert_eq!(back.cmd, "status");
         assert!(back.bench.is_none() && back.cycles.is_none() && back.instructions.is_none());
+    }
+
+    #[test]
+    fn slo_attainment_and_burn_rate() {
+        let none = SloStatus::over(100, 0.9, []);
+        assert_eq!(none.attainment, 1.0);
+        assert!(none.met);
+        assert_eq!(none.burn_rate, 0.0);
+        let s = SloStatus::over(100, 0.9, [10, 50, 100, 101, 500, 20, 30, 40, 60, 70]);
+        // 8 of 10 good → attainment 0.8, budget 0.1, burn 2.0.
+        assert_eq!(s.good, 8);
+        assert_eq!(s.total, 10);
+        assert!((s.attainment - 0.8).abs() < 1e-12);
+        assert!((s.burn_rate - 2.0).abs() < 1e-12);
+        assert!(!s.met);
+    }
+
+    #[test]
+    fn slo_with_total_objective_has_infinite_burn_on_any_miss() {
+        assert_eq!(SloStatus::over(10, 1.0, [5]).burn_rate, 0.0);
+        assert!(SloStatus::over(10, 1.0, [5, 11]).burn_rate.is_infinite());
     }
 
     #[test]

@@ -50,22 +50,23 @@ fn metrics_verb_reports_live_series_and_exposition() {
     assert!(snap.counters["engine.timeslices"] > 0);
     assert_eq!(snap.gauges["serve.queue_depth"], 0.0);
 
-    // Response-time histogram: all four departures, exact quantiles in
-    // nondecreasing order.
+    // Response-time histogram: all four departures.
     let h = &snap.histograms["serve.response_cycles"];
     assert_eq!(h.count, 4);
-    assert!(h.exact, "4 samples must be under the window sample cap");
-    assert!(h.quantiles.p50 > 0.0);
-    assert!(h.quantiles.p50 <= h.quantiles.p95);
-    assert!(h.quantiles.p95 <= h.quantiles.p99);
-    assert!(h.quantiles.p99 <= h.quantiles.p999);
-    assert!(!h.buckets.is_empty());
-    assert_eq!(h.buckets.iter().map(|b| b.count).sum::<u64>(), 4);
+    assert_eq!(h.buckets.iter().sum::<u64>(), 4);
+    assert!(h.approx_quantile(0.5) > 0);
+    // The `stats` verb's approximate percentiles are this histogram's.
+    let stats = client
+        .request(&Request::verb("stats"))
+        .expect("reply")
+        .stats
+        .expect("stats payload");
+    assert_eq!(stats.response_approx, h.percentile_summary());
 
     // Both SLOs saw every departure.
-    assert_eq!(snap.slos["serve.response_cycles"].total, 4);
-    assert_eq!(snap.slos["serve.slowdown_x100"].total, 4);
-    let slo = &snap.slos["serve.response_cycles"];
+    assert_eq!(m.slos["serve.response_cycles"].total, 4);
+    assert_eq!(m.slos["serve.slowdown_x100"].total, 4);
+    let slo = &m.slos["serve.response_cycles"];
     assert!((0.0..=1.0).contains(&slo.attainment));
 
     // The exposition carries the same data in Prometheus text format.

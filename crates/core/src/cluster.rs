@@ -210,7 +210,7 @@ pub struct ClusterReport {
     pub extrapolated_slices: u64,
     /// The shard fast-sim policy in effect, if any (see
     /// [`smtsim::FastSimPolicy::describe`]).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     pub fastsim: Option<String>,
     /// Cluster-wide weighted speedup: solo-equivalent cycles of completed
     /// work per busy machine cycle, `Σ_j solo_cycles(j) / Σ_s busy_cycles(s)`.
@@ -331,9 +331,9 @@ impl ClusterMetrics {
     const RESPONSE: &'static str = "cluster.response_cycles";
     const SLOWDOWN: &'static str = "cluster.slowdown_x100";
 
-    fn register(tel: &Telemetry, shards: usize, window_cycles: u64) -> Self {
-        tel.register_histogram(Self::RESPONSE, window_cycles, 8);
-        tel.register_histogram(Self::SLOWDOWN, window_cycles, 8);
+    fn register(tel: &Telemetry, shards: usize) -> Self {
+        tel.register_histogram(Self::RESPONSE);
+        tel.register_histogram(Self::SLOWDOWN);
         ClusterMetrics {
             shard_now: (0..shards)
                 .map(|s| tel.gauge(&format!("cluster.shard{s}.now_cycles")))
@@ -387,16 +387,16 @@ impl ClusterEngine {
     }
 
     /// Like [`new`](Self::new), reporting to `tel`: cluster-wide series and
-    /// response/slowdown histograms (windowed by the shard `base_interval`)
-    /// plus `cluster.migration` instants on the dispatcher's own handle, and
-    /// one child handle per shard — prefix `cluster.shard<i>`, carrying that
-    /// shard's engine series, clock and event buffer. Draining `tel` yields
-    /// the dispatcher's events followed by each shard's in shard order.
+    /// lifetime response/slowdown histograms plus `cluster.migration`
+    /// instants on the dispatcher's own handle, and one child handle per
+    /// shard — prefix `cluster.shard<i>`, carrying that shard's engine
+    /// series, clock and event buffer. Draining `tel` yields the
+    /// dispatcher's events followed by each shard's in shard order.
     pub fn with_telemetry(cfg: &ClusterConfig, tel: &Telemetry) -> Self {
         cfg.validate();
         let metrics = tel
             .is_on()
-            .then(|| ClusterMetrics::register(tel, cfg.shards, cfg.shard.base_interval.max(1) * 4));
+            .then(|| ClusterMetrics::register(tel, cfg.shards));
         let shards = (0..cfg.shards)
             .map(|s| {
                 let mut shard_cfg = cfg.shard.clone();
@@ -553,12 +553,9 @@ impl ClusterEngine {
             for rec in &departed {
                 let slowdown = report::slowdown(&self.solo_ipc, rec);
                 self.tel
-                    .histogram_record(ClusterMetrics::RESPONSE, self.now, rec.response());
-                self.tel.histogram_record(
-                    ClusterMetrics::SLOWDOWN,
-                    self.now,
-                    (slowdown * 100.0).round() as u64,
-                );
+                    .histogram_record(ClusterMetrics::RESPONSE, rec.response());
+                self.tel
+                    .histogram_record(ClusterMetrics::SLOWDOWN, (slowdown * 100.0).round() as u64);
             }
         }
         if self.cfg.rebalance_every > 0 && self.rounds.is_multiple_of(self.cfg.rebalance_every) {

@@ -31,8 +31,8 @@
 //!   results (calibrations, per-schedule sample/symbios measurements), with
 //!   an optional on-disk JSONL store; no binary enables it.
 //! * [`telemetry`] — the one observability handle: an instance-scoped
-//!   registry of lock-cheap counters/gauges, sliding-window histograms and
-//!   SLO trackers, an event buffer on a simulated clock, and one snapshot
+//!   registry of lock-cheap counters/gauges and lifetime log2 histograms,
+//!   an event buffer on a simulated clock, and one snapshot
 //!   rendered as Prometheus text (what `sos-serve`'s `metrics` verb and
 //!   `sos-top` speak) or as JSONL plus a Perfetto-loadable Chrome trace.
 //! * [`par`] — order-preserving parallel map used to evaluate independent

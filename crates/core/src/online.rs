@@ -112,7 +112,7 @@ pub struct OnlineConfig {
     /// stable coschedule phases are extrapolated instead of simulated in
     /// detail. `None` (the default, and what old snapshots deserialize to)
     /// is full detail — byte-identical with builds that predate the field.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     pub fastsim: Option<FastSimPolicy>,
 }
 
@@ -793,7 +793,7 @@ impl OnlineEngine {
             });
             if tracing {
                 if let Some(p) = probes {
-                    tel.histogram_record(&p.response_cycles, now, response);
+                    tel.histogram_record(&p.response_cycles, response);
                 }
                 let track = job_track(j.key);
                 tel.instant(&track, "job.complete", || {

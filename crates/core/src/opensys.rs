@@ -76,7 +76,7 @@ pub struct OpenSystemConfig {
     /// Phase-aware fast-forward simulation ([`smtsim::fastsim`]); `None`
     /// (the default, and what configurations from before the field
     /// deserialize to) is full detail, byte-identical to pre-fast-sim runs.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(default)]
     pub fastsim: Option<smtsim::FastSimPolicy>,
 }
 

@@ -412,11 +412,11 @@ impl SosScheduler {
         learn::context_of(spec.jobmix().iter().map(|j| j.benchmark))
     }
 
-    /// [`Self::evaluate_experiment_with_workers`] plus the learned
-    /// predictors: appends `Learned` and `Bandit` picks to the report and
-    /// advances `learner` prequentially — both picks are made with the model
-    /// state *before* this experiment's outcomes are folded in, so a sweep
-    /// over many experiments measures honest online performance.
+    /// Folds the learned predictors over an evaluated `report` (no
+    /// simulation): appends `Learned` and `Bandit` picks to it and advances
+    /// `learner` prequentially — both picks are made with the model state
+    /// *before* this experiment's outcomes are folded in, so folding a sweep
+    /// of reports in order measures honest online performance.
     ///
     /// Training targets are the candidates' *sample-phase realized WS*
     /// (`sample_ws`): the quantity the sampling oracle reads directly, which
@@ -431,14 +431,8 @@ impl SosScheduler {
     /// differ within one, but full information books every arm on the same
     /// phases, so that variance is common-mode and cancels when arm means
     /// are compared.
-    pub fn evaluate_experiment_learned(
-        spec: &ExperimentSpec,
-        cfg: &SosConfig,
-        learner: &mut Learner,
-        workers: usize,
-    ) -> ExperimentReport {
-        let mut report = Self::evaluate_experiment_with_workers(spec, cfg, workers);
-        let context = Self::experiment_context(spec);
+    pub fn fold_learned(mut report: ExperimentReport, learner: &mut Learner) -> ExperimentReport {
+        let context = Self::experiment_context(&report.spec);
         let learned_pick = learner.choose_learned(&report.samples);
         let (arm, bandit_pick) = learner.choose_bandit(&report.samples, &context);
         report.picks.push((PredictorKind::Learned, learned_pick));
@@ -522,7 +516,8 @@ mod tests {
         let spec: ExperimentSpec = "Jsb(4,2,2)".parse().unwrap();
         let cfg = quick_cfg();
         let mut learner = Learner::new(Default::default());
-        let report = SosScheduler::evaluate_experiment_learned(&spec, &cfg, &mut learner, 0);
+        let base = SosScheduler::evaluate_experiment(&spec, &cfg);
+        let report = SosScheduler::fold_learned(base.clone(), &mut learner);
         assert_eq!(report.picks.len(), PredictorKind::ALL.len() + 2);
         let lw = report.ws_with(PredictorKind::Learned);
         let bw = report.ws_with(PredictorKind::Bandit);
@@ -533,7 +528,6 @@ mod tests {
         assert_eq!(learner.bandit().total_pulls(), 1);
         // The base report (first ten picks, WS vectors) is unchanged by the
         // learned pass.
-        let base = SosScheduler::evaluate_experiment(&spec, &cfg);
         assert_eq!(report.symbios_ws, base.symbios_ws);
         assert_eq!(&report.picks[..PredictorKind::ALL.len()], &base.picks[..]);
     }
@@ -546,9 +540,8 @@ mod tests {
             let mut learner = Learner::new(Default::default());
             let mut picks = Vec::new();
             for _ in 0..3 {
-                let r =
-                    SosScheduler::evaluate_experiment_learned(&spec, &cfg, &mut learner, workers);
-                picks.push(r.picks);
+                let base = SosScheduler::evaluate_experiment_with_workers(&spec, &cfg, workers);
+                picks.push(SosScheduler::fold_learned(base, &mut learner).picks);
             }
             (picks, serde_json::to_string(&learner).unwrap())
         };

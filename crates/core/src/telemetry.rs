@@ -7,7 +7,7 @@
 //!   allocated or recorded. This is what the batch entry points run with.
 //! * [`Telemetry::metrics`] — the registry is live: named [`Counter`] /
 //!   [`Gauge`] handles (single relaxed atomics, resolved once and written
-//!   without a map or a lock), [`WindowedHistogram`]s and [`SloTracker`]s.
+//!   without a map or a lock) and lifetime log2 [`Histogram`]s.
 //! * [`Telemetry::tracing`] — metrics plus a time-stamped [`Event`] stream of
 //!   spans, instants and counter samples on the handle's simulated-cycle
 //!   clock.
@@ -41,7 +41,7 @@
 //! assert!(snapshot.chrome_trace_json().contains("traceEvents"));
 //! ```
 
-use crate::report::{percentile, Percentiles};
+use crate::report::Percentiles;
 use serde::{Deserialize, Serialize};
 use smtsim::counters::Resource;
 use smtsim::{Processor, TimesliceStats};
@@ -56,13 +56,7 @@ pub const TRACE_CLOCK_MHZ: u64 = 500;
 /// Version of the [`Snapshot`] schema carried by the `metrics` protocol
 /// verb; bump on incompatible change so pollers can detect a mismatch
 /// instead of misreading fields.
-pub const METRICS_VERSION: u32 = 1;
-
-/// Raw samples retained per histogram window for exact quantiles. Past the
-/// cap a window keeps counting in its log2 buckets but stops retaining
-/// samples, and the quantile summary degrades to the bucket approximation
-/// (flagged via [`HistogramSnapshot::exact`]).
-pub const WINDOW_SAMPLE_CAP: usize = 8_192;
+pub const METRICS_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // Events
@@ -289,248 +283,6 @@ impl Histogram {
     }
 }
 
-/// The p50/p95/p99/p999 summary of a distribution. All fields are `NaN`
-/// when the distribution is empty (serialized as JSON `null`, matching
-/// [`crate::report::Percentiles`]).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Quantiles {
-    /// Median.
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// 99.9th percentile.
-    pub p999: f64,
-}
-
-/// One rotation window of a [`WindowedHistogram`].
-#[derive(Clone, Debug, PartialEq)]
-struct Window {
-    /// Window index on the cycle clock: `now / window_cycles`.
-    index: u64,
-    /// Log2-bucket counts for the window.
-    hist: Histogram,
-    /// Raw samples, capped at [`WINDOW_SAMPLE_CAP`].
-    samples: Vec<u64>,
-}
-
-/// A log2-bucket histogram sliced into rotating time windows.
-///
-/// Values are recorded with an explicit clock (simulated cycles); the
-/// histogram keeps the most recent `max_windows` windows of `window_cycles`
-/// each, so reads see a sliding view of roughly
-/// `window_cycles × max_windows` cycles. Each window also retains up to
-/// [`WINDOW_SAMPLE_CAP`] raw samples, making the quantile summary *exact*
-/// (nearest-rank over the retained span, via [`crate::report::percentile`])
-/// until a window overflows its cap.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WindowedHistogram {
-    window_cycles: u64,
-    max_windows: usize,
-    /// Live windows, oldest first.
-    windows: Vec<Window>,
-    /// Values recorded over the histogram's lifetime (across evictions).
-    total_count: u64,
-}
-
-impl WindowedHistogram {
-    /// A histogram rotating every `window_cycles` cycles, keeping
-    /// `max_windows` windows.
-    ///
-    /// # Panics
-    /// Panics if `window_cycles == 0` or `max_windows == 0`.
-    pub fn new(window_cycles: u64, max_windows: usize) -> Self {
-        assert!(
-            window_cycles > 0 && max_windows > 0,
-            "windowed histogram needs a positive window size and count"
-        );
-        WindowedHistogram {
-            window_cycles,
-            max_windows,
-            windows: Vec::new(),
-            total_count: 0,
-        }
-    }
-
-    /// One unbounded window: a plain lifetime histogram (what recording into
-    /// an unregistered name creates).
-    fn lifetime() -> Self {
-        WindowedHistogram::new(u64::MAX, 1)
-    }
-
-    /// Records `value` at clock `now`, rotating windows as needed.
-    pub fn record(&mut self, now: u64, value: u64) {
-        let index = now / self.window_cycles;
-        // A late sample after rotation books into the current window rather
-        // than resurrecting an old one.
-        if self.windows.last().is_none_or(|last| last.index < index) {
-            self.windows.push(Window {
-                index,
-                hist: Histogram::default(),
-                samples: Vec::new(),
-            });
-            let excess = self.windows.len().saturating_sub(self.max_windows);
-            self.windows.drain(..excess);
-        }
-        let w = self.windows.last_mut().expect("a current window exists");
-        w.hist.record(value);
-        if w.samples.len() < WINDOW_SAMPLE_CAP {
-            w.samples.push(value);
-        }
-        self.total_count += 1;
-    }
-
-    /// Values recorded in the live windows.
-    pub fn count(&self) -> u64 {
-        self.windows.iter().map(|w| w.hist.count).sum()
-    }
-
-    /// Values recorded over the histogram's lifetime (across evictions).
-    pub fn total_count(&self) -> u64 {
-        self.total_count
-    }
-
-    /// The live windows merged into one log2-bucket [`Histogram`].
-    pub fn merged(&self) -> Histogram {
-        let mut out = Histogram::default();
-        for w in &self.windows {
-            out.merge(&w.hist);
-        }
-        out
-    }
-
-    /// Whether every live window still retains all of its raw samples (if
-    /// so, [`WindowedHistogram::quantiles`] is exact).
-    pub fn is_exact(&self) -> bool {
-        self.windows
-            .iter()
-            .all(|w| w.samples.len() as u64 == w.hist.count)
-    }
-
-    /// Quantile summary over the live windows: exact nearest-rank over the
-    /// retained raw samples while [`is_exact`](Self::is_exact), otherwise
-    /// the log2-bucket lower-bound approximation; all `NaN` when empty.
-    pub fn quantiles(&self) -> Quantiles {
-        let at = |f: &dyn Fn(f64) -> f64| Quantiles {
-            p50: f(50.0),
-            p95: f(95.0),
-            p99: f(99.0),
-            p999: f(99.9),
-        };
-        if self.count() == 0 {
-            at(&|_| f64::NAN)
-        } else if self.is_exact() {
-            let samples: Vec<f64> = self
-                .windows
-                .iter()
-                .flat_map(|w| w.samples.iter().map(|&v| v as f64))
-                .collect();
-            at(&|p| percentile(&samples, p))
-        } else {
-            let merged = self.merged();
-            at(&|p| merged.approx_quantile(p / 100.0) as f64)
-        }
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        let merged = self.merged();
-        HistogramSnapshot {
-            count: merged.count,
-            sum: merged.sum,
-            mean: merged.mean(),
-            total_count: self.total_count,
-            quantiles: self.quantiles(),
-            exact: self.is_exact(),
-            windows: self.windows.len() as u64,
-            window_cycles: self.window_cycles,
-            buckets: merged
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, &c)| BucketCount {
-                    lo: Histogram::bucket_lower_bound(i),
-                    count: c,
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Tracks one latency-style service-level objective: "`objective` of
-/// observations at or under `target`".
-#[derive(Clone, Debug, PartialEq)]
-pub struct SloTracker {
-    /// Threshold an observation must not exceed to count as good.
-    pub target: u64,
-    /// Required good fraction in `(0, 1)`, e.g. `0.99`.
-    pub objective: f64,
-    /// Observations at or under the target.
-    pub good: u64,
-    /// All observations.
-    pub total: u64,
-}
-
-impl SloTracker {
-    /// A fresh tracker for "`objective` of observations ≤ `target`".
-    pub fn new(target: u64, objective: f64) -> Self {
-        SloTracker {
-            target,
-            objective: objective.clamp(0.0, 1.0),
-            good: 0,
-            total: 0,
-        }
-    }
-
-    /// Books one observation.
-    pub fn observe(&mut self, value: u64) {
-        self.total += 1;
-        if value <= self.target {
-            self.good += 1;
-        }
-    }
-
-    /// Good fraction so far (1.0 before any observation: no violations).
-    pub fn attainment(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.good as f64 / self.total as f64
-        }
-    }
-
-    /// Error-budget burn rate: observed bad fraction over allowed bad
-    /// fraction. 1.0 means burning the budget exactly as fast as the
-    /// objective allows; above 1.0 the SLO will be missed if the rate holds.
-    pub fn burn_rate(&self) -> f64 {
-        let allowed = 1.0 - self.objective;
-        if allowed <= 0.0 {
-            // A 100% objective has no budget: any miss is infinite burn.
-            if self.total > self.good {
-                f64::INFINITY
-            } else {
-                0.0
-            }
-        } else {
-            (1.0 - self.attainment()) / allowed
-        }
-    }
-
-    /// The serializable status row for a snapshot.
-    pub fn status(&self) -> SloStatus {
-        SloStatus {
-            target: self.target,
-            objective: self.objective,
-            good: self.good,
-            total: self.total,
-            attainment: self.attainment(),
-            burn_rate: self.burn_rate(),
-            met: self.attainment() >= self.objective,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The handle
 // ---------------------------------------------------------------------------
@@ -538,14 +290,13 @@ impl SloTracker {
 /// The named metrics behind every handle of one family (a root and its
 /// children). Counters and gauges are handed out as `Arc`s — callers look a
 /// name up once and then write through a single relaxed atomic. Histograms
-/// and SLO trackers sit behind one mutex each; they are written off the
-/// per-timeslice path and read by snapshotters.
+/// sit behind one mutex; they are written off the per-timeslice path and
+/// read by snapshotters.
 #[derive(Default)]
 struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, WindowedHistogram>>,
-    slos: Mutex<BTreeMap<String, SloTracker>>,
+    histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
 /// A handle's event buffer and the simulated clock that stamps it.
@@ -794,53 +545,21 @@ impl Telemetry {
         }
     }
 
-    /// Shapes the histogram named `name` as `max_windows` rotating windows
-    /// of `window_cycles` (first registration wins).
-    pub fn register_histogram(&self, name: &str, window_cycles: u64, max_windows: usize) {
+    /// Lists the histogram named `name` at zero, so the exposition carries
+    /// it before its first value.
+    pub fn register_histogram(&self, name: &str) {
+        if let Some(r) = self.registry() {
+            lock(&r.histograms).entry(name.into()).or_default();
+        }
+    }
+
+    /// Records `value` into histogram `name`, created on first use.
+    pub fn histogram_record(&self, name: &str, value: u64) {
         if let Some(r) = self.registry() {
             lock(&r.histograms)
                 .entry(name.into())
-                .or_insert_with(|| WindowedHistogram::new(window_cycles, max_windows));
-        }
-    }
-
-    /// Records `value` at clock `now` into histogram `name`; an unregistered
-    /// name becomes a single-window lifetime histogram.
-    pub fn histogram_record(&self, name: &str, now: u64, value: u64) {
-        if let Some(r) = self.registry() {
-            lock(&r.histograms)
-                .entry(name.into())
-                .or_insert_with(WindowedHistogram::lifetime)
-                .record(now, value);
-        }
-    }
-
-    /// Runs `f` over the histogram named `name`, if it exists (for readers
-    /// that need more than the snapshot, e.g. the `stats` verb's
-    /// bucket-approximate percentiles).
-    pub fn with_histogram<R>(
-        &self,
-        name: &str,
-        f: impl FnOnce(&WindowedHistogram) -> R,
-    ) -> Option<R> {
-        lock(&self.registry()?.histograms).get(name).map(f)
-    }
-
-    /// Registers an SLO: `objective` of observations ≤ `target`.
-    pub fn register_slo(&self, name: &str, target: u64, objective: f64) {
-        if let Some(r) = self.registry() {
-            lock(&r.slos)
-                .entry(name.into())
-                .or_insert_with(|| SloTracker::new(target, objective));
-        }
-    }
-
-    /// Books one observation against SLO `name` (no-op when unregistered).
-    pub fn observe_slo(&self, name: &str, value: u64) {
-        if let Some(r) = self.registry() {
-            if let Some(s) = lock(&r.slos).get_mut(name) {
-                s.observe(value);
-            }
+                .or_default()
+                .record(value);
         }
     }
 
@@ -855,7 +574,6 @@ impl Telemetry {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
-            slos: BTreeMap::new(),
             events: Vec::new(),
         };
         if let Some(r) = self.registry() {
@@ -865,12 +583,7 @@ impl Telemetry {
             snap.gauges = (lock(&r.gauges).iter())
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect();
-            snap.histograms = (lock(&r.histograms).iter())
-                .map(|(k, h)| (k.clone(), h.snapshot()))
-                .collect();
-            snap.slos = (lock(&r.slos).iter())
-                .map(|(k, s)| (k.clone(), s.status()))
-                .collect();
+            snap.histograms = lock(&r.histograms).clone();
         }
         snap
     }
@@ -902,59 +615,6 @@ impl Telemetry {
 // Snapshot and the two exporters
 // ---------------------------------------------------------------------------
 
-/// One histogram in a [`Snapshot`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
-    /// Values in the live windows.
-    pub count: u64,
-    /// Sum of values in the live windows.
-    pub sum: u64,
-    /// Mean of values in the live windows.
-    pub mean: f64,
-    /// Values recorded over the histogram's lifetime (across window
-    /// evictions).
-    pub total_count: u64,
-    /// Quantile summary (exact while `exact` is true).
-    pub quantiles: Quantiles,
-    /// Whether `quantiles` is exact nearest-rank (every live window still
-    /// retains all raw samples) or the log2-bucket approximation.
-    pub exact: bool,
-    /// Live windows merged into this snapshot.
-    pub windows: u64,
-    /// Cycles per window.
-    pub window_cycles: u64,
-    /// Non-empty log2 buckets, by inclusive lower bound.
-    pub buckets: Vec<BucketCount>,
-}
-
-/// One non-empty log2 bucket: inclusive lower bound and count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BucketCount {
-    /// Inclusive lower bound of the bucket.
-    pub lo: u64,
-    /// Values in the bucket.
-    pub count: u64,
-}
-
-/// One SLO row in a [`Snapshot`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SloStatus {
-    /// Threshold an observation must not exceed to count as good.
-    pub target: u64,
-    /// Required good fraction.
-    pub objective: f64,
-    /// Good observations.
-    pub good: u64,
-    /// All observations.
-    pub total: u64,
-    /// Good fraction so far.
-    pub attainment: f64,
-    /// Error-budget burn rate (see [`SloTracker::burn_rate`]).
-    pub burn_rate: f64,
-    /// Whether the objective is currently met.
-    pub met: bool,
-}
-
 /// A versioned view of a handle: every metric, plus (from
 /// [`Telemetry::drain`]) the event stream. Carried by the `metrics`
 /// protocol verb, rendered by `sos-top`, and the input of both exporters.
@@ -968,10 +628,8 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, f64>,
-    /// Histogram summaries by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// SLO statuses by name.
-    pub slos: BTreeMap<String, SloStatus>,
+    /// Lifetime histograms by name.
+    pub histograms: BTreeMap<String, Histogram>,
     /// Drained events (empty in a live [`Telemetry::snapshot`]).
     #[serde(default)]
     pub events: Vec<Event>,
@@ -1037,8 +695,8 @@ fn jsonl<T: Serialize>(rows: &[T]) -> String {
 impl Snapshot {
     /// Renders the metrics as Prometheus text exposition (format 0.0.4):
     /// counters and gauges as single series, histograms as cumulative
-    /// `_bucket{le=…}` series with `_sum`/`_count`, SLOs as
-    /// `_slo_attainment` / `_slo_burn_rate` / `_slo_met` gauges.
+    /// `_bucket{le=…}` series over their non-empty buckets with
+    /// `_sum`/`_count`.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::new();
         for (name, v) in &self.counters {
@@ -1053,33 +711,21 @@ impl Snapshot {
             let p = prometheus_name(name);
             out.push_str(&format!("# TYPE {p} histogram\n"));
             let mut cumulative = 0u64;
-            for b in &h.buckets {
-                cumulative += b.count;
+            for (i, &c) in h.buckets.iter().enumerate().filter(|(_, &c)| c > 0) {
+                cumulative += c;
                 // The log2 bucket [lo, 2·lo) is reported at its exclusive
                 // upper bound, the Prometheus `le` convention.
-                let le = if b.lo == 0 { 1 } else { b.lo.saturating_mul(2) };
+                let lo = Histogram::bucket_lower_bound(i);
+                let le = if lo == 0 { 1 } else { lo.saturating_mul(2) };
                 out.push_str(&format!("{p}_bucket{{le=\"{le}\"}} {cumulative}\n"));
             }
             out.push_str(&format!("{p}_bucket{{le=\"+Inf\"}} {}\n", h.count));
             out.push_str(&format!("{p}_sum {}\n{p}_count {}\n", h.sum, h.count));
         }
-        for (name, s) in &self.slos {
-            let p = prometheus_name(name);
-            for (series, value) in [
-                ("attainment", fmt_f64(s.attainment)),
-                ("burn_rate", fmt_f64(s.burn_rate)),
-                ("met", u8::from(s.met).to_string()),
-            ] {
-                out.push_str(&format!(
-                    "# TYPE {p}_slo_{series} gauge\n{p}_slo_{series} {value}\n"
-                ));
-            }
-        }
         out
     }
 
-    /// The counters, gauges and histograms as JSONL rows, sorted by name
-    /// (SLOs are Prometheus-only).
+    /// The counters, gauges and histograms as JSONL rows, sorted by name.
     pub fn metric_rows(&self) -> Vec<Metric> {
         let row = |name: &String, kind| Metric {
             name: name.clone(),
@@ -1102,16 +748,8 @@ impl Snapshot {
             });
         }
         for (name, h) in &self.histograms {
-            let mut hist = Histogram {
-                count: h.count,
-                sum: h.sum,
-                ..Histogram::default()
-            };
-            for b in &h.buckets {
-                hist.buckets[Histogram::bucket_index(b.lo)] += b.count;
-            }
             out.push(Metric {
-                histogram: Some(hist),
+                histogram: Some(h.clone()),
                 ..row(name, MetricKind::Histogram)
             });
         }
@@ -1270,7 +908,7 @@ pub fn trace_timeslice(tel: &Telemetry, stats: &TimesliceStats, cpu: &Processor)
     tel.counter_add("smtsim.timeslices", 1);
     let committed = stats.total_committed();
     tel.counter_add("smtsim.committed", committed);
-    tel.histogram_record("smtsim.timeslice_committed", tel.clock(), committed);
+    tel.histogram_record("smtsim.timeslice_committed", committed);
     for r in Resource::ALL {
         let cycles = stats.conflicts.get(r);
         if cycles > 0 {
@@ -1283,7 +921,6 @@ pub fn trace_timeslice(tel: &Telemetry, stats: &TimesliceStats, cpu: &Processor)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::percentiles;
 
     #[test]
     fn off_handle_drops_everything() {
@@ -1291,7 +928,7 @@ mod tests {
         tel.span_start("t", "a", Vec::new);
         tel.instant("t", "b", || unreachable!("attrs are not built when off"));
         tel.counter_add("c", 5);
-        tel.histogram_record("h", 0, 5);
+        tel.histogram_record("h", 5);
         tel.advance_clock(100);
         assert!(!tel.is_on() && !tel.events_on());
         assert!(!tel.child("x").is_on());
@@ -1326,8 +963,8 @@ mod tests {
         tel.counter_add("jobs", 2);
         tel.counter_add("jobs", 3);
         tel.gauge_set("load", 0.75);
-        tel.histogram_record("lat", 0, 100);
-        tel.histogram_record("lat", 0, 3_000);
+        tel.histogram_record("lat", 100);
+        tel.histogram_record("lat", 3_000);
 
         let snap = tel.drain();
         assert_eq!(snap.now_cycles, 75);
@@ -1448,98 +1085,13 @@ mod tests {
     }
 
     #[test]
-    fn window_rotation_evicts_old_windows() {
-        let mut h = WindowedHistogram::new(1_000, 3);
-        h.record(0, 10); // window 0
-        h.record(1_500, 20); // window 1
-        h.record(2_100, 300); // window 2
-        assert_eq!(h.count(), 3);
-        h.record(3_999, 40); // window 3 evicts window 0
-        assert_eq!(h.count(), 3, "value 10 aged out of the live view");
-        assert_eq!(h.total_count(), 4, "lifetime count keeps evicted values");
-        // The merged view no longer contains 10's bucket.
-        let merged = h.merged();
-        assert_eq!(merged.buckets[Histogram::bucket_index(10)], 0);
-        assert_eq!(merged.buckets[Histogram::bucket_index(20)], 1);
-    }
-
-    #[test]
-    fn late_samples_book_into_the_current_window() {
-        let mut h = WindowedHistogram::new(1_000, 4);
-        h.record(5_000, 1);
-        h.record(100, 2); // clock went backwards: current window absorbs it
-        assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn quantiles_agree_with_report_percentiles_exactly() {
-        // Identical samples through the windowed histogram and through
-        // report::percentiles give identical answers.
-        let values: Vec<u64> = (1..=1_000).map(|i| i * 7).collect();
-        let mut h = WindowedHistogram::new(1 << 40, 4); // one big window
-        for &v in &values {
-            h.record(0, v);
-        }
-        assert!(h.is_exact());
-        let q = h.quantiles();
-        let f: Vec<f64> = values.iter().map(|&v| v as f64).collect();
-        let p = percentiles(&f);
-        assert_eq!(q.p50, p.p50);
-        assert_eq!(q.p95, p.p95);
-        assert_eq!(q.p99, p.p99);
-        assert_eq!(q.p999, percentile(&f, 99.9));
-    }
-
-    #[test]
-    fn quantiles_degrade_to_buckets_past_the_sample_cap() {
-        let mut h = WindowedHistogram::new(1 << 40, 1);
-        for i in 0..(WINDOW_SAMPLE_CAP as u64 + 10) {
-            h.record(0, 100 + i % 3);
-        }
-        assert!(!h.is_exact());
-        let q = h.quantiles();
-        // Bucket lower bound of 100..103 is 64.
-        assert_eq!(q.p50, 64.0);
-    }
-
-    #[test]
-    fn slo_attainment_and_burn_rate() {
-        let mut s = SloTracker::new(100, 0.9);
-        assert_eq!(s.attainment(), 1.0);
-        assert!(s.status().met);
-        assert_eq!(s.burn_rate(), 0.0);
-        for v in [10, 50, 100, 101, 500, 20, 30, 40, 60, 70] {
-            s.observe(v);
-        }
-        // 8 of 10 good → attainment 0.8, budget 0.1, burn 2.0.
-        assert_eq!(s.good, 8);
-        assert!((s.attainment() - 0.8).abs() < 1e-12);
-        assert!((s.burn_rate() - 2.0).abs() < 1e-12);
-        let status = s.status();
-        assert_eq!(status.total, 10);
-        assert!(!status.met);
-    }
-
-    #[test]
-    fn slo_with_total_objective_has_infinite_burn_on_any_miss() {
-        let mut s = SloTracker::new(10, 1.0);
-        s.observe(5);
-        assert_eq!(s.burn_rate(), 0.0);
-        s.observe(11);
-        assert!(s.burn_rate().is_infinite());
-    }
-
-    #[test]
     fn snapshot_round_trips_through_serde() {
         let tel = Telemetry::metrics();
         tel.counter("serve.requests.submit").add(7);
         tel.gauge("engine.queue_depth").set(3.0);
-        tel.register_histogram("serve.response_cycles", 1_000, 4);
-        tel.histogram_record("serve.response_cycles", 100, 2_048);
-        tel.histogram_record("serve.response_cycles", 200, 4_096);
-        tel.register_slo("serve.response_cycles", 3_000, 0.99);
-        tel.observe_slo("serve.response_cycles", 2_048);
-        tel.observe_slo("serve.response_cycles", 4_096);
+        tel.register_histogram("serve.response_cycles");
+        tel.histogram_record("serve.response_cycles", 2_048);
+        tel.histogram_record("serve.response_cycles", 4_096);
         let snap = tel.snapshot(250);
 
         let json = serde_json::to_string(&snap).unwrap();
@@ -1549,12 +1101,7 @@ mod tests {
         assert_eq!(back.counters["serve.requests.submit"], 7);
         assert_eq!(back.gauges["engine.queue_depth"], 3.0);
         let h = &back.histograms["serve.response_cycles"];
-        assert_eq!(h.count, 2);
-        assert!(h.exact);
-        let slo = &back.slos["serve.response_cycles"];
-        assert_eq!(slo.good, 1);
-        assert_eq!(slo.total, 2);
-        assert!((slo.attainment - 0.5).abs() < 1e-12);
+        assert_eq!((h.count, h.sum), (2, 6_144));
     }
 
     #[test]
@@ -1562,11 +1109,9 @@ mod tests {
         let tel = Telemetry::metrics();
         tel.counter("serve.requests.submit").add(3);
         tel.gauge("engine.queue_depth").set(2.0);
-        tel.register_histogram("serve.response_cycles", 1_000, 4);
-        tel.histogram_record("serve.response_cycles", 0, 3); // bucket [2,4) → le=4
-        tel.histogram_record("serve.response_cycles", 0, 100); // bucket [64,128) → le=128
-        tel.register_slo("serve.response_cycles", 50, 0.99);
-        tel.observe_slo("serve.response_cycles", 3);
+        tel.register_histogram("serve.response_cycles");
+        tel.histogram_record("serve.response_cycles", 3); // bucket [2,4) → le=4
+        tel.histogram_record("serve.response_cycles", 100); // bucket [64,128) → le=128
         let text = tel.snapshot(0).prometheus_text();
 
         assert!(text.contains("# TYPE sos_serve_requests_submit counter"));
@@ -1579,8 +1124,6 @@ mod tests {
         assert!(text.contains("sos_serve_response_cycles_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("sos_serve_response_cycles_sum 103"));
         assert!(text.contains("sos_serve_response_cycles_count 2"));
-        assert!(text.contains("sos_serve_response_cycles_slo_attainment 1"));
-        assert!(text.contains("sos_serve_response_cycles_slo_met 1"));
         // Every non-comment line is "name[{labels}] value".
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let (series, value) = line.rsplit_once(' ').unwrap();
@@ -1609,9 +1152,9 @@ mod tests {
         tel.gauge("g.nan").set(f64::NAN);
         tel.gauge("g.inf").set(f64::INFINITY);
         tel.gauge("g.ninf").set(f64::NEG_INFINITY);
-        tel.register_histogram("h.empty", 1_000, 2);
+        tel.register_histogram("h.empty");
         for v in [0, 3, 3, 100, 5_000] {
-            tel.histogram_record("h.full", 7, v);
+            tel.histogram_record("h.full", v);
         }
         let snap = tel.drain();
         let text = snap.prometheus_text();

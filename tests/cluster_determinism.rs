@@ -186,7 +186,12 @@ fn forced_stealing_conserves_jobs() {
     ccfg.rebalance_every = 1;
     ccfg.steal_threshold = 2;
     ccfg.slices_per_round = 1;
-    let mut engine = ClusterEngine::new(&ccfg);
+    // No metric may depend on how many base intervals a run spans. The
+    // naive scheduler never reads `base_interval`, so a short one stretches
+    // this run over hundreds of them at no cost.
+    ccfg.shard.base_interval = ccfg.shard.timeslice / 4;
+    let tel = Telemetry::metrics();
+    let mut engine = ClusterEngine::with_telemetry(&ccfg, &tel);
 
     let mut submitted = Vec::new();
     let mut submit = |engine: &mut ClusterEngine, mut j: JobArrival, now: u64, stretch: u64| {
@@ -253,6 +258,23 @@ fn forced_stealing_conserves_jobs() {
     assert_eq!(report.migrations as usize, migrated_in);
     let per_shard_completed: u64 = report.per_shard.iter().map(|s| s.completed).sum();
     assert_eq!(per_shard_completed, report.completed);
+
+    // The exported histograms count every departure, however many rounds
+    // the departures spread over: Prometheus `_count` and `_bucket` series
+    // are cumulative.
+    let rounds: std::collections::BTreeSet<u64> = (done.iter())
+        .map(|r| r.departure / ccfg.shard.timeslice)
+        .collect();
+    assert!(
+        rounds.len() > 8,
+        "departures in {} rounds only",
+        rounds.len()
+    );
+    assert!(engine.now() > 32 * ccfg.shard.base_interval);
+    let snap = tel.snapshot(engine.now());
+    for name in ["cluster.response_cycles", "cluster.slowdown_x100"] {
+        assert_eq!(snap.histograms[name].count, engine.completed(), "{name}");
+    }
 }
 
 /// A traced 2-shard run with exactly one forced migration: two long jobs

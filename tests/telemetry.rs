@@ -75,8 +75,8 @@ fn metrics_and_snapshots_round_trip() {
     let tel = Telemetry::tracing();
     tel.counter_add("c", 42);
     tel.gauge_set("g", -1.25);
-    tel.histogram_record("h", 0, 0);
-    tel.histogram_record("h", 0, 513);
+    tel.histogram_record("h", 0);
+    tel.histogram_record("h", 513);
     tel.set_clock(7);
     tel.instant("opensys", "opensys.arrival", Vec::new);
     let snap = tel.drain();
