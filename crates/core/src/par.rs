@@ -1,11 +1,18 @@
 //! Order-preserving parallel map over OS threads.
 //!
-//! [`SosScheduler`](crate::sos::SosScheduler) evaluates independent candidate
-//! schedules concurrently, and the experiment binaries fan out whole
-//! experiments the same way. Both need one property above all: **results are
-//! merged in input order regardless of the worker count**, so a parallel run
-//! produces byte-identical reports to a serial one (the replay tests pin
-//! `workers = 1` against `workers = N`).
+//! [`SosScheduler`](crate::sos::SosScheduler) evaluates an experiment's
+//! calibration and candidate schedules concurrently, and the experiment
+//! binaries fan out whole experiments the same way. Both need one property
+//! above all: **results are merged in input order regardless of the worker
+//! count**, so a parallel run produces byte-identical reports to a serial
+//! one (the replay tests pin `workers = 1` against `workers = N`).
+//!
+//! Each map caps its own fan-out at [`available_workers`], but nothing caps
+//! a map run inside another: `paper` and `learn_eval` fan out over
+//! experiments, and each experiment fans out over its candidates, so up to
+//! `available_workers()²` threads run at once. Only the outer map is meant
+//! to fill the host; the inner one lets a long experiment use cores that
+//! finished experiments have left idle.
 //!
 //! [`ClusterEngine`](crate::cluster::ClusterEngine) advances its shards
 //! through the same map once per round, which is why the calling thread
@@ -26,9 +33,9 @@ pub fn available_workers() -> usize {
 
 /// Runs `f` over `items` on a pool of OS threads (experiments and candidate
 /// evaluations are independent and single-threaded, so this scales to the 13
-/// paper configurations on a multicore host). The fan-out is capped at
-/// [`available_workers`], so oversubscription does not distort
-/// per-experiment timing on small hosts. Results keep input order.
+/// paper configurations on a multicore host). This map spawns at most
+/// [`available_workers`] threads; a map nested inside `f` spawns its own
+/// (see the module docs). Results keep input order.
 pub fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,

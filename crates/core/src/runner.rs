@@ -9,11 +9,12 @@
 
 use crate::job::JobPool;
 use crate::schedule::{Coschedule, Schedule};
-use crate::telemetry::{trace_timeslice, Telemetry};
+use crate::telemetry::{trace_timeslice, Counter, Telemetry};
 use crate::ws::{weighted_speedup, SoloRates};
 use serde::{Deserialize, Serialize};
 use smtsim::fastsim::{FastSim, FastSimCounters, FastSimPolicy};
 use smtsim::{MachineConfig, Processor, TimesliceStats};
+use std::sync::Arc;
 
 /// Everything measured while running one full rotation of a schedule.
 ///
@@ -135,6 +136,9 @@ pub struct Runner {
     fastsim: Option<FastSim>,
     /// Where detailed timeslices are traced (see [`Self::attach_telemetry`]).
     tel: Telemetry,
+    /// `smtsim.timeslices` of a metrics-only handle, resolved once (a
+    /// tracing handle counts slices in [`trace_timeslice`] instead).
+    slices: Option<Arc<Counter>>,
 }
 
 impl Runner {
@@ -150,6 +154,7 @@ impl Runner {
             timeslice,
             fastsim: None,
             tel: Telemetry::off(),
+            slices: None,
         }
     }
 
@@ -194,7 +199,7 @@ impl Runner {
         let mut refs = self.pool.select_dyn(tuple.threads());
         let slice = fs.run_slice(&mut self.processor, &mut refs, cycles);
         if !slice.extrapolated {
-            trace_timeslice(&self.tel, &slice.stats, &self.processor);
+            self.book(&slice.stats);
         }
         slice.stats
     }
@@ -204,8 +209,16 @@ impl Runner {
     fn run_tuple_detailed(&mut self, tuple: &Coschedule, cycles: u64) -> TimesliceStats {
         let mut refs = self.pool.select_dyn(tuple.threads());
         let stats = self.processor.run_timeslice(&mut refs, cycles);
-        trace_timeslice(&self.tel, &stats, &self.processor);
+        self.book(&stats);
         stats
+    }
+
+    /// Reports one detailed timeslice to the attached handle.
+    fn book(&self, stats: &TimesliceStats) {
+        trace_timeslice(&self.tel, stats, &self.processor);
+        if let Some(slices) = &self.slices {
+            slices.inc();
+        }
     }
 
     /// Runs one full rotation of `schedule` (each slice one timeslice long).
@@ -216,7 +229,7 @@ impl Runner {
 
     /// One rotation over a precomputed tuple list (so multi-rotation runs
     /// don't rebuild the list every rotation).
-    fn run_rotation_of(&mut self, tuples: &[Coschedule]) -> RotationStats {
+    pub(crate) fn run_rotation_of(&mut self, tuples: &[Coschedule]) -> RotationStats {
         let mut slices = Vec::with_capacity(tuples.len());
         for t in tuples {
             slices.push(self.run_tuple(t, self.timeslice));
@@ -277,9 +290,11 @@ impl Runner {
     /// Reports to `tel`: when it records events, every timeslice this runner
     /// simulates in detail is traced through
     /// [`crate::telemetry::trace_timeslice`] (a span with conflict counters
-    /// and occupancy samples). Other handles leave occupancy sampling off.
+    /// and occupancy samples); a metrics-only handle counts those slices in
+    /// `smtsim.timeslices` and leaves occupancy sampling off.
     pub fn attach_telemetry(&mut self, tel: &Telemetry) {
         self.processor.sample_occupancy(tel.events_on());
+        self.slices = (tel.is_on() && !tel.events_on()).then(|| tel.counter("smtsim.timeslices"));
         self.tel = tel.clone();
     }
 }

@@ -136,6 +136,12 @@ impl ExperimentReport {
 /// The SOS scheduler entry points.
 pub struct SosScheduler;
 
+/// What one task of [`SosScheduler::evaluate_experiment`]'s fan-out returns.
+enum Stage {
+    Solo(SoloRates),
+    Candidate(Vec<RotationStats>, SymbiosEval),
+}
+
 impl SosScheduler {
     /// Draws the candidate schedules for an experiment (distinct, exhaustive
     /// when the space is at most the sample budget).
@@ -151,7 +157,7 @@ impl SosScheduler {
     }
 
     /// A fresh runner for one pure evaluation stage: new pool, new
-    /// processor, reporting to `tel`. Every stage of
+    /// processor, reporting to `tel`. Every task of
     /// [`Self::evaluate_experiment`] starts from this state, which is what
     /// makes each stage a pure function of `(spec, cfg, schedule)` — the
     /// property the evaluation cache and the parallel candidate evaluation
@@ -191,11 +197,101 @@ impl SosScheduler {
         })
     }
 
-    /// Profiles one candidate on a fresh runner: one unrecorded warm-up
+    /// Simulates one candidate on a fresh runner: one unrecorded warm-up
     /// rotation (so the schedule does not pay the whole memory-system cold
     /// start; the paper starts its benchmarks partially executed for the
-    /// same reason), then `rotations_per_sample` recorded rotations.
-    /// Memoized through [`cache::sample_rotations`].
+    /// same reason), then `max(sample, symbios)` rotations. The first
+    /// `sample` rotations come back whole (the sample phase); the first
+    /// `symbios` are folded into per-thread totals as they run (the symbios
+    /// phase), so no per-slice record outlives its rotation.
+    ///
+    /// This is the one simulation loop behind every candidate stage: the
+    /// sample is the head of the symbios run, bit for bit, so a candidate
+    /// that needs both is simulated once.
+    fn simulate_candidate(
+        spec: &ExperimentSpec,
+        cfg: &SosConfig,
+        schedule: &Schedule,
+        sample: usize,
+        symbios: usize,
+        tel: &Telemetry,
+    ) -> (Vec<RotationStats>, SymbiosEval) {
+        let mut runner = Self::fresh_runner(spec, cfg, tel);
+        let tuples = schedule.tuples();
+        let _ = runner.run_rotation_of(&tuples);
+        let threads = runner.pool().len();
+        let mut rotations = Vec::with_capacity(sample);
+        let mut totals = SymbiosEval {
+            committed: vec![0; threads],
+            cycles: 0,
+        };
+        for r in 0..sample.max(symbios) {
+            let rotation = runner.run_rotation_of(&tuples);
+            if r < symbios {
+                for (sum, c) in totals
+                    .committed
+                    .iter_mut()
+                    .zip(rotation.committed_per_thread(threads))
+                {
+                    *sum += c;
+                }
+                totals.cycles += rotation.cycles();
+            }
+            if r < sample {
+                rotations.push(rotation);
+            }
+        }
+        (rotations, totals)
+    }
+
+    /// Rotations a candidate's sample phase records.
+    fn sample_rotations(cfg: &SosConfig) -> usize {
+        cfg.rotations_per_sample.max(1)
+    }
+
+    /// Rotations of a symbios phase of at least `cycles` cycles (at least
+    /// one).
+    fn symbios_rotations(
+        spec: &ExperimentSpec,
+        cfg: &SosConfig,
+        schedule: &Schedule,
+        cycles: u64,
+    ) -> usize {
+        let rotation_cycles =
+            schedule.slices_per_rotation() as u64 * spec.timeslice(cfg.cycle_scale);
+        (cycles / rotation_cycles).max(1) as usize
+    }
+
+    fn sample_key(spec: &ExperimentSpec, cfg: &SosConfig, schedule: &Schedule) -> String {
+        cache::sample_key(
+            Self::machine_hash(spec),
+            &spec.label(),
+            cfg.seed,
+            &cache::schedule_key(schedule),
+            spec.timeslice(cfg.cycle_scale),
+            Self::sample_rotations(cfg),
+        )
+    }
+
+    fn symbios_key(
+        spec: &ExperimentSpec,
+        cfg: &SosConfig,
+        schedule: &Schedule,
+        cycles: u64,
+    ) -> String {
+        cache::symbios_key(
+            Self::machine_hash(spec),
+            &spec.label(),
+            cfg.seed,
+            &cache::schedule_key(schedule),
+            spec.timeslice(cfg.cycle_scale),
+            cycles,
+        )
+    }
+
+    /// Profiles one candidate on a fresh runner: one unrecorded warm-up
+    /// rotation, then `rotations_per_sample` recorded rotations. Memoized
+    /// through [`cache::sample_rotations`].
     pub fn sample_candidate(
         spec: &ExperimentSpec,
         cfg: &SosConfig,
@@ -210,19 +306,8 @@ impl SosScheduler {
         schedule: &Schedule,
         tel: &Telemetry,
     ) -> Vec<RotationStats> {
-        let rotations = cfg.rotations_per_sample.max(1);
-        let key = cache::sample_key(
-            Self::machine_hash(spec),
-            &spec.label(),
-            cfg.seed,
-            &cache::schedule_key(schedule),
-            spec.timeslice(cfg.cycle_scale),
-            rotations,
-        );
-        cache::sample_rotations(&key, || {
-            let mut runner = Self::fresh_runner(spec, cfg, tel);
-            let _ = runner.run_schedule(schedule, 1);
-            runner.run_schedule(schedule, rotations)
+        cache::sample_rotations(&Self::sample_key(spec, cfg, schedule), || {
+            Self::simulate_candidate(spec, cfg, schedule, Self::sample_rotations(cfg), 0, tel).0
         })
     }
 
@@ -245,44 +330,56 @@ impl SosScheduler {
         cycles: u64,
         tel: &Telemetry,
     ) -> SymbiosEval {
-        let key = cache::symbios_key(
-            Self::machine_hash(spec),
-            &spec.label(),
-            cfg.seed,
-            &cache::schedule_key(schedule),
-            spec.timeslice(cfg.cycle_scale),
-            cycles,
-        );
-        cache::symbios(&key, || {
-            let mut runner = Self::fresh_runner(spec, cfg, tel);
-            let _ = runner.run_schedule(schedule, 1);
-            let threads = runner.pool().len();
-            let rotation_cycles = schedule.slices_per_rotation() as u64 * runner.timeslice();
-            let rotations = (cycles / rotation_cycles).max(1) as usize;
-            let rots = runner.run_schedule(schedule, rotations);
-            let (committed, total_cycles) = RotationStats::totals(&rots, threads);
-            SymbiosEval {
-                committed,
-                cycles: total_cycles,
-            }
+        let symbios = Self::symbios_rotations(spec, cfg, schedule, cycles);
+        cache::symbios(&Self::symbios_key(spec, cfg, schedule, cycles), || {
+            Self::simulate_candidate(spec, cfg, schedule, 0, symbios, tel).1
         })
+    }
+
+    /// [`Self::sample_candidate`] and [`Self::symbios_candidate`] of one
+    /// candidate from one simulation, memoized under the same two keys (a
+    /// warm cache skips the simulation).
+    fn evaluate_candidate_on(
+        spec: &ExperimentSpec,
+        cfg: &SosConfig,
+        schedule: &Schedule,
+        cycles: u64,
+        tel: &Telemetry,
+    ) -> (Vec<RotationStats>, SymbiosEval) {
+        let symbios = Self::symbios_rotations(spec, cfg, schedule, cycles);
+        let mut totals = None;
+        let rotations = cache::sample_rotations(&Self::sample_key(spec, cfg, schedule), || {
+            let sample = Self::sample_rotations(cfg);
+            let (rotations, phase) =
+                Self::simulate_candidate(spec, cfg, schedule, sample, symbios, tel);
+            totals = Some(phase);
+            rotations
+        });
+        let totals = cache::symbios(&Self::symbios_key(spec, cfg, schedule, cycles), || {
+            totals
+                .unwrap_or_else(|| Self::simulate_candidate(spec, cfg, schedule, 0, symbios, tel).1)
+        });
+        (rotations, totals)
     }
 
     /// The paper's full evaluation protocol for one experiment: calibrate
     /// solo IPCs, sample candidates, record every predictor's pick, then run
     /// each candidate through a symbios phase and measure its true WS.
     ///
-    /// Candidates are evaluated concurrently ([`Self::
-    /// evaluate_experiment_with_workers`] with an automatic worker count);
-    /// every candidate stage runs on its own fresh runner and results are
-    /// merged in input order, so the report is byte-identical across worker
-    /// counts.
+    /// One [`crate::par::parallel_map_with_workers`] (automatic worker
+    /// count) runs the calibration and every candidate side by side, and
+    /// each candidate is simulated once: its sample is the first
+    /// `rotations_per_sample` rotations of its symbios run, whose totals are
+    /// folded as it goes. Every task starts from its own fresh runner and
+    /// results are merged in input order, so the report is byte-identical
+    /// across worker counts, and identical to composing [`Self::calibrate`],
+    /// [`Self::sample_candidate`] and [`Self::symbios_candidate`].
     pub fn evaluate_experiment(spec: &ExperimentSpec, cfg: &SosConfig) -> ExperimentReport {
         Self::evaluate_experiment_with_workers(spec, cfg, 0)
     }
 
     /// [`Self::evaluate_experiment`] with an explicit worker count for the
-    /// candidate fan-out (`0` = [`std::thread::available_parallelism`]).
+    /// fan-out (`0` = [`std::thread::available_parallelism`]).
     pub fn evaluate_experiment_with_workers(
         spec: &ExperimentSpec,
         cfg: &SosConfig,
@@ -291,12 +388,15 @@ impl SosScheduler {
         Self::evaluate_experiment_traced(spec, cfg, workers, &Telemetry::off())
     }
 
-    /// [`Self::evaluate_experiment_with_workers`] reporting to `tel`: phase
-    /// spans, per-candidate results and predictor decisions as events, the
-    /// `sos.*` counters, and every simulated timeslice through the smtsim
-    /// bridge. When `tel` records events the worker count is forced to 1:
-    /// the event stream is ordered by the handle's one simulated clock, and
-    /// byte-stable traces require serial evaluation.
+    /// [`Self::evaluate_experiment_with_workers`] reporting to `tel`: the
+    /// `sos.*` counters and, on a metrics handle, every simulated timeslice
+    /// in `smtsim.timeslices`. A handle that records events gets the staged
+    /// protocol instead — calibrate, sample every candidate, optimize, then
+    /// run every symbios phase, serially — with phase spans, per-candidate
+    /// results and predictor decisions as events and every timeslice through
+    /// the smtsim bridge: the event stream is ordered by the handle's one
+    /// simulated clock, and byte-stable traces require serial evaluation.
+    /// The report is the same either way.
     pub fn evaluate_experiment_traced(
         spec: &ExperimentSpec,
         cfg: &SosConfig,
@@ -306,77 +406,76 @@ impl SosScheduler {
         let _experiment_span = tel.span("scheduler", "sos.experiment", || {
             vec![Attr::text("spec", spec.to_string())]
         });
-        let solo = {
-            let _span = tel.span("scheduler", "sos.calibrate", Vec::new);
-            Self::calibrate_on(spec, cfg, tel)
-        };
         let candidates = Self::candidates(spec, cfg);
         tel.counter_add("sos.experiments", 1);
         tel.counter_add("sos.candidates_sampled", candidates.len() as u64);
-        let workers = if tel.events_on() {
-            1
-        } else if workers == 0 {
-            crate::par::available_workers()
-        } else {
-            workers
-        };
+        let symbios_cycles = spec.symbios_cycles(cfg.cycle_scale);
 
-        let mut samples = Vec::with_capacity(candidates.len());
-        let mut sample_ws = Vec::with_capacity(candidates.len());
-        {
-            let _span = tel.span("scheduler", "sos.sample_phase", || {
-                vec![Attr::num("candidates", candidates.len() as f64)]
-            });
-            let rotations =
-                crate::par::parallel_map_with_workers(candidates.clone(), workers, |schedule| {
-                    let _candidate_span = tel.span("scheduler", "sos.sample_candidate", || {
+        let (solo, samples, sample_ws, picks, symbios_evals) = if tel.events_on() {
+            let solo = {
+                let _span = tel.span("scheduler", "sos.calibrate", Vec::new);
+                Self::calibrate_on(spec, cfg, tel)
+            };
+            let (samples, sample_ws) = {
+                let _span = tel.span("scheduler", "sos.sample_phase", || {
+                    vec![Attr::num("candidates", candidates.len() as f64)]
+                });
+                let rotations: Vec<_> = candidates
+                    .iter()
+                    .map(|schedule| {
+                        let _span = tel.span("scheduler", "sos.sample_candidate", || {
+                            vec![Attr::text("schedule", schedule.paper_notation())]
+                        });
+                        Self::sample_candidate_on(spec, cfg, schedule, tel)
+                    })
+                    .collect();
+                Self::sample_results(&candidates, &rotations, &solo, tel)
+            };
+            let picks = Self::optimize(&candidates, &samples, tel);
+            let symbios_evals = candidates
+                .iter()
+                .map(|schedule| {
+                    let _span = tel.span("scheduler", "sos.symbios_phase", || {
                         vec![Attr::text("schedule", schedule.paper_notation())]
                     });
-                    Self::sample_candidate_on(spec, cfg, &schedule, tel)
-                });
-            for (schedule, rots) in candidates.iter().zip(&rotations) {
-                samples.push(crate::sample::ScheduleSample::from_rotations(
-                    schedule, rots,
-                ));
-                let (committed, cycles) = RotationStats::totals(rots, solo.len());
-                let ws = crate::ws::weighted_speedup(&committed, cycles, &solo);
-                tel.instant("scheduler", "sos.sample_result", || {
-                    vec![
-                        Attr::text("schedule", schedule.paper_notation()),
-                        Attr::num("ws", ws),
-                    ]
-                });
-                sample_ws.push(ws);
-            }
-        }
-
-        let picks: Vec<(PredictorKind, usize)> = PredictorKind::ALL
-            .iter()
-            .map(|&p| {
-                let pick = p.choose(&samples);
-                tel.instant("scheduler", "sos.predictor_decision", || {
-                    let mut attrs = vec![
-                        Attr::text("predictor", p.name()),
-                        Attr::num("pick", pick as f64),
-                        Attr::text("schedule", candidates[pick].paper_notation()),
-                    ];
-                    for (i, s) in p.scores(&samples).iter().enumerate() {
-                        attrs.push(Attr::num(format!("score.{i}"), *s));
+                    Self::symbios_candidate_on(spec, cfg, schedule, symbios_cycles, tel)
+                })
+                .collect();
+            (solo, samples, sample_ws, picks, symbios_evals)
+        } else {
+            let workers = if workers == 0 {
+                crate::par::available_workers()
+            } else {
+                workers
+            };
+            // Task `None` is the calibration, `Some(s)` candidate `s`.
+            let tasks = std::iter::once(None)
+                .chain(candidates.iter().map(Some))
+                .collect();
+            let mut outputs =
+                crate::par::parallel_map_with_workers(tasks, workers, |task| match task {
+                    None => Stage::Solo(Self::calibrate_on(spec, cfg, tel)),
+                    Some(schedule) => {
+                        let (rotations, totals) =
+                            Self::evaluate_candidate_on(spec, cfg, schedule, symbios_cycles, tel);
+                        Stage::Candidate(rotations, totals)
                     }
-                    attrs
-                });
-                (p, pick)
-            })
-            .collect();
+                })
+                .into_iter();
+            let Some(Stage::Solo(solo)) = outputs.next() else {
+                unreachable!("task 0 is the calibration");
+            };
+            let (rotations, symbios_evals): (Vec<_>, Vec<_>) = outputs
+                .map(|stage| match stage {
+                    Stage::Candidate(rotations, totals) => (rotations, totals),
+                    Stage::Solo(_) => unreachable!("only task 0 calibrates"),
+                })
+                .unzip();
+            let (samples, sample_ws) = Self::sample_results(&candidates, &rotations, &solo, tel);
+            let picks = Self::optimize(&candidates, &samples, tel);
+            (solo, samples, sample_ws, picks, symbios_evals)
+        };
 
-        let symbios_cycles = spec.symbios_cycles(cfg.cycle_scale);
-        let symbios_evals =
-            crate::par::parallel_map_with_workers(candidates.clone(), workers, |s| {
-                let _span = tel.span("scheduler", "sos.symbios_phase", || {
-                    vec![Attr::text("schedule", s.paper_notation())]
-                });
-                Self::symbios_candidate_on(spec, cfg, &s, symbios_cycles, tel)
-            });
         let symbios_ws: Vec<f64> = candidates
             .iter()
             .zip(&symbios_evals)
@@ -404,6 +503,57 @@ impl SosScheduler {
             sample_ws,
             solo: solo.as_slice().to_vec(),
         }
+    }
+
+    /// Condenses each candidate's sample rotations into its
+    /// [`ScheduleSample`] and its sample-phase WS.
+    fn sample_results(
+        candidates: &[Schedule],
+        rotations: &[Vec<RotationStats>],
+        solo: &SoloRates,
+        tel: &Telemetry,
+    ) -> (Vec<ScheduleSample>, Vec<f64>) {
+        candidates
+            .iter()
+            .zip(rotations)
+            .map(|(schedule, rots)| {
+                let (committed, cycles) = RotationStats::totals(rots, solo.len());
+                let ws = crate::ws::weighted_speedup(&committed, cycles, solo);
+                tel.instant("scheduler", "sos.sample_result", || {
+                    vec![
+                        Attr::text("schedule", schedule.paper_notation()),
+                        Attr::num("ws", ws),
+                    ]
+                });
+                (ScheduleSample::from_rotations(schedule, rots), ws)
+            })
+            .unzip()
+    }
+
+    /// Every predictor's pick from the samples (the optimize step).
+    fn optimize(
+        candidates: &[Schedule],
+        samples: &[ScheduleSample],
+        tel: &Telemetry,
+    ) -> Vec<(PredictorKind, usize)> {
+        PredictorKind::ALL
+            .iter()
+            .map(|&p| {
+                let pick = p.choose(samples);
+                tel.instant("scheduler", "sos.predictor_decision", || {
+                    let mut attrs = vec![
+                        Attr::text("predictor", p.name()),
+                        Attr::num("pick", pick as f64),
+                        Attr::text("schedule", candidates[pick].paper_notation()),
+                    ];
+                    for (i, s) in p.scores(samples).iter().enumerate() {
+                        attrs.push(Attr::num(format!("score.{i}"), *s));
+                    }
+                    attrs
+                });
+                (p, pick)
+            })
+            .collect()
     }
 
     /// The coarse jobmix-class context string of an experiment (the bandit's

@@ -58,6 +58,16 @@ fn warm_cache_rerun_is_byte_identical_to_cold_run() {
     let warm = SosScheduler::evaluate_experiment(&spec, &cfg);
     let after_warm = cache::stats();
 
+    // Every stage the evaluation ran is served from what it stored, one
+    // stage function at a time (how a caller composes the protocol).
+    let _ = SosScheduler::calibrate(&spec, &cfg);
+    let symbios_cycles = spec.symbios_cycles(cfg.cycle_scale);
+    for candidate in SosScheduler::candidates(&spec, &cfg) {
+        let _ = SosScheduler::sample_candidate(&spec, &cfg, &candidate);
+        let _ = SosScheduler::symbios_candidate(&spec, &cfg, &candidate, symbios_cycles);
+    }
+    let after_stages = cache::stats();
+
     cache::disable();
     cache::clear();
 
@@ -80,6 +90,12 @@ fn warm_cache_rerun_is_byte_identical_to_cold_run() {
         "the rerun must not fall through to the simulator for any cached \
          entry: {after_prime:?} -> {after_warm:?}"
     );
+    assert_eq!(
+        after_stages.misses, after_prime.misses,
+        "calibrate, sample_candidate and symbios_candidate must hit what \
+         evaluate_experiment stored: {after_prime:?} -> {after_stages:?}"
+    );
+    assert!(after_stages.hits > after_warm.hits);
 }
 
 #[test]

@@ -85,3 +85,72 @@ fn telemetry_event_stream_replays_byte_identical() {
         "telemetry timestamps are simulated cycles, so the event stream must replay exactly"
     );
 }
+
+/// Detailed timeslices one evaluation of `spec` simulates: the calibration
+/// (a warm-up and a measured slice per job group) plus, per candidate,
+/// `rotations(R, N)` rotations of its schedule, where `R` is the sample's
+/// rotation count and `N` the symbios phase's.
+fn simulated_slices(
+    spec: &ExperimentSpec,
+    cfg: &SosConfig,
+    rotations: impl Fn(u64, u64) -> u64,
+) -> u64 {
+    let groups = JobPool::from_specs(&spec.jobmix(), cfg.seed).groups().len() as u64;
+    let timeslice = spec.timeslice(cfg.cycle_scale);
+    let symbios_cycles = spec.symbios_cycles(cfg.cycle_scale);
+    let candidates: u64 = SosScheduler::candidates(spec, cfg)
+        .iter()
+        .map(|s| {
+            let slices = s.slices_per_rotation() as u64;
+            let n = (symbios_cycles / (slices * timeslice)).max(1);
+            rotations(cfg.rotations_per_sample as u64, n) * slices
+        })
+        .sum();
+    2 * groups + candidates
+}
+
+#[test]
+fn each_candidate_is_simulated_once() {
+    let spec: ExperimentSpec = "Jsb(4,2,2)".parse().unwrap();
+    let short_sample = SosConfig {
+        cycle_scale: 20_000,
+        calibration_cycles: 15_000,
+        ..SosConfig::default()
+    };
+    // A sample longer than the symbios phase (100-cycle slices and a
+    // 1000-cycle phase: N = 5 rotations of 2 slices): the phase's totals
+    // then cover only the first N of the R sampled rotations.
+    let long_sample = SosConfig {
+        cycle_scale: 2_000_000,
+        rotations_per_sample: 8,
+        ..short_sample
+    };
+    assert_eq!(
+        long_sample.rotations_per_sample as u64 * 2 * spec.timeslice(long_sample.cycle_scale),
+        1_600
+    );
+    assert_eq!(spec.symbios_cycles(long_sample.cycle_scale), 1_000);
+    let json = |r: &smt_symbiosis::sos::sos::ExperimentReport| serde_json::to_string(r).unwrap();
+    for cfg in [short_sample, long_sample] {
+        let metrics = Telemetry::metrics();
+        let fused = SosScheduler::evaluate_experiment_traced(&spec, &cfg, 2, &metrics);
+        assert_eq!(
+            metrics.snapshot(0).counters["smtsim.timeslices"],
+            simulated_slices(&spec, &cfg, |r, n| 1 + r.max(n)),
+            "one warm-up rotation and max(R, N) rotations per candidate"
+        );
+
+        // A tracing handle gets the staged protocol, which runs the sample
+        // and the symbios phase of a candidate from two fresh runners.
+        let tracing = Telemetry::tracing();
+        let staged = SosScheduler::evaluate_experiment_traced(&spec, &cfg, 2, &tracing);
+        assert_eq!(
+            tracing.snapshot(0).counters["smtsim.timeslices"],
+            simulated_slices(&spec, &cfg, |r, n| 2 + r + n),
+        );
+
+        let serial = SosScheduler::evaluate_experiment_with_workers(&spec, &cfg, 1);
+        assert_eq!(json(&fused), json(&staged));
+        assert_eq!(json(&fused), json(&serial));
+    }
+}
