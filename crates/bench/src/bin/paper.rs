@@ -1,17 +1,21 @@
 //! Reproduces the paper's closed-system results in one pass. Figures 1–3,
 //! Table 3, §6 (parallel jobs), §8 (warmstart) and the predictor league table
 //! all come from one protocol (sample, then symbios) over Table 1's 13
-//! experiments, so each experiment is evaluated once and every result file
-//! is a *view* of those reports.
+//! experiments, evaluated once in one fan-out with Figure 4's four SMT
+//! levels; every result file is a *view* of those reports, except Table 2
+//! (analytic) and the model profiles (`calibrate`, `ablations`), which
+//! simulate short windows of their own, scaled like the experiments.
 //!
-//! Writes `results/{fig1,fig2,fig3,table3,parallel,warmstart,
-//! predictor_matrix}.txt` under the working directory, naming each file on
-//! stderr; a failed write exits 1.
+//! Writes `results/{fig1,fig2,fig3,fig4,table2,table3,parallel,warmstart,
+//! predictor_matrix,calibrate,ablations}.txt` under the working directory,
+//! naming each file on stderr; a failed write exits 1.
 //!
 //! Usage: `cargo run --release -p sos-bench --bin paper [cycle_scale]`
 //! (default scale 1000; use 1 for full paper scale).
 
+use smtsim::{FetchPolicy, MachineConfig, Processor, StreamId};
 use sos_bench::{experiment_summary, pct_over, predictor_bars};
+use sos_core::hier::{evaluate_hierarchical, HierReport};
 use sos_core::par::parallel_map;
 use sos_core::report::{format_league_table, league_table};
 use sos_core::sos::{ExperimentReport, SosScheduler};
@@ -19,33 +23,65 @@ use sos_core::{ExperimentSpec, PredictorKind};
 use std::fmt::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
+use workloads::spec::Benchmark;
 
-/// Renders one result file from the 13 reports.
-type View = fn(&[ExperimentReport]) -> String;
+/// Figure 4's SMT levels.
+const FIG4_LEVELS: [usize; 4] = [2, 3, 4, 6];
+
+/// What the pass computes once and every view reads.
+struct Pass {
+    /// Table 1's 13 experiments, in paper order.
+    reports: Vec<ExperimentReport>,
+    /// Figure 4, one report per entry of [`FIG4_LEVELS`].
+    levels: Vec<HierReport>,
+    /// The cycle-scale divisor.
+    scale: u64,
+}
+
+/// Renders one result file.
+type View = fn(&Pass) -> String;
 
 /// Every result file, by name, in the order they are written.
-const VIEWS: [(&str, View); 7] = [
-    ("fig1", fig1),
-    ("fig2", fig2),
-    ("fig3", fig3),
-    ("table3", table3),
-    ("parallel", parallel),
-    ("warmstart", warmstart),
-    ("predictor_matrix", predictor_matrix),
+const VIEWS: [(&str, View); 11] = [
+    ("fig1", |p| fig1(&p.reports)),
+    ("fig2", |p| fig2(&p.reports)),
+    ("fig3", |p| fig3(&p.reports)),
+    ("fig4", |p| fig4(&p.levels)),
+    ("table2", |_| table2()),
+    ("table3", |p| table3(&p.reports)),
+    ("parallel", |p| parallel(&p.reports)),
+    ("warmstart", |p| warmstart(&p.reports)),
+    ("predictor_matrix", |p| predictor_matrix(&p.reports)),
+    ("calibrate", |p| calibrate(p.scale)),
+    ("ablations", |p| ablations(p.scale)),
 ];
 
 fn main() -> ExitCode {
     let scale = sos_bench::cli::scale_or_exit("paper");
     let cfg = sos_bench::config(scale);
-    eprintln!("# running 13 experiments at 1/{scale} paper scale ...");
-    let specs = ExperimentSpec::all_paper_experiments();
-    let reports = parallel_map(specs, |spec| SosScheduler::evaluate_experiment(&spec, &cfg));
+    eprintln!("# running 13 experiments and Figure 4's SMT levels 2, 3, 4, 6 at 1/{scale} paper scale ...");
+    // One fan-out: each task is an experiment or a Figure 4 level, and
+    // fills the one slot of its kind.
+    let experiments = ExperimentSpec::all_paper_experiments().into_iter();
+    let tasks = experiments.map(|spec| (Some(spec), None));
+    let tasks = tasks.chain(FIG4_LEVELS.map(|smt| (None, Some(smt))));
+    let (reports, levels): (Vec<_>, Vec<_>) = parallel_map(tasks.collect(), |(spec, smt)| {
+        let report = spec.map(|spec| SosScheduler::evaluate_experiment(&spec, &cfg));
+        (report, smt.map(|smt| evaluate_hierarchical(smt, 4, &cfg)))
+    })
+    .into_iter()
+    .unzip();
+    let pass = Pass {
+        reports: reports.into_iter().flatten().collect(),
+        levels: levels.into_iter().flatten().collect(),
+        scale,
+    };
 
     let dir = Path::new("results");
     for (name, view) in VIEWS {
         let path = dir.join(format!("{name}.txt"));
         let written =
-            std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, view(&reports)));
+            std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, view(&pass)));
         if let Err(e) = written {
             eprintln!("paper: cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
@@ -53,6 +89,11 @@ fn main() -> ExitCode {
         eprintln!("# wrote {}", path.display());
     }
     ExitCode::SUCCESS
+}
+
+/// A window of `cycles` at the default scale (1/1000), at 1/`scale`; never 0.
+fn scaled(cycles: u64, scale: u64) -> u64 {
+    (cycles * 1000 / scale).max(1)
 }
 
 /// The text `body` writes after the line `title`.
@@ -124,6 +165,49 @@ fn fig3(reports: &[ExperimentReport]) -> String {
         let over_worst = over_worst.iter().sum::<f64>() / over_worst.len() as f64;
         let over_avg = over_avg.iter().sum::<f64>() / over_avg.len() as f64;
         writeln!(out, "\nScore predictor vs worst: avg {over_worst:+.1}% (paper: +22%);  vs average: avg {over_avg:+.1}% (paper: +7%)")
+    })
+}
+
+/// Figure 4: hierarchical symbiosis (choosing both the coschedules and the
+/// number of contexts per multithreaded job): the predicted (allocation,
+/// schedule) pair against the average and worst ones at each SMT level.
+fn fig4(levels: &[HierReport]) -> String {
+    let title = "Figure 4 — hierarchical symbiosis: % WS improvement of the predicted\n\
+                 (allocation, schedule) pair over the average and worst alternatives\n\
+                 SMT level    picked       avg     worst       vs avg     vs worst";
+    render(title, |out| {
+        for r in levels {
+            let (smt, ws, avg, worst) = (r.smt, r.picked_ws(), r.average_ws(), r.worst_ws());
+            let (vs_avg, vs_worst) = (r.improvement_over_average(), r.improvement_over_worst());
+            writeln!(
+                out,
+                "{smt:<10} {ws:>8.3} {avg:>9.3} {worst:>9.3} {vs_avg:>11.1}% {vs_worst:>11.1}%"
+            )?;
+            let pick = &r.outcomes[r.score_pick];
+            let (alloc, n) = (&pick.threads_per_job, &pick.notation);
+            writeln!(out, "           picked allocation {alloc:?} schedule {n}")?;
+        }
+        writeln!(
+            out,
+            "\nexpected shape: the picked pair beats average and worst at every SMT level."
+        )
+    })
+}
+
+/// Table 2: the number of distinct possible schedules for each jobmix, and
+/// the cycles to profile at most 10 of them in the sample phase. The table
+/// is analytic (schedule combinatorics and cycle accounting), so it matches
+/// the paper exactly at every scale.
+fn table2() -> String {
+    let title = "Table 2 — distinct schedules and sample-phase cycles\n\
+                 Experiment     Distinct Schedules  Million Sample Cycles";
+    render(title, |out| {
+        for spec in ExperimentSpec::all_paper_experiments() {
+            let (label, n) = (spec.label(), spec.distinct_schedules());
+            let mcycles = spec.paper_sample_cycles() as f64 / 1e6;
+            writeln!(out, "{label:<14} {n:>18} {mcycles:>22.0}")?;
+        }
+        Ok(())
     })
 }
 
@@ -263,6 +347,127 @@ fn predictor_matrix(reports: &[ExperimentReport]) -> String {
     let title = format!("Predictor league table over {n} experiments (% vs random expectation)");
     render(&title, |out| {
         out.push_str(&format_league_table(&league_table(reports)));
+        Ok(())
+    })
+}
+
+/// The solo IPC and microarchitectural profile of every benchmark model,
+/// each measured alone after a warm-up window.
+fn calibrate(scale: u64) -> String {
+    let (warmup, window) = (scaled(200_000, scale), scaled(500_000, scale));
+    render("bench       IPC    dl1% br-mis%   l2miss     fp%", |out| {
+        for b in Benchmark::ALL {
+            let mut cpu = Processor::new(MachineConfig::alpha21264_like(1));
+            let mut s = b.stream(StreamId(0), 42);
+            let _ = cpu.run_timeslice(&mut [&mut *s], warmup);
+            let st = cpu.run_timeslice(&mut [&mut *s], window);
+            let t = &st.threads[0];
+            let fp_pct = 100.0 * t.fp_ops() as f64 / t.committed.max(1) as f64;
+            let (name, ipc, l2) = (b.name(), st.total_ipc(), st.cache.l2_misses);
+            let (dl1, mis) = (st.cache.dl1_hit_pct(), st.branches.mispredict_pct());
+            writeln!(
+                out,
+                "{name:<8} {ipc:>6.3} {dl1:>7.2} {mis:>7.2} {l2:>8} {fp_pct:>7.1}"
+            )?;
+        }
+        Ok(())
+    })
+}
+
+/// Runs `benches` coscheduled on `cfg` for a warm-up window and a measured
+/// one of `cycles` each, and returns (total IPC, fp-queue conflict cycles,
+/// mispredict %).
+fn run(cfg: MachineConfig, benches: &[Benchmark], cycles: u64) -> (f64, u64, f64) {
+    let mut cpu = Processor::new(cfg);
+    let mut streams: Vec<_> = benches
+        .iter()
+        .enumerate()
+        .map(|(i, b)| b.stream(StreamId(i as u64), 1000 + i as u64))
+        .collect();
+    let mut refs: Vec<&mut dyn smtsim::trace::InstructionSource> =
+        streams.iter_mut().map(|s| &mut **s as _).collect();
+    let _ = cpu.run_timeslice(&mut refs, cycles);
+    let st = cpu.run_timeslice(&mut refs, cycles);
+    (
+        st.total_ipc(),
+        st.conflicts.fp_queue,
+        st.branches.mispredict_pct(),
+    )
+}
+
+/// Ablations of the simulator's design choices (see EXPERIMENTS.md): each
+/// knob is flipped and the effect on coscheduled throughput or on the paper's key
+/// contention signals is reported.
+fn ablations(scale: u64) -> String {
+    use Benchmark::*;
+    let cycles = scaled(150_000, scale);
+    let title = "Design-choice ablations (mixed 3-thread coschedule FP+MG+GO unless noted)";
+    let mix = [Fp, Mg, Go];
+    render(title, |out| {
+        // 1. Fetch policies (Tullsen et al., ISCA '96 family).
+        let base = MachineConfig::alpha21264_like(3);
+        for (name, policy) in [
+            ("ICOUNT", FetchPolicy::Icount),
+            ("round-robin", FetchPolicy::RoundRobin),
+            ("BRCOUNT", FetchPolicy::Brcount),
+            ("MISSCOUNT", FetchPolicy::Misscount),
+        ] {
+            let mut cfg = base.clone();
+            cfg.fetch_policy = policy;
+            let (ipc, ..) = run(cfg, &mix, cycles);
+            writeln!(out, "fetch policy      {name:<12} {ipc:.3} IPC")?;
+        }
+
+        // 2. FP divide pipelining (the 21264's divider is unpipelined).
+        let fp_mix = [Fp, Ep, Mg];
+        let (unpiped, fq_unpiped, _) = run(base.clone(), &fp_mix, cycles);
+        let mut piped = base.clone();
+        piped.lat.fp_div_occupancy = 1;
+        let (piped_ipc, fq_piped, _) = run(piped, &fp_mix, cycles);
+        writeln!(
+            out,
+            "fp divide         unpipelined {unpiped:.3} IPC / {fq_unpiped} FQ-conflict cycles   \
+             pipelined {piped_ipc:.3} IPC / {fq_piped}"
+        )?;
+
+        // 3. FP queue size: the paper's 15 entries vs double.
+        let (fq15, fq15_conf, _) = run(base.clone(), &fp_mix, cycles);
+        let mut big_fq = base.clone();
+        big_fq.fp_queue = 30;
+        let (fq30, fq30_conf, _) = run(big_fq, &fp_mix, cycles);
+        writeln!(
+            out,
+            "fp queue size     15 entries {fq15:.3} IPC / {fq15_conf} conflicts   \
+             30 entries {fq30:.3} IPC / {fq30_conf} conflicts"
+        )?;
+
+        // 4. Misprediction penalty sweep on a branchy mix.
+        let branchy = [Go, Gcc, Gcc];
+        for penalty in [0u64, 7, 14] {
+            let mut cfg = base.clone();
+            cfg.branch.mispredict_penalty = penalty;
+            let (ipc, _, mis) = run(cfg, &branchy, cycles);
+            writeln!(out, "mispredict penalty {penalty:>2} cycles    GO+GCC+GCC {ipc:.3} IPC ({mis:.1}% mispredicted)")?;
+        }
+
+        // 5. Branch-table size: shared-table interference shrinks with capacity.
+        for bits in [10u32, 12, 16] {
+            let mut cfg = base.clone();
+            cfg.branch.table_bits = bits;
+            let (ipc, _, mis) = run(cfg, &branchy, cycles);
+            writeln!(out, "branch table 2^{bits:<2} entries        GO+GCC+GCC {ipc:.3} IPC ({mis:.1}% mispredicted)")?;
+        }
+
+        // 6. SMT level scaling on the 12-job mix's first threads.
+        let many = [Fp, Mg, Wave, Swim, Su2cor, Turb3d];
+        for smt in [1usize, 2, 3, 4, 6] {
+            let cfg = MachineConfig::alpha21264_like(smt);
+            let (ipc, ..) = run(cfg, &many[..smt], cycles);
+            writeln!(
+                out,
+                "SMT level {smt}                     {ipc:.3} total IPC"
+            )?;
+        }
         Ok(())
     })
 }

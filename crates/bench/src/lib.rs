@@ -2,12 +2,13 @@
 //!
 //! The binaries under `src/bin/` regenerate the paper's tables and figures
 //! (see DESIGN.md §4 for the index); `paper` writes all the closed-system
-//! ones from a single evaluation of the 13 experiments. Every binary parses
-//! its command line through [`cli`]: the closed-system ones take an optional
-//! first argument, the cycle scale divisor (default 1000; 1 = full paper
-//! scale), and the open-system front ends share [`cli`]'s two flag groups, the one
-//! job summary (`sos_core::report::JobSummary`) and, for Figures 5 and 6,
-//! the matched-pair seed loop below ([`OpenSweep`]).
+//! ones, the solo profiles and the ablations from a single evaluation of the
+//! 13 experiments and Figure 4's SMT levels. Every binary parses its command
+//! line through [`cli`]: `paper` takes an optional first argument, the cycle
+//! scale divisor (default 1000; 1 = full paper scale), and the open-system
+//! front ends share [`cli`]'s two flag groups, the one job summary
+//! (`sos_core::report::JobSummary`) and, for Figures 5 and 6, the
+//! matched-pair seed loop below ([`OpenSweep`]).
 
 use sos_core::opensys::{calibrate_benchmarks, matched_pair, measure_capacity, OpenSystemConfig};
 use sos_core::report::{JobSummary, Percentiles};

@@ -1,4 +1,4 @@
-//! The closed-system pass writes its seven result files and nothing else:
+//! The closed-system pass writes its eleven result files and nothing else:
 //! run `paper` in an empty working directory and list what it left behind
 //! (no evaluation store, no stray files). A command line it refuses leaves
 //! the directory empty, so nothing is simulated or written before the
@@ -27,7 +27,7 @@ fn entries(dir: &Path) -> Vec<String> {
 }
 
 #[test]
-fn paper_writes_exactly_its_seven_result_files() {
+fn paper_writes_exactly_its_eleven_result_files() {
     // Scaled far down: the test binary is a debug build, and the property
     // under test does not depend on the scale.
     let (output, dir) = paper_in_empty_dir("paper-cwd", "100000");
@@ -35,11 +35,15 @@ fn paper_writes_exactly_its_seven_result_files() {
     assert!(output.status.success(), "paper failed: {stderr}");
 
     let titles = [
+        ("ablations", "Design-choice ablations"),
+        ("calibrate", "bench       IPC"),
         ("fig1", "Figure 1 — "),
         ("fig2", "Figure 2 — "),
         ("fig3", "Figure 3 — "),
+        ("fig4", "Figure 4 — "),
         ("parallel", "§6 — "),
         ("predictor_matrix", "Predictor league table"),
+        ("table2", "Table 2 — "),
         ("table3", "Table 3 — "),
         ("warmstart", "§8 — "),
     ];

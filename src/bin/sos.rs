@@ -3,7 +3,6 @@
 //! ```text
 //! sos schedules <X> <Y> <Z>          count (and list, if small) the distinct schedules
 //! sos run <label> [scale] [pred]     evaluate an experiment, e.g. `sos run "Jsb(6,3,3)"`
-//! sos solo [smt]                     print every benchmark model's solo profile
 //! sos opensys <smt> [jobs] [scale]   compare SOS vs naive on an open system
 //! ```
 
@@ -12,14 +11,11 @@ use smt_symbiosis::sos::opensys::{calibrate_benchmarks, matched_pair, OpenSystem
 use smt_symbiosis::sos::report::JobSummary;
 use smt_symbiosis::sos::sos::{SosConfig, SosScheduler};
 use smt_symbiosis::sos::{ExperimentSpec, PredictorKind};
-use smt_symbiosis::workloads::Benchmark;
-use smtsim::{MachineConfig, Processor, StreamId};
 use sos_bench::cli::{self, Flags};
 use std::num::NonZeroUsize;
 
 const USAGE: &str = "schedules <X> <Y> <Z>
        sos run <label> [cycle_scale] [predictor]
-       sos solo [smt]
        sos opensys <smt> [num_jobs] [cycle_scale]";
 
 /// The paper's 5M-cycle timeslice, which `sos opensys` divides by its scale.
@@ -29,7 +25,6 @@ enum Command {
     Help,
     Schedules(usize, usize, usize),
     Run(ExperimentSpec, u64, PredictorKind),
-    Solo(usize),
     Opensys(usize, u64, u64),
 }
 
@@ -38,7 +33,6 @@ fn main() {
         Command::Help => eprintln!("usage: sos {USAGE}"),
         Command::Schedules(x, y, z) => cmd_schedules(x, y, z),
         Command::Run(spec, scale, predictor) => cmd_run(&spec, scale, predictor),
-        Command::Solo(smt) => cmd_solo(smt),
         Command::Opensys(smt, num_jobs, scale) => cmd_opensys(smt, num_jobs, scale),
     }
 }
@@ -87,7 +81,6 @@ fn parse_command(flags: &mut Flags) -> Result<Command, String> {
             };
             Command::Run(spec, scale, predictor)
         }
-        Some("solo") => Command::Solo(flags.count("smt level", 1)? as usize),
         Some("opensys") => {
             let smt = required::<NonZeroUsize>(flags, "smt level")?.get();
             let num_jobs = flags.count("num_jobs", 40)?;
@@ -141,23 +134,6 @@ fn cmd_run(spec: &ExperimentSpec, scale: u64, predictor: PredictorKind) {
         predictor.name(),
         100.0 * (ws / report.average_ws() - 1.0)
     );
-}
-
-fn cmd_solo(smt: usize) {
-    println!("{:<8} {:>6} {:>8} {:>9}", "bench", "IPC", "dl1%", "br-mis%");
-    for b in Benchmark::ALL {
-        let mut cpu = Processor::new(MachineConfig::alpha21264_like(smt));
-        let mut s = b.stream(StreamId(0), 42);
-        let _ = cpu.run_timeslice(&mut [&mut *s], 100_000);
-        let st = cpu.run_timeslice(&mut [&mut *s], 200_000);
-        println!(
-            "{:<8} {:>6.3} {:>8.2} {:>9.2}",
-            b.name(),
-            st.total_ipc(),
-            st.cache.dl1_hit_pct(),
-            st.branches.mispredict_pct()
-        );
-    }
 }
 
 fn cmd_opensys(smt: usize, num_jobs: u64, scale: u64) {

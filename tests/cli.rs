@@ -91,7 +91,7 @@ fn arguments_nobody_asked_for_are_refused() {
             &["schedules", "4", "2", "2", "--bogus"][..],
             "unknown flag \"--bogus\"",
         ),
-        (&["solo", "2", "extra"], "unexpected argument \"extra\""),
+        (&["solo", "2", "extra"], "unknown command \"solo\""),
         (
             &["run", "Jsb(4,2,2)", "200000", "dcache", "more"],
             "unexpected argument",
