@@ -1,10 +1,11 @@
 //! Reproduces the paper's closed-system results in one pass. Figures 1–3,
 //! Table 3, §6 (parallel jobs), §8 (warmstart) and the predictor league table
 //! all come from one protocol (sample, then symbios) over Table 1's 13
-//! experiments, evaluated once in one fan-out with Figure 4's four SMT
-//! levels; every result file is a *view* of those reports, except Table 2
-//! (analytic) and the model profiles (`calibrate`, `ablations`), which
-//! simulate short windows of their own, scaled like the experiments.
+//! experiments. One fan-out simulates everything the pass needs: the 13
+//! experiments, Figure 4's four SMT levels and the two model profiles
+//! (`calibrate`, `ablations`, short windows of their own scaled like the
+//! experiments). Every result file is a *view*, a pure function of what
+//! that fan-out returned; Table 2 is analytic.
 //!
 //! Writes `results/{fig1,fig2,fig3,fig4,table2,table3,parallel,warmstart,
 //! predictor_matrix,calibrate,ablations}.txt` under the working directory,
@@ -28,14 +29,23 @@ use workloads::spec::Benchmark;
 /// Figure 4's SMT levels.
 const FIG4_LEVELS: [usize; 4] = [2, 3, 4, 6];
 
-/// What the pass computes once and every view reads.
+/// What the pass computes once and every view reads. Each task of the
+/// fan-out computes one entry; the parts merge in task order.
+#[derive(Default)]
 struct Pass {
     /// Table 1's 13 experiments, in paper order.
     reports: Vec<ExperimentReport>,
     /// Figure 4, one report per entry of [`FIG4_LEVELS`].
     levels: Vec<HierReport>,
-    /// The cycle-scale divisor.
-    scale: u64,
+    /// The rendered `calibrate` and `ablations` views.
+    profiles: Vec<String>,
+}
+
+/// One task of the fan-out.
+enum Task {
+    Experiment(ExperimentSpec),
+    Level(usize),
+    Profile(fn(u64) -> String),
 }
 
 /// Renders one result file.
@@ -52,30 +62,35 @@ const VIEWS: [(&str, View); 11] = [
     ("parallel", |p| parallel(&p.reports)),
     ("warmstart", |p| warmstart(&p.reports)),
     ("predictor_matrix", |p| predictor_matrix(&p.reports)),
-    ("calibrate", |p| calibrate(p.scale)),
-    ("ablations", |p| ablations(p.scale)),
+    ("calibrate", |p| p.profiles[0].clone()),
+    ("ablations", |p| p.profiles[1].clone()),
 ];
 
 fn main() -> ExitCode {
     let scale = sos_bench::cli::scale_or_exit("paper");
     let cfg = sos_bench::config(scale);
-    eprintln!("# running 13 experiments and Figure 4's SMT levels 2, 3, 4, 6 at 1/{scale} paper scale ...");
-    // One fan-out: each task is an experiment or a Figure 4 level, and
-    // fills the one slot of its kind.
+    eprintln!("# running 13 experiments, Figure 4's SMT levels 2, 3, 4, 6 and the model profiles at 1/{scale} paper scale ...");
+    // One fan-out, longest tasks first.
     let experiments = ExperimentSpec::all_paper_experiments().into_iter();
-    let tasks = experiments.map(|spec| (Some(spec), None));
-    let tasks = tasks.chain(FIG4_LEVELS.map(|smt| (None, Some(smt))));
-    let (reports, levels): (Vec<_>, Vec<_>) = parallel_map(tasks.collect(), |(spec, smt)| {
-        let report = spec.map(|spec| SosScheduler::evaluate_experiment(&spec, &cfg));
-        (report, smt.map(|smt| evaluate_hierarchical(smt, 4, &cfg)))
-    })
-    .into_iter()
-    .unzip();
-    let pass = Pass {
-        reports: reports.into_iter().flatten().collect(),
-        levels: levels.into_iter().flatten().collect(),
-        scale,
-    };
+    let tasks = experiments.map(Task::Experiment);
+    let tasks = tasks.chain(FIG4_LEVELS.map(Task::Level));
+    let tasks = tasks.chain([Task::Profile(calibrate), Task::Profile(ablations)]);
+    let mut pass = Pass::default();
+    for part in parallel_map(tasks.collect(), |task| {
+        let mut part = Pass::default();
+        match task {
+            Task::Experiment(spec) => {
+                part.reports = vec![SosScheduler::evaluate_experiment(&spec, &cfg)]
+            }
+            Task::Level(smt) => part.levels = vec![evaluate_hierarchical(smt, 4, &cfg)],
+            Task::Profile(view) => part.profiles = vec![view(scale)],
+        }
+        part
+    }) {
+        pass.reports.extend(part.reports);
+        pass.levels.extend(part.levels);
+        pass.profiles.extend(part.profiles);
+    }
 
     let dir = Path::new("results");
     for (name, view) in VIEWS {

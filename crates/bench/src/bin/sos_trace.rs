@@ -14,17 +14,22 @@
 //! `--calibration` overrides the solo-IPC calibration window in scaled
 //! cycles (smaller = faster, noisier). With no output flags the run still
 //! executes and prints a summary, which is handy for smoke-testing.
+//!
+//! The run is the library's one parallel evaluation; each task records on a
+//! child handle of its own (`sos.calibrate/…`, `sos.candidate<i>/…` tracks),
+//! so the three files are byte-identical for any worker count.
 
 use sos_bench::cli::{self, Flags};
 use sos_core::sos::SosScheduler;
 use sos_core::telemetry::Telemetry;
 use sos_core::ExperimentSpec;
+use std::num::NonZeroU64;
 use std::process::ExitCode;
 
 struct Args {
     spec: ExperimentSpec,
     scale: u64,
-    calibration: Option<u64>,
+    calibration: Option<NonZeroU64>,
     trace_path: Option<String>,
     metrics_path: Option<String>,
     events_path: Option<String>,
@@ -64,7 +69,7 @@ fn main() -> ExitCode {
 
     let mut cfg = sos_bench::config(args.scale);
     if let Some(calibration) = args.calibration {
-        cfg.calibration_cycles = calibration;
+        cfg.calibration_cycles = calibration.get();
     }
     eprintln!(
         "# tracing {} at 1/{} paper scale ...",

@@ -13,6 +13,7 @@
 //! count, so allocations are compared on equal terms.
 
 use crate::enumerate::sample_distinct;
+use crate::experiment::{PAPER_SYMBIOS, PAPER_TIMESLICE};
 use crate::job::JobPool;
 use crate::predictor::PredictorKind;
 use crate::runner::{RotationStats, Runner};
@@ -132,6 +133,11 @@ pub fn apply_allocation(specs: &[JobSpec], alloc: &[usize]) -> Vec<JobSpec> {
         .collect()
 }
 
+/// The paper's timeslice at `cfg`'s scale, floored at 1 cycle.
+fn timeslice(cfg: &SosConfig) -> u64 {
+    (PAPER_TIMESLICE / cfg.cycle_scale.max(1)).max(1)
+}
+
 /// Reference solo rate per *job*: the aggregate IPC of the job running alone
 /// at its full thread count.
 fn job_solo_rates(specs: &[JobSpec], smt: usize, cfg: &SosConfig) -> Vec<f64> {
@@ -140,7 +146,7 @@ fn job_solo_rates(specs: &[JobSpec], smt: usize, cfg: &SosConfig) -> Vec<f64> {
     let mut runner = Runner::new(
         MachineConfig::alpha21264_like(contexts),
         pool,
-        5_000_000 / cfg.cycle_scale.max(1),
+        timeslice(cfg),
     );
     let per_thread = runner.calibrate_solo(cfg.calibration_cycles, cfg.calibration_cycles);
     runner
@@ -176,8 +182,8 @@ pub fn evaluate_hierarchical_mix(
     cfg: &SosConfig,
 ) -> HierReport {
     let solo_jobs = job_solo_rates(specs, smt_level, cfg);
-    let timeslice = 5_000_000 / cfg.cycle_scale.max(1);
-    let symbios_cycles = 2_000_000_000 / cfg.cycle_scale.max(1);
+    let timeslice = timeslice(cfg);
+    let symbios_cycles = PAPER_SYMBIOS / cfg.cycle_scale.max(1);
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x41e2);
 
     let mut outcomes = Vec::new();
@@ -382,5 +388,16 @@ mod tests {
             .map(|o| o.threads_per_job.clone())
             .collect();
         assert!(allocs.len() >= 2, "{allocs:?}");
+    }
+
+    #[test]
+    fn scales_past_the_paper_timeslice_run_one_cycle_slices() {
+        let cfg = SosConfig {
+            cycle_scale: 10_000_000, // 5M-cycle slices round to 0
+            calibration_cycles: 2_000,
+            ..SosConfig::default()
+        };
+        assert_eq!(timeslice(&cfg), 1);
+        assert!(!evaluate_hierarchical(2, 2, &cfg).outcomes.is_empty());
     }
 }

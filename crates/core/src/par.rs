@@ -17,11 +17,7 @@
 //! [`ClusterEngine`](crate::cluster::ClusterEngine) advances its shards
 //! through the same map once per round, which is why the calling thread
 //! works alongside the threads it spawns and one worker means no thread at
-//! all.
-//!
-//! These helpers used to live in `sos_bench`; they moved here so the
-//! scheduler can use them, and `sos_bench` re-exports them under the old
-//! paths.
+//! all. The bench binaries import this module directly.
 
 /// The default fan-out: [`std::thread::available_parallelism`], or 1 when
 /// the host will not say.

@@ -156,12 +156,9 @@ impl SosScheduler {
         )
     }
 
-    /// A fresh runner for one pure evaluation stage: new pool, new
-    /// processor, reporting to `tel`. Every task of
-    /// [`Self::evaluate_experiment`] starts from this state, which is what
-    /// makes each stage a pure function of `(spec, cfg, schedule)` — the
-    /// property the evaluation cache and the parallel candidate evaluation
-    /// both rely on.
+    /// A fresh runner (new pool, new processor) reporting to `tel`. Every
+    /// stage starts from one, which makes it a pure function of `(spec, cfg,
+    /// schedule)`: what the cache and the parallel fan-out rely on.
     fn fresh_runner(spec: &ExperimentSpec, cfg: &SosConfig, tel: &Telemetry) -> Runner {
         let pool = JobPool::from_specs(&spec.jobmix(), cfg.seed);
         let timeslice = spec.timeslice(cfg.cycle_scale);
@@ -297,17 +294,9 @@ impl SosScheduler {
         cfg: &SosConfig,
         schedule: &Schedule,
     ) -> Vec<RotationStats> {
-        Self::sample_candidate_on(spec, cfg, schedule, &Telemetry::off())
-    }
-
-    fn sample_candidate_on(
-        spec: &ExperimentSpec,
-        cfg: &SosConfig,
-        schedule: &Schedule,
-        tel: &Telemetry,
-    ) -> Vec<RotationStats> {
         cache::sample_rotations(&Self::sample_key(spec, cfg, schedule), || {
-            Self::simulate_candidate(spec, cfg, schedule, Self::sample_rotations(cfg), 0, tel).0
+            let sample = Self::sample_rotations(cfg);
+            Self::simulate_candidate(spec, cfg, schedule, sample, 0, &Telemetry::off()).0
         })
     }
 
@@ -320,19 +309,9 @@ impl SosScheduler {
         schedule: &Schedule,
         cycles: u64,
     ) -> SymbiosEval {
-        Self::symbios_candidate_on(spec, cfg, schedule, cycles, &Telemetry::off())
-    }
-
-    fn symbios_candidate_on(
-        spec: &ExperimentSpec,
-        cfg: &SosConfig,
-        schedule: &Schedule,
-        cycles: u64,
-        tel: &Telemetry,
-    ) -> SymbiosEval {
         let symbios = Self::symbios_rotations(spec, cfg, schedule, cycles);
         cache::symbios(&Self::symbios_key(spec, cfg, schedule, cycles), || {
-            Self::simulate_candidate(spec, cfg, schedule, 0, symbios, tel).1
+            Self::simulate_candidate(spec, cfg, schedule, 0, symbios, &Telemetry::off()).1
         })
     }
 
@@ -389,14 +368,17 @@ impl SosScheduler {
     }
 
     /// [`Self::evaluate_experiment_with_workers`] reporting to `tel`: the
-    /// `sos.*` counters and, on a metrics handle, every simulated timeslice
-    /// in `smtsim.timeslices`. A handle that records events gets the staged
-    /// protocol instead — calibrate, sample every candidate, optimize, then
-    /// run every symbios phase, serially — with phase spans, per-candidate
-    /// results and predictor decisions as events and every timeslice through
-    /// the smtsim bridge: the event stream is ordered by the handle's one
-    /// simulated clock, and byte-stable traces require serial evaluation.
-    /// The report is the same either way.
+    /// same fan-out and the same report for every kind of handle.
+    ///
+    /// `tel` gets the `sos.experiment` span, the `sos.*` counters and gauge,
+    /// and the sample-result, predictor-decision and symbios-result
+    /// instants. Each task reports to a [`child`](Telemetry::child) created
+    /// in task order before the fan-out (`sos.calibrate`, then
+    /// `sos.candidate<i>`): one task span (`sos.calibrate`, or
+    /// `sos.candidate` with the schedule's paper notation) around the slices
+    /// its runner traces, on the child's own clock. `tel`'s clock then moves
+    /// to the latest task's. Since `drain` appends children in creation
+    /// order, a trace is byte-identical for every worker count.
     pub fn evaluate_experiment_traced(
         spec: &ExperimentSpec,
         cfg: &SosConfig,
@@ -410,71 +392,48 @@ impl SosScheduler {
         tel.counter_add("sos.experiments", 1);
         tel.counter_add("sos.candidates_sampled", candidates.len() as u64);
         let symbios_cycles = spec.symbios_cycles(cfg.cycle_scale);
+        let workers = match workers {
+            0 => crate::par::available_workers(),
+            w => w,
+        };
 
-        let (solo, samples, sample_ws, picks, symbios_evals) = if tel.events_on() {
-            let solo = {
-                let _span = tel.span("scheduler", "sos.calibrate", Vec::new);
-                Self::calibrate_on(spec, cfg, tel)
-            };
-            let (samples, sample_ws) = {
-                let _span = tel.span("scheduler", "sos.sample_phase", || {
-                    vec![Attr::num("candidates", candidates.len() as f64)]
-                });
-                let rotations: Vec<_> = candidates
-                    .iter()
-                    .map(|schedule| {
-                        let _span = tel.span("scheduler", "sos.sample_candidate", || {
-                            vec![Attr::text("schedule", schedule.paper_notation())]
-                        });
-                        Self::sample_candidate_on(spec, cfg, schedule, tel)
-                    })
-                    .collect();
-                Self::sample_results(&candidates, &rotations, &solo, tel)
-            };
-            let picks = Self::optimize(&candidates, &samples, tel);
-            let symbios_evals = candidates
-                .iter()
-                .map(|schedule| {
-                    let _span = tel.span("scheduler", "sos.symbios_phase", || {
+        let children: Vec<Telemetry> = std::iter::once("sos.calibrate".to_string())
+            .chain((0..candidates.len()).map(|i| format!("sos.candidate{i}")))
+            .map(|prefix| tel.child(&prefix))
+            .collect();
+        // Task `None` is the calibration, `Some(s)` candidate `s`.
+        let tasks = std::iter::once(None)
+            .chain(candidates.iter().map(Some))
+            .zip(&children)
+            .collect();
+        let mut outputs =
+            crate::par::parallel_map_with_workers(tasks, workers, |(task, tel)| match task {
+                None => {
+                    let _span = tel.span("scheduler", "sos.calibrate", Vec::new);
+                    Stage::Solo(Self::calibrate_on(spec, cfg, tel))
+                }
+                Some(schedule) => {
+                    let _span = tel.span("scheduler", "sos.candidate", || {
                         vec![Attr::text("schedule", schedule.paper_notation())]
                     });
-                    Self::symbios_candidate_on(spec, cfg, schedule, symbios_cycles, tel)
-                })
-                .collect();
-            (solo, samples, sample_ws, picks, symbios_evals)
-        } else {
-            let workers = if workers == 0 {
-                crate::par::available_workers()
-            } else {
-                workers
-            };
-            // Task `None` is the calibration, `Some(s)` candidate `s`.
-            let tasks = std::iter::once(None)
-                .chain(candidates.iter().map(Some))
-                .collect();
-            let mut outputs =
-                crate::par::parallel_map_with_workers(tasks, workers, |task| match task {
-                    None => Stage::Solo(Self::calibrate_on(spec, cfg, tel)),
-                    Some(schedule) => {
-                        let (rotations, totals) =
-                            Self::evaluate_candidate_on(spec, cfg, schedule, symbios_cycles, tel);
-                        Stage::Candidate(rotations, totals)
-                    }
-                })
-                .into_iter();
-            let Some(Stage::Solo(solo)) = outputs.next() else {
-                unreachable!("task 0 is the calibration");
-            };
-            let (rotations, symbios_evals): (Vec<_>, Vec<_>) = outputs
-                .map(|stage| match stage {
-                    Stage::Candidate(rotations, totals) => (rotations, totals),
-                    Stage::Solo(_) => unreachable!("only task 0 calibrates"),
-                })
-                .unzip();
-            let (samples, sample_ws) = Self::sample_results(&candidates, &rotations, &solo, tel);
-            let picks = Self::optimize(&candidates, &samples, tel);
-            (solo, samples, sample_ws, picks, symbios_evals)
+                    let (rotations, totals) =
+                        Self::evaluate_candidate_on(spec, cfg, schedule, symbios_cycles, tel);
+                    Stage::Candidate(rotations, totals)
+                }
+            })
+            .into_iter();
+        tel.set_clock(children.iter().map(Telemetry::clock).max().unwrap_or(0));
+        let Some(Stage::Solo(solo)) = outputs.next() else {
+            unreachable!("task 0 is the calibration");
         };
+        let (rotations, symbios_evals): (Vec<_>, Vec<_>) = outputs
+            .map(|stage| match stage {
+                Stage::Candidate(rotations, totals) => (rotations, totals),
+                Stage::Solo(_) => unreachable!("only task 0 calibrates"),
+            })
+            .unzip();
+        let (samples, sample_ws) = Self::sample_results(&candidates, &rotations, &solo, tel);
+        let picks = Self::optimize(&candidates, &samples, tel);
 
         let symbios_ws: Vec<f64> = candidates
             .iter()

@@ -119,7 +119,7 @@ pub struct Event {
     /// `"scheduler"`, `"opensys"`, `"job/3"`, ... — prefixed
     /// `"cluster.shard0/"` when recorded through a child handle.
     pub track: String,
-    /// Low-cardinality event name, e.g. `"sos.sample_phase"`.
+    /// Low-cardinality event name, e.g. `"sos.candidate"`.
     pub name: String,
     /// Structured details.
     pub attrs: Vec<Attr>,
@@ -372,7 +372,8 @@ impl Telemetry {
     }
 
     /// A child in the same state sharing this handle's registry, with its
-    /// own clock and event buffer. Its events land on `"<prefix>/<track>"`
+    /// own event buffer and its own clock, which starts at this handle's.
+    /// Its events land on `"<prefix>/<track>"`
     /// tracks and are appended, after the parent's own and in creation
     /// order, by the parent's [`drain`](Self::drain). A child of the off
     /// handle is off.
@@ -385,6 +386,7 @@ impl Telemetry {
             Arc::clone(&inner.registry),
             Some(prefix.to_string()),
         );
+        child.set_clock(self.clock());
         lock(&inner.children).push(child.clone());
         child
     }
@@ -1005,9 +1007,10 @@ mod tests {
     #[test]
     fn child_shares_registry_but_owns_clock_buffer_and_track_prefix() {
         let root = Telemetry::tracing();
+        root.set_clock(3);
         let a = root.child("cluster.shard0");
         let b = root.child("cluster.shard1");
-        assert_eq!(a.prefix(), Some("cluster.shard0"));
+        assert_eq!((a.clock(), a.prefix()), (3, Some("cluster.shard0")));
         assert_eq!(root.prefix(), None);
         b.set_clock(700);
         b.instant("opensys", "late", Vec::new);

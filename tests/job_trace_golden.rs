@@ -22,9 +22,9 @@ use workloads::spec::Benchmark;
 const GOLDEN_DIGEST: u64 = 0x36db_2d57_a67e_2285;
 const GOLDEN_LEN: usize = 670_950;
 
-/// [`sos_trace`]'s `(length, digest)`, recorded on the commit before the
-/// simulator's observer callbacks were replaced by `trace_timeslice`.
-const SOS_GOLDEN: (usize, u64) = (2_569_228, 0xcd57_ba4e_2ff2_cc8a);
+/// [`sos_trace`]'s `(length, digest)`, recorded when a traced evaluation
+/// became the one parallel fan-out, each task on a child handle of its own.
+const SOS_GOLDEN: (usize, u64) = (2_661_912, 0x8d06_c65e_cc3d_8923);
 
 /// The Chrome trace of [`fastsim_run`] as `(length, digest)`, recorded on
 /// the same commit.
@@ -90,7 +90,8 @@ fn run_engine(
 }
 
 /// The closed-system protocol on a tracing handle: every slice the
-/// `Runner` simulates (calibration, sample and symbios phases) is traced.
+/// `Runner` simulates (the calibration and each candidate's one run) is
+/// traced, on the track of its task.
 fn sos_trace() -> String {
     let tel = Telemetry::tracing();
     let spec: ExperimentSpec = "Jsb(4,2,2)".parse().unwrap();

@@ -140,17 +140,42 @@ fn each_candidate_is_simulated_once() {
             "one warm-up rotation and max(R, N) rotations per candidate"
         );
 
-        // A tracing handle gets the staged protocol, which runs the sample
-        // and the symbios phase of a candidate from two fresh runners.
+        // A tracing handle runs the same fan-out, so it simulates the same
+        // slices.
         let tracing = Telemetry::tracing();
-        let staged = SosScheduler::evaluate_experiment_traced(&spec, &cfg, 2, &tracing);
+        let traced = SosScheduler::evaluate_experiment_traced(&spec, &cfg, 2, &tracing);
         assert_eq!(
             tracing.snapshot(0).counters["smtsim.timeslices"],
-            simulated_slices(&spec, &cfg, |r, n| 2 + r + n),
+            simulated_slices(&spec, &cfg, |r, n| 1 + r.max(n)),
         );
 
         let serial = SosScheduler::evaluate_experiment_with_workers(&spec, &cfg, 1);
-        assert_eq!(json(&fused), json(&staged));
+        assert_eq!(json(&fused), json(&traced));
         assert_eq!(json(&fused), json(&serial));
     }
+}
+
+#[test]
+fn traced_evaluation_is_byte_identical_for_every_worker_count() {
+    let spec: ExperimentSpec = "Jsb(4,2,2)".parse().unwrap();
+    let cfg = SosConfig {
+        cycle_scale: 20_000,
+        calibration_cycles: 15_000,
+        ..SosConfig::default()
+    };
+    let run = |workers| {
+        let tel = Telemetry::tracing();
+        let report = SosScheduler::evaluate_experiment_traced(&spec, &cfg, workers, &tel);
+        let snap = tel.drain();
+        (
+            serde_json::to_string(&report).unwrap(),
+            snap.events_jsonl(),
+            snap.metrics_jsonl(),
+        )
+    };
+    let (report, events, metrics) = run(1);
+    assert!(events.contains("smtsim.timeslice"));
+    assert_eq!(run(2), (report.clone(), events, metrics));
+    let off = SosScheduler::evaluate_experiment_with_workers(&spec, &cfg, 2);
+    assert_eq!(report, serde_json::to_string(&off).unwrap());
 }

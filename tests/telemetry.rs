@@ -29,7 +29,7 @@ fn events_round_trip_in_every_phase() {
             ts_cycles: 12_345,
             phase,
             track: "scheduler".into(),
-            name: "sos.sample_phase".into(),
+            name: "sos.candidate".into(),
             attrs: vec![
                 Attr::num("candidates", 10.0),
                 Attr::text("spec", "Jsb(6,3,3)"),
@@ -117,17 +117,6 @@ fn find(events: &[Event], phase: EventPhase, name: &str) -> usize {
         .unwrap_or_else(|| panic!("no {phase:?} {name}"))
 }
 
-/// Index of the last event matching `(phase, name)`.
-fn rfind(events: &[Event], phase: EventPhase, name: &str) -> usize {
-    events.len()
-        - 1
-        - events
-            .iter()
-            .rev()
-            .position(|e| e.phase == phase && e.name == name)
-            .unwrap_or_else(|| panic!("no {phase:?} {name}"))
-}
-
 #[test]
 fn sos_run_emits_well_nested_ordered_events() {
     let tel = Telemetry::tracing();
@@ -142,14 +131,16 @@ fn sos_run_emits_well_nested_ordered_events() {
     let events = &snap.events;
     assert!(!events.is_empty());
 
-    // Timestamps never go backwards: the handle's clock is monotonic
-    // within a run and occupancy samples are stamped inside their slice.
-    for w in events.windows(2) {
+    // Each track is stamped by one clock (the experiment's, or its task's
+    // child handle's), so timestamps never step back on a track; occupancy
+    // samples are stamped inside their slice.
+    let mut last = std::collections::HashMap::new();
+    for e in events {
+        let prev = last.insert(e.track.as_str(), e.ts_cycles).unwrap_or(0);
         assert!(
-            w[0].ts_cycles <= w[1].ts_cycles,
-            "time went backwards: {:?} then {:?}",
-            w[0],
-            w[1]
+            prev <= e.ts_cycles,
+            "clock stepped back on {}: {e:?}",
+            e.track
         );
     }
 
@@ -174,19 +165,30 @@ fn sos_run_emits_well_nested_ordered_events() {
         );
     }
 
-    // The sample phase nests inside the experiment span, and every
-    // per-candidate span nests inside the sample phase.
-    let exp_start = find(events, EventPhase::SpanStart, "sos.experiment");
-    let exp_end = rfind(events, EventPhase::SpanEnd, "sos.experiment");
-    let sp_start = find(events, EventPhase::SpanStart, "sos.sample_phase");
-    let sp_end = rfind(events, EventPhase::SpanEnd, "sos.sample_phase");
-    assert!(exp_start < sp_start && sp_start < sp_end && sp_end < exp_end);
-    let cand_first = find(events, EventPhase::SpanStart, "sos.sample_candidate");
-    let cand_last = rfind(events, EventPhase::SpanEnd, "sos.sample_candidate");
-    assert!(sp_start < cand_first && cand_last < sp_end);
-
-    // One sample-candidate span and one sample-result instant per candidate.
+    // One task span on its own track per candidate, plus the calibration's,
+    // each inside the experiment span in time.
     let candidates = report.candidates.len();
+    let experiment = |phase| events[find(events, phase, "sos.experiment")].ts_cycles;
+    let tasks: Vec<&Event> = events
+        .iter()
+        .filter(|e| matches!(e.name.as_str(), "sos.calibrate" | "sos.candidate"))
+        .collect();
+    assert_eq!(tasks.len(), 2 * (candidates + 1));
+    for (i, pair) in tasks.chunks(2).enumerate() {
+        let track = match i {
+            0 => "sos.calibrate/scheduler".to_string(),
+            _ => format!("sos.candidate{}/scheduler", i - 1),
+        };
+        assert_eq!(
+            (pair[0].phase, pair[1].phase),
+            (EventPhase::SpanStart, EventPhase::SpanEnd)
+        );
+        assert!(pair.iter().all(|e| e.track == track), "{pair:?}");
+        assert!(experiment(EventPhase::SpanStart) <= pair[0].ts_cycles);
+        assert!(pair[1].ts_cycles <= experiment(EventPhase::SpanEnd));
+    }
+
+    // One sample-result and one symbios-result instant per candidate.
     let count_named = |phase, name: &str| {
         events
             .iter()
@@ -194,15 +196,11 @@ fn sos_run_emits_well_nested_ordered_events() {
             .count()
     };
     assert_eq!(
-        count_named(EventPhase::SpanStart, "sos.sample_candidate"),
-        candidates
-    );
-    assert_eq!(
         count_named(EventPhase::Instant, "sos.sample_result"),
         candidates
     );
     assert_eq!(
-        count_named(EventPhase::SpanStart, "sos.symbios_phase"),
+        count_named(EventPhase::Instant, "sos.symbios_result"),
         candidates
     );
     // One predictor-decision instant per predictor.
