@@ -32,8 +32,9 @@
 
 use smtsim::{FastSimPolicy, MachineConfig};
 use sos_bench::cli::{self, Flags};
+use sos_core::cluster::{ClusterConfig, ClusterEngine, DispatchPolicy};
 use sos_core::job::JobPool;
-use sos_core::online::{replay, OnlineEngine, SchedulerKind};
+use sos_core::online::SchedulerKind;
 use sos_core::opensys::{
     arrival_trace, calibrate_benchmarks, ArrivalTraceSpec, JobArrival, OpenSystemConfig,
 };
@@ -106,9 +107,8 @@ struct RunSummary {
     /// Makespan in simulated cycles (identical across modes when the
     /// extrapolator is faithful — the schedule stream is deterministic).
     sim_cycles: u64,
-    /// Busy machine cycles (`timeslices × timeslice`).
-    busy_cycles: u64,
     extrapolated_slices: u64,
+    /// Busy timeslices (busy machine cycles over the timeslice).
     timeslices: u64,
     jobs: JobSummary,
 }
@@ -120,7 +120,6 @@ fn pool(runs: Vec<RunSummary>) -> RunSummary {
     for run in runs {
         pooled.wall_secs += run.wall_secs;
         pooled.sim_cycles += run.sim_cycles;
-        pooled.busy_cycles += run.busy_cycles;
         pooled.extrapolated_slices += run.extrapolated_slices;
         pooled.timeslices += run.timeslices;
         pooled.jobs.merge(&run.jobs);
@@ -128,7 +127,7 @@ fn pool(runs: Vec<RunSummary>) -> RunSummary {
     pooled
 }
 
-/// Replays the trace through one engine and summarizes the run.
+/// Replays the trace through a 1-shard cluster and summarizes the run.
 fn run_scenario(
     cfg: &OpenSystemConfig,
     trace: &[JobArrival],
@@ -137,18 +136,17 @@ fn run_scenario(
 ) -> RunSummary {
     let mut online = cfg.online();
     online.fastsim = fastsim;
-    let mut engine = OnlineEngine::new(SchedulerKind::Sos, &online);
+    let one_core = ClusterConfig::new(1, DispatchPolicy::RoundRobin, SchedulerKind::Sos, online);
+    let mut engine = ClusterEngine::new(&one_core);
     let started = Instant::now();
-    let completed = replay(&mut engine, trace);
+    let completed = engine.replay(trace);
     let wall_secs = started.elapsed().as_secs_f64();
+    let report = engine.report();
     RunSummary {
         wall_secs,
-        sim_cycles: engine.now(),
-        busy_cycles: engine.timeslices() * online.timeslice,
-        extrapolated_slices: engine
-            .fastsim_counters()
-            .map_or(0, |c| c.extrapolated_slices),
-        timeslices: engine.timeslices(),
+        sim_cycles: report.now_cycles,
+        extrapolated_slices: report.extrapolated_slices,
+        timeslices: report.timeslices,
         jobs: JobSummary::of(&completed, solo),
     }
 }
@@ -249,7 +247,9 @@ fn main() {
     };
     let detail = run_all(None);
     let (detail_ws, detail_rt, detail_sd) = (
-        detail.jobs.weighted_speedup(detail.busy_cycles),
+        detail
+            .jobs
+            .weighted_speedup(detail.timeslices * args.timeslice),
         detail.jobs.response(),
         detail.jobs.slowdown(),
     );
@@ -284,7 +284,8 @@ fn main() {
         let (fast_rt, fast_sd) = (fast.jobs.response(), fast.jobs.slowdown());
         let speedup = detail.wall_secs / fast.wall_secs.max(1e-9);
         let extrap_pct = 100.0 * fast.extrapolated_slices as f64 / fast.timeslices.max(1) as f64;
-        let ws_err = rel_err(fast.jobs.weighted_speedup(fast.busy_cycles), detail_ws);
+        let fast_ws = fast.jobs.weighted_speedup(fast.timeslices * args.timeslice);
+        let ws_err = rel_err(fast_ws, detail_ws);
         let mean_rt_err = rel_err(fast.jobs.mean_response(), detail.jobs.mean_response());
         let p95_rt_err = rel_err(fast_rt.p95, detail_rt.p95);
         let p99_rt_err = rel_err(fast_rt.p99, detail_rt.p99);

@@ -32,7 +32,7 @@
 
 use sos_bench::cli::{self, Flags};
 use sos_core::cluster::{ClusterConfig, ClusterEngine, DispatchPolicy};
-use sos_core::online::{replay, SchedulerKind};
+use sos_core::online::SchedulerKind;
 use sos_core::opensys::{calibrate_benchmarks, ArrivalTrace, ArrivalTraceSpec};
 use sos_core::telemetry::Telemetry;
 use std::path::PathBuf;
@@ -99,7 +99,7 @@ fn main() {
         println!("# fastsim: {}", p.describe());
     }
     let started = Instant::now();
-    let departed = replay(&mut engine, &trace.jobs);
+    let departed = engine.replay(&trace.jobs);
     let wall_secs = started.elapsed().as_secs_f64();
     let report = engine.report();
 

@@ -2,11 +2,11 @@
 //!
 //! Accepts job submissions over a local TCP socket (JSON lines; see
 //! `sos_bench::serve` for the protocol) and schedules them on a simulated
-//! SMT machine through `sos_core::online::OnlineEngine`, under either the
-//! naive arrival-order policy or SOS with live resampling. The daemon is
-//! the serving-layer counterpart of the batch §9 reproduction (`fig5`,
-//! `fig6`): same engine, driven by wire events instead of a pre-generated
-//! trace.
+//! SMT machine through a 1-shard `sos_core::cluster::ClusterEngine`, under
+//! either the naive arrival-order policy or SOS with live resampling. The
+//! daemon is the serving-layer counterpart of the batch §9 reproduction
+//! (`fig5`, `fig6`): same engine, driven by wire events instead of a
+//! pre-generated trace.
 //!
 //! Threads: connection threads read, validate, admit and answer every verb
 //! themselves; the scheduler (main) thread only simulates and publishes.
@@ -25,7 +25,8 @@
 //!   and on shutdown; on restart, completed-job accounting is restored
 //!   exactly and in-flight jobs are re-queued from their arrival records.
 //! * **Live metrics** — every request, error, departure, and engine
-//!   timeslice feeds one `sos_core::telemetry::Telemetry` handle, whose
+//!   timeslice feeds one `sos_core::telemetry::Telemetry` handle (the
+//!   engine's series are `cluster.*` and `cluster.shard0.*`), whose
 //!   histograms count every value since start-up; the `metrics` verb
 //!   returns the versioned snapshot plus a Prometheus text exposition, and
 //!   the `stats` verb reports exact and log2-bucket p50/p95/p99 along with
@@ -50,7 +51,7 @@
 //!   `PredictorKind` name is accepted) runs the SOS optimize phase on the
 //!   `sos_core::learn` online model; the learner's state rides in the
 //!   snapshot so restarts keep the trained model, and its counters surface
-//!   under `learn.*` in the `metrics` verb.
+//!   under `cluster.shard0.learn.*` in the `metrics` verb.
 //!
 //! Usage: `sos-serve [--port P] [--policy sos|naive] [--smt N]
 //! [--queue-cap N] [--timeslice C] [--predictor NAME] [--sample-schedules N]
@@ -66,7 +67,8 @@ use sos_bench::cli::{self, Flags};
 use sos_bench::serve::{
     CompletedJob, MetricsReply, Request, Response, SloStatus, Snapshot, StatsReply, StatusReply,
 };
-use sos_core::online::{JobRecord, OnlineConfig, OnlineEngine, SchedulerKind};
+use sos_core::cluster::{ClusterConfig, ClusterEngine, DispatchPolicy};
+use sos_core::online::{JobRecord, OnlineConfig, SchedulerKind};
 use sos_core::opensys::{calibrate_benchmarks, JobArrival, JOB_KINDS};
 use sos_core::report::{self, JobSummary};
 use sos_core::telemetry::{prometheus_name, Counter, Gauge, Histogram, Telemetry};
@@ -226,10 +228,10 @@ impl Front {
     }
 
     /// Publishes what `status`/`stats` echo of the engine's progress.
-    fn reflect(&mut self, engine: &OnlineEngine) {
+    fn reflect(&mut self, engine: &ClusterEngine) {
         self.now_cycles = engine.now();
         self.resamples = engine.resamples();
-        self.extrapolated_slices = engine.fastsim_counters().map(|c| c.extrapolated_slices);
+        self.extrapolated_slices = engine.extrapolated_slices();
     }
 }
 
@@ -407,7 +409,7 @@ impl Shared {
             completed.iter().map(|c| c.response as f64).collect(),
             completed.iter().map(|c| c.slowdown).collect(),
         );
-        // The jobs `serve.response_cycles` counts: this process's completions.
+        // The jobs `cluster.response_cycles` counts: this process's completions.
         let mut approx = Histogram::default();
         for c in &completed[self.restored as usize..] {
             approx.record(c.response);
@@ -524,7 +526,7 @@ impl Shared {
     /// Publishes the machine's state after a timeslice: the clock, the
     /// counters `status`/`stats` echo, and the departures — `live` falls in
     /// the same critical section their records appear in.
-    fn publish(&self, engine: &OnlineEngine, departed: Vec<CompletedJob>) {
+    fn publish(&self, engine: &ClusterEngine, departed: Vec<CompletedJob>) {
         let any_departed = !departed.is_empty();
         let mut front = self.front();
         front.reflect(engine);
@@ -539,7 +541,7 @@ impl Shared {
 
     /// Everything acknowledged so far as a snapshot: the jobs the engine
     /// holds plus those it has not taken in yet, which would enter now.
-    fn snapshot(&self, engine: &OnlineEngine) -> Snapshot {
+    fn snapshot(&self, engine: &ClusterEngine, seed: u64) -> Snapshot {
         let (now_cycles, mut inflight) = (engine.now(), engine.live_arrivals());
         let learner = engine.learner().cloned();
         let front = self.front();
@@ -551,7 +553,7 @@ impl Shared {
             version: sos_bench::serve::SNAPSHOT_VERSION,
             policy: self.policy.to_string(),
             smt: self.smt,
-            seed: engine.config().seed,
+            seed,
             now_cycles,
             submitted: self.submitted_base + front.next_key as u64,
             rejected: front.rejected,
@@ -565,7 +567,7 @@ impl Shared {
 /// The scheduler thread's private state: the engine and where its
 /// accounting is persisted.
 struct Daemon {
-    engine: OnlineEngine,
+    engine: ClusterEngine,
     shared: Arc<Shared>,
     args: Args,
     since_snapshot: u64,
@@ -579,10 +581,10 @@ impl Daemon {
         while let Some(mut front) = shared.wait_for_work() {
             let (first_key, jobs) = front.take_admitted();
             drop(front);
-            for (i, job) in jobs.into_iter().enumerate() {
+            assert_eq!(self.engine.submitted(), first_key, "admission order");
+            for job in jobs {
                 let arrival = self.engine.now();
-                let key = self.engine.submit(JobArrival { arrival, ..job });
-                assert_eq!(key, first_key + i, "engine keys follow admission order");
+                self.engine.submit(JobArrival { arrival, ..job });
             }
             let departed = self.engine.step();
             self.since_snapshot += departed.len() as u64;
@@ -594,18 +596,15 @@ impl Daemon {
         }
     }
 
-    /// Books a timeslice's departures in the registry series and returns
-    /// their records for publication.
+    /// Counts a timeslice's departures and returns their records for
+    /// publication (the engine's `cluster.*` histograms book them).
     fn book_departures(&self, departed: Vec<JobRecord>) -> Vec<CompletedJob> {
-        let (tel, sm) = (&self.shared.tel, &self.shared.sm);
         departed
             .into_iter()
             .map(|rec| {
                 let response = rec.response();
                 let slowdown = report::slowdown(&self.shared.solo, &rec);
-                sm.completed.inc();
-                tel.histogram_record("serve.response_cycles", response);
-                tel.histogram_record("serve.slowdown_x100", (slowdown * 100.0) as u64);
+                self.shared.sm.completed.inc();
                 CompletedJob {
                     arrival: rec.arrival.arrival,
                     response,
@@ -618,7 +617,7 @@ impl Daemon {
     fn write_snapshot(&mut self) {
         self.since_snapshot = 0;
         let started = Instant::now();
-        let snap = self.shared.snapshot(&self.engine);
+        let snap = self.shared.snapshot(&self.engine, self.args.engine.seed);
         if let Err(e) = snap.store(&self.args.snapshot_dir) {
             eprintln!(
                 "sos-serve: snapshot to {} failed: {e} (continuing without persistence)",
@@ -684,15 +683,14 @@ fn main() {
     } else {
         Telemetry::metrics()
     };
-    tel.register_histogram("serve.response_cycles");
-    tel.register_histogram("serve.slowdown_x100");
     let sm = ServeMetrics::register(&tel);
 
     if let Some(p) = &cfg.fastsim {
         eprintln!("# sos-serve: fastsim on ({})", p.describe());
     }
-    let mut engine = OnlineEngine::new(args.policy, &cfg);
-    engine.set_telemetry(tel.clone());
+    let one_core = ClusterConfig::new(1, DispatchPolicy::RoundRobin, args.policy, cfg.clone());
+    let mut engine = ClusterEngine::with_telemetry(&one_core, &tel);
+    engine.set_solo_ipc(solo.clone());
     if cfg.predictor.is_learned() {
         eprintln!(
             "# sos-serve: learned prediction on ({})",
@@ -952,9 +950,11 @@ mod tests {
         }
     }
 
-    fn engine() -> OnlineEngine {
+    fn engine() -> ClusterEngine {
         let cfg = parse(&["--smt", "2", "--seed", "1"]).expect("valid flags");
-        OnlineEngine::new(SchedulerKind::Naive, &cfg.engine)
+        let naive = SchedulerKind::Naive;
+        let one_core = ClusterConfig::new(1, DispatchPolicy::RoundRobin, naive, cfg.engine);
+        ClusterEngine::new(&one_core)
     }
 
     /// The front desk as a state machine under threads, no socket and no
@@ -1073,7 +1073,7 @@ mod tests {
             ..jobs.remove(0)
         });
 
-        let snap = shared.snapshot(&engine);
+        let snap = shared.snapshot(&engine, 1);
         assert_eq!(snap.submitted, 8, "submitted_base + every acknowledged job");
         assert_eq!(snap.now_cycles, 777);
         let arrivals: Vec<u64> = snap.inflight.iter().map(|j| j.arrival).collect();

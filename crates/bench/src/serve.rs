@@ -22,7 +22,7 @@
 //!   toggle) and the extrapolated-timeslice count.
 //! * `stats` — per-job latency summary: mean/p50/p95/p99 response time and
 //!   slowdown, exact (from completed-job records) and log2-bucket
-//!   approximate (what the `serve.response_cycles` histogram shows), plus
+//!   approximate (what the `cluster.response_cycles` histogram shows), plus
 //!   per-class protocol error counts.
 //! * `metrics` — the live observability surface: a versioned
 //!   `sos_core::telemetry::Snapshot` (counters, gauges, and log2-bucket
@@ -151,7 +151,7 @@ pub struct StatsReply {
     /// Exact slowdown percentiles.
     pub slowdown: Percentiles,
     /// Log2-bucket response-time percentiles over the jobs this process
-    /// completed: exactly what the `serve.response_cycles` histogram of the
+    /// completed: exactly what the `cluster.response_cycles` histogram of the
     /// `metrics` verb shows.
     pub response_approx: Percentiles,
     /// SOS sample phases entered.

@@ -47,11 +47,15 @@ fn metrics_verb_reports_live_series_and_exposition() {
         .collect();
     let six = ["drain", "metrics", "shutdown", "stats", "status", "submit"];
     assert_eq!(verbs, six);
-    assert!(snap.counters["engine.timeslices"] > 0);
+    // The engine is a 1-shard cluster: its series carry the shard's name.
+    assert!(snap.counters["cluster.shard0.timeslices"] > 0);
+    assert!(!snap.counters.keys().any(|k| k.starts_with("engine.")));
     assert_eq!(snap.gauges["serve.queue_depth"], 0.0);
 
-    // Response-time histogram: all four departures.
-    let h = &snap.histograms["serve.response_cycles"];
+    // Response-time histogram: all four departures, booked once.
+    let h = &snap.histograms["cluster.response_cycles"];
+    assert_eq!(snap.histograms["cluster.slowdown_x100"].count, 4);
+    assert!(!snap.histograms.contains_key("serve.response_cycles"));
     assert_eq!(h.count, 4);
     assert_eq!(h.buckets.iter().sum::<u64>(), 4);
     assert!(h.approx_quantile(0.5) > 0);
@@ -74,11 +78,11 @@ fn metrics_verb_reports_live_series_and_exposition() {
     assert!(m.prometheus.contains("sos_serve_submitted 4"));
     assert!(m
         .prometheus
-        .contains("# TYPE sos_serve_response_cycles histogram"));
-    assert!(m.prometheus.contains("sos_serve_response_cycles_count 4"));
+        .contains("# TYPE sos_cluster_response_cycles histogram"));
+    assert!(m.prometheus.contains("sos_cluster_response_cycles_count 4"));
     assert!(m
         .prometheus
-        .contains("sos_serve_response_cycles_bucket{le=\"+Inf\"} 4"));
+        .contains("sos_cluster_response_cycles_bucket{le=\"+Inf\"} 4"));
     assert!(m
         .prometheus
         .contains("sos_serve_response_cycles_slo_attainment"));
@@ -174,7 +178,8 @@ fn sos_top_once_renders_a_dashboard() {
     let text = String::from_utf8_lossy(&once.stdout);
     assert!(text.contains("COUNTER"), "missing counters table: {text}");
     assert!(text.contains("serve.submitted"));
-    assert!(text.contains("serve.response_cycles"));
+    assert!(text.contains("cluster.response_cycles"));
+    assert!(text.contains("serve.response_cycles"), "the SLO row");
     assert!(text.contains("SLO"));
 
     let prom = std::process::Command::new(env!("CARGO_BIN_EXE_sos-top"))

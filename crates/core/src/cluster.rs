@@ -1,5 +1,7 @@
 //! Two-level cluster scheduling: a dispatcher in front of N per-core
-//! [`OnlineEngine`] shards.
+//! [`OnlineEngine`] shards — the one engine surface every open-system front
+//! end drives (fig5, fig6, `sos opensys`, `fastsim-compare` and `sos-serve`
+//! with one shard, `sos-cluster` with as many as it is given).
 //!
 //! The paper schedules one SMT core. A production fleet runs many; the
 //! natural scale-out (see "Scalable HPC Job Scheduling and Resource
@@ -20,10 +22,10 @@
 //!   progress is lost), with every migration recorded in telemetry and the
 //!   cluster metrics;
 //! * each shard reports through its own child [`Telemetry`] handle
-//!   (`cluster.shard<i>`: own clock, own event buffer, and the shard
-//!   engine's own series — `cluster.shard<i>.queue_depth` included), so a
-//!   traced cluster run is as reproducible as an untraced one; the
-//!   dispatcher's own series (`cluster.submitted`, `.completed`,
+//!   (`cluster.shard<i>`, at one shard too: own clock, own event buffer,
+//!   and the shard engine's own series — `cluster.shard<i>.queue_depth`
+//!   included), so a traced cluster run is as reproducible as an untraced
+//!   one; the dispatcher's own series (`cluster.submitted`, `.completed`,
 //!   `.migrations`, `.rounds`, `.aggregate_ws`, the shard clocks) are
 //!   written by one `publish` from the counts it keeps anyway.
 //!
@@ -41,12 +43,12 @@
 //! seeded `cluster seed ⊕ shard id`; all shards stop at the same round
 //! boundary, so every dispatch and rebalancing decision sees them at one
 //! agreed "now"; and a round's departures are merged in shard-index order.
-//! A 1-shard cluster is bit-exact with a plain [`OnlineEngine`] (same seed,
-//! same event sequence).
+//! A 1-shard cluster (`slices_per_round = 1`) is bit-exact with a plain
+//! [`OnlineEngine`] driven by hand (same seed, same calls, same departures).
 
 use crate::arrivals::JobArrival;
 use crate::learn::{LearnSummary, Learner};
-use crate::online::{JobRecord, OnlineConfig, OnlineEngine, Scheduler, SchedulerKind};
+use crate::online::{JobRecord, OnlineConfig, OnlineEngine, SchedulerKind};
 use crate::report::{self, JobSummary, Percentiles};
 use crate::telemetry::{Attr, Counter, Gauge, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -255,6 +257,12 @@ impl Shard {
         self.records.extend_from_slice(&departed);
         departed
     }
+
+    /// Timeslices fast-sim extrapolated (0 when it is off).
+    fn extrapolated_slices(&self) -> u64 {
+        let counters = self.engine.fastsim_counters();
+        counters.map_or(0, |c| c.extrapolated_slices)
+    }
 }
 
 /// Pairwise profile interference between two benchmarks: how much they
@@ -352,10 +360,8 @@ impl ClusterMetrics {
 // ---------------------------------------------------------------------------
 
 /// The two-level cluster scheduler: a dispatcher over N per-core
-/// [`OnlineEngine`] shards. Mirrors the engine's facade —
-/// [`submit`](Self::submit) / [`step`](Self::step) /
-/// [`jump_to`](Self::jump_to) / [`drain`](Self::drain) — and implements
-/// [`Scheduler`], so [`crate::online::replay`] drives either.
+/// [`OnlineEngine`] shards, driven by [`submit`](Self::submit) /
+/// [`step`](Self::step) / [`jump_to`](Self::jump_to) or [`replay`](Self::replay).
 pub struct ClusterEngine {
     cfg: ClusterConfig,
     shards: Vec<Shard>,
@@ -367,6 +373,11 @@ pub struct ClusterEngine {
     submitted: usize,
     migrations: u64,
     rr_next: usize,
+    /// Σ solo cycles of the completed jobs, in departure order: the
+    /// `cluster.aggregate_ws` gauge's numerator, so publishing it costs
+    /// O(shards), not a pass over every record. Past one shard its last
+    /// bits may differ from the report's, which sums shard by shard.
+    solo_cycles_done: f64,
     /// Solo IPC per benchmark (for slowdown and weighted-speedup
     /// accounting; unknown benchmarks fall back to IPC 1.0).
     solo_ipc: HashMap<Benchmark, f64>,
@@ -419,6 +430,7 @@ impl ClusterEngine {
             submitted: 0,
             migrations: 0,
             rr_next: 0,
+            solo_cycles_done: 0.0,
             solo_ipc: HashMap::new(),
             tel: tel.clone(),
             metrics,
@@ -447,9 +459,51 @@ impl ClusterEngine {
         self.shards.iter().map(|sh| sh.records.len() as u64).sum()
     }
 
+    /// Jobs submitted to the cluster (a migration is not a submission).
+    pub fn submitted(&self) -> usize {
+        self.submitted
+    }
+
     /// Jobs migrated between shards by rebalancing.
     pub fn migrations(&self) -> u64 {
         self.migrations
+    }
+
+    /// Sample phases entered across shards (0 under the naive scheduler).
+    pub fn resamples(&self) -> u64 {
+        self.shards.iter().map(|sh| sh.engine.resamples()).sum()
+    }
+
+    /// Time-averaged number of jobs resident across shards (Little's-law
+    /// `N`): Σ population-cycles over the cluster clock.
+    pub fn mean_population(&self) -> f64 {
+        let population = self.shards.iter().map(|sh| sh.engine.population_cycles());
+        population.sum::<u128>() as f64 / self.now.max(1) as f64
+    }
+
+    /// The arrival records of the jobs in the system, in shard order.
+    pub fn live_arrivals(&self) -> Vec<JobArrival> {
+        let shards = self.shards.iter();
+        shards.flat_map(|sh| sh.engine.live_arrivals()).collect()
+    }
+
+    /// Timeslices fast-sim extrapolated across shards (`None`: it is off).
+    pub fn extrapolated_slices(&self) -> Option<u64> {
+        self.cfg.shard.fastsim.as_ref()?;
+        Some(self.shards.iter().map(Shard::extrapolated_slices).sum())
+    }
+
+    /// Shard 0's learner, if the predictor is a learned kind: at one shard
+    /// the whole model, which a `sos-serve` snapshot carries. Snapshotting
+    /// every shard's model waits for engine checkpoints (ROADMAP item 5).
+    pub fn learner(&self) -> Option<&Learner> {
+        self.shards[0].engine.learner()
+    }
+
+    /// Restores shard 0's learner from a snapshot (see
+    /// [`learner`](Self::learner)); a fixed predictor ignores it.
+    pub fn restore_learner(&mut self, learner: Learner) {
+        self.shards[0].engine.restore_learner(learner);
     }
 
     /// Queue depth of each shard.
@@ -487,7 +541,9 @@ impl ClusterEngine {
             gauge.set(sh.engine.now() as f64);
         }
         if completed > 0 {
-            cm.aggregate_ws.set(self.aggregate_ws());
+            // A job departs only after a busy slice: the divisor is not 0.
+            let ws = self.solo_cycles_done / self.busy_cycles() as f64;
+            cm.aggregate_ws.set(ws);
         }
     }
 
@@ -549,14 +605,13 @@ impl ClusterEngine {
             .collect();
         self.now = target;
         self.rounds += 1;
-        if self.tel.is_on() {
-            for rec in &departed {
-                let slowdown = report::slowdown(&self.solo_ipc, rec);
-                self.tel
-                    .histogram_record(ClusterMetrics::RESPONSE, rec.response());
-                self.tel
-                    .histogram_record(ClusterMetrics::SLOWDOWN, (slowdown * 100.0).round() as u64);
-            }
+        let tel = &self.tel;
+        for rec in &departed {
+            let solo = report::solo_cycles(&self.solo_ipc, &rec.arrival);
+            self.solo_cycles_done += solo;
+            let slowdown_x100 = (rec.response() as f64 / solo * 100.0).round() as u64;
+            tel.histogram_record(ClusterMetrics::RESPONSE, rec.response());
+            tel.histogram_record(ClusterMetrics::SLOWDOWN, slowdown_x100);
         }
         if self.cfg.rebalance_every > 0 && self.rounds.is_multiple_of(self.cfg.rebalance_every) {
             self.rebalance();
@@ -632,38 +687,31 @@ impl ClusterEngine {
         self.publish();
     }
 
-    /// Steps until every submitted job has completed (or `max_rounds` is
-    /// exhausted). Returns the jobs that departed during the drain.
-    pub fn drain(&mut self, max_rounds: u64) -> Vec<JobRecord> {
-        let mut departed = Vec::new();
-        for _ in 0..max_rounds {
+    /// *The* open-system loop: replays `trace` (sorted by arrival) — submit
+    /// what is due, step while any job is live, jump across idle gaps —
+    /// until every job has departed, and returns the departures in order.
+    pub fn replay(&mut self, trace: &[JobArrival]) -> Vec<JobRecord> {
+        let mut next = 0usize;
+        let mut departed = Vec::with_capacity(trace.len());
+        while next < trace.len() || self.live_count() > 0 {
+            while next < trace.len() && trace[next].arrival <= self.now {
+                self.submit(trace[next].clone());
+                next += 1;
+            }
             if self.live_count() == 0 {
-                break;
+                // Nothing was due and nothing is live, so arrivals remain.
+                self.jump_to(trace[next].arrival);
+                continue;
             }
             departed.extend(self.step());
         }
         departed
     }
 
-    /// The summary of every completed job, shard by shard and in departure
-    /// order within a shard (the order fixes the sums' bits).
-    fn summary(&self) -> JobSummary {
-        JobSummary::of(
-            self.shards.iter().flat_map(|sh| &sh.records),
-            &self.solo_ipc,
-        )
-    }
-
     /// Machine cycles the shards spent simulating (idle jumps excluded).
     fn busy_cycles(&self) -> u64 {
         let slices: u64 = self.shards.iter().map(|sh| sh.engine.timeslices()).sum();
         slices * self.cfg.shard.timeslice
-    }
-
-    /// Cluster-wide weighted speedup so far: solo-equivalent cycles of
-    /// completed work per busy machine cycle across all shards.
-    pub fn aggregate_ws(&self) -> f64 {
-        self.summary().weighted_speedup(self.busy_cycles())
     }
 
     /// Builds the deterministic cluster report (the engine remains usable
@@ -675,24 +723,24 @@ impl ClusterEngine {
             .enumerate()
             .map(|(s, sh)| ShardReport {
                 shard: s,
-                seed: sh.engine.config().seed,
+                seed: self.cfg.shard.seed ^ s as u64,
                 // Reclaimed jobs are re-counted at their destination.
                 submitted: sh.engine.submitted() - sh.engine.reclaimed(),
                 migrated_in: sh.migrated_in,
                 migrated_out: sh.engine.reclaimed(),
                 completed: sh.records.len() as u64,
                 timeslices: sh.engine.timeslices(),
-                extrapolated_slices: sh
-                    .engine
-                    .fastsim_counters()
-                    .map_or(0, |c| c.extrapolated_slices),
+                extrapolated_slices: sh.extrapolated_slices(),
                 now_cycles: sh.engine.now(),
                 final_queue_depth: sh.engine.live_count(),
                 records: sh.records.clone(),
                 learn: sh.engine.learner().map(Learner::summary),
             })
             .collect();
-        let summary = self.summary();
+        // Every completed job, shard by shard and in departure order within
+        // a shard (the order fixes the sums' bits).
+        let records = self.shards.iter().flat_map(|sh| &sh.records);
+        let summary = JobSummary::of(records, &self.solo_ipc);
         ClusterReport {
             shards: self.cfg.shards,
             dispatch: self.cfg.dispatch.name().to_string(),
@@ -710,24 +758,6 @@ impl ClusterEngine {
             slowdown: summary.slowdown(),
             per_shard,
         }
-    }
-}
-
-impl Scheduler for ClusterEngine {
-    fn now(&self) -> u64 {
-        self.now
-    }
-    fn live_count(&self) -> usize {
-        ClusterEngine::live_count(self)
-    }
-    fn submit(&mut self, arrival: JobArrival) {
-        ClusterEngine::submit(self, arrival);
-    }
-    fn step(&mut self) -> Vec<JobRecord> {
-        ClusterEngine::step(self)
-    }
-    fn jump_to(&mut self, t: u64) {
-        ClusterEngine::jump_to(self, t)
     }
 }
 
@@ -834,7 +864,7 @@ mod tests {
         for i in 0..6 {
             c.submit(job(0, Benchmark::Gcc, 20_000 + i * 1_000));
         }
-        let done = c.drain(100_000);
+        let done = c.replay(&[]);
         assert_eq!(done.len(), 6);
         assert_eq!(c.completed(), 6);
         assert_eq!(c.live_count(), 0);
@@ -863,7 +893,7 @@ mod tests {
         assert_eq!(c.now(), 50_000);
         // A job submitted after the jump lands at the jumped clock.
         c.submit(job(50_000, Benchmark::Gcc, 5_000));
-        let done = c.drain(1_000);
+        let done = c.replay(&[]);
         assert_eq!(done.len(), 1);
         assert!(done[0].departure > 50_000);
     }
@@ -886,7 +916,7 @@ mod tests {
             for (i, b) in benches.iter().cycle().take(12).enumerate() {
                 c.submit(job(0, *b, 60_000 + i as u64 * 1_000));
             }
-            let done = c.drain(1_000_000);
+            let done = c.replay(&[]);
             assert_eq!(done.len(), 12);
             c.report()
         };
@@ -918,9 +948,34 @@ mod tests {
         );
         let mut c = ClusterEngine::new(&cfg);
         c.submit(job(0, Benchmark::Gcc, 30_000));
-        c.drain(100_000);
+        c.replay(&[]);
         let report = c.report();
         assert!(report.per_shard[0].learn.is_none());
+    }
+
+    #[test]
+    fn aggregate_ws_gauge_matches_the_report() {
+        for shards in [1, 2] {
+            let naive = SchedulerKind::Naive;
+            let cfg = ClusterConfig::new(shards, DispatchPolicy::RoundRobin, naive, shard_cfg(9));
+            let tel = Telemetry::tracing();
+            let mut c = ClusterEngine::with_telemetry(&cfg, &tel);
+            // Swim is missing from the table: it falls back to IPC 1.0.
+            c.set_solo_ipc(HashMap::from([(Benchmark::Gcc, 1.3), (Benchmark::Fp, 0.7)]));
+            let benches = [Benchmark::Gcc, Benchmark::Fp, Benchmark::Swim];
+            for (i, b) in benches.iter().cycle().take(9).enumerate() {
+                c.submit(job(0, *b, 20_000 + i as u64 * 1_500));
+            }
+            assert_eq!(c.replay(&[]).len(), 9);
+            let gauge = tel.gauge("cluster.aggregate_ws").get();
+            let report = c.report().aggregate_ws;
+            // One shard sums in record order, bit for bit; two reorder the sum.
+            let tolerance = if shards == 1 { 0.0 } else { 1e-12 * report };
+            assert!(
+                report > 0.0 && (gauge - report).abs() <= tolerance,
+                "{gauge} vs {report}"
+            );
+        }
     }
 
     #[test]
@@ -969,7 +1024,7 @@ mod tests {
             for (i, b) in benches.iter().cycle().take(14).enumerate() {
                 c.submit(job(0, *b, 30_000 + i as u64 * 1_500));
             }
-            assert_eq!(c.drain(u64::MAX).len(), 14);
+            assert_eq!(c.replay(&[]).len(), 14);
             let report = serde_json::to_string(&c.report()).unwrap();
             (report, tel.drain().events_jsonl())
         };
@@ -1023,7 +1078,7 @@ mod tests {
         depth_series_match(&c);
         assert_eq!(tel.counter("cluster.migrations").get(), c.migrations());
         assert_eq!(tel.counter("cluster.rounds").get(), 1);
-        let done = c.drain(1_000_000);
+        let done = c.replay(&[]);
         assert_eq!(done.len(), 8, "every job completes despite migration");
         depth_series_match(&c);
         assert_eq!(tel.counter("cluster.completed").get(), 8);

@@ -43,13 +43,14 @@
 //! * [`arrivals`] — seeded arrival-trace generation (exponential
 //!   interarrivals, job-kind draws), shared by the batch open system and the
 //!   serving-layer load generator.
-//! * [`online`] — the event-driven online scheduling engine: job
-//!   submissions, timeslice ticks, SOS-or-naive policy, response-time
-//!   accounting. Drives both the batch §9 reproduction and `sos-serve`.
+//! * [`online`] — the event-driven online scheduling engine of one SMT
+//!   core: job submissions, timeslice ticks, SOS-or-naive policy,
+//!   response-time accounting. It is the shard [`cluster`] drives.
 //! * [`opensys`] — the open system of §9: its configuration, solo-IPC
-//!   calibration, and the batch run ([`online::replay`] of a seeded arrival
-//!   trace through the online engine).
-//! * [`cluster`] — the two-level cluster scheduler: a dispatcher
+//!   calibration, and the batch run ([`cluster::ClusterEngine::replay`] of
+//!   a seeded arrival trace through a 1-shard cluster).
+//! * [`cluster`] — the two-level cluster scheduler, and the one engine
+//!   surface every open-system front end drives: a dispatcher
 //!   (round-robin, least-loaded, or symbiosis-aware routing, plus
 //!   work-stealing rebalancing) over N per-core [`online`] engines it
 //!   owns and steps in lockstep on scoped threads, byte-reproducible per

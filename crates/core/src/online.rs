@@ -1,12 +1,13 @@
-//! The event-driven online scheduling engine behind both the batch open
-//! system ([`crate::opensys`]) and the `sos-serve` daemon.
+//! The event-driven online scheduling engine: one SMT core under the
+//! paper's §9 open-system scheduler. It is the shard of
+//! [`crate::cluster::ClusterEngine`], which every front end drives — the
+//! batch open system ([`crate::opensys`]), `fastsim-compare`, `sos-cluster`
+//! and the `sos-serve` daemon — with one shard unless it asks for more.
 //!
-//! The §9 open-system loop used to live inline in `opensys.rs`, welded to a
-//! pre-generated arrival trace. This module factors it into an
-//! [`OnlineEngine`] driven by *events*: job submissions ([`OnlineEngine::submit`]),
-//! timeslice ticks ([`OnlineEngine::step`]), and idle fast-forwards
-//! ([`OnlineEngine::jump_to`]). The batch simulation replays an
-//! [`crate::arrivals::ArrivalTrace`] through the engine; a long-running
+//! An [`OnlineEngine`] is driven by *events*: job submissions
+//! ([`OnlineEngine::submit`]), timeslice ticks ([`OnlineEngine::step`]), and
+//! idle fast-forwards ([`OnlineEngine::jump_to`]). The batch simulation
+//! replays an [`crate::arrivals::ArrivalTrace`] through it; a long-running
 //! service feeds it submissions as they arrive over the wire. Both paths run
 //! the exact same scheduler state machine — naive arrival-order rotation, or
 //! SOS with resampling on every arrival/departure/timer expiry, exponential
@@ -281,18 +282,15 @@ struct Probes {
     /// `learn.arm.<name>.pulls`, one per arm in [`learn::arms`] order
     /// (empty without a learner).
     arm_pulls: Vec<Arc<Counter>>,
-    /// Name of the `opensys.response_cycles` histogram. Histograms sit
-    /// behind the registry lock, so it is recorded only alongside events.
-    response_cycles: String,
 }
 
-/// The event-driven online scheduling engine.
+/// The event-driven online scheduling engine: one shard of a
+/// [`crate::cluster::ClusterEngine`], which is what front ends drive.
 ///
 /// Lifecycle: [`submit`](Self::submit) jobs (at the engine's current time or
 /// later per their `arrival` stamp), [`step`](Self::step) to run one
 /// timeslice and collect departures, [`jump_to`](Self::jump_to) to
-/// fast-forward across idle gaps. See the module docs for how the batch
-/// open system and the `sos-serve` daemon drive it.
+/// fast-forward across idle gaps.
 pub struct OnlineEngine {
     cfg: OnlineConfig,
     cpu: Processor,
@@ -347,7 +345,7 @@ impl OnlineEngine {
     }
 
     /// Lifetime extrapolated-vs-detailed counters, when fast-sim is on (the
-    /// policy itself is `config().fastsim`, fixed at construction).
+    /// policy itself is `OnlineConfig::fastsim`, fixed at construction).
     pub fn fastsim_counters(&self) -> Option<&FastSimCounters> {
         self.fastsim.as_ref().map(|f| f.counters())
     }
@@ -386,7 +384,6 @@ impl OnlineEngine {
                     .flat_map(|_| learn::arms())
                     .map(|p| tel.counter(&name("learn", &arm(p))))
                     .collect(),
-                response_cycles: name("opensys", "response_cycles"),
             }
         });
         self.tel = tel;
@@ -489,16 +486,6 @@ impl OnlineEngine {
         self.books.timeslices
     }
 
-    /// Which scheduler drives this engine.
-    pub fn kind(&self) -> SchedulerKind {
-        self.state.kind
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &OnlineConfig {
-        &self.cfg
-    }
-
     /// Current simulated time in cycles.
     pub fn now(&self) -> u64 {
         self.now
@@ -514,11 +501,6 @@ impl OnlineEngine {
         self.books.submitted
     }
 
-    /// Jobs completed over the engine's lifetime.
-    pub fn completed(&self) -> u64 {
-        self.books.completed
-    }
-
     /// Jobs reclaimed (migrated away) over the engine's lifetime.
     pub fn reclaimed(&self) -> usize {
         self.books.reclaimed
@@ -529,9 +511,10 @@ impl OnlineEngine {
         self.books.resamples
     }
 
-    /// Time-averaged number of jobs resident (Little's-law `N`).
-    pub fn mean_population(&self) -> f64 {
-        self.books.population_cycles as f64 / self.now.max(1) as f64
+    /// Σ live jobs × timeslice over every slice (the numerator of the
+    /// time-averaged population, Little's-law `N`).
+    pub(crate) fn population_cycles(&self) -> u128 {
+        self.books.population_cycles
     }
 
     /// The arrival records of the jobs currently in the system (used for
@@ -778,7 +761,7 @@ impl OnlineEngine {
 
         // Departures.
         let now = self.now;
-        let (tel, probes) = (&self.tel, self.probes.as_ref());
+        let tel = &self.tel;
         let mut departed = Vec::new();
         self.live.retain(|j| {
             if !j.finished() {
@@ -792,9 +775,6 @@ impl OnlineEngine {
                 ]
             });
             if tracing {
-                if let Some(p) = probes {
-                    tel.histogram_record(&p.response_cycles, response);
-                }
                 let track = job_track(j.key);
                 tel.instant(&track, "job.complete", || {
                     vec![Attr::num("response_cycles", response as f64)]
@@ -1007,64 +987,6 @@ impl OnlineEngine {
     }
 }
 
-/// What an open-system driver needs from a scheduler: a clock, a population
-/// count, and the three events. [`OnlineEngine`] and
-/// [`crate::cluster::ClusterEngine`] both implement it, so one [`replay`]
-/// loop — and one differential test — drives either.
-pub trait Scheduler {
-    /// Current simulated time in cycles.
-    fn now(&self) -> u64;
-    /// Jobs currently in the system.
-    fn live_count(&self) -> usize;
-    /// Admits a job.
-    fn submit(&mut self, arrival: JobArrival);
-    /// Advances the busy system by one scheduling quantum and returns the
-    /// jobs that departed in it.
-    fn step(&mut self) -> Vec<JobRecord>;
-    /// Fast-forwards the idle system to time `t`.
-    fn jump_to(&mut self, t: u64);
-}
-
-impl Scheduler for OnlineEngine {
-    fn now(&self) -> u64 {
-        self.now
-    }
-    fn live_count(&self) -> usize {
-        self.live.len()
-    }
-    fn submit(&mut self, arrival: JobArrival) {
-        OnlineEngine::submit(self, arrival);
-    }
-    fn step(&mut self) -> Vec<JobRecord> {
-        OnlineEngine::step(self)
-    }
-    fn jump_to(&mut self, t: u64) {
-        OnlineEngine::jump_to(self, t)
-    }
-}
-
-/// *The* open-system loop: replays `trace` (sorted by arrival) through
-/// `engine` — submit every arrival that is due, step while any job is live,
-/// jump across idle gaps — until every job has been submitted and has
-/// departed. Returns the departures in the order the engine reported them.
-pub fn replay(engine: &mut impl Scheduler, trace: &[JobArrival]) -> Vec<JobRecord> {
-    let mut next = 0usize;
-    let mut departed = Vec::with_capacity(trace.len());
-    while next < trace.len() || engine.live_count() > 0 {
-        while next < trace.len() && trace[next].arrival <= engine.now() {
-            engine.submit(trace[next].clone());
-            next += 1;
-        }
-        if engine.live_count() == 0 {
-            // Nothing was due and nothing is live, so arrivals remain.
-            engine.jump_to(trace[next].arrival);
-            continue;
-        }
-        departed.extend(engine.step());
-    }
-    departed
-}
-
 /// The schedule implied by a circular order of keys at SMT level `y`
 /// (swap-all discipline).
 fn schedule_of(order: &[usize], y: usize) -> Schedule {
@@ -1168,6 +1090,15 @@ mod tests {
         }
     }
 
+    /// Steps until every submitted job has departed; returns the departures.
+    fn run_out(e: &mut OnlineEngine) -> Vec<JobRecord> {
+        let mut done = Vec::new();
+        while e.live_count() > 0 {
+            done.extend(e.step());
+        }
+        done
+    }
+
     #[test]
     fn empty_step_is_a_noop() {
         let mut e = OnlineEngine::new(SchedulerKind::Naive, &cfg());
@@ -1179,11 +1110,11 @@ mod tests {
     fn single_job_runs_to_completion() {
         let mut e = OnlineEngine::new(SchedulerKind::Naive, &cfg());
         e.submit(job(0, 5_000));
-        let done = replay(&mut e, &[]);
+        let done = run_out(&mut e);
         assert_eq!(done.len(), 1);
-        assert_eq!(e.completed(), 1);
-        assert!(done[0].response() >= e.config().timeslice);
-        assert!(e.mean_population() > 0.0);
+        assert_eq!(e.books.completed, 1);
+        assert!(done[0].response() >= cfg().timeslice);
+        assert!(e.population_cycles() > 0);
     }
 
     #[test]
@@ -1192,8 +1123,8 @@ mod tests {
         for i in 0..4 {
             e.submit(job(0, 40_000 + i * 1_000));
         }
-        replay(&mut e, &[]);
-        assert_eq!(e.completed(), 4);
+        run_out(&mut e);
+        assert_eq!(e.books.completed, 4);
         assert!(e.resamples() > 0, "4 jobs on SMT 2 must trigger sampling");
     }
 
@@ -1203,7 +1134,7 @@ mod tests {
         for i in 0..4 {
             e.submit(job(0, 20_000 + i * 1_000));
         }
-        replay(&mut e, &[]);
+        run_out(&mut e);
         assert_eq!(e.resamples(), 0);
     }
 
@@ -1279,9 +1210,9 @@ mod tests {
         for i in 0..5 {
             e.submit(job(0, 60_000 + i * 2_000));
         }
-        replay(&mut e, &[]);
+        run_out(&mut e);
         let l = e.learner().expect("learned predictor implies a learner");
-        (e.completed(), serde_json::to_string(l).unwrap())
+        (e.books.completed, serde_json::to_string(l).unwrap())
     }
 
     #[test]
@@ -1333,7 +1264,7 @@ mod tests {
         );
         assert!(counter("engine.predictor_picks") >= counter("engine.repeat_picks"));
         assert_eq!(counter("opensys.arrivals"), e.submitted() as u64);
-        assert_eq!(counter("opensys.departures"), e.completed());
+        assert_eq!(counter("opensys.departures"), e.books.completed);
         assert_eq!(snap.gauges["engine.queue_depth"], e.live_count() as f64);
         let fs = e.fastsim_counters().expect("fast-sim is on");
         assert_eq!(
@@ -1385,7 +1316,7 @@ mod tests {
         let late = Telemetry::metrics();
         e.set_telemetry(late.clone());
         assert_series_mirror_engine(&late, &e);
-        replay(&mut e, &[]);
+        run_out(&mut e);
         assert_series_mirror_engine(&late, &e);
         assert_eq!(late.counter("opensys.departures").get(), 5);
         assert!(late.counter("engine.fastsim_phase_locks").get() > 0);

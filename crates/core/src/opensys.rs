@@ -20,13 +20,15 @@
 //!   and runs the Score-predicted schedule in between.
 //!
 //! This module is the *batch* front end: configuration, calibration, and
-//! one run that [`replay`]s a seeded [`crate::arrivals::ArrivalTrace`]
-//! through the event-driven [`crate::online::OnlineEngine`], which holds the
-//! actual scheduler state machine (the `sos-serve` daemon drives the same
-//! engine from live TCP submissions). [`crate::report::JobSummary`] says
-//! what a run's completed jobs amount to.
+//! one run that [replays](ClusterEngine::replay) a seeded
+//! [`crate::arrivals::ArrivalTrace`] through a 1-shard [`ClusterEngine`],
+//! whose [`crate::online::OnlineEngine`] shard holds the actual scheduler
+//! state machine (the `sos-serve` daemon drives the same engine from live
+//! TCP submissions). [`crate::report::JobSummary`] says what a run's
+//! completed jobs amount to.
 
-use crate::online::{replay, OnlineConfig, OnlineEngine};
+use crate::cluster::{ClusterConfig, ClusterEngine, DispatchPolicy};
+use crate::online::OnlineConfig;
 use crate::report::solo_cycles;
 use serde::{Deserialize, Serialize};
 use smtsim::trace::StreamId;
@@ -146,9 +148,9 @@ impl OpenSystemConfig {
         }
     }
 
-    /// The scheduler-facing subset of this configuration (what
-    /// [`OnlineEngine`] consumes). The symbiosis base interval is the mean
-    /// interarrival time, as §9 prescribes.
+    /// The scheduler-facing subset of this configuration (what an
+    /// [`crate::online::OnlineEngine`] shard consumes). The symbiosis base
+    /// interval is the mean interarrival time, as §9 prescribes.
     pub fn online(&self) -> OnlineConfig {
         OnlineConfig {
             smt: self.smt,
@@ -225,15 +227,18 @@ pub fn measure_capacity(cfg: &OpenSystemConfig, solo: &HashMap<Benchmark, f64>) 
     (offered / res.cycles.max(1) as f64).max(0.1)
 }
 
-/// Runs the open system on an arrival trace: [`replay`]s it through a fresh
-/// [`OnlineEngine`] (and panics where [`OnlineEngine::new`] does).
+/// Runs the open system on an arrival trace: [replays](ClusterEngine::replay)
+/// it through a fresh 1-shard [`ClusterEngine`] (and panics where
+/// [`ClusterEngine::new`] does).
 pub fn run_open_system_on_trace(
     kind: SchedulerKind,
     cfg: &OpenSystemConfig,
     trace: &[JobArrival],
 ) -> OpenSystemResult {
-    let mut engine = OnlineEngine::new(kind, &cfg.online());
-    let completed = replay(&mut engine, trace);
+    // One shard: the dispatch policy never has a choice to make.
+    let one_core = ClusterConfig::new(1, DispatchPolicy::RoundRobin, kind, cfg.online());
+    let mut engine = ClusterEngine::new(&one_core);
+    let completed = engine.replay(trace);
     OpenSystemResult {
         scheduler: kind,
         completed,

@@ -3,8 +3,9 @@
 //!
 //! 1. same seed + shard count ⇒ byte-identical per-shard traces and
 //!    cluster report (serialized JSON compared as bytes);
-//! 2. a 1-shard cluster is bit-exact with a plain `OnlineEngine`, both
-//!    driven by `replay`, over generated scenarios;
+//! 2. a 1-shard cluster driven by `replay` — what every single-core front
+//!    end runs — is bit-exact with a plain `OnlineEngine` driven by hand,
+//!    over generated scenarios;
 //! 3. migration conserves jobs: under forced stealing nothing is lost or
 //!    duplicated, and every departed job matches a submitted one;
 //! 4. a traced cluster is as reproducible as an untraced one: every shard
@@ -12,7 +13,7 @@
 
 use proptest::prelude::*;
 use sos_core::cluster::{ClusterConfig, ClusterEngine, DispatchPolicy};
-use sos_core::online::{replay, JobRecord, OnlineEngine, SchedulerKind};
+use sos_core::online::{JobRecord, OnlineEngine, SchedulerKind};
 use sos_core::opensys::{arrival_trace, calibrate_benchmarks, JobArrival, OpenSystemConfig};
 use sos_core::report::JobSummary;
 use sos_core::telemetry::{EventPhase, Snapshot, Telemetry};
@@ -53,7 +54,7 @@ fn seeded_cluster_runs_are_byte_identical() {
     for _ in 0..2 {
         let ccfg = cluster_config(&cfg, 4);
         let mut engine = ClusterEngine::new(&ccfg);
-        let done = replay(&mut engine, &trace);
+        let done = engine.replay(&trace);
         assert_eq!(done.len(), trace.len());
         // The report is wall-clock-free by construction, so two runs of
         // the same (seed, shard count) must serialize to identical bytes —
@@ -92,10 +93,30 @@ struct Scenario {
     phased_fraction: f64,
 }
 
+/// The open-system loop spelled out by hand on a plain engine: the
+/// reference `ClusterEngine::replay` is checked against.
+fn drive_plain_engine(engine: &mut OnlineEngine, trace: &[JobArrival]) -> Vec<JobRecord> {
+    let mut completed = Vec::new();
+    let mut next = 0usize;
+    while completed.len() < trace.len() {
+        while next < trace.len() && trace[next].arrival <= engine.now() {
+            engine.submit(trace[next].clone());
+            next += 1;
+        }
+        if engine.live_count() == 0 {
+            engine.jump_to(trace[next].arrival);
+            continue;
+        }
+        completed.extend(engine.step());
+    }
+    completed
+}
+
 #[test]
 fn one_shard_cluster_is_bit_exact_with_plain_engine() {
-    // The hand-picked case this test began as, then generated ones (fixed
-    // seed budget; a failure prints the scenario that reproduces it).
+    // The hand-picked cases this test began as (the suite's own config, and
+    // a 10-job one under both policies), then generated ones (fixed seed
+    // budget; a failure prints the scenario that reproduces it).
     let base = small_config();
     let mut scenarios = vec![Scenario {
         smt: base.smt,
@@ -105,6 +126,16 @@ fn one_shard_cluster_is_bit_exact_with_plain_engine() {
         fast: false,
         phased_fraction: base.phased_fraction,
     }];
+    for kind in [SchedulerKind::Naive, SchedulerKind::Sos] {
+        scenarios.push(Scenario {
+            smt: 2,
+            jobs: 10,
+            seed: 0xE0_17,
+            kind,
+            fast: false,
+            phased_fraction: 0.3,
+        });
+    }
     let generated = (
         (2usize..=4, 6usize..=16, any::<u64>()),
         (any::<bool>(), any::<bool>(), any::<bool>()),
@@ -137,7 +168,7 @@ fn one_shard_cluster_is_bit_exact_with_plain_engine() {
         let trace = arrival_trace(&cfg, &solo);
 
         let mut engine = OnlineEngine::new(s.kind, &cfg.online());
-        let plain = replay(&mut engine, &trace);
+        let plain = drive_plain_engine(&mut engine, &trace);
 
         // 1-shard cluster over the identical trace. slices_per_round = 1
         // makes the round structure step-for-step identical; with one shard
@@ -147,7 +178,7 @@ fn one_shard_cluster_is_bit_exact_with_plain_engine() {
         ccfg.slices_per_round = 1;
         let mut cluster = ClusterEngine::new(&ccfg);
         cluster.set_solo_ipc(solo.clone());
-        let clustered = replay(&mut cluster, &trace);
+        let clustered = cluster.replay(&trace);
 
         assert_eq!(plain.len(), s.jobs, "{s:?}");
         assert_eq!(
@@ -155,6 +186,9 @@ fn one_shard_cluster_is_bit_exact_with_plain_engine() {
             "1-shard cluster diverged from the plain engine on {s:?}"
         );
         assert_eq!(cluster.migrations(), 0);
+        // What `run_open_system_on_trace` reads off the cluster.
+        assert_eq!(cluster.now(), engine.now(), "{s:?}");
+        assert_eq!(cluster.resamples(), engine.resamples(), "{s:?}");
 
         // The cluster report is the one job summary over the same records.
         let summary = JobSummary::of(&plain, &solo);
@@ -225,7 +259,7 @@ fn forced_stealing_conserves_jobs() {
     for job in trace.iter().cycle().take(16) {
         submit(&mut engine, job.clone(), now, 1);
     }
-    done.extend(engine.drain(u64::MAX));
+    done.extend(engine.replay(&[]));
 
     assert!(
         engine.migrations() > 0,
@@ -310,7 +344,7 @@ fn traced_two_shard_run(cfg: &OpenSystemConfig) -> (Snapshot, u64) {
     for _ in 0..2 {
         engine.submit(job(&engine, 10_000));
     }
-    engine.drain(u64::MAX);
+    engine.replay(&[]);
     (tel.drain(), engine.report().migrations)
 }
 

@@ -18,8 +18,9 @@
 
 use smtsim::fastsim::{FastSim, FastSimPolicy};
 use smtsim::{MachineConfig, Processor};
+use sos_core::cluster::{ClusterConfig, ClusterEngine, DispatchPolicy};
 use sos_core::job::JobPool;
-use sos_core::online::{replay, OnlineEngine, SchedulerKind};
+use sos_core::online::SchedulerKind;
 use sos_core::opensys::{
     arrival_trace, calibrate_benchmarks, run_open_system_on_trace, OpenSystemConfig,
 };
@@ -262,8 +263,6 @@ fn fast_mode_cluster_metrics_within_two_percent_of_detail() {
     // The sharded cluster runs one fast-sim detector per shard engine; the
     // same ±2% bound must hold for the cluster-wide response metric on an
     // identical trace and shard layout.
-    use sos_core::cluster::{ClusterConfig, ClusterEngine, DispatchPolicy};
-
     let detail_cfg = open_config();
     let solo = calibrate_benchmarks(
         detail_cfg.smt,
@@ -282,7 +281,7 @@ fn fast_mode_cluster_metrics_within_two_percent_of_detail() {
             cfg.online(),
         );
         let mut engine = ClusterEngine::new(&ccfg);
-        let done = replay(&mut engine, &trace);
+        let done = engine.replay(&trace);
         let mean = done.iter().map(|j| j.response() as f64).sum::<f64>() / done.len().max(1) as f64;
         (done.len(), mean)
     };
@@ -300,19 +299,30 @@ fn fast_mode_cluster_metrics_within_two_percent_of_detail() {
 #[test]
 fn open_system_fast_engine_reports_policy_and_counters() {
     // The engine must echo the policy it runs and expose live counters —
-    // what `sos-serve`'s metrics verb and the bench records publish.
+    // what `sos-serve`'s status verb and the bench records publish.
     let mut cfg = open_config();
     cfg.num_jobs = 8;
     cfg.fastsim = Some(FastSimPolicy::default());
     let solo = calibrate_benchmarks(cfg.smt, cfg.calibration_cycles, cfg.seed);
     let trace = arrival_trace(&cfg, &solo);
-    let mut engine = OnlineEngine::new(SchedulerKind::Sos, &cfg.online());
-    assert_eq!(replay(&mut engine, &trace).len(), trace.len());
-    let policy = engine.config().fastsim.as_ref().expect("policy echoed");
-    assert_eq!(policy, &FastSimPolicy::default());
-    let counters = engine.fastsim_counters().expect("counters exposed");
+    let one_core = ClusterConfig::new(
+        1,
+        DispatchPolicy::RoundRobin,
+        SchedulerKind::Sos,
+        cfg.online(),
+    );
+    let mut engine = ClusterEngine::new(&one_core);
+    assert_eq!(engine.replay(&trace).len(), trace.len());
+    let report = engine.report();
+    assert_eq!(report.fastsim, Some(FastSimPolicy::default().describe()));
+    assert_eq!(
+        engine.extrapolated_slices(),
+        Some(report.extrapolated_slices)
+    );
     assert!(
-        counters.detailed_slices > 0,
-        "an open-system run always has detailed slices: {counters:?}"
+        report.timeslices > report.extrapolated_slices,
+        "an open-system run always has detailed slices ({} of {} extrapolated)",
+        report.extrapolated_slices,
+        report.timeslices
     );
 }

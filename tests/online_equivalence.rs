@@ -2,8 +2,9 @@
 //! machine: feeding a fixed arrival trace through `OnlineEngine`'s public
 //! submit/step/jump_to API must reproduce `run_open_system_on_trace`'s
 //! per-job response times *exactly* (bit-identical clocks), for both
-//! scheduling policies. This is what keeps `sos-serve` answers consistent
-//! with the fig5/fig6 batch numbers.
+//! scheduling policies. The batch driver runs a 1-shard `ClusterEngine`,
+//! as `sos-serve` does, so this keeps the plain engine, the daemon and the
+//! fig5/fig6 batch numbers consistent.
 
 use sos_core::online::{JobRecord, OnlineEngine, SchedulerKind};
 use sos_core::opensys::{
@@ -23,9 +24,8 @@ fn small_config() -> OpenSystemConfig {
     cfg
 }
 
-/// The open-system loop spelled out by hand. This is the one copy kept
-/// outside `sos_core::online::replay` (which the batch driver runs): the
-/// reference `replay` is checked against.
+/// The open-system loop spelled out by hand on a plain engine: the
+/// reference the batch driver's `ClusterEngine::replay` is checked against.
 fn drive_engine(kind: SchedulerKind, cfg: &OpenSystemConfig) -> Vec<JobRecord> {
     let solo = calibrate_benchmarks(cfg.smt, cfg.calibration_cycles, cfg.seed);
     let trace = arrival_trace(cfg, &solo);
